@@ -210,7 +210,7 @@ def execute_prepared(
             continue
         kwargs = dict(
             config=config,
-            lookup_cache=None if config.hash_join else lookup_cache,
+            lookup_cache=None if config.backend == "python-hash" else lookup_cache,
             prefix=prefixes.get(index),
             prefix_table=prefix_table,
         )

@@ -14,6 +14,7 @@ from .execution import (
     BACKEND_PYTHON_HASH,
     BACKEND_SQL,
     BACKENDS,
+    PIPELINE_STAGES,
     SHARDS_ENV_VAR,
     STRATEGIES,
     CTSSNExecutor,
@@ -67,6 +68,7 @@ __all__ = [
     "MTTON",
     "MTTONEdge",
     "OnDemandNavigator",
+    "PIPELINE_STAGES",
     "Optimizer",
     "PresentationGraph",
     "DisplayNode",

@@ -13,26 +13,29 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
 from ..schema.tss import TSSGraph
 from ..storage.decomposer import LoadedDatabase
 from ..storage.relations import RelationStore
 from ..storage.stmtcache import CompiledStatementCache
-from ..trace import NULL_TRACER, QueryTrace, Span
+from ..trace import NULL_SPAN, NULL_TRACER, QueryTrace, Span
 from .cn_generator import CandidateNetwork, CNGenerator
 from .ctssn import CTSSN, reduce_to_ctssn
 from .execution import (
     BACKEND_SQL,
+    PIPELINE_STAGES,
     CTSSNExecutor,
     ExecutionMetrics,
     ExecutionObserver,
     ExecutorConfig,
+    Lane,
+    PlannedCN,
     PrefixSpec,
-    ResultCache,
+    QueryExecution,
     ShardPartition,
-    SharedPrefixTable,
     TopKBound,
     assign_shared_prefixes,
     resolve_shards,
@@ -143,8 +146,37 @@ class NetworkVerifier(Protocol):
         """Verify a shared prefix is embeddable in the borrowing plan."""
 
 
+@contextmanager
+def _stage(name: str, metrics: ExecutionMetrics, span) -> Iterator:
+    """The one span+timer wrapper every pipeline stage runs inside.
+
+    Times the block into ``metrics.stage_seconds[name]`` and finishes
+    ``span`` (opened by the caller, wherever the trace tree wants it).
+    """
+    if name not in PIPELINE_STAGES:
+        raise ValueError(f"unknown pipeline stage {name!r}")
+    started = time.perf_counter()
+    try:
+        yield span
+    finally:
+        metrics.record_stage(name, time.perf_counter() - started)
+        span.finish()
+
+
 class XKeyword:
-    """Keyword proximity search over a loaded XML database."""
+    """Keyword proximity search over a loaded XML database.
+
+    Every entry point funnels into :meth:`_run`: matching, the front
+    half (:meth:`_plan_networks`) and execution, each stage behind the
+    one :func:`_stage` wrapper.  Execution is **lanes × work units**: a
+    lane is one partition of the anchor space (one lane when unsharded
+    or when the caller passes a ``partition``, ``shards`` otherwise), a
+    unit is one candidate network evaluated on one lane, and
+    :meth:`_evaluate` is the only code that runs a unit.  A lone lane
+    fans its units over the thread pool; scatter runs one thread per
+    lane via :meth:`_gather`, the one hook
+    :class:`repro.sharding.ShardedXKeyword` overrides.
+    """
 
     def __init__(
         self,
@@ -222,12 +254,7 @@ class XKeyword:
     ) -> list[CTSSN]:
         """Stage 3 (Fig 7): reduce CNs to candidate TSS networks."""
         containing = containing or self.containing_lists(query)
-        ctssns = [
-            reduce_to_ctssn(cn, self.loaded.catalog.tss)
-            for cn in self.candidate_networks(query, containing)
-        ]
-        self._verify_ctssns(ctssns, query)
-        return ctssns
+        return self._reduce(self.candidate_networks(query, containing), query)
 
     def plan(
         self,
@@ -243,18 +270,25 @@ class XKeyword:
             span: Optional trace span the optimizer annotates with the
                 chosen relations, join count and anchor.
         """
-        role_costs = {
+        role_costs = self._role_costs(ctssn, containing)
+        return self._verified_plan(self.optimizer.plan(ctssn, role_costs, span=span))
+
+    def _role_costs(self, ctssn: CTSSN, containing: ContainingLists) -> dict[int, int]:
+        """Admitted target objects per keyword role (the optimizer's costs)."""
+        return {
             role: len(containing.allowed_tos(constraints))
             for role, constraints in ctssn.keyword_roles()
         }
-        return self._verified_plan(self.optimizer.plan(ctssn, role_costs, span=span))
 
-    def _verify_ctssns(self, ctssns: list[CTSSN], query: KeywordQuery) -> None:
+    def _reduce(
+        self, networks: list[CandidateNetwork], query: KeywordQuery
+    ) -> list[CTSSN]:
+        tss = self.loaded.catalog.tss
+        ctssns = [reduce_to_ctssn(cn, tss) for cn in networks]
         if self.verifier is not None:
             for ctssn in ctssns:
-                self.verifier.check_ctssn(
-                    ctssn, query.keywords, self.loaded.catalog.tss
-                )
+                self.verifier.check_ctssn(ctssn, query.keywords, tss)
+        return ctssns
 
     def _verified_plan(self, plan: ExecutionPlan) -> ExecutionPlan:
         if self.verifier is not None:
@@ -299,7 +333,7 @@ class XKeyword:
     def search(
         self,
         query: KeywordQuery | str,
-        k: int = 10,
+        k: int | None = 10,
         config: ExecutorConfig | None = None,
         parallel: bool = True,
         *,
@@ -311,7 +345,8 @@ class XKeyword:
 
         Args:
             query: Keywords (a :class:`KeywordQuery` or a plain string).
-            k: Ranked-result cutoff.
+            k: Ranked-result cutoff; ``None`` produces every result
+                (what :meth:`search_all` passes).
             config: Per-call execution switches (defaults to the
                 engine's).
             parallel: Evaluate candidate networks on a thread pool.
@@ -329,15 +364,7 @@ class XKeyword:
                 stream is completed — or its unstreamed tail published —
                 when the search returns.
         """
-        return self._run(
-            query,
-            limit=k,
-            config=config,
-            parallel=parallel,
-            partition=partition,
-            shared_bound=shared_bound,
-            stream=stream,
-        )
+        return self._run(query, k, config, parallel, partition, shared_bound, stream)
 
     def search_all(
         self,
@@ -350,9 +377,7 @@ class XKeyword:
 
         ``stream`` works as in :meth:`search`, with no emission budget.
         """
-        return self._run(
-            query, limit=None, config=config, parallel=parallel, stream=stream
-        )
+        return self._run(query, None, config, parallel, stream=stream)
 
     def search_streaming(
         self,
@@ -379,14 +404,9 @@ class XKeyword:
 
         def run() -> None:
             try:
-                if all_results:
-                    self.search_all(
-                        query, config=config, parallel=parallel, stream=stream
-                    )
-                else:
-                    self.search(
-                        query, k=k, config=config, parallel=parallel, stream=stream
-                    )
+                self._run(
+                    query, None if all_results else k, config, parallel, stream=stream
+                )
             except BaseException as exc:  # noqa: BLE001 - delivered to consumers
                 stream.fail(exc)
 
@@ -397,56 +417,24 @@ class XKeyword:
         self,
         query: KeywordQuery | str,
         config: ExecutorConfig | None = None,
-    ):
+    ) -> Iterator[MTTON]:
         """Stream MTTONs as they are produced (Section 3.2: XKeyword
         "outputs MTTONs as they come", filling result pages on the fly).
 
-        Candidate networks are evaluated smallest-score first, so the
-        stream is in (block-wise) ranking order; stop consuming whenever
-        enough results arrived.
+        A generator over :meth:`search_streaming` in all-results mode:
+        results arrive in ranking order, one finished score band at a
+        time; stop consuming whenever enough arrived — closing the
+        generator cancels the background execution.
         """
-        query = self._coerce(query)
-        config = config or self.executor_config
-        containing = self.containing_lists(query)
-        if any(not containing.keyword_tos[k] for k in query.keywords):
-            return
-        ctssns = self.candidate_tss_networks(query, containing)
-        role_costs_of = {
-            ctssn.canonical_key: {
-                role: len(containing.allowed_tos(constraints))
-                for role, constraints in ctssn.keyword_roles()
-            }
-            for ctssn in ctssns
-        }
-        ordered = sorted(
-            ctssns,
-            key=lambda c: (
-                c.score,
-                self.optimizer.estimate_results(c, role_costs_of[c.canonical_key]),
-                c.canonical_key,
-            ),
+        results = self.search_streaming(
+            query, config=config, parallel=False, all_results=True
         )
-        lookup_cache = ResultCache(config.cache_capacity)
-        for ctssn in ordered:
-            plan = self._verified_plan(
-                self.optimizer.plan(ctssn, role_costs_of[ctssn.canonical_key])
-            )
-            executor = self._make_executor(
-                plan,
-                containing,
-                config,
-                lookup_cache=lookup_cache,
-                observer=self.hooks.observer,
-            )
-            for row in executor.run():
-                yield materialize(ctssn, row, self.loaded.to_graph)
+        try:
+            yield from results
+        finally:
+            results.cancel()
 
     # ------------------------------------------------------------------
-    def _coerce(self, query: KeywordQuery | str) -> KeywordQuery:
-        if isinstance(query, str):
-            return KeywordQuery(tuple(query.split()))
-        return query
-
     def _run(
         self,
         query: KeywordQuery | str,
@@ -457,7 +445,8 @@ class XKeyword:
         shared_bound=None,
         stream: ResultStream | None = None,
     ) -> SearchResult:
-        query = self._coerce(query)
+        if isinstance(query, str):
+            query = KeywordQuery(tuple(query.split()))
         config = config or self.executor_config
         if self.hooks.on_search_start is not None:
             self.hooks.on_search_start(query)
@@ -471,392 +460,237 @@ class XKeyword:
         if trace.enabled:
             result.trace = trace  # type: ignore[assignment]
 
-        span = trace.span("matching")
-        stage_started = time.perf_counter()
-        containing = self.containing_lists(query)
-        metrics.record_stage("matching", time.perf_counter() - stage_started)
-        span.annotate(
-            target_objects={
-                keyword: len(containing.keyword_tos[keyword])
-                for keyword in query.keywords
-            }
-        )
-        span.finish()
-        if any(not containing.keyword_tos[k] for k in query.keywords):
-            return self._finish(query, result, started, trace, stream=stream)
+        with _stage("matching", metrics, trace.span("matching")) as span:
+            containing = self.containing_lists(query)
+            span.annotate(
+                target_objects={
+                    keyword: len(containing.keyword_tos[keyword])
+                    for keyword in query.keywords
+                }
+            )
+        if all(containing.keyword_tos[keyword] for keyword in query.keywords):
+            planned = self._plan_networks(query, containing, config, result, trace)
+            run = QueryExecution(
+                query, planned, containing, config, limit,
+                self.shards if partition is None else 1, trace,
+            )
+            if config.prune_by_bound and limit is not None:
+                run.bound = shared_bound if shared_bound is not None else TopKBound(limit)
+            if stream is not None:
+                run.emitter = self._open_emitter(stream, run, metrics)
+            self._execute(run, parallel, partition)
+            for lane in run.lanes:
+                metrics.merge(lane.metrics)
+            # The gathered multiset is the same however the units were
+            # dispatched, so this one sort+truncate keeps every mode
+            # byte-identical to the unsharded run.
+            run.collected.sort(
+                key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment)
+            )
+            result.mttons = run.collected if limit is None else run.collected[:limit]
+        return self._finish(result, started, trace, stream)
 
-        span = trace.span("cn_generation")
-        stage_started = time.perf_counter()
-        result.candidate_networks = self.candidate_networks(query, containing)
-        metrics.record_stage("cn_generation", time.perf_counter() - stage_started)
-        span.annotate(networks=len(result.candidate_networks))
-        span.finish()
+    def _plan_networks(
+        self,
+        query: KeywordQuery,
+        containing: ContainingLists,
+        config: ExecutorConfig,
+        result: SearchResult,
+        trace,
+    ) -> list[PlannedCN]:
+        """The front half: CN generation → CTSSN reduction → costing →
+        ordering → planning → shared-prefix assignment.
 
-        span = trace.span("ctssn_reduction")
-        stage_started = time.perf_counter()
-        result.ctssns = [
-            reduce_to_ctssn(cn, self.loaded.catalog.tss)
-            for cn in result.candidate_networks
-        ]
-        self._verify_ctssns(result.ctssns, query)
-        metrics.record_stage("ctssn_reduction", time.perf_counter() - stage_started)
-        span.annotate(ctssns=len(result.ctssns))
-        span.finish()
+        Every CN is planned upfront (the prefix canonicalization needs
+        all plans before any executes), smallest first; each ``cn`` span
+        stays open until its execution finishes, so the
+        ``plan``/``execute`` children pair up.
+        """
+        metrics = result.metrics
+        with _stage("cn_generation", metrics, trace.span("cn_generation")) as span:
+            result.candidate_networks = self.candidate_networks(query, containing)
+            span.annotate(networks=len(result.candidate_networks))
+        with _stage("ctssn_reduction", metrics, trace.span("ctssn_reduction")) as span:
+            result.ctssns = self._reduce(result.candidate_networks, query)
+            span.annotate(ctssns=len(result.ctssns))
 
         # Smaller CNs first (cheaper and higher ranked, per the paper);
         # ties broken by the statistics-estimated result count.  The
         # estimates are kept so EXPLAIN can show estimated vs. actual
         # cardinality per candidate network.
-        role_costs_of = {
-            ctssn.canonical_key: {
-                role: len(containing.allowed_tos(constraints))
-                for role, constraints in ctssn.keyword_roles()
-            }
-            for ctssn in result.ctssns
-        }
-        estimates = {
-            ctssn.canonical_key: self.optimizer.estimate_results(
-                ctssn, role_costs_of[ctssn.canonical_key]
-            )
-            for ctssn in result.ctssns
-        }
-        ordered = sorted(
-            result.ctssns,
-            key=lambda c: (c.score, estimates[c.canonical_key], c.canonical_key),
-        )
-        lookup_cache = ResultCache(config.cache_capacity)
-
-        # --- Cross-CN scheduler -----------------------------------------
-        # Plan every CN upfront (the prefix canonicalization needs all
-        # plans before any executes); each CN's span stays open until its
-        # execution finishes, so the ``plan``/``execute`` children pair
-        # up exactly as before.
-        planned: list[tuple[CTSSN, ExecutionPlan, Span]] = []
-        for ctssn in ordered:
+        with _stage("planning", metrics, NULL_SPAN):
+            costed = []
+            for ctssn in result.ctssns:
+                role_costs = self._role_costs(ctssn, containing)
+                estimate = self.optimizer.estimate_results(ctssn, role_costs)
+                costed.append((ctssn, role_costs, estimate))
+            costed.sort(key=lambda c: (c[0].score, c[2], c[0].canonical_key))
+        planned: list[PlannedCN] = []
+        for ctssn, role_costs, estimate in costed:
             cn_span = trace.span(
                 "cn",
                 network=ctssn.canonical_key,
                 score=ctssn.score,
-                estimated_results=round(estimates[ctssn.canonical_key], 2),
+                estimated_results=round(estimate, 2),
             )
-            plan_span = cn_span.child("plan")
-            stage_started = time.perf_counter()
-            try:
-                plan = self.plan(ctssn, containing, span=plan_span)
-            finally:
-                metrics.record_stage(
-                    "planning", time.perf_counter() - stage_started
+            with _stage("planning", metrics, cn_span.child("plan")) as plan_span:
+                plan = self._verified_plan(
+                    self.optimizer.plan(ctssn, role_costs, span=plan_span)
                 )
-                plan_span.finish()
-            planned.append((ctssn, plan, cn_span))
+            planned.append(PlannedCN(ctssn, plan, cn_span))
         result.relations_used = frozenset(
-            name for _, plan, _ in planned for name in plan.relations_used()
+            name for cn in planned for name in cn.plan.relations_used()
+        )
+        if config.share_prefixes:
+            prefixes = assign_shared_prefixes([cn.plan for cn in planned])
+            for index, spec in prefixes.items():
+                if self.verifier is not None:
+                    self.verifier.check_shared_prefix(planned[index].plan, spec)
+                planned[index].prefix = spec
+        return planned
+
+    def _open_emitter(
+        self, stream: ResultStream, run: QueryExecution, metrics: ExecutionMetrics
+    ) -> _StreamEmitter:
+        """The score-band frontier of a streamed run (it expects one
+        completion signal per work unit)."""
+        trace = run.trace  # not ``run``: the emitter must not cycle back to it
+
+        def on_emit(rank: int, mtton: MTTON) -> None:
+            trace.span(
+                "emit",
+                rank=rank,
+                score=mtton.score,
+                network=mtton.ctssn.canonical_key,
+            ).finish()
+
+        return _StreamEmitter(
+            stream,
+            [cn.ctssn.score for cn in run.planned],
+            run.limit,
+            multiplier=run.shards,
+            on_first=lambda seconds: metrics.record_stage("first_result", seconds),
+            on_emit=on_emit,
         )
 
-        emitter: _StreamEmitter | None = None
-        if stream is not None:
-            # One completion signal per (CN, shard) on the thread-scatter
-            # path; per CN otherwise.  A process-sharded override that
-            # ignores the emitter simply never flushes — the stream is
-            # then filled at gather time by ``_finish``'s complete().
-            scatter = partition is None and self.shards > 1
-            on_emit = None
-            if trace.enabled:
-
-                def on_emit(rank: int, mtton: MTTON) -> None:
-                    trace.span(
-                        "emit",
-                        rank=rank,
-                        score=mtton.score,
-                        network=mtton.ctssn.canonical_key,
-                    ).finish()
-
-            emitter = _StreamEmitter(
-                stream,
-                [ctssn.score for ctssn, _, _ in planned],
-                limit,
-                multiplier=self.shards if scatter else 1,
-                on_first=lambda seconds: metrics.record_stage(
-                    "first_result", seconds
-                ),
-                on_emit=on_emit,
-            )
-
-        if partition is None and self.shards > 1:
-            # Scatter-gather: one thread per logical shard, anchor seeds
-            # partitioned by target-object hash, the global bound shared
-            # so cross-shard pruning stays exact.  The gathered multiset
-            # equals the unsharded run's, so the final sort+truncate
-            # below yields a byte-identical ranked top-k.
-            collected = self._scatter_execute(
-                query, planned, containing, config, limit, trace, metrics,
-                lookup_cache, emitter=emitter,
-            )
-            collected.sort(
-                key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment)
-            )
-            if limit is not None:
-                collected = collected[:limit]
-            result.mttons = collected
-            return self._finish(query, result, started, trace, stream=stream)
-
-        prefixes: dict[int, PrefixSpec] = {}
-        prefix_table: SharedPrefixTable | None = None
-        if config.share_prefixes:
-            prefixes = assign_shared_prefixes([plan for _, plan, _ in planned])
-            if prefixes:
-                prefix_table = SharedPrefixTable()
-                if self.verifier is not None:
-                    for index, spec in prefixes.items():
-                        self.verifier.check_shared_prefix(planned[index][1], spec)
-
-        if config.prune_by_bound and limit is not None:
-            bound = shared_bound if shared_bound is not None else TopKBound(limit)
+    # ------------------------------------------------------------------
+    # Execution: dispatchers of the one work-unit evaluator
+    # ------------------------------------------------------------------
+    def _execute(
+        self, run: QueryExecution, parallel: bool, partition: ShardPartition | None
+    ) -> None:
+        """Dispatch every unit of ``run``: a lone lane (unsharded, or a
+        worker's ``partition``) fans its CNs over the thread pool,
+        smallest first; a scattered run goes to :meth:`_gather`."""
+        if run.shards > 1:
+            for cn in run.planned:
+                cn.span.annotate(scattered_across=run.shards)
+            self._gather(run)
+            return
+        lane = run.open_lane(partition)
+        if parallel and len(run.planned) > 1:
+            with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                list(pool.map(lambda cn: self._evaluate(run, cn, lane), run.planned))
         else:
-            bound = None
-        collected: list[MTTON] = []
-        lock = threading.Lock()
+            for cn in run.planned:
+                self._evaluate(run, cn, lane)
 
-        def evaluate(index: int) -> ExecutionMetrics:
-            # The emitter must see a completion signal for *every*
-            # planned CN — executed, pruned, abandoned, or cancelled —
-            # or its score-band frontier would never advance.
-            try:
-                return evaluate_cn(index)
-            finally:
-                if emitter is not None:
-                    emitter.cn_done(planned[index][0].score)
+    def _gather(self, run: QueryExecution) -> None:
+        """Run a scattered query's lanes: one thread per logical shard.
 
-        def evaluate_cn(index: int) -> ExecutionMetrics:
-            ctssn, plan, cn_span = planned[index]
-            local_metrics = ExecutionMetrics()
-            lower = self.optimizer.score_lower_bound(ctssn)
+        Each lane restricts anchor seeds to the target objects its
+        :class:`~repro.core.execution.ShardPartition` owns and evaluates
+        every CN in rank order; the partition is exact, so the union
+        over lanes equals the unsharded result multiset.  Pruning is per
+        unit: ``cns_pruned`` counts each (CN, shard) skip.
+
+        The one hook other lane transports override, reporting through
+        the same ``shard_lane`` / ``unit_done`` / ``close`` ledger.  An
+        override that only learns results at gather time may ignore
+        ``run.emitter``: the stream then publishes in bulk at completion.
+        """
+
+        def run_lane(lane: Lane) -> None:
+            started = time.perf_counter()
+            for cn in run.planned:
+                self._evaluate(run, cn, lane)
+            lane.close(time.perf_counter() - started)
+
+        lanes = [run.shard_lane(index) for index in range(run.shards)]
+        with ThreadPoolExecutor(max_workers=run.shards) as pool:
+            list(pool.map(run_lane, lanes))
+
+    def _evaluate(self, run: QueryExecution, cn: PlannedCN, lane: Lane) -> None:
+        """Evaluate one work unit — ``cn`` on ``lane`` — the only place a
+        plan is executed.
+
+        Owns the unit's whole life: cancel check, top-k bound admission
+        and mid-run abandonment, the executor and its row loop, MTTON
+        materialization, stream offers, the ``execute`` span and metrics.
+        *Every* exit — ran, pruned, cancelled, raised — reports to the CN
+        ledger and the emitter, or the score-band frontier would stall.
+        """
+        ctssn, bound, emitter = cn.ctssn, run.bound, run.emitter
+        lower = self.optimizer.score_lower_bound(ctssn)
+        metrics = ExecutionMetrics()
+        mttons: list[MTTON] = []
+        skipped: dict | None = None
+        try:
             if emitter is not None and emitter.cancelled:
-                cn_span.annotate(cancelled=True, actual_results=0)
-                cn_span.finish()
-                return local_metrics
+                skipped = {"cancelled": True}
+                return
             if bound is not None and not bound.admits(lower):
-                local_metrics.cns_pruned += 1
-                cn_span.annotate(
-                    pruned=True, prune_bound=bound.bound(), actual_results=0
-                )
-                cn_span.finish()
-                return local_metrics
-            execute_span = cn_span.child("execute")
-            execute_span.annotate(backend=config.backend)
+                metrics.cns_pruned += 1
+                skipped = {"pruned": True, "prune_bound": bound.bound()}
+                return
+            span = (lane.span or cn.span).child("execute")
+            if lane.span is not None:
+                span.annotate(network=ctssn.canonical_key)
+            span.annotate(backend=run.config.backend)
             executor = self._make_executor(
-                plan,
-                containing,
-                config,
-                metrics=local_metrics,
-                lookup_cache=lookup_cache,
+                cn.plan,
+                run.containing,
+                run.config,
+                metrics=metrics,
+                lookup_cache=run.lookup_cache,
                 observer=self.hooks.observer,
-                span=execute_span if trace.enabled else None,
-                prefix=prefixes.get(index),
-                prefix_table=prefix_table,
-                partition=partition,
+                span=span if run.trace.enabled else None,
+                prefix=cn.prefix,
+                prefix_table=lane.prefix_table,
+                partition=lane.partition,
             )
-            produced = 0
             abandoned = False
-            stage_started = time.perf_counter()
-            try:
-                for row in executor.run(limit=limit):
+            with _stage("execution", metrics, span):
+                for row in executor.run(limit=run.limit):
                     mtton = materialize(ctssn, row, self.loaded.to_graph)
-                    produced += 1
-                    with lock:
-                        collected.append(mtton)
+                    mttons.append(mtton)
                     if emitter is not None:
                         emitter.offer(mtton)
-                        if emitter.cancelled:
-                            abandoned = True
-                            break
                     if bound is not None:
                         bound.add(mtton.score)
-                        # Another CN may have lowered the bound below
-                        # this CN's score mid-run: abandon, nothing more
-                        # from this plan can place in the top k.
-                        if not bound.admits(lower):
-                            abandoned = True
-                            break
-            finally:
-                local_metrics.record_stage(
-                    "execution", time.perf_counter() - stage_started
-                )
-                execute_span.annotate(
-                    results=produced,
-                    queries_sent=local_metrics.queries_sent,
-                    cache_hits=local_metrics.cache_hits,
-                    cache_misses=local_metrics.cache_misses,
+                    # Stop when the consumer left, or another unit
+                    # lowered the bound below this CN's score mid-run:
+                    # nothing more from this plan can place in the top k.
+                    abandoned = (emitter is not None and emitter.cancelled) or (
+                        bound is not None and not bound.admits(lower)
+                    )
+                    if abandoned:
+                        break
+                span.annotate(
+                    results=len(mttons),
+                    queries_sent=metrics.queries_sent,
+                    cache_hits=metrics.cache_hits,
+                    cache_misses=metrics.cache_misses,
                 )
                 if abandoned:
-                    execute_span.annotate(pruned="abandoned")
-                execute_span.finish()
-                cn_span.annotate(actual_results=produced)
-                cn_span.finish()
-            return local_metrics
-
-        if parallel and len(planned) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                for local in pool.map(evaluate, range(len(planned))):
-                    metrics.merge(local)
-        else:
-            for index in range(len(planned)):
-                metrics.merge(evaluate(index))
-
-        collected.sort(key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment))
-        if limit is not None:
-            collected = collected[:limit]
-        result.mttons = collected
-        return self._finish(query, result, started, trace, stream=stream)
-
-    def _scatter_execute(
-        self,
-        query: KeywordQuery,
-        planned: list[tuple[CTSSN, ExecutionPlan, Span]],
-        containing: ContainingLists,
-        config: ExecutorConfig,
-        limit: int | None,
-        trace,
-        metrics: ExecutionMetrics,
-        lookup_cache: ResultCache,
-        emitter: _StreamEmitter | None = None,
-    ) -> list[MTTON]:
-        """Evaluate every planned CN once per shard, gathering results.
-
-        ``query`` is unused on the in-process path but part of the seam:
-        :class:`repro.sharding.engine.ShardedXKeyword` overrides this
-        method to ship the query to per-shard worker processes.
-
-        ``emitter`` (when the caller streams) expects one completion
-        signal per (CN, shard) pair; results are offered as produced so
-        finished score bands flush incrementally.  Overrides that gather
-        all results at once may ignore it — the stream then falls back
-        to bulk publication at completion.
-
-        Each shard gets a :class:`~repro.core.execution.ShardPartition`
-        restricting anchor seeds to the target objects it owns, its own
-        ``shard`` trace span (with per-CN ``execute`` children), and its
-        own :class:`~repro.core.execution.SharedPrefixTable` — prefix
-        rows embed the partitioned anchor, so they must not cross
-        shards.  The relation-lookup cache *is* shared: raw probes are
-        partition-independent.  One
-        :class:`~repro.core.execution.TopKBound` spans all shards, so a
-        result collected on any shard prunes candidate networks
-        everywhere.  Per-shard pruning decisions are per-shard work
-        units: ``cns_pruned`` counts each (CN, shard) skip.
-        """
-        shard_count = self.shards
-        for _, _, cn_span in planned:
-            cn_span.annotate(scattered_across=shard_count)
-            cn_span.finish()
-        prefixes: dict[int, PrefixSpec] = {}
-        if config.share_prefixes:
-            prefixes = assign_shared_prefixes([plan for _, plan, _ in planned])
-            if prefixes and self.verifier is not None:
-                for index, spec in prefixes.items():
-                    self.verifier.check_shared_prefix(planned[index][1], spec)
-        bound = (
-            TopKBound(limit)
-            if config.prune_by_bound and limit is not None
-            else None
-        )
-        collected: list[MTTON] = []
-        lock = threading.Lock()
-
-        def run_shard(shard_index: int) -> ExecutionMetrics:
-            partition = ShardPartition(shard_index, shard_count)
-            local_metrics = ExecutionMetrics()
-            prefix_table = SharedPrefixTable() if prefixes else None
-            shard_span = trace.span(
-                "shard", shard=shard_index, shards=shard_count
-            )
-            shard_results = 0
-            shard_started = time.perf_counter()
-            try:
-                for index, (ctssn, plan, _) in enumerate(planned):
-                    lower = self.optimizer.score_lower_bound(ctssn)
-                    if emitter is not None and emitter.cancelled:
-                        emitter.cn_done(ctssn.score)
-                        continue
-                    if bound is not None and not bound.admits(lower):
-                        local_metrics.cns_pruned += 1
-                        if emitter is not None:
-                            emitter.cn_done(ctssn.score)
-                        continue
-                    execute_span = shard_span.child("execute")
-                    execute_span.annotate(
-                        network=ctssn.canonical_key, backend=config.backend
-                    )
-                    executor = self._make_executor(
-                        plan,
-                        containing,
-                        config,
-                        metrics=local_metrics,
-                        lookup_cache=lookup_cache,
-                        observer=self.hooks.observer,
-                        span=execute_span if trace.enabled else None,
-                        prefix=prefixes.get(index),
-                        prefix_table=prefix_table,
-                        partition=partition,
-                    )
-                    produced = 0
-                    abandoned = False
-                    stage_started = time.perf_counter()
-                    try:
-                        for row in executor.run(limit=limit):
-                            mtton = materialize(
-                                ctssn, row, self.loaded.to_graph
-                            )
-                            produced += 1
-                            with lock:
-                                collected.append(mtton)
-                            if emitter is not None:
-                                emitter.offer(mtton)
-                                if emitter.cancelled:
-                                    abandoned = True
-                                    break
-                            if bound is not None:
-                                bound.add(mtton.score)
-                                if not bound.admits(lower):
-                                    abandoned = True
-                                    break
-                    finally:
-                        local_metrics.record_stage(
-                            "execution", time.perf_counter() - stage_started
-                        )
-                        execute_span.annotate(results=produced)
-                        if abandoned:
-                            execute_span.annotate(pruned="abandoned")
-                        execute_span.finish()
-                        shard_results += produced
-                        if emitter is not None:
-                            emitter.cn_done(ctssn.score)
-            finally:
-                local_metrics.record_shard(
-                    shard_index,
-                    shard_results,
-                    time.perf_counter() - shard_started,
-                )
-                shard_span.annotate(
-                    results=shard_results,
-                    queries_sent=local_metrics.queries_sent,
-                    cns_pruned=local_metrics.cns_pruned,
-                )
-                shard_span.finish()
-            return local_metrics
-
-        with ThreadPoolExecutor(max_workers=shard_count) as pool:
-            for local in pool.map(run_shard, range(shard_count)):
-                metrics.merge(local)
-        return collected
+                    span.annotate(pruned="abandoned")
+        finally:
+            run.unit_done(cn, lane, mttons, skipped, metrics)
+            if emitter is not None:
+                emitter.cn_done(ctssn.score)
 
     def _finish(
-        self,
-        query: KeywordQuery,
-        result: SearchResult,
-        started: float,
-        trace=None,
-        stream: ResultStream | None = None,
+        self, result: SearchResult, started: float, trace, stream: ResultStream | None
     ) -> SearchResult:
         if stream is not None and result.mttons:
             # Paths without an incremental emitter (process-sharded
@@ -866,16 +700,15 @@ class XKeyword:
                 result.metrics.record_stage(
                     "first_result", time.perf_counter() - started
                 )
-        if trace is not None:
-            trace.root.annotate(
-                results=len(result.mttons),
-                candidate_networks=len(result.candidate_networks),
-                epoch=result.epoch,
-            )
-            self.tracer.finish(trace)
+        trace.root.annotate(
+            results=len(result.mttons),
+            candidate_networks=len(result.candidate_networks),
+            epoch=result.epoch,
+        )
+        self.tracer.finish(trace)
         if self.hooks.on_search_complete is not None:
             self.hooks.on_search_complete(
-                query, result, time.perf_counter() - started
+                result.query, result, time.perf_counter() - started
             )
         if stream is not None:
             stream.complete(result)

@@ -28,16 +28,21 @@ from __future__ import annotations
 import heapq
 import os
 import threading
-import warnings
 import zlib
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import KW_ONLY, dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ..storage.relations import RelationStore
-from ..trace import Span
+from ..trace import NullTrace, QueryTrace, Span
 from .matching import ContainingLists
 from .plans import ExecutionPlan, PlanStep
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from .ctssn import CTSSN
+    from .query import KeywordQuery
+    from .results import MTTON
+    from .streaming import _StreamEmitter
 
 ResultRow = dict[int, str]
 """A result: CTSSN role -> target object id."""
@@ -145,6 +150,17 @@ def resolve_shards(shards: int | None) -> int:
     return max(1, shards)
 
 
+PIPELINE_STAGES = (
+    "matching", "cn_generation", "ctssn_reduction", "planning", "execution",
+    "first_result",
+)
+"""The one stage vocabulary: every key of
+:attr:`ExecutionMetrics.stage_seconds`, hence every ``stage`` label of
+``repro_stage_seconds`` (docs/OPERATIONS.md §6 is diffed against this).
+The first five are the Fig 7 pipeline in order; ``first_result`` is the
+streaming time-to-first-answer."""
+
+
 @dataclass
 class ExecutionMetrics:
     """Counters for the experiments (queries sent, cache behaviour)."""
@@ -161,10 +177,10 @@ class ExecutionMetrics:
     cns_pruned: int = 0
     """Candidate networks skipped outright by the global top-k bound."""
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    """Wall-clock seconds per pipeline stage (``matching``,
-    ``cn_generation``, ``ctssn_reduction``, ``planning``, ``execution``).
-    Always recorded — independent of tracing — and merged additively, so
-    the service can export per-stage latency histograms."""
+    """Wall-clock seconds per pipeline stage, keyed by
+    :data:`PIPELINE_STAGES`.  Always recorded — independent of tracing —
+    and merged additively, so the service can export per-stage latency
+    histograms."""
     shard_results: dict[int, int] = field(default_factory=dict)
     """Results each shard produced when the search scattered (empty for
     unsharded runs); the service exports these as ``repro_shard_*``."""
@@ -564,16 +580,18 @@ class _HashAccess:
         return matches
 
 
-_UNSET = object()
-"""Sentinel distinguishing an omitted deprecated kwarg from ``False``."""
-
-
+@dataclass(frozen=True)
 class ExecutorConfig:
     """Execution-mode switches (Section 6 variants).
 
-    The execution backend is one validated enum value
-    (:data:`BACKENDS`) instead of the accreted booleans of earlier
-    revisions:
+    A plain validated value object (hashable, picklable — the shard
+    worker pool ships it to its processes) with five settable fields.
+    Validation collects *every* invalid field into one ``ValueError``
+    instead of stopping at the first.
+    """
+
+    backend: str | None = None
+    """One of :data:`BACKENDS`:
 
     * ``python`` — per-probe nested loops with suffix memoization (the
       oracle the equivalence suite trusts);
@@ -582,159 +600,46 @@ class ExecutorConfig:
     * ``sql`` — each plan compiled to one parameterized SELECT and
       executed inside the DBMS (see :mod:`repro.core.sqlcompile`).
 
-    ``backend=None`` (the default) resolves from the
+    ``None`` (the default) resolves at construction from the
     :data:`REPRO_BACKEND <BACKEND_ENV_VAR>` environment variable, falling
     back to ``python`` — that is how CI runs the whole tier-1 suite once
-    per backend without editing every test.
+    per backend without editing every test."""
+    _: KW_ONLY
+    cache_capacity: int = 50_000
+    """Suffix/lookup cache size (positive)."""
+    strategy: str = STRATEGY_SHARED_PREFIX_PRUNING
+    """Cross-CN scheduling strategy (one of :data:`STRATEGIES`):
+    ``serial`` evaluates every CN independently, ``shared-prefix`` adds
+    once-per-query materialization of canonicalized common join
+    prefixes, ``shared-prefix+pruning`` (default) also skips or abandons
+    CNs whose minimum achievable MTNN size exceeds the global k-th best.
+    All three return identical top-k results — the knob exists for the
+    EXPERIMENTS.md ablation."""
+    memoize: bool = True
+    """Suffix/partial-result caching on the Python backends; ``False``
+    selects naive nested loops — the paper's DISCOVER-style baseline."""
+    shared_lookup_cache: bool = True
+    """Whether CNs share one relation-lookup cache (``python`` backend)."""
 
-    Two orthogonal Python-executor tuning knobs survive as keyword-only
-    booleans: ``memoize`` (suffix/partial-result caching; ``False`` is
-    the paper's naive executor) and ``shared_lookup_cache`` (the
-    cross-CN relation-lookup cache).
-
-    The pre-redesign boolean kwargs (``use_cache``, ``hash_join``,
-    ``share_lookups``) are still accepted with a ``DeprecationWarning``
-    and map onto the new surface (``hash_join=True`` → ``python-hash``,
-    ``use_cache`` → ``memoize``, ``share_lookups`` →
-    ``shared_lookup_cache``); passing a deprecated kwarg together with
-    an explicit ``backend=`` or its new spelling is rejected.
-    Validation collects *every* invalid field into one error instead of
-    stopping at the first.
-    """
-
-    __slots__ = (
-        "backend",
-        "cache_capacity",
-        "strategy",
-        "_memoize",
-        "_share_lookups",
-    )
-
-    def __init__(
-        self,
-        backend: str | None = None,
-        *,
-        cache_capacity: int = 50_000,
-        strategy: str = STRATEGY_SHARED_PREFIX_PRUNING,
-        memoize=_UNSET,
-        shared_lookup_cache=_UNSET,
-        use_cache=_UNSET,
-        hash_join=_UNSET,
-        share_lookups=_UNSET,
-    ) -> None:
-        """
-        Args:
-            backend: One of :data:`BACKENDS`, or ``None`` to resolve from
-                ``$REPRO_BACKEND`` (default ``python``).
-            cache_capacity: Suffix/lookup cache size (positive).
-            strategy: Cross-CN scheduling strategy (one of
-                :data:`STRATEGIES`): ``serial`` evaluates every CN
-                independently, ``shared-prefix`` adds once-per-query
-                materialization of canonicalized common join prefixes,
-                ``shared-prefix+pruning`` (default) also skips or
-                abandons CNs whose minimum achievable MTNN size exceeds
-                the global k-th best.  All three return identical top-k
-                results — the knob exists for the EXPERIMENTS.md
-                ablation.
-            memoize: ``False`` selects naive (uncached) Python nested
-                loops — the paper's DISCOVER-style baseline.
-            shared_lookup_cache: ``False`` disables the cross-CN shared
-                relation-lookup cache on the Python backend.
-            use_cache: Deprecated — old spelling of ``memoize``.
-            hash_join: Deprecated — ``True`` maps to
-                ``backend="python-hash"``.
-            share_lookups: Deprecated — old spelling of
-                ``shared_lookup_cache``.
-        """
-        deprecated = {
-            name: value
-            for name, value in (
-                ("use_cache", use_cache),
-                ("hash_join", hash_join),
-                ("share_lookups", share_lookups),
-            )
-            if value is not _UNSET
-        }
-        if deprecated:
-            warnings.warn(
-                f"ExecutorConfig kwargs {sorted(deprecated)} are deprecated; "
-                f"use backend= (one of {BACKENDS}) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __post_init__(self) -> None:
+        backend = self.backend or os.environ.get(BACKEND_ENV_VAR) or BACKEND_PYTHON
+        object.__setattr__(self, "backend", backend)  # frozen: resolve once
         errors: list[str] = []
-        if backend is not None and deprecated:
+        if backend not in BACKENDS:
             errors.append(
-                f"backend={backend!r} conflicts with deprecated kwarg(s) "
-                f"{sorted(deprecated)}; pass only backend"
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
-        if memoize is not _UNSET and "use_cache" in deprecated:
+        if self.strategy not in STRATEGIES:
             errors.append(
-                "memoize conflicts with its deprecated spelling use_cache; "
-                "pass only memoize"
+                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
-        if shared_lookup_cache is not _UNSET and "share_lookups" in deprecated:
+        if not isinstance(self.cache_capacity, int) or self.cache_capacity < 1:
             errors.append(
-                "shared_lookup_cache conflicts with its deprecated spelling "
-                "share_lookups; pass only shared_lookup_cache"
-            )
-        if backend is not None:
-            resolved = backend
-        elif deprecated:
-            # Deprecated kwargs keep their historical meaning even when
-            # $REPRO_BACKEND is set: the caller asked for a specific
-            # Python variant, not for whatever the environment defaults to.
-            resolved = (
-                BACKEND_PYTHON_HASH
-                if deprecated.get("hash_join")
-                else BACKEND_PYTHON
-            )
-        else:
-            resolved = os.environ.get(BACKEND_ENV_VAR) or BACKEND_PYTHON
-        if resolved not in BACKENDS:
-            errors.append(
-                f"unknown backend {resolved!r}; expected one of {BACKENDS}"
-            )
-        if strategy not in STRATEGIES:
-            errors.append(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
-        if not isinstance(cache_capacity, int) or cache_capacity < 1:
-            errors.append(
-                f"cache_capacity must be a positive integer, got {cache_capacity!r}"
+                "cache_capacity must be a positive integer, "
+                f"got {self.cache_capacity!r}"
             )
         if errors:
             raise ValueError("; ".join(errors))
-        self.backend = resolved
-        self.cache_capacity = cache_capacity
-        self.strategy = strategy
-        if use_cache is not _UNSET:
-            self._memoize = bool(use_cache)
-        else:
-            self._memoize = True if memoize is _UNSET else bool(memoize)
-        if share_lookups is not _UNSET:
-            self._share_lookups = bool(share_lookups)
-        else:
-            self._share_lookups = (
-                True if shared_lookup_cache is _UNSET
-                else bool(shared_lookup_cache)
-            )
-
-    # -- read-only views the executor internals key off -----------------
-    @property
-    def use_cache(self) -> bool:
-        """Whether the Python executor memoizes partial (suffix) results."""
-        return bool(self._memoize)
-
-    @property
-    def hash_join(self) -> bool:
-        """Whether execution uses prefetch + in-memory hash joins."""
-        return self.backend == BACKEND_PYTHON_HASH
-
-    @property
-    def share_lookups(self) -> bool:
-        """Whether CNs share a relation-lookup cache (Python backend)."""
-        return bool(self._share_lookups)
 
     @property
     def share_prefixes(self) -> bool:
@@ -745,23 +650,6 @@ class ExecutorConfig:
     def prune_by_bound(self) -> bool:
         """Whether the scheduler prunes CNs by the global top-k bound."""
         return self.strategy == STRATEGY_SHARED_PREFIX_PRUNING
-
-    def __repr__(self) -> str:
-        return (
-            f"ExecutorConfig(backend={self.backend!r}, "
-            f"strategy={self.strategy!r}, cache_capacity={self.cache_capacity})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExecutorConfig):
-            return NotImplemented
-        return (
-            self.backend == other.backend
-            and self.strategy == other.strategy
-            and self.cache_capacity == other.cache_capacity
-            and self._memoize == other._memoize
-            and self._share_lookups == other._share_lookups
-        )
 
 
 class CTSSNExecutor:
@@ -819,7 +707,7 @@ class CTSSNExecutor:
         # The suffix cache may be shared across executors; namespace the
         # keys by this plan's identity.
         self._cache_ns = plan.ctssn.canonical_key
-        if self.config.hash_join:
+        if self.config.backend == BACKEND_PYTHON_HASH:
             self._access: list = [
                 _HashAccess(stores[step.store_name], step, self.metrics, span)
                 for step in plan.steps
@@ -830,7 +718,7 @@ class CTSSNExecutor:
                     stores[step.store_name],
                     step,
                     self.metrics,
-                    lookup_cache if self.config.share_lookups else None,
+                    lookup_cache if self.config.shared_lookup_cache else None,
                     observer,
                     span,
                 )
@@ -1026,7 +914,7 @@ class CTSSNExecutor:
         if index == stop:
             yield {}
             return
-        if self.config.use_cache:
+        if self.config.memoize:
             key_roles = [role for role in needed[index] if role in bindings]
             key = (
                 self._cache_ns,
@@ -1126,3 +1014,119 @@ class CTSSNExecutor:
             if preferred is not None and value not in preferred:
                 penalty += 1
         return penalty
+
+
+# ----------------------------------------------------------------------
+# Scheduling: lanes × work units (dispatched by ``core/engine.py``)
+# ----------------------------------------------------------------------
+@dataclass
+class PlannedCN:
+    """One candidate network, planned, awaiting its work units.
+
+    A CN is evaluated as one unit per :class:`Lane`.  Its ``cn`` trace
+    span opens at planning and closes when the *last* unit reports
+    (:meth:`QueryExecution.unit_done`), so ``actual_results`` sums the
+    lanes; the three ledger fields are written under that method's lock.
+    """
+
+    ctssn: CTSSN
+    plan: ExecutionPlan
+    span: Span
+    prefix: PrefixSpec | None = None
+    reported: int = 0
+    produced: int = 0
+    executed: bool = False
+
+
+@dataclass
+class Lane:
+    """One partition of a query's anchor space and what is private to it.
+
+    Prefix rows embed the partitioned anchor, so they must not cross
+    lanes: each owns its :class:`SharedPrefixTable`.  A scatter lane
+    also carries its ``shard`` span (the lane's ``execute`` spans hang
+    under it); a lone lane leaves them under each ``cn`` span.
+    """
+
+    partition: ShardPartition | None
+    prefix_table: SharedPrefixTable | None
+    span: Span | None = None
+    metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
+    results: int = 0
+
+    def close(self, seconds: float) -> None:
+        """Account a finished scatter lane: shard metrics, ``shard`` span."""
+        self.metrics.record_shard(self.partition.index, self.results, seconds)
+        self.span.annotate(
+            results=self.results,
+            queries_sent=self.metrics.queries_sent,
+            cns_pruned=self.metrics.cns_pruned,
+        )
+        self.span.finish()
+
+
+@dataclass
+class QueryExecution:
+    """What the work units of one query share.
+
+    One :class:`TopKBound` and one relation-lookup cache span every lane:
+    raw probes are partition-independent, and a result collected on any
+    lane prunes candidate networks everywhere.
+    """
+
+    query: KeywordQuery
+    planned: list[PlannedCN]
+    containing: ContainingLists
+    config: ExecutorConfig
+    limit: int | None
+    shards: int
+    """Lanes the anchor space is split into — units per CN (1: unsharded)."""
+    trace: QueryTrace | NullTrace
+    bound: TopKBound | None = None
+    emitter: _StreamEmitter | None = None
+    lanes: list[Lane] = field(default_factory=list)
+    collected: list[MTTON] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.lookup_cache = ResultCache(self.config.cache_capacity)
+        self._lock = threading.Lock()
+
+    def open_lane(self, partition: ShardPartition | None, span: Span | None = None) -> Lane:
+        """Add a lane over ``partition`` (``None``: the whole anchor space)."""
+        shares = any(cn.prefix is not None for cn in self.planned)
+        lane = Lane(partition, SharedPrefixTable() if shares else None, span)
+        self.lanes.append(lane)
+        return lane
+
+    def shard_lane(self, index: int, **attributes) -> Lane:
+        """Add the scatter lane of shard ``index`` under a ``shard`` span."""
+        span = self.trace.span("shard", shard=index, shards=self.shards, **attributes)
+        return self.open_lane(ShardPartition(index, self.shards), span)
+
+    def unit_done(
+        self,
+        cn: PlannedCN,
+        lane: Lane,
+        mttons: list[MTTON],
+        skipped: dict | None = None,
+        metrics: ExecutionMetrics | None = None,
+    ) -> None:
+        """Fold one finished (CN, lane) unit into the shared ledgers.
+
+        ``skipped`` holds the ``cn``-span attributes of a unit that never
+        ran (pruned / cancelled), shown only if no lane ran the CN.  The
+        unit that completes a CN closes its span with the summed actuals.
+        """
+        with self._lock:
+            self.collected.extend(mttons)
+            lane.results += len(mttons)
+            if metrics is not None:
+                lane.metrics.merge(metrics)
+            cn.produced += len(mttons)
+            cn.executed = cn.executed or skipped is None
+            cn.reported += 1
+            last = cn.reported == self.shards
+        if last:
+            outcome = {} if cn.executed else skipped
+            cn.span.annotate(**outcome, actual_results=cn.produced)
+            cn.span.finish()

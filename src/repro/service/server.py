@@ -58,7 +58,7 @@ import sys
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -486,13 +486,7 @@ class QueryService:
         )
         if override:
             mode = f"{mode}@{backend}"
-        config = None
-        if override:
-            config = ExecutorConfig(
-                backend=backend,
-                strategy=base_config.strategy,
-                cache_capacity=base_config.cache_capacity,
-            )
+        config = replace(base_config, backend=backend) if override else None
         return _PreparedSearch(
             state=state,
             query=query,

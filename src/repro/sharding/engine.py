@@ -3,12 +3,14 @@
 :class:`ShardedXKeyword` keeps the whole front half of the pipeline —
 matching, CN generation, CTSSN reduction, planning, tracing — in the
 coordinator process (over the gather views, which see every shard) and
-overrides only the execution scatter: instead of one thread per logical
-shard it ships the query to the :class:`~repro.sharding.worker.ShardWorkerPool`
-and gathers ``(canonical_key, assignment, score)`` triples back,
-rematerializing MTTONs locally.  The final sort-and-truncate in
-``XKeyword._run`` is unchanged, so the ranked top-k stays byte-identical
-to the unsharded oracle.
+overrides only how a scattered query's lanes are run
+(:meth:`~repro.core.engine.XKeyword._gather`): instead of one thread per
+logical shard it ships the query to the
+:class:`~repro.sharding.worker.ShardWorkerPool` and gathers
+``(canonical_key, assignment, score)`` triples back, rematerializing
+MTTONs locally.  The final sort-and-truncate in ``XKeyword._run`` is
+unchanged, so the ranked top-k stays byte-identical to the unsharded
+oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..core.engine import XKeyword
-from ..core.execution import ExecutionMetrics
-from ..core.results import MTTON, materialize
+from ..core.execution import ExecutionMetrics, QueryExecution
+from ..core.results import materialize
 from ..storage.decomposer import LoadedDatabase
 from ..storage.persistence import reopen_database
 from .database import ShardedDatabase
@@ -80,72 +82,38 @@ class ShardedXKeyword(XKeyword):
         """
         self.pool.refresh()
 
-    def _scatter_execute(
-        self,
-        query,
-        planned,
-        containing,
-        config,
-        limit,
-        trace,
-        metrics: ExecutionMetrics,
-        lookup_cache,
-        emitter=None,
-    ) -> list[MTTON]:
-        """Ship the query to the pool; gather, rematerialize, and account.
+    def _gather(self, run: QueryExecution) -> None:
+        """Ship the query to the pool instead of running thread lanes.
 
-        Replaces the thread-per-shard scatter of the base engine.  The
-        trace keeps the same scattered shape (``cn`` spans annotated
-        ``scattered_across``, one ``shard`` span per shard) with
-        ``worker="process"`` marking the dispatch mode.  The streaming
-        ``emitter`` is accepted but unused: workers only report results
-        at gather time, so streamed runs fall back to bulk publication
-        when the search completes (documented on the base method).
+        Each worker's reply is reported as that shard's lane: the triples
+        are rematerialized and folded per CN through ``run.unit_done``
+        (so ``cn`` spans close with summed actuals — of each worker's
+        ranked top-k, which is all it returns), under the same ``shard``
+        spans as thread scatter with ``worker="process"`` marking the
+        dispatch mode.  ``run.emitter`` is left alone: workers only
+        report at gather time, so streamed runs publish in bulk when the
+        search completes.
         """
-        shard_count = self.shards
-        for _, _, cn_span in planned:
-            cn_span.annotate(scattered_across=shard_count, worker="process")
-            cn_span.finish()
-        ctssn_by_key = {
-            ctssn.canonical_key: ctssn for ctssn, _, _ in planned
-        }
-        triples_by_shard, metrics_by_shard = self.pool.search(query, limit)
-        collected: list[MTTON] = []
+        for cn in run.planned:
+            cn.span.annotate(worker="process")
+        triples_by_shard, metrics_by_shard = self.pool.search(run.query, run.limit)
         for index in sorted(triples_by_shard):
-            triples = triples_by_shard[index]
-            worker_metrics = metrics_by_shard.get(index) or ExecutionMetrics()
-            execution_seconds = worker_metrics.stage_seconds.get("execution", 0.0)
-            shard_span = trace.span(
-                "shard", shard=index, shards=shard_count, worker="process"
-            )
-            produced = 0
-            for canonical_key, assignment, score in triples:
-                ctssn = ctssn_by_key.get(canonical_key)
-                if ctssn is None:  # pragma: no cover - worker/coordinator skew
-                    continue
-                collected.append(
-                    materialize(ctssn, dict(assignment), self.loaded.to_graph)
+            lane = run.shard_lane(index, worker="process")
+            by_network: dict[str, list[dict]] = {}
+            for canonical_key, assignment, _ in triples_by_shard[index]:
+                by_network.setdefault(canonical_key, []).append(dict(assignment))
+            for cn in run.planned:
+                rows = by_network.get(cn.ctssn.canonical_key, ())
+                run.unit_done(
+                    cn,
+                    lane,
+                    [materialize(cn.ctssn, row, self.loaded.to_graph) for row in rows],
                 )
-                produced += 1
-            # Fold only execution-side counters: the worker re-ran the
-            # front half of the pipeline too, but the coordinator already
-            # accounted its own matching/planning stages.
-            folded = ExecutionMetrics(
-                queries_sent=worker_metrics.queries_sent,
-                rows_fetched=worker_metrics.rows_fetched,
-                cache_hits=worker_metrics.cache_hits,
-                cache_misses=worker_metrics.cache_misses,
-                prefix_hits=worker_metrics.prefix_hits,
-                prefix_materializations=worker_metrics.prefix_materializations,
-                cns_pruned=worker_metrics.cns_pruned,
-            )
-            folded.record_stage("execution", execution_seconds)
-            folded.record_shard(index, produced, execution_seconds)
-            metrics.merge(folded)
-            shard_span.annotate(
-                results=produced,
-                queries_sent=worker_metrics.queries_sent,
-                cns_pruned=worker_metrics.cns_pruned,
-            )
-            shard_span.finish()
-        return collected
+            # The worker re-ran the front half too, but the coordinator
+            # already accounted its own matching/planning stages: keep
+            # only the execution side of what the worker measured.
+            worker_metrics = metrics_by_shard.get(index) or ExecutionMetrics()
+            seconds = worker_metrics.stage_seconds.get("execution", 0.0)
+            worker_metrics.stage_seconds = {"execution": seconds}
+            lane.metrics.merge(worker_metrics)
+            lane.close(seconds)

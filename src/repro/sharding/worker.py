@@ -31,7 +31,7 @@ import queue as queue_module
 import threading
 import traceback
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 from ..core.engine import XKeyword
 from ..core.execution import (
@@ -143,15 +143,8 @@ def _worker_main(
                         bound_value,
                         lambda score: results.put(("score", index, score, None)),
                     )
-                # _run (rather than search/search_all) so the k=None
-                # all-results mode still carries the partition.
-                result = engine._run(
-                    query,
-                    limit=k,
-                    config=None,
-                    parallel=True,
-                    partition=partition,
-                    shared_bound=bound,
+                result = engine.search(
+                    query, k=k, partition=partition, shared_bound=bound
                 )
                 triples = [
                     (m.ctssn.canonical_key, m.assignment, m.score)

@@ -118,7 +118,7 @@ class TestDecompositionAgreement:
             dblp,
             [minimal_decomposition(dblp.tss, IndexPolicy.NONE)],
         )
-        engine = XKeyword(loaded, executor_config=ExecutorConfig(hash_join=True))
+        engine = XKeyword(loaded, executor_config=ExecutorConfig(backend="python-hash"))
         reference = XKeyword(
             load_database(small_dblp_graph, dblp, [minimal_decomposition(dblp.tss)])
         )

@@ -89,11 +89,14 @@ class TestCachedVsNaive:
         db, (containing, ctssns, optimizer) = pipeline
         for ctssn in ctssns:
             cached, _ = run_all(
-                db, ctssn, containing, optimizer, ExecutorConfig(use_cache=True)
+                db, ctssn, containing, optimizer,
+                ExecutorConfig(backend="python", memoize=True),
             )
             naive, _ = run_all(
                 db, ctssn, containing, optimizer,
-                ExecutorConfig(use_cache=False, share_lookups=False),
+                ExecutorConfig(
+                    backend="python", memoize=False, shared_lookup_cache=False
+                ),
             )
             assert cached == naive, str(ctssn)
 
@@ -102,7 +105,7 @@ class TestCachedVsNaive:
         for ctssn in ctssns:
             sql_rows, _ = run_all(db, ctssn, containing, optimizer)
             hash_rows, _ = run_all(
-                db, ctssn, containing, optimizer, ExecutorConfig(hash_join=True)
+                db, ctssn, containing, optimizer, ExecutorConfig(backend="python-hash")
             )
             assert sql_rows == hash_rows, str(ctssn)
 
@@ -115,11 +118,14 @@ class TestCachedVsNaive:
         total_cached = total_naive = 0
         for ctssn in big:
             _, cached_exec = run_all(
-                db, ctssn, containing, optimizer, ExecutorConfig(use_cache=True)
+                db, ctssn, containing, optimizer,
+                ExecutorConfig(backend="python", memoize=True),
             )
             _, naive_exec = run_all(
                 db, ctssn, containing, optimizer,
-                ExecutorConfig(use_cache=False, share_lookups=False),
+                ExecutorConfig(
+                    backend="python", memoize=False, shared_lookup_cache=False
+                ),
             )
             total_cached += cached_exec.metrics.queries_sent
             total_naive += naive_exec.metrics.queries_sent

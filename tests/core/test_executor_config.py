@@ -1,6 +1,9 @@
-"""The redesigned ExecutorConfig: backend enum, shims, validation."""
+"""ExecutorConfig: backend enum, validation, value-object behaviour."""
 
 from __future__ import annotations
+
+import dataclasses
+import pickle
 
 import pytest
 
@@ -40,73 +43,48 @@ class TestBackendSelection:
             ExecutorConfig()
 
 
-class TestDeprecatedKwargs:
-    def test_each_deprecated_kwarg_warns(self):
-        for kwargs in ({"use_cache": True}, {"hash_join": False},
-                       {"share_lookups": True}):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                ExecutorConfig(**kwargs)
+class TestRemovedKwargs:
+    @pytest.mark.parametrize("name", ["use_cache", "hash_join", "share_lookups"])
+    def test_pre_redesign_booleans_are_gone(self, name):
+        with pytest.raises(TypeError, match=name):
+            ExecutorConfig(**{name: True})
 
-    def test_hash_join_maps_to_python_hash_backend(self):
-        with pytest.warns(DeprecationWarning):
-            config = ExecutorConfig(hash_join=True)
-        assert config.backend == BACKEND_PYTHON_HASH
-        assert config.hash_join is True
-
-    def test_hash_join_false_maps_to_python_backend(self):
-        with pytest.warns(DeprecationWarning):
-            config = ExecutorConfig(hash_join=False)
-        assert config.backend == BACKEND_PYTHON
-        assert config.hash_join is False
-
-    def test_use_cache_and_share_lookups_preserved(self):
-        with pytest.warns(DeprecationWarning):
-            config = ExecutorConfig(use_cache=False, share_lookups=False)
-        assert config.use_cache is False
-        assert config.share_lookups is False
-        assert config.backend == BACKEND_PYTHON
-
-    def test_deprecated_kwargs_override_env_default(self, monkeypatch):
-        # Old call sites predate the env knob; honoring REPRO_BACKEND=sql
-        # for them would silently change what the kwargs always meant.
-        monkeypatch.setenv(BACKEND_ENV_VAR, BACKEND_SQL)
-        with pytest.warns(DeprecationWarning):
-            config = ExecutorConfig(hash_join=True)
-        assert config.backend == BACKEND_PYTHON_HASH
-
-    def test_conflict_with_explicit_backend_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="conflicts"):
-                ExecutorConfig(backend=BACKEND_SQL, hash_join=True)
-
-    def test_new_backend_enum_alone_does_not_warn(self, recwarn):
-        ExecutorConfig(backend=BACKEND_SQL)
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
+    def test_python_hash_is_a_backend_not_a_flag(self):
+        assert ExecutorConfig(backend=BACKEND_PYTHON_HASH).backend == BACKEND_PYTHON_HASH
 
 
 class TestTuningKnobs:
-    def test_memoize_and_shared_lookup_cache_do_not_warn(self, recwarn):
+    def test_memoize_and_shared_lookup_cache_are_real_fields(self):
         config = ExecutorConfig(memoize=False, shared_lookup_cache=False)
-        assert config.use_cache is False
-        assert config.share_lookups is False
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
+        assert config.memoize is False
+        assert config.shared_lookup_cache is False
 
     def test_defaults_are_on(self):
         config = ExecutorConfig()
-        assert config.use_cache is True
-        assert config.share_lookups is True
+        assert config.memoize is True
+        assert config.shared_lookup_cache is True
 
-    def test_new_spelling_conflicts_with_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="use_cache"):
-                ExecutorConfig(memoize=True, use_cache=True)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="share_lookups"):
-                ExecutorConfig(shared_lookup_cache=True, share_lookups=True)
+
+class TestValueObject:
+    def test_five_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(ExecutorConfig)] == [
+            "backend", "cache_capacity", "strategy", "memoize",
+            "shared_lookup_cache",
+        ]
+
+    def test_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExecutorConfig().backend = BACKEND_SQL
+
+    def test_pickles_with_the_resolved_backend(self, monkeypatch):
+        # The shard worker pool ships the config to its processes; the
+        # backend resolved from the coordinator's environment must stick.
+        monkeypatch.setenv(BACKEND_ENV_VAR, BACKEND_SQL)
+        config = ExecutorConfig(memoize=False)
+        monkeypatch.delenv(BACKEND_ENV_VAR)
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        assert clone.backend == BACKEND_SQL and clone.memoize is False
 
 
 class TestValidationReportsEverything:

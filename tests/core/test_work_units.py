@@ -1,0 +1,228 @@
+"""The single scheduler: lanes × work units behind one evaluator.
+
+Covers what the one-evaluator refactor made *single* paths: the
+scattered trace shape (``cn`` spans close with summed actuals), the
+public partitioned entry point the shard workers call, the
+``XKeyword.stream()`` generator as a cancelling view of
+``search_streaming``, bounded failure when a unit raises, and the one
+stage vocabulary.
+"""
+
+from __future__ import annotations
+
+import gc
+import itertools
+import re
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.core import (
+    PIPELINE_STAGES,
+    ExecutorConfig,
+    KeywordQuery,
+    ResultStream,
+    ShardPartition,
+    XKeyword,
+)
+from repro.core.execution import QueryExecution
+from repro.trace import Tracer
+
+QUERY = KeywordQuery.of("smith", "balmin", max_size=6)
+
+
+def ranked(result):
+    return [(m.ctssn.canonical_key, m.assignment, m.score) for m in result.mttons]
+
+
+def spans_named(span, name):
+    found = [span] if span.name == name else []
+    for child in span.children:
+        found.extend(spans_named(child, name))
+    return found
+
+
+class TestScatteredTrace:
+    """Under thread scatter a ``cn`` span closes when its *last* unit does."""
+
+    def test_cn_spans_sum_actuals_across_lanes(self, small_dblp_db):
+        actuals = {}
+        for shards in (1, 3):
+            engine = XKeyword(small_dblp_db, tracer=Tracer(), shards=shards)
+            # All-results mode: no pruning, so per-CN actuals are exact.
+            root = engine.search_all(QUERY).trace.root
+            cn_spans = spans_named(root, "cn")
+            assert cn_spans
+            assert all(span.end is not None for span in cn_spans)
+            actuals[shards] = {
+                span.attributes["network"]: span.attributes["actual_results"]
+                for span in cn_spans
+            }
+        assert actuals[3] == actuals[1]
+        assert sum(actuals[3].values()) > 0
+
+    def test_scattered_shape_is_kept(self, small_dblp_db):
+        engine = XKeyword(small_dblp_db, tracer=Tracer(), shards=3)
+        result = engine.search(QUERY, k=10)
+        root = result.trace.root
+        for span in spans_named(root, "cn"):
+            assert span.attributes["scattered_across"] == 3
+            assert "estimated_results" in span.attributes
+            assert [child.name for child in span.children] == ["plan"]
+        shard_spans = spans_named(root, "shard")
+        assert {span.attributes["shard"] for span in shard_spans} == {0, 1, 2}
+        for span in shard_spans:
+            executes = span.children
+            assert all(child.name == "execute" for child in executes)
+            assert span.attributes["results"] == sum(
+                child.attributes["results"] for child in executes
+            )
+        assert sum(s.attributes["results"] for s in shard_spans) == sum(
+            s.attributes["actual_results"] for s in spans_named(root, "cn")
+        )
+
+    def test_cn_pruned_on_every_lane_says_so(self, small_dblp_db):
+        engine = XKeyword(small_dblp_db, tracer=Tracer(), shards=2)
+        root = engine.search(QUERY, k=1, parallel=False).trace.root
+        executed = {
+            span.attributes["network"] for span in spans_named(root, "execute")
+        }
+        for span in spans_named(root, "cn"):
+            skipped_everywhere = span.attributes["network"] not in executed
+            assert span.attributes.get("pruned", False) is skipped_everywhere
+            if skipped_everywhere:
+                assert span.attributes["actual_results"] == 0
+
+
+class TestPartitionedEntryPoint:
+    """``search(partition=...)`` is what a shard worker calls — public."""
+
+    @pytest.mark.parametrize("k", [None, 7])
+    def test_partitions_union_to_the_unsharded_run(self, small_dblp_db, k):
+        engine = XKeyword(small_dblp_db, shards=1)
+        oracle = ranked(engine.search(QUERY, k=k, parallel=False))
+        gathered = []
+        for index in range(3):
+            part = engine.search(QUERY, k=k, partition=ShardPartition(index, 3))
+            assert not part.metrics.shard_results  # a sub-run is one lane
+            gathered.extend(ranked(part))
+        gathered.sort(key=lambda row: (row[2], row[0], row[1]))
+        assert gathered[: len(oracle)] == oracle
+        if k is None:
+            assert len(gathered) == len(oracle)
+
+    def test_search_all_is_search_without_a_cutoff(self, small_dblp_db):
+        engine = XKeyword(small_dblp_db)
+        assert ranked(engine.search_all(QUERY)) == ranked(engine.search(QUERY, k=None))
+
+
+class TestStreamGenerator:
+    def test_closing_the_generator_cancels_the_execution(
+        self, small_dblp_db, monkeypatch
+    ):
+        engine = XKeyword(small_dblp_db)
+        streams = []
+        start = engine.search_streaming
+
+        def recording(*args, **kwargs):
+            streams.append(start(*args, **kwargs))
+            return streams[-1]
+
+        monkeypatch.setattr(engine, "search_streaming", recording)
+        before = {t for t in threading.enumerate() if t.name == "xkeyword-stream"}
+        generator = engine.stream(QUERY)
+        first = next(generator)
+        assert first.score == min(m.score for m in engine.search_all(QUERY).mttons)
+        (stream,) = streams
+        assert not stream.cancelled
+        generator.close()
+        assert stream.cancelled
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            running = {
+                t for t in threading.enumerate() if t.name == "xkeyword-stream"
+            } - before
+            if not running:
+                break
+            time.sleep(0.01)
+        assert not running, "background execution outlived the closed generator"
+        assert stream.done
+
+
+class TestRunStateLifetime:
+    """A run's state (lookup cache, collected results, containing lists)
+    must die with the search: the service streams every request, and a
+    reference cycle through the emitter would park it all until the
+    cycle collector's next full pass."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_streamed_run_is_freed_by_refcount_alone(self, small_dblp_db, shards):
+        engine = XKeyword(small_dblp_db, tracer=Tracer(), shards=shards)
+        gc.collect()
+        gc.disable()
+        try:
+            result = engine.search(QUERY, k=5, stream=ResultStream())
+            assert result.mttons
+            leaked = [o for o in gc.get_objects() if isinstance(o, QueryExecution)]
+            assert not leaked
+        finally:
+            gc.enable()
+
+
+class _FailingFactory(XKeyword):
+    """An engine whose executor factory raises for one candidate network."""
+
+    fail_at = 2
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.builds = itertools.count(1)  # next() is atomic across unit threads
+
+    def _make_executor(self, plan, containing, config, **kwargs):
+        if next(self.builds) == self.fail_at:
+            raise RuntimeError("executor factory exploded")
+        return super()._make_executor(plan, containing, config, **kwargs)
+
+
+class TestUnitFailure:
+    """Every unit signals completion or the stream fails — never a hang."""
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stream_fails_promptly(self, small_dblp_db, shards, parallel):
+        engine = _FailingFactory(
+            small_dblp_db,
+            executor_config=ExecutorConfig(strategy="serial"),
+            shards=shards,
+        )
+        stream = engine.search_streaming(QUERY, all_results=True, parallel=parallel)
+        with pytest.raises(RuntimeError, match="exploded"):
+            stream.result(timeout=60.0)
+        with pytest.raises(RuntimeError, match="exploded"):
+            list(stream)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_buffered_search_raises(self, small_dblp_db, shards):
+        engine = _FailingFactory(small_dblp_db, shards=shards)
+        with pytest.raises(RuntimeError, match="exploded"):
+            engine.search_all(QUERY)
+
+
+class TestStageVocabulary:
+    def test_recorded_stages_are_the_vocabulary(self, small_dblp_db):
+        engine = XKeyword(small_dblp_db)
+        result = engine.search_streaming(QUERY, k=5).result(timeout=60.0)
+        assert set(result.metrics.stage_seconds) == set(PIPELINE_STAGES)
+
+    def test_operations_catalogue_lists_exactly_the_vocabulary(self):
+        runbook = Path(__file__).resolve().parents[2] / "docs" / "OPERATIONS.md"
+        (row,) = [
+            line
+            for line in runbook.read_text().splitlines()
+            if line.startswith("| `repro_stage_seconds{stage}`")
+        ]
+        meaning = row.split("|")[2]
+        documented = re.findall(r"`(\w+)`", meaning)
+        assert documented == list(PIPELINE_STAGES)

@@ -89,6 +89,27 @@ def test_scatter_metrics_and_spans(dblp_setup, shard_dir, pool):
     )
 
 
+def test_scattered_cn_spans_close_with_gathered_actuals(dblp_setup, shard_dir, pool):
+    catalog, decompositions, _ = dblp_setup
+    tracer = Tracer()
+    engine = ShardedXKeyword(
+        open_sharded(shard_dir, catalog, decompositions), pool, tracer=tracer
+    )
+    result = engine.search_all(KeywordQuery.of("smith", "balmin", max_size=6))
+    cn_spans = _named_spans(tracer.last.root, "cn")
+    assert all(span.end is not None for span in cn_spans)
+    by_network = result.grouped_by_candidate_network()
+    assert {
+        span.attributes["network"]: span.attributes["actual_results"]
+        for span in cn_spans
+    } == {
+        span.attributes["network"]: len(by_network.get(span.attributes["network"], ()))
+        for span in cn_spans
+    }
+    shard_spans = _named_spans(tracer.last.root, "shard")
+    assert sum(s.attributes["results"] for s in shard_spans) == len(result.mttons)
+
+
 def test_close_terminates_workers(dblp_setup, shard_dir):
     catalog, decompositions, _ = dblp_setup
     pool = ShardWorkerPool(shard_dir, catalog, decompositions)

@@ -180,11 +180,15 @@ class TestCachedVsNaiveRandomQueries:
         query = KeywordQuery(tuple(keywords), max_size=5)
         engine = XKeyword(small_dblp_db)
         cached = engine.search_all(
-            query, config=ExecutorConfig(use_cache=True), parallel=False
+            query,
+            config=ExecutorConfig(backend="python", memoize=True),
+            parallel=False,
         )
         naive = engine.search_all(
             query,
-            config=ExecutorConfig(use_cache=False, share_lookups=False),
+            config=ExecutorConfig(
+                backend="python", memoize=False, shared_lookup_cache=False
+            ),
             parallel=False,
         )
         assert {(m.ctssn.canonical_key, m.assignment) for m in cached.mttons} == {
