@@ -110,9 +110,6 @@ class ResultStream:
         self._cancel = threading.Event()
         self._started = time.perf_counter()
         self._first_at: float | None = None  # guarded by: self._cond [writes]
-        self.stale = False
-        """True when a live update invalidated the snapshot mid-flight
-        (the stream still completes from the stale snapshot)."""
 
     # -- producer side -------------------------------------------------
 

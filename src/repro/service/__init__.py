@@ -1,8 +1,11 @@
 """The serving layer: cache, admission control, metrics, HTTP front end.
 
 Turns the in-process :class:`~repro.core.XKeyword` engine into a
-long-lived query service (``python -m repro serve``).  See
-:mod:`repro.service.server` for the architecture overview.
+long-lived query service (``python -m repro serve``).  Service logic —
+the one session every search is served through, mutations, health and
+metrics — lives in :mod:`repro.service.query_service`; the HTTP/SSE
+transport (route table, response writer, error map) in
+:mod:`repro.service.server`.
 """
 
 from .admission import (
@@ -14,13 +17,8 @@ from .admission import (
 from .cache import CacheStats, QueryCache, query_cache_key
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .singleflight import Flight, SingleFlight
-from .server import (
-    QueryService,
-    ServiceConfig,
-    XKeywordHTTPServer,
-    create_server,
-    serve,
-)
+from .query_service import QueryService, ServiceConfig
+from .server import XKeywordHTTPServer, create_server, serve
 
 __all__ = [
     "AdmissionController",

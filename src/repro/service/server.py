@@ -1,10 +1,7 @@
-"""The XKeyword query service: a long-lived HTTP/JSON front end.
+"""HTTP/SSE transport for the XKeyword query service.
 
-The paper frames XKeyword as a web-search-style system (Section 3.2
-delivers results "page by page as in web search engine interfaces"), but
-until now the reproduction was only reachable in-process or through a
-one-shot CLI that pays the full load-and-search cost per invocation.
-This module turns one loaded database into a serving process:
+One :class:`~repro.service.query_service.QueryService` behind stdlib
+``http.server``:
 
 * ``POST /search``   — ranked MTTONs as JSON (top-k or all-results);
   with ``"stream": true`` (or ``Accept: text/event-stream``) results
@@ -21,30 +18,13 @@ This module turns one loaded database into a serving process:
 * ``GET  /debug/traces``      — recent query traces (id, query, latency);
 * ``GET  /debug/trace/<id>``  — one full span tree as JSON.
 
-Mutations go through the :class:`~repro.updates.UpdateManager`:
-incremental maintenance of every storage artifact under single-writer /
-multi-reader discipline (searches hold the read side, so they never see
-a torn index), followed by a fine-grained cache sweep that drops only
-entries whose keyword bag or executed relations the delta touched.
-Databases reopened from persisted metadata (no XML graph) serve
-read-only and answer mutations with 409.
-
-Every computed (non-cached) ``/search`` answer carries the trace id of
-the span tree that produced it, both in the payload and as an
-``X-Trace-Id`` response header; cached answers return the id of the
-trace that originally computed the entry.  Searches slower than
-``ServiceConfig.slow_query_seconds`` are logged to stderr with their
-trace id, so "why was that slow?" is one ``GET /debug/trace/<id>`` away.
-
-Four service concerns wrap the engine (each in its own module):
-:class:`~repro.service.cache.QueryCache` serves repeated queries without
-touching the pipeline, :class:`~repro.service.admission.AdmissionController`
-bounds concurrency and sheds overload with 503 + ``Retry-After``,
-:class:`~repro.service.singleflight.SingleFlight` coalesces concurrent
-identical requests onto one execution whose
-:class:`~repro.core.ResultStream` feeds every waiter, and
-:class:`~repro.service.metrics.MetricsRegistry` meters everything via the
-engine's :class:`~repro.core.SearchHooks`.
+Every request takes the same path through :class:`_Handler`: one route
+table picks the endpoint, one parsing step validates the request's
+scalars, one writer puts the reply on the socket, and one
+exception→status table turns failures into replies — a JSON body
+before the response headers are out, the SSE ``event: error`` frame
+after.  A ``/search`` answer carries its trace id as an ``X-Trace-Id``
+response header as well as in the payload.
 
 Everything is stdlib (``http.server`` + ``json``); the transport layer is
 deliberately thin so future PRs can swap it (asyncio, sharding front
@@ -54,1081 +34,38 @@ ends) without touching :class:`QueryService`.
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from ..analysis.plans import DebugVerifier
-from ..core import (
-    BACKENDS,
-    ExecutionObserver,
-    ExecutorConfig,
-    KeywordQuery,
-    OnDemandNavigator,
-    SearchHooks,
-    SearchResult,
-    XKeyword,
+from ..storage import LoadedDatabase
+from .admission import DeadlineExceededError, RejectedError
+from .metrics import MetricsRegistry
+from .query_service import MutationsDisabledError, QueryService, ServiceConfig
+
+# The one exception→status table, first match wins (DeadlineExceededError
+# is a TimeoutError, RejectedError a RuntimeError: neither is shadowed).
+_STATUS_OF = (
+    (RejectedError, 503),
+    (DeadlineExceededError, 504),
+    (MutationsDisabledError, 409),
+    (ValueError, 400),
+    (LookupError, 404),
 )
-from ..storage import CompiledStatementCache, LoadedDatabase, VersionVector
-from ..trace import NULL_TRACER, TraceStore, Tracer
-from ..updates import UpdateManager
-from .admission import AdmissionController, DeadlineExceededError, RejectedError
-from .cache import QueryCache, query_cache_key
-from .metrics import STAGE_BUCKETS, MetricsRegistry
-from .singleflight import Flight, SingleFlight
 
 
-class MutationsDisabledError(Exception):
-    """Raised when a mutation hits a read-only (graph-less) database."""
-
-
-@dataclass
-class ServiceConfig:
-    """Service-level knobs (transport, pooling, caching)."""
-
-    host: str = "127.0.0.1"
-    port: int = 8080
-    workers: int = 4
-    queue_size: int = 16
-    deadline: float | None = 30.0
-    cache_capacity: int = 256
-    cache_ttl: float | None = 300.0
-    default_k: int = 10
-    max_body_bytes: int = 64 * 1024
-    engine_threads: int = 4
-    debug_verify: bool = False
-    """Verify CN/CTSSN/plan invariants on every query (RV301-RV310).
-
-    Diagnostic mode: it adds per-query overhead (see
-    ``benchmarks/bench_analysis_overhead.py``), so serving defaults off.
-    """
-
-    tracing: bool = True
-    """Record a span tree per search and serve it via ``/debug/trace``.
-
-    Cheap enough to default on for a serving process (see
-    ``benchmarks/bench_trace_overhead.py``); set ``False`` to run the
-    engine with the null tracer instead.
-    """
-
-    trace_buffer: int = 128
-    """Traces retained in the in-memory ring buffer (oldest evicted)."""
-
-    slow_query_seconds: float | None = 1.0
-    """Log searches slower than this to stderr, with their trace id;
-    ``None`` disables the slow-query log."""
-
-    strategy: str = "shared-prefix+pruning"
-    """Cross-CN scheduling strategy for the served engine (one of
-    :data:`repro.core.execution.STRATEGIES`); the default shares join
-    prefixes across CNs and prunes by the global top-k bound."""
-
-    backend: str | None = None
-    """Default execution backend for the served engine (one of
-    :data:`repro.core.execution.BACKENDS`); ``None`` honors the
-    ``REPRO_BACKEND`` environment variable and falls back to the Python
-    nested-loop executor.  Requests may override per query via the
-    ``/search`` body's ``backend`` option."""
-
-    shards: int | None = None
-    """Scatter every search across this many logical shards of the
-    target-object space (see ``XKeyword(shards=...)``); ``None`` honors
-    the ``REPRO_SHARDS`` environment variable, 0/1 serve unsharded.
-    Ranked results are byte-identical either way; ``/metrics`` exports
-    per-shard ``repro_shard_*`` series and ``/healthz`` reports the
-    shard layout."""
-
-
-class _EngineInstrumentation(ExecutionObserver):
-    """Feeds engine hook events into the metrics registry."""
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        """
-        Args:
-            registry: The service's metrics registry; every instrument
-                this instrumentation feeds is created here.
-        """
-        self._searches = registry.counter(
-            "repro_engine_searches_total", "Keyword searches executed by the engine"
-        )
-        self._latency = registry.histogram(
-            "repro_engine_search_seconds", "Engine-side search latency"
-        )
-        self._results = registry.counter(
-            "repro_engine_results_total", "MTTONs returned by the engine"
-        )
-        self._queries = {
-            cached: registry.counter(
-                "repro_engine_lookups_total",
-                "Focused relation lookups, by partial-result cache outcome",
-                cached="true" if cached else "false",
-            )
-            for cached in (True, False)
-        }
-        self._stage_seconds = lambda stage: registry.histogram(
-            "repro_stage_seconds",
-            "Engine wall-clock per pipeline stage",
-            buckets=STAGE_BUCKETS,
-            stage=stage,
-        )
-        self._prefix_hits = registry.counter(
-            "repro_prefix_hits_total",
-            "CN evaluations that borrowed a materialized shared join prefix",
-        )
-        self._cns_pruned = registry.counter(
-            "repro_cns_pruned_total",
-            "Candidate networks skipped by the global top-k bound",
-        )
-        self._shard_results = lambda shard: registry.counter(
-            "repro_shard_results_total",
-            "Results produced per shard by scattered searches",
-            shard=str(shard),
-        )
-        self._shard_seconds = lambda shard: registry.histogram(
-            "repro_shard_seconds",
-            "Per-shard execution wall-clock of scattered searches",
-            shard=str(shard),
-        )
-
-    # SearchHooks callbacks ------------------------------------------------
-    def search_complete(self, query, result: SearchResult, seconds: float) -> None:
-        """Record one finished search, including its per-stage timings."""
-        self._searches.inc()
-        self._latency.observe(seconds)
-        self._results.inc(len(result.mttons))
-        if result.metrics.prefix_hits:
-            self._prefix_hits.inc(result.metrics.prefix_hits)
-        if result.metrics.cns_pruned:
-            self._cns_pruned.inc(result.metrics.cns_pruned)
-        for stage, stage_seconds in result.metrics.stage_seconds.items():
-            self._stage_seconds(stage).observe(stage_seconds)
-        for shard, shard_results in result.metrics.shard_results.items():
-            self._shard_results(shard).inc(shard_results)
-            self._shard_seconds(shard).observe(
-                result.metrics.shard_seconds.get(shard, 0.0)
-            )
-
-    # ExecutionObserver ----------------------------------------------------
-    def on_query(self, relation_name: str, rows: int, cached: bool) -> None:
-        self._queries[cached].inc()
-
-    def hooks(self) -> SearchHooks:
-        return SearchHooks(on_search_complete=self.search_complete, observer=self)
-
-
-@dataclass(frozen=True)
-class _EngineState:
-    """One immutable (database, fingerprint, engine) generation.
-
-    Requests snapshot ``self._state`` once and use the snapshot
-    throughout, so a concurrent :meth:`QueryService.reload` can never
-    pair an old fingerprint with a new engine (the race RA101 surfaced
-    when these lived in three separate attributes).
-    """
-
-    loaded: LoadedDatabase
-    fingerprint: str
-    engine: XKeyword
-    updates: UpdateManager | None = None
-    """Live-update manager; ``None`` when the database is read-only
-    (reopened without its XML graph)."""
-
-
-@dataclass(frozen=True)
-class _PreparedSearch:
-    """A validated search request bound to one engine generation.
-
-    Shared by the buffered and streaming entry points so both coalesce
-    on the same single-flight key and honor the same backend override.
-    """
-
-    state: _EngineState
-    query: KeywordQuery
-    k: int | None
-    all_results: bool
-    key: tuple
-    config: ExecutorConfig | None
-    snapshot: tuple
-    """Per-keyword VersionVector snapshot taken at admission, compared
-    around execution to detect mid-flight invalidation."""
-
-
-class QueryService:
-    """One loaded database behind caching, admission control and metrics.
-
-    The service owns the engine; :meth:`reload` atomically swaps in a new
-    :class:`LoadedDatabase` and invalidates the cross-query cache, so a
-    long-lived process can pick up re-generated data without restarting.
-    """
-
-    def __init__(
-        self,
-        loaded: LoadedDatabase,
-        config: ServiceConfig | None = None,
-        registry: MetricsRegistry | None = None,
-        engine_factory=None,
-    ) -> None:
-        """
-        Args:
-            loaded: The database to serve.
-            config: Service knobs; defaults are laptop-friendly.
-            registry: Metrics registry; a private one by default.
-            engine_factory: ``(LoadedDatabase, SearchHooks) -> engine``
-                override, used by tests to inject slow or fake engines.
-        """
-        self.config = config or ServiceConfig()
-        self.registry = registry or MetricsRegistry()
-        self._instrumentation = _EngineInstrumentation(self.registry)
-        self.tracer = (
-            Tracer(TraceStore(self.config.trace_buffer))
-            if self.config.tracing
-            else NULL_TRACER
-        )
-        self._engine_factory = engine_factory or (
-            lambda db, hooks: XKeyword(
-                db,
-                executor_config=ExecutorConfig(
-                    backend=self.config.backend, strategy=self.config.strategy
-                ),
-                threads=self.config.engine_threads,
-                hooks=hooks,
-                verifier=DebugVerifier() if self.config.debug_verify else None,
-                tracer=self.tracer,
-                statement_cache=CompiledStatementCache(versions=self.versions),
-                shards=self.config.shards,
-            )
-        )
-        self.versions = VersionVector()
-        self._swap_lock = threading.Lock()
-        self._state = self._build_state(loaded)  # guarded by: self._swap_lock [writes]
-        self.cache = QueryCache(
-            capacity=self.config.cache_capacity,
-            ttl=self.config.cache_ttl,
-            versions=self.versions,
-        )
-        self.admission = AdmissionController(
-            workers=self.config.workers,
-            queue_size=self.config.queue_size,
-            default_deadline=self.config.deadline,
-        )
-        self.started_at = time.time()
-        self._requests = lambda endpoint, status: self.registry.counter(
-            "repro_requests_total",
-            "HTTP requests by endpoint and outcome",
-            endpoint=endpoint,
-            status=str(status),
-        )
-        self._request_seconds = lambda endpoint: self.registry.histogram(
-            "repro_request_seconds", "End-to-end request latency", endpoint=endpoint
-        )
-        self._cache_hits = self.registry.counter(
-            "repro_query_cache_hits_total", "Cross-query cache hits"
-        )
-        self._cache_misses = self.registry.counter(
-            "repro_query_cache_misses_total", "Cross-query cache misses"
-        )
-        self._shed = self.registry.counter(
-            "repro_shed_total", "Requests shed because the queue was full"
-        )
-        self._deadline_exceeded = self.registry.counter(
-            "repro_deadline_exceeded_total", "Requests that missed their deadline"
-        )
-        self._slow_queries = self.registry.counter(
-            "repro_slow_queries_total",
-            "Searches slower than the slow-query threshold",
-        )
-        self.singleflight = SingleFlight()
-        self._singleflight_hits = self.registry.counter(
-            "repro_singleflight_hits_total",
-            "Requests coalesced onto an in-flight identical execution",
-        )
-        self._singleflight_flights = self.registry.counter(
-            "repro_singleflight_flights_total",
-            "Executions started as single-flight leaders",
-        )
-        self._stream_requests = self.registry.counter(
-            "repro_stream_requests_total",
-            "Searches delivered incrementally (SSE / chunked JSON)",
-        )
-        self._mutations = lambda op: self.registry.counter(
-            "repro_mutations_total", "Live document mutations by operation", op=op
-        )
-        self._mutation_seconds = lambda op: self.registry.histogram(
-            "repro_mutation_seconds", "Mutation latency by operation", op=op
-        )
-        self._cache_invalidations = lambda reason: self.registry.counter(
-            "repro_cache_invalidations_total",
-            "Cross-query cache entries invalidated, by reason",
-            reason=reason,
-        )
-        self._invalidation_lock = threading.Lock()
-        self._invalidation_mirrored: dict[str, int] = {}  # guarded by: self._invalidation_lock
-
-    def _build_state(self, loaded: LoadedDatabase) -> _EngineState:
-        updates = None
-        if loaded.graph is not None:
-            updates = UpdateManager(
-                loaded, versions=self.versions, tracer=self.tracer
-            )
-        return _EngineState(
-            loaded=loaded,
-            fingerprint=loaded.fingerprint(),
-            engine=self._engine_factory(loaded, self._instrumentation.hooks()),
-            updates=updates,
-        )
-
-    # Read-only views of the current generation; in-flight requests must
-    # snapshot self._state once instead of reading these repeatedly.
-    @property
-    def loaded(self) -> LoadedDatabase:
-        return self._state.loaded
-
-    @property
-    def fingerprint(self) -> str:
-        return self._state.fingerprint
-
-    @property
-    def engine(self) -> XKeyword:
-        return self._state.engine
-
-    # ------------------------------------------------------------------
-    def reload(self, loaded: LoadedDatabase) -> dict:
-        """Swap the served database and invalidate its cached results."""
-        with self._swap_lock:
-            previous = self._state.fingerprint
-            # analysis: blocking-ok[fingerprinting the incoming database
-            # runs sqlite row counts; _swap_lock only serializes reloads,
-            # searches read self._state lock-free]
-            self._state = self._build_state(loaded)
-            dropped = self.cache.invalidate(previous)
-            return {
-                "previous_fingerprint": previous,
-                "fingerprint": self._state.fingerprint,
-                "cache_entries_dropped": dropped,
-            }
-
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        keywords: list[str],
-        k: int | None = None,
-        max_size: int = 8,
-        all_results: bool = False,
-        deadline: float | None = None,
-        backend: str | None = None,
-    ) -> dict:
-        """Run (or replay) one keyword search; returns the JSON payload.
-
-        Cache hits are answered inline — they cost a dictionary probe, so
-        they bypass admission control entirely and stay fast even when
-        the worker pool is saturated.
-
-        Args:
-            backend: Per-request execution backend override (one of
-                :data:`repro.core.BACKENDS`); ``None`` uses the engine's
-                configured default.  All backends return identical
-                results, but entries are cached per backend so replays
-                keep honest per-backend traces and metrics.
-        """
-        prep = self._prepare_search(keywords, k, max_size, all_results, backend)
-        started = time.perf_counter()
-        cached = self.cache.get(prep.key)
-        if cached is not None:
-            self._cache_hits.inc()
-            return self._payload(cached, prep.k, time.perf_counter() - started, True)
-        self._cache_misses.inc()
-
-        flight, joined = self.singleflight.join(prep.key)
-        try:
-            if joined:
-                self._singleflight_hits.inc()
-                result = self._await_flight(flight, deadline)
-            else:
-                result = self._lead_flight(flight, prep, deadline)
-        finally:
-            self.singleflight.leave(flight)
-        seconds = time.perf_counter() - started
-        self._log_if_slow(result, seconds)
-        return self._payload(
-            result, prep.k, seconds, False, shared=joined, stale=flight.stale
-        )
-
-    def _prepare_search(
-        self,
-        keywords: list[str],
-        k: int | None,
-        max_size: int,
-        all_results: bool,
-        backend: str | None,
-    ) -> "_PreparedSearch":
-        """Validate a request and compute its cache/single-flight key."""
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        query = KeywordQuery(tuple(keywords), max_size=max_size)
-        mode = "all" if all_results else "topk"
-        k = None if all_results else (k if k is not None else self.config.default_k)
-        # One snapshot for the whole request: the cache key's fingerprint
-        # must describe the engine that actually computes the result.
-        state = self._state
-        # Injected test engines may not expose an executor config; they
-        # simply never honor a backend override.
-        base_config = getattr(state.engine, "executor_config", None)
-        override = (
-            backend is not None
-            and base_config is not None
-            and backend != base_config.backend
-        )
-        if override:
-            mode = f"{mode}@{backend}"
-        config = replace(base_config, backend=backend) if override else None
-        return _PreparedSearch(
-            state=state,
-            query=query,
-            k=k,
-            all_results=all_results,
-            key=query_cache_key(state.fingerprint, query, k, mode),
-            config=config,
-            # The snapshot anchors mid-flight invalidation detection: a
-            # VersionVector bump between here and execution means the
-            # flight computed from (and is marked as) a stale snapshot.
-            snapshot=self.versions.snapshot(query.keywords, ()),
-        )
-
-    def _await_flight(self, flight: Flight, deadline: float | None) -> SearchResult:
-        """Block on another request's in-flight execution (buffered)."""
-        timeout = deadline if deadline is not None else self.config.deadline
-        try:
-            return flight.stream.result(timeout=timeout)
-        except DeadlineExceededError:
-            raise
-        except TimeoutError:
-            raise DeadlineExceededError(
-                f"deadline of {timeout:.3f}s exceeded waiting on shared execution"
-            ) from None
-
-    def _lead_flight(
-        self, flight: Flight, prep: "_PreparedSearch", deadline: float | None
-    ) -> SearchResult:
-        """Run a flight's execution through admission control (buffered).
-
-        A deadline hit while the execution is running leaves it alive —
-        other waiters (and the cache) still get the result; the flight
-        is only failed when the job was shed or expired unrun.
-        """
-        self._singleflight_flights.inc()
-        runner = self._flight_runner(flight, prep)
-
-        def on_expired(error: BaseException) -> None:
-            flight.stream.fail(error)
-
-        try:
-            job = self.admission.submit(runner, deadline=deadline, on_expired=on_expired)
-        except BaseException as exc:
-            # Never enqueued (shed / shutting down): nobody else will
-            # terminate the stream, so waiters must fail here.
-            flight.stream.fail(exc)
-            self.singleflight.finish(flight)
-            raise
-        timeout = deadline if deadline is not None else self.config.deadline
-        remaining = (
-            None if job.deadline is None else max(0.0, job.deadline - time.monotonic())
-        )
-        if not job.done.wait(timeout=remaining):
-            raise DeadlineExceededError(
-                f"deadline of {timeout:.3f}s exceeded before completion"
-            )
-        if job.error is not None:
-            raise job.error
-        return job.result
-
-    def _flight_runner(self, flight: Flight, prep: "_PreparedSearch"):
-        """The worker-side execution of one flight.
-
-        Returns a zero-argument callable that runs the engine with the
-        flight's stream (real engines publish incrementally; injected
-        test engines without a ``stream`` kwarg fall back to bulk
-        publication at completion), detects mid-flight VersionVector
-        invalidation, caches fresh completed results, and always
-        terminates the stream and retires the flight.
-        """
-        state, query = prep.state, prep.query
-
-        def runner() -> SearchResult:
-            try:
-                # The read side of the update lock: a concurrent mutation
-                # waits for in-flight searches, and searches queued behind
-                # a waiting writer see the fully published next epoch.
-                guard = (
-                    state.updates.read()
-                    if state.updates is not None
-                    else nullcontext()
-                )
-                overrides = {}
-                if prep.config is not None:
-                    overrides["config"] = prep.config
-                if isinstance(state.engine, XKeyword):
-                    overrides["stream"] = flight.stream
-                with guard:
-                    # Under the read lock no bump can interleave with the
-                    # execution, so staleness is decided *before* results
-                    # flow: waiters always observe a settled flag.
-                    if self.versions.stale_reason(prep.snapshot) is not None:
-                        flight.stale = True
-                        flight.stream.stale = True
-                    if prep.all_results:
-                        result = state.engine.search_all(query, **overrides)
-                    else:
-                        result = state.engine.search(query, k=prep.k, **overrides)
-                # Engines without the update lock (injected fakes) can
-                # race mutations; re-check so stale results stay uncached.
-                if self.versions.stale_reason(prep.snapshot) is not None:
-                    flight.stale = True
-                    flight.stream.stale = True
-                if not flight.stream.cancelled and not flight.stale:
-                    self.cache.put(
-                        prep.key,
-                        result,
-                        keywords=query.keywords,
-                        relations=result.relations_used,
-                    )
-                flight.stream.complete(result)
-                return result
-            except BaseException as exc:
-                flight.stream.fail(exc)
-                raise
-            finally:
-                self.singleflight.finish(flight)
-
-        return runner
-
-    def search_stream(
-        self,
-        keywords: list[str],
-        k: int | None = None,
-        max_size: int = 8,
-        all_results: bool = False,
-        deadline: float | None = None,
-        backend: str | None = None,
-    ) -> "_StreamSession":
-        """Start (or join, or replay) a search for incremental delivery.
-
-        Returns a :class:`_StreamSession` whose :meth:`~_StreamSession.events`
-        generator yields ``("result", payload)`` per ranked result the
-        moment the scheduler finalizes it, then one ``("done", summary)``.
-        Cache hits replay instantly; concurrent identical requests share
-        one execution (single-flight) and each receive the full stream.
-        The caller must exhaust the generator or call
-        :meth:`~_StreamSession.close` — a departing consumer must not
-        strand the shared flight's waiter count.
-
-        Raises:
-            RejectedError: Admission shed the execution (queue full) —
-                raised here, before any response bytes, so HTTP can
-                still answer 503.
-            ValueError: Unknown backend override.
-        """
-        prep = self._prepare_search(keywords, k, max_size, all_results, backend)
-        started = time.perf_counter()
-        self._stream_requests.inc()
-        cached = self.cache.get(prep.key)
-        if cached is not None:
-            self._cache_hits.inc()
-            return _StreamSession(self, prep, None, started, deadline, cached=cached)
-        self._cache_misses.inc()
-        flight, joined = self.singleflight.join(prep.key)
-        if joined:
-            self._singleflight_hits.inc()
-        else:
-            self._singleflight_flights.inc()
-            runner = self._flight_runner(flight, prep)
-
-            def on_expired(error: BaseException) -> None:
-                flight.stream.fail(error)
-
-            try:
-                self.admission.submit(runner, deadline=deadline, on_expired=on_expired)
-            except BaseException as exc:
-                flight.stream.fail(exc)
-                self.singleflight.finish(flight)
-                self.singleflight.leave(flight)
-                raise
-        return _StreamSession(
-            self, prep, flight, started, deadline, shared=joined
-        )
-
-    def _log_if_slow(self, result: SearchResult, seconds: float) -> None:
-        """Count and stderr-log a search that crossed the slow threshold."""
-        threshold = self.config.slow_query_seconds
-        if threshold is None or seconds < threshold:
-            return
-        self._slow_queries.inc()
-        trace = result.trace
-        print(
-            f"[slow-query] {seconds * 1000.0:.1f} ms "
-            f"keywords={' '.join(result.query.keywords)!r} "
-            f"trace={trace.trace_id if trace is not None else '-'}",
-            file=sys.stderr,
-        )
-
-    def _payload(
-        self,
-        result: SearchResult,
-        k: int | None,
-        seconds: float,
-        cached: bool,
-        shared: bool = False,
-        stale: bool = False,
-    ) -> dict:
-        """The ``/search`` JSON body for one (possibly replayed) result.
-
-        A cached replay reports the trace id of the search that computed
-        the entry — the spans describe the work actually done, not the
-        dictionary probe that served it.  ``shared`` marks answers that
-        attached to another request's in-flight execution
-        (single-flight); ``stale`` marks results computed from a
-        snapshot a live update invalidated mid-flight (served, but not
-        cached).
-        """
-        mttons = result.mttons if k is None else result.top(k)
-        return {
-            "query": {
-                "keywords": list(result.query.keywords),
-                "max_size": result.query.max_size,
-            },
-            "k": k,
-            "cached": cached,
-            "shared": shared,
-            "stale": stale,
-            "trace_id": result.trace.trace_id if result.trace is not None else None,
-            "elapsed_ms": round(seconds * 1000.0, 3),
-            "count": len(mttons),
-            "page_count": result.page_count(),
-            "candidate_networks": len(result.candidate_networks),
-            "engine_metrics": {
-                "queries_sent": result.metrics.queries_sent,
-                "rows_fetched": result.metrics.rows_fetched,
-                "cache_hits": result.metrics.cache_hits,
-                "cache_misses": result.metrics.cache_misses,
-            },
-            "results": [self._mtton_payload(rank, m) for rank, m in enumerate(mttons, 1)],
-        }
-
-    @staticmethod
-    def _mtton_payload(rank: int, mtton) -> dict:
-        labels = mtton.ctssn.network.labels
-        return {
-            "rank": rank,
-            "score": mtton.score,
-            "network": mtton.ctssn.canonical_key,
-            "nodes": [
-                {
-                    "role": role,
-                    "label": labels[role],
-                    "target_object": to,
-                    "keywords": sorted(mtton.ctssn.keywords_of_role(role)),
-                }
-                for role, to in mtton.assignment
-            ],
-            "edges": [
-                {
-                    "source": edge.source_to,
-                    "target": edge.target_to,
-                    "label": edge.forward_label or edge.edge_id,
-                }
-                for edge in mtton.edges
-            ],
-        }
-
-    # ------------------------------------------------------------------
-    def expand(
-        self,
-        keywords: list[str],
-        cn: int = -1,
-        role: int | None = None,
-        max_size: int = 8,
-        deadline: float | None = None,
-    ) -> dict:
-        """Initialize (and optionally expand) a presentation graph.
-
-        Args:
-            keywords: The keyword query.
-            cn: Candidate-network index in score order; -1 picks the
-                first network that has results.
-            role: CTSSN role to expand after initialization, if any.
-            deadline: Per-request deadline override.
-        """
-
-        state = self._state
-
-        def execute() -> dict:
-            guard = state.updates.read() if state.updates is not None else nullcontext()
-            with guard:
-                return navigate()
-
-        def navigate() -> dict:
-            query = KeywordQuery(tuple(keywords), max_size=max_size)
-            engine = state.engine
-            containing = engine.containing_lists(query)
-            ctssns = engine.candidate_tss_networks(query, containing)
-            if not ctssns:
-                raise LookupError("no candidate networks for this query")
-            candidates = sorted(ctssns, key=lambda c: (c.score, c.canonical_key))
-            if cn >= 0:
-                if cn >= len(candidates):
-                    raise LookupError(
-                        f"candidate network {cn} out of range "
-                        f"({len(candidates)} networks)"
-                    )
-                candidates = [candidates[cn]]
-            navigator = graph = None
-            for ctssn in candidates:
-                attempt = OnDemandNavigator(
-                    ctssn, engine.optimizer, engine.stores, containing
-                )
-                try:
-                    graph = attempt.initialize()
-                    navigator = attempt
-                    break
-                except LookupError:
-                    continue
-            if navigator is None or graph is None:
-                raise LookupError("no candidate network has results")
-            newly = []
-            if role is not None:
-                newly = sorted(navigator.expand(role))
-            labels = navigator.ctssn.network.labels
-            return {
-                "query": {"keywords": list(query.keywords), "max_size": query.max_size},
-                "network": navigator.ctssn.canonical_key,
-                "score": navigator.ctssn.score,
-                "roles": [
-                    {"role": index, "label": label}
-                    for index, label in enumerate(labels)
-                ],
-                "displayed": [
-                    {"role": r, "label": labels[r], "target_object": to}
-                    for r, to in sorted(graph.displayed)
-                ],
-                "newly_displayed": [
-                    {"role": r, "label": labels[r], "target_object": to}
-                    for r, to in newly
-                ],
-                "metrics": {
-                    "queries_sent": navigator.metrics.queries_sent,
-                    "rows_fetched": navigator.metrics.rows_fetched,
-                },
-            }
-
-        return self.admission.run(execute, deadline=deadline)
-
-    # ------------------------------------------------------------------
-    # Live mutations
-    # ------------------------------------------------------------------
-    def insert_document(self, xml_text: str, parent_id: str | None = None) -> dict:
-        """``POST /documents``: insert a document (under ``parent_id``)."""
-        return self._mutate(
-            "insert",
-            lambda updates: updates.insert_document(xml_text, parent_id=parent_id),
-        )
-
-    def delete_document(self, document_id: str) -> dict:
-        """``DELETE /documents/<id>``: remove a document's subtree."""
-        return self._mutate(
-            "delete", lambda updates: updates.delete_document(document_id)
-        )
-
-    def update_document(self, document_id: str, xml_text: str) -> dict:
-        """``PUT /documents/<id>``: replace a document in place."""
-        return self._mutate(
-            "update", lambda updates: updates.update_document(document_id, xml_text)
-        )
-
-    def _mutate(self, op: str, action) -> dict:
-        """Run one mutation, meter it, and sweep the newly stale cache.
-
-        Mutations bypass the admission pool: the update manager's
-        writer-preferring lock already serializes them against each
-        other and against in-flight searches.
-        """
-        state = self._state
-        if state.updates is None:
-            raise MutationsDisabledError(
-                "database was reopened without its XML graph; serving read-only"
-            )
-        started = time.perf_counter()
-        report = action(state.updates)
-        self._mutations(op).inc()
-        self._mutation_seconds(op).observe(time.perf_counter() - started)
-        dropped = self.cache.invalidate_stale()
-        self._sync_invalidation_metrics()
-        payload = report.to_dict()
-        payload["cache_entries_dropped"] = sum(dropped.values())
-        payload["cache_invalidation_reasons"] = dropped
-        return payload
-
-    def _sync_invalidation_metrics(self) -> None:
-        """Mirror the cache's per-reason invalidation totals as counters.
-
-        The cache counts invalidations internally (both lazy ``get``
-        drops and eager sweeps); this reconciles the Prometheus counters
-        to those totals without double counting.
-        """
-        reasons = self.cache.stats().invalidation_reasons
-        with self._invalidation_lock:
-            for reason, total in reasons.items():
-                seen = self._invalidation_mirrored.get(reason, 0)
-                if total > seen:
-                    self._cache_invalidations(reason).inc(total - seen)
-                    self._invalidation_mirrored[reason] = total
-
-    # ------------------------------------------------------------------
-    def trace_payload(self, trace_id: str) -> dict:
-        """One stored span tree as JSON (``GET /debug/trace/<id>``).
-
-        Raises:
-            LookupError: Tracing is disabled, or the id is unknown /
-                already evicted from the ring buffer.
-        """
-        store = self.tracer.store
-        if store is None:
-            raise LookupError("tracing is disabled on this service")
-        trace = store.get(trace_id)
-        if trace is None:
-            raise LookupError(f"no trace {trace_id!r} (unknown or evicted)")
-        return trace.to_dict()
-
-    def traces_payload(self, limit: int = 20) -> dict:
-        """Summaries of the most recent traces (``GET /debug/traces``)."""
-        store = self.tracer.store
-        if store is None:
-            raise LookupError("tracing is disabled on this service")
-        return {"traces": [trace.summary() for trace in store.recent(limit)]}
-
-    # ------------------------------------------------------------------
-    def healthz(self) -> dict:
-        """Liveness payload: database identity, index epoch, queue stats."""
-        state = self._state
-        snapshot = state.updates.snapshot() if state.updates is not None else None
-        return {
-            "status": "ok",
-            "uptime_seconds": round(time.time() - self.started_at, 3),
-            "database_fingerprint": state.fingerprint,
-            "catalog": state.loaded.catalog.name,
-            "stores": sorted(state.loaded.stores),
-            "queue_depth": self.admission.queue_depth(),
-            "in_flight": self.admission.in_flight,
-            "cache_entries": len(self.cache),
-            "mutations_enabled": state.updates is not None,
-            "index_epoch": snapshot.epoch if snapshot else state.loaded.epoch,
-            "document_count": snapshot.document_count if snapshot else None,
-            "last_mutation_at": snapshot.last_mutation_at if snapshot else None,
-            "shards": self._shard_health(state),
-        }
-
-    @staticmethod
-    def _shard_health(state: _EngineState) -> dict:
-        """The ``/healthz`` shard section for the current generation.
-
-        Reports the engine's scatter width always; when the storage is a
-        sharded directory (``repro.sharding.ShardedDatabase``, detected
-        by its partition book) also the persisted partition layout and
-        per-shard write counts, so imbalance is visible from a probe.
-        """
-        shard_count = getattr(state.engine, "shards", 1)
-        payload: dict = {
-            "count": shard_count,
-            "scattered": shard_count > 1,
-        }
-        database = state.loaded.database
-        book = getattr(database, "book", None)
-        if book is not None:
-            payload["partition"] = {
-                "policy": book.policy,
-                "num_shards": book.num_shards,
-                "objects_per_shard": {
-                    str(index): count
-                    for index, count in sorted(book.counts.items())
-                },
-            }
-            payload["writes_per_shard"] = {
-                str(index): count
-                for index, count in sorted(database.write_counts().items())
-            }
-        return payload
-
-    def metrics_text(self) -> str:
-        """Render the registry, refreshing scrape-time gauges first."""
-        admission = self.admission.stats()
-        cache = self.cache.stats()
-        self.registry.gauge(
-            "repro_queue_depth", "Admitted requests waiting or executing"
-        ).set(self.admission.queue_depth())
-        self.registry.gauge(
-            "repro_in_flight", "Requests currently executing"
-        ).set(self.admission.in_flight)
-        self.registry.gauge(
-            "repro_query_cache_entries", "Live cross-query cache entries"
-        ).set(cache.entries)
-        self.registry.gauge(
-            "repro_query_cache_hit_rate", "Cross-query cache hit rate"
-        ).set(round(cache.hit_rate, 6))
-        self.registry.gauge(
-            "repro_admission_expired_total", "Requests expired while queued"
-        ).set(admission.expired)
-        state = self._state
-        snapshot = state.updates.snapshot() if state.updates is not None else None
-        self.registry.gauge(
-            "repro_index_epoch", "Mutation epoch of the served index"
-        ).set(snapshot.epoch if snapshot else state.loaded.epoch)
-        self._sync_invalidation_metrics()
-        return self.registry.render()
-
-    def close(self) -> None:
-        """Shut down the admission pool and release the engine state."""
-        self.admission.shutdown()
-
-    # Metrics helpers used by the HTTP layer ----------------------------
-    def observe_request(self, endpoint: str, status: int, seconds: float) -> None:
-        """Record one finished HTTP request into the metrics registry."""
-        self._requests(endpoint, status).inc()
-        self._request_seconds(endpoint).observe(seconds)
-
-    def count_shed(self) -> None:
-        """Count one request shed by admission control (503)."""
-        self._shed.inc()
-
-    def count_deadline_exceeded(self) -> None:
-        """Count one request that exceeded its deadline (504)."""
-        self._deadline_exceeded.inc()
-
-
-class _StreamSession:
-    """One consumer's incremental view of a (possibly shared) search.
-
-    Produced by :meth:`QueryService.search_stream`.  Owns one stream
-    cursor and one single-flight attachment; :meth:`close` is
-    idempotent and must run exactly once per session, which
-    :meth:`events` guarantees via its ``finally`` — callers that stop
-    iterating early (client disconnect) rely on generator closure.
-    """
-
-    def __init__(
-        self,
-        service: QueryService,
-        prep: _PreparedSearch,
-        flight: Flight | None,
-        started: float,
-        deadline: float | None,
-        shared: bool = False,
-        cached: SearchResult | None = None,
-    ) -> None:
-        """Bind a session to a live flight or a cached replay."""
-        self._service = service
-        self._prep = prep
-        self._flight = flight
-        self._cursor = flight.stream.subscribe() if flight is not None else None
-        self._started = started
-        self._deadline = deadline
-        self._shared = shared
-        self._cached = cached
-        self._closed = False
-
-    def close(self) -> None:
-        """Detach from the shared flight (last consumer cancels it)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._cursor is not None:
-            self._cursor.close()
-        if self._flight is not None:
-            self._service.singleflight.leave(self._flight)
-
-    def _summary(
-        self, result: SearchResult, cached: bool, first_result_ms: float | None
-    ) -> dict:
-        payload = self._service._payload(
-            result,
-            self._prep.k,
-            time.perf_counter() - self._started,
-            cached,
-            shared=self._shared,
-            stale=self._flight.stale if self._flight is not None else False,
-        )
-        del payload["results"]  # already delivered as individual events
-        payload["stream"] = True
-        payload["first_result_ms"] = (
-            round(first_result_ms, 3) if first_result_ms is not None else None
-        )
-        return payload
-
-    def events(self):
-        """Yield ``("result", payload)`` per result, then ``("done", summary)``.
-
-        Blocks between events while the engine works.  Raises
-        :class:`DeadlineExceededError` when the session's deadline
-        elapses mid-stream, and re-raises the execution's failure if
-        the flight errors out.  Always closes the session, even when
-        the consumer abandons the generator.
-        """
-        try:
-            if self._cached is not None:
-                yield from self._replay_events()
-                return
-            timeout = (
-                self._deadline
-                if self._deadline is not None
-                else self._service.config.deadline
-            )
-            deadline_at = None if timeout is None else time.monotonic() + timeout
-            stream = self._flight.stream
-            rank = 0
-            first_ms: float | None = None
-            while True:
-                remaining = None
-                if deadline_at is not None:
-                    remaining = deadline_at - time.monotonic()
-                    if remaining <= 0:
-                        raise DeadlineExceededError(
-                            f"deadline of {timeout:.3f}s exceeded mid-stream"
-                        )
-                try:
-                    mtton = self._cursor.next(timeout=remaining)
-                except StopIteration:
-                    break
-                except DeadlineExceededError:
-                    raise
-                except TimeoutError:
-                    raise DeadlineExceededError(
-                        f"deadline of {timeout:.3f}s exceeded mid-stream"
-                    ) from None
-                rank += 1
-                if first_ms is None:
-                    first_ms = (time.perf_counter() - self._started) * 1000.0
-                yield "result", self._service._mtton_payload(rank, mtton)
-            result = stream.result(timeout=1.0)  # already done; immediate
-            self._service._log_if_slow(
-                result, time.perf_counter() - self._started
-            )
-            yield "done", self._summary(result, False, first_ms)
-        finally:
-            self.close()
-
-    def _replay_events(self):
-        """Emit a cached result as a stream (``cached: true`` summary)."""
-        result = self._cached
-        mttons = result.mttons if self._prep.k is None else result.top(self._prep.k)
-        first_ms: float | None = None
-        for rank, mtton in enumerate(mttons, 1):
-            if first_ms is None:
-                first_ms = (time.perf_counter() - self._started) * 1000.0
-            yield "result", self._service._mtton_payload(rank, mtton)
-        yield "done", self._summary(result, True, first_ms)
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """An int from a JSON number or a query-string value, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f'"{name}" must be an integer, got {value!r}')
+    try:
+        number = int(value)
+    except ValueError:
+        raise ValueError(f'"{name}" must be an integer, got {value!r}') from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f'"{name}" must be at least {minimum}, got {number}')
+    return number
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -1147,260 +84,163 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        parsed = urlparse(self.path)
-        if parsed.path == "/healthz":
-            self._handle("healthz", lambda: self.service.healthz())
-        elif parsed.path == "/metrics":
-            self._handle_metrics()
-        elif parsed.path == "/expand":
-            params = parse_qs(parsed.query)
-            self._handle("expand", lambda: self._expand(params))
-        elif parsed.path == "/debug/traces":
-            params = parse_qs(parsed.query)
-            limit = int(params.get("limit", ["20"])[0])
-            self._handle("debug_traces", lambda: self.service.traces_payload(limit))
-        elif parsed.path.startswith("/debug/trace/"):
-            trace_id = parsed.path[len("/debug/trace/"):]
-            self._handle("debug_trace", lambda: self.service.trace_payload(trace_id))
-        else:
-            self._send_json(404, {"error": f"unknown path {parsed.path!r}"})
+        self._dispatch("GET")
 
     def do_POST(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        if parsed.path == "/search":
-            self._search_route()
-        elif parsed.path == "/documents":
-            self._handle("insert_document", self._insert_document)
-        else:
-            self._send_json(404, {"error": f"unknown path {parsed.path!r}"})
+        self._dispatch("POST")
 
     def do_PUT(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        if parsed.path.startswith("/documents/"):
-            document_id = parsed.path[len("/documents/"):]
-            self._handle(
-                "update_document", lambda: self._update_document(document_id)
-            )
-        else:
-            self._send_json(404, {"error": f"unknown path {parsed.path!r}"})
+        self._dispatch("PUT")
 
     def do_DELETE(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        if parsed.path.startswith("/documents/"):
-            document_id = parsed.path[len("/documents/"):]
-            self._handle(
-                "delete_document",
-                lambda: self.service.delete_document(document_id),
-            )
-        else:
-            self._send_json(404, {"error": f"unknown path {parsed.path!r}"})
+        self._dispatch("DELETE")
 
-    # ------------------------------------------------------------------
-    def _search_route(self) -> None:
-        """Dispatch ``POST /search`` to buffered JSON or SSE streaming.
+    def _dispatch(self, method: str) -> None:
+        """Serve one request: route it, write its reply, meter it.
 
-        Streaming is opted into per request with ``"stream": true`` in
-        the body or an ``Accept: text/event-stream`` header.
+        A route whose path ends in ``/`` matches by prefix and hands the
+        remainder (a document or trace id) to its producer.
         """
         started = time.perf_counter()
-        try:
-            body = self._read_body()
-        except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
-            self.service.observe_request(
-                "search", 400, time.perf_counter() - started
-            )
-            return
-        accept = self.headers.get("Accept") or ""
-        if bool(body.get("stream")) or "text/event-stream" in accept:
-            self._handle_search_stream(body, started)
+        url = urlparse(self.path)
+        for verb, path, endpoint, producer in self._ROUTES:
+            if verb == method and (
+                url.path.startswith(path) if path.endswith("/") else url.path == path
+            ):
+                break
         else:
-            self._handle(
-                "search",
-                lambda: self.service.search(**self._search_kwargs(body)),
-            )
-
-    @staticmethod
-    def _search_kwargs(body: dict) -> dict:
-        keywords = body.get("keywords")
-        if keywords is None and "q" in body:
-            keywords = str(body["q"]).split()
-        if not keywords or not isinstance(keywords, list):
-            raise ValueError('body needs "keywords": [..] or "q": "a b"')
-        deadline = body.get("deadline")
-        backend = body.get("backend")
-        return {
-            "keywords": [str(k) for k in keywords],
-            "k": body.get("k"),
-            "max_size": int(body.get("max_size", 8)),
-            "all_results": bool(body.get("all", False)),
-            "deadline": float(deadline) if deadline is not None else None,
-            "backend": str(backend) if backend is not None else None,
-        }
-
-    def _handle_search_stream(self, body: dict, started: float) -> None:
-        """Answer one ``/search`` as Server-Sent Events over chunked HTTP.
-
-        The response is only committed (200 + headers) once the session
-        exists — shed/validation failures still answer plain JSON
-        errors.  Mid-stream failures become a final ``event: error``;
-        the terminating zero chunk is always written on a healthy
-        socket, so HTTP/1.1 keep-alive survives and ``/expand`` can be
-        issued over the same connection.
-        """
-        status = 200
-        try:
-            session = self.service.search_stream(**self._search_kwargs(body))
-        except RejectedError as exc:
-            self.service.count_shed()
-            self._send_json(
-                503,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                extra_headers={"Retry-After": f"{exc.retry_after:.1f}"},
-            )
-            self.service.observe_request(
-                "search_stream", 503, time.perf_counter() - started
-            )
+            self._respond(404, {}, {"error": f"unknown path {url.path!r}"})
             return
-        except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
-            self.service.observe_request(
-                "search_stream", 400, time.perf_counter() - started
-            )
-            return
-        events = session.events()
+        self._endpoint = endpoint
+        self._streaming = False
+        status = 500
         try:
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.send_header("Cache-Control", "no-store")
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
-            try:
-                for name, payload in events:
-                    self._write_chunk(
-                        f"event: {name}\ndata: {json.dumps(payload)}\n\n".encode()
-                    )
-            except DeadlineExceededError as exc:
-                status = 504
-                self.service.count_deadline_exceeded()
-                self._write_event_error(str(exc))
-            except Exception as exc:
-                status = 500
-                self._write_event_error(f"{type(exc).__name__}: {exc}")
-            self._write_chunk(b"")  # terminating chunk: keep-alive survives
+            status = self._serve(producer, parse_qs(url.query), url.path[len(path):])
         except (BrokenPipeError, ConnectionResetError):
-            # Client went away mid-stream: detach from the shared flight
-            # (the last consumer's departure cancels the execution).
+            # Client went away mid-reply: a streamed session has already
+            # detached from its shared flight (the last consumer's
+            # departure cancels the execution).
             status = 499
             self.close_connection = True
         finally:
-            events.close()
-            session.close()
             self.service.observe_request(
-                "search_stream", status, time.perf_counter() - started
+                self._endpoint, status, time.perf_counter() - started
             )
+
+    def _serve(self, producer, params: dict[str, list[str]], tail: str) -> int:
+        """Write the producer's reply, or its failure, and return the status.
+
+        Failures go through the one exception→status table: before the
+        response is committed they answer as a plain JSON error, after
+        (mid-stream) as a final SSE ``error`` event.  The terminating
+        zero chunk is always written on a healthy socket, so HTTP/1.1
+        keep-alive survives and ``/expand`` can be issued over the same
+        connection.
+        """
+        status = 200
+        try:
+            reply = producer(self, params, tail)
+            if isinstance(reply, dict):
+                trace_id = reply.get("trace_id")
+                self._respond(200, {"X-Trace-Id": str(trace_id)} if trace_id else {}, reply)
+            elif isinstance(reply, str):
+                self._respond(
+                    200, {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"}, reply
+                )
+            else:
+                self._stream(reply)
+        except (BrokenPipeError, ConnectionResetError):
+            raise
+        except Exception as exc:
+            status = next(
+                (code for kind, code in _STATUS_OF if isinstance(exc, kind)), 500
+            )
+            payload = {"error": str(exc) if status != 500 else f"{type(exc).__name__}: {exc}"}
+            headers = {}
+            if status == 503:
+                self.service.count_shed()
+                payload["retry_after"] = exc.retry_after
+                headers["Retry-After"] = f"{exc.retry_after:.1f}"
+            elif status == 504:
+                self.service.count_deadline_exceeded()
+            if self._streaming:
+                self._write_event("error", payload)
+            else:
+                self._respond(status, headers, payload)
+        if self._streaming:
+            self._write_chunk(b"")  # terminating chunk: keep-alive survives
+        return status
+
+    # ------------------------------------------------------------------
+    def _respond(self, status: int, headers: dict[str, str], body) -> None:
+        """The one response writer: status line, headers, then the body.
+
+        ``body`` is a dict (sent as JSON), a string (sent as is, under
+        the caller's ``Content-Type``) or ``None`` — the preamble of a
+        chunked stream whose frames follow through :meth:`_write_chunk`.
+        """
+        self.send_response(status)
+        if isinstance(body, dict):
+            body = json.dumps(body)
+            headers = {"Content-Type": "application/json", **headers}
+        if body is not None:
+            body = body.encode()
+            headers = {**headers, "Content-Length": str(len(body))}
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        if body is not None:
+            self.wfile.write(body)
+
+    def _stream(self, session) -> None:
+        """Answer one ``/search`` session as Server-Sent Events over chunked HTTP.
+
+        The response is only committed (200 + headers) once the session
+        exists — shed/validation failures still answer plain JSON
+        errors.
+        """
+        try:
+            self._respond(
+                200,
+                {
+                    "Content-Type": "text/event-stream",
+                    "Cache-Control": "no-store",
+                    "Transfer-Encoding": "chunked",
+                },
+                None,
+            )
+            self._streaming = True
+            for name, payload in session.events():
+                self._write_event(name, payload)
+        finally:
+            session.close()
 
     def _write_chunk(self, data: bytes) -> None:
         """Write one HTTP/1.1 chunked-transfer frame (empty = final)."""
         self.wfile.write(f"{len(data):X}\r\n".encode() + data + b"\r\n")
         self.wfile.flush()
 
-    def _write_event_error(self, message: str) -> None:
-        """Emit a terminal SSE ``error`` event inside the open stream."""
-        self._write_chunk(
-            f"event: error\ndata: {json.dumps({'error': message})}\n\n".encode()
-        )
-
-    def _insert_document(self) -> dict:
-        body = self._read_body()
-        xml_text = body.get("xml")
-        if not xml_text or not isinstance(xml_text, str):
-            raise ValueError('body needs "xml": "<element .../>"')
-        parent = body.get("parent")
-        return self.service.insert_document(
-            xml_text, parent_id=str(parent) if parent is not None else None
-        )
-
-    def _update_document(self, document_id: str) -> dict:
-        if not document_id:
-            raise ValueError("document id missing from path")
-        body = self._read_body()
-        xml_text = body.get("xml")
-        if not xml_text or not isinstance(xml_text, str):
-            raise ValueError('body needs "xml": "<element .../>"')
-        return self.service.update_document(document_id, xml_text)
-
-    def _expand(self, params: dict[str, list[str]]) -> dict:
-        if "q" not in params:
-            raise ValueError('query parameter "q" is required')
-        keywords = params["q"][0].split()
-        role = params.get("role")
-        return self.service.expand(
-            keywords,
-            cn=int(params.get("cn", ["-1"])[0]),
-            role=int(role[0]) if role else None,
-            max_size=int(params.get("max_size", ["8"])[0]),
-        )
-
-    # ------------------------------------------------------------------
-    def _handle(self, endpoint: str, producer) -> None:
-        started = time.perf_counter()
-        try:
-            payload = producer()
-            status = 200
-            trace_id = payload.get("trace_id") if isinstance(payload, dict) else None
-            self._send_json(
-                status,
-                payload,
-                extra_headers={"X-Trace-Id": str(trace_id)} if trace_id else None,
-            )
-        except RejectedError as exc:
-            status = 503
-            self.service.count_shed()
-            self._send_json(
-                status,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                extra_headers={"Retry-After": f"{exc.retry_after:.1f}"},
-            )
-        except DeadlineExceededError as exc:
-            status = 504
-            self.service.count_deadline_exceeded()
-            self._send_json(status, {"error": str(exc)})
-        except MutationsDisabledError as exc:
-            status = 409
-            self._send_json(status, {"error": str(exc)})
-        except ValueError as exc:
-            status = 400
-            self._send_json(status, {"error": str(exc)})
-        except LookupError as exc:
-            status = 404
-            self._send_json(status, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive
-            status = 500
-            self._send_json(status, {"error": f"{type(exc).__name__}: {exc}"})
-        finally:
-            self.service.observe_request(
-                endpoint, status, time.perf_counter() - started
-            )
-
-    def _handle_metrics(self) -> None:
-        started = time.perf_counter()
-        text = self.service.metrics_text().encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(text)))
-        self.end_headers()
-        self.wfile.write(text)
-        self.service.observe_request("metrics", 200, time.perf_counter() - started)
+    def _write_event(self, name: str, payload: dict) -> None:
+        """Emit one SSE event inside the open stream."""
+        self._write_chunk(f"event: {name}\ndata: {json.dumps(payload)}\n\n".encode())
 
     # ------------------------------------------------------------------
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > self.service.config.max_body_bytes:
-            # The body stays unread on the socket; without closing, the
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= self.service.config.max_body_bytes:
+            # The body stays unread on the socket (and a negative length
+            # would read until the client hangs up); without closing, the
             # base handler would parse it as a pipelined request line.
             self.close_connection = True
-            raise ValueError("request body too large")
+            raise ValueError(
+                "request body too large"
+                if length > 0
+                else f"invalid Content-Length {declared!r}"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         try:
             body = json.loads(raw or b"{}")
@@ -1410,17 +250,95 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError("JSON body must be an object")
         return body
 
-    def _send_json(
-        self, status: int, payload: dict, extra_headers: dict[str, str] | None = None
-    ) -> None:
-        data = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+    def _xml_body(self) -> dict:
+        body = self._read_body()
+        if not body.get("xml") or not isinstance(body["xml"], str):
+            raise ValueError('body needs "xml": "<element .../>"')
+        return body
+
+    # Producers: (handler, query params, path tail) -> a JSON payload, the
+    # /metrics text, or a search session to stream -----------------------
+    def _search(self, params: dict[str, list[str]], tail: str):
+        """``POST /search``: buffered JSON, or SSE streaming.
+
+        Streaming is opted into per request with ``"stream": true`` in
+        the body or an ``Accept: text/event-stream`` header.  Both modes
+        share this one parsing step, so a malformed scalar is a 400
+        either way.
+        """
+        body = self._read_body()
+        accept = self.headers.get("Accept") or ""
+        streamed = bool(body.get("stream")) or "text/event-stream" in accept
+        if streamed:
+            self._endpoint = "search_stream"
+        keywords = body.get("keywords")
+        if keywords is None and "q" in body:
+            keywords = str(body["q"]).split()
+        if not keywords or not isinstance(keywords, list):
+            raise ValueError('body needs "keywords": [..] or "q": "a b"')
+        k, deadline, backend = body.get("k"), body.get("deadline"), body.get("backend")
+        if deadline is not None and not (
+            isinstance(deadline, (int, float))
+            and not isinstance(deadline, bool)
+            and 0 < deadline <= threading.TIMEOUT_MAX
+        ):
+            raise ValueError(f'"deadline" must be a positive number, got {deadline!r}')
+        search = self.service.search_stream if streamed else self.service.search
+        return search(
+            keywords=[str(keyword) for keyword in keywords],
+            k=_integer(k, "k", minimum=1) if k is not None else None,
+            max_size=_integer(body.get("max_size", 8), "max_size"),
+            all_results=bool(body.get("all", False)),
+            deadline=float(deadline) if deadline is not None else None,
+            backend=str(backend) if backend is not None else None,
+        )
+
+    def _expand(self, params: dict[str, list[str]], tail: str) -> dict:
+        if "q" not in params:
+            raise ValueError('query parameter "q" is required')
+        role = params.get("role")
+        return self.service.expand(
+            params["q"][0].split(),
+            cn=_integer(params.get("cn", ["-1"])[0], "cn"),
+            role=_integer(role[0], "role") if role else None,
+            max_size=_integer(params.get("max_size", ["8"])[0], "max_size"),
+        )
+
+    def _traces(self, params: dict[str, list[str]], tail: str) -> dict:
+        return self.service.traces_payload(
+            _integer(params.get("limit", ["20"])[0], "limit")
+        )
+
+    def _insert_document(self, params: dict[str, list[str]], tail: str) -> dict:
+        body = self._xml_body()
+        parent = body.get("parent")
+        return self.service.insert_document(
+            body["xml"], parent_id=str(parent) if parent is not None else None
+        )
+
+    def _update_document(self, params: dict[str, list[str]], tail: str) -> dict:
+        if not tail:
+            raise ValueError("document id missing from path")
+        return self.service.update_document(tail, self._xml_body()["xml"])
+
+    # The one route table: (method, path, metrics endpoint label, producer).
+    _ROUTES = (
+        ("GET", "/healthz", "healthz", lambda self, params, tail: self.service.healthz()),
+        ("GET", "/metrics", "metrics", lambda self, params, tail: self.service.metrics_text()),
+        ("GET", "/expand", "expand", _expand),
+        ("GET", "/debug/traces", "debug_traces", _traces),
+        (
+            "GET", "/debug/trace/", "debug_trace",
+            lambda self, params, tail: self.service.trace_payload(tail),
+        ),
+        ("POST", "/search", "search", _search),
+        ("POST", "/documents", "insert_document", _insert_document),
+        ("PUT", "/documents/", "update_document", _update_document),
+        (
+            "DELETE", "/documents/", "delete_document",
+            lambda self, params, tail: self.service.delete_document(tail),
+        ),
+    )
 
 
 class XKeywordHTTPServer(ThreadingHTTPServer):

@@ -1,6 +1,6 @@
 """Seeded RA001: core reaching up into service (a layering back-edge)."""
 
-from repro.service.server import QueryService
+from repro.service.query_service import QueryService
 
 
 def peek() -> type:

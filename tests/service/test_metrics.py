@@ -1,6 +1,8 @@
 """Tests for the dependency-free metrics registry."""
 
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,24 @@ class TestExposition:
         registry = MetricsRegistry()
         registry.counter("weird_total", label='say "hi"\n').inc()
         assert 'label="say \\"hi\\"\\n"' in registry.render()
+
+
+class TestCatalogue:
+    def test_operations_lists_exactly_the_registered_metric_names(self):
+        """Static diff: every ``"repro_…"`` metric-name literal under
+        ``src/repro/service/`` against the OPERATIONS.md §6 tables."""
+        root = Path(__file__).resolve().parents[2]
+        registered = set()
+        for source in (root / "src" / "repro" / "service").glob("*.py"):
+            registered |= set(re.findall(r'"(repro_\w+)"', source.read_text()))
+        runbook = (root / "docs" / "OPERATIONS.md").read_text()
+        section = runbook[runbook.index("## 6."):runbook.index("## 7.")]
+        documented = set()
+        for line in section.splitlines():
+            if line.startswith("| `repro_"):
+                documented |= set(re.findall(r"`(repro_\w+)", line.split("|")[1]))
+        assert registered, "no metric literals found; did the sources move?"
+        assert documented == registered
 
 
 @pytest.mark.stress

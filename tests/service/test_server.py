@@ -8,6 +8,7 @@ exercised exactly as a client would.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -314,6 +315,157 @@ class TestConcurrency:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 post_search(base, {"keywords": ["slow"], "deadline": 0.05}, 30.0)
             assert excinfo.value.code == 504
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+# ----------------------------------------------------------------------
+# Hostile requests: a clean 400, in both reply modes
+# ----------------------------------------------------------------------
+def raw_request(base: str, method: str, path: str, headers: dict, body: bytes = b""):
+    """One request over a bare socket, so hostile headers go out verbatim.
+
+    Returns ``(status, body)``; a server that hangs or drops the
+    connection unanswered surfaces as a socket timeout / empty reply.
+    """
+    host, port = base.removeprefix("http://").split(":")
+    head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n" + "".join(
+        f"{name}: {value}\r\n" for name, value in headers.items()
+    )
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+        sock.sendall(head.encode() + b"\r\n" + body)
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = sock.recv(65536)
+            assert chunk, f"connection closed with no full reply: {reply!r}"
+            reply += chunk
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        length = int(
+            next(
+                line.split(b":")[1]
+                for line in head.split(b"\r\n")
+                if line.lower().startswith(b"content-length:")
+            )
+        )
+        while len(rest) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed mid-body"
+            rest += chunk
+    return int(head.split()[1]), json.loads(rest[:length])
+
+
+def hostile_search(fields: dict | None = None, length: str | None = None):
+    def build(stream: bool):
+        body = json.dumps(
+            {"keywords": ["smith", "balmin"], "stream": stream, **(fields or {})}
+        ).encode()
+        headers = {
+            "Content-Type": "application/json",
+            "Content-Length": length if length is not None else str(len(body)),
+        }
+        return "POST", "/search", headers, body
+
+    return build
+
+
+HOSTILE = {
+    "unhashable-k": hostile_search({"k": [1]}),
+    "string-k": hostile_search({"k": "ten"}),
+    "list-deadline": hostile_search({"deadline": [1]}),
+    "negative-content-length": hostile_search(length="-1"),
+    "non-integer-content-length": hostile_search(length="abc"),
+    "non-integer-limit": lambda stream: ("GET", "/debug/traces?limit=abc", {}, b""),
+}
+
+
+class TestHostileRequests:
+    @pytest.mark.parametrize("stream", [False, True], ids=["buffered", "stream"])
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_answers_400_never_hangs(self, served, case, stream):
+        _, base = served
+        status, body = raw_request(base, *HOSTILE[case](stream))
+        assert status == 400, body
+        assert body["error"]
+        # The handler thread came back: the server still answers.
+        assert get_json(base, "/healthz")["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "path",
+        ["/expand?q=smith&cn=x", "/expand?q=smith&role=x", "/expand?q=smith&max_size=x"],
+    )
+    def test_expand_integers_are_validated(self, served, path):
+        _, base = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get_json(base, path)
+        assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("field", [{"k": 0}, {"k": True}, {"deadline": 0}, {"deadline": "1"}])
+    def test_out_of_range_scalars_are_400(self, served, field):
+        _, base = served
+        for stream in (False, True):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post_search(base, {"keywords": ["smith"], "stream": stream, **field})
+            assert excinfo.value.code == 400
+
+
+def wait_for_metric(service: QueryService, sample: str, timeout: float = 5.0) -> None:
+    """The request is metered after its last byte is written, so a
+    client that has its reply may still be ahead of the counter."""
+    deadline = time.monotonic() + timeout
+    while sample not in service.metrics_text():
+        assert time.monotonic() < deadline, f"never saw {sample!r}"
+        time.sleep(0.01)
+
+
+class TestOneErrorTable:
+    """Buffered and streamed replies fail through the same status map."""
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["buffered", "stream"])
+    def test_shed_is_503_with_retry_after(self, small_dblp_db, stream):
+        service = QueryService(small_dblp_db, ServiceConfig(workers=1, queue_size=1))
+        server, base = start_server(service)
+        try:
+            service.admission.shutdown()  # every submit is now refused
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post_search(base, {"keywords": ["smith"], "stream": stream})
+            assert excinfo.value.code == 503
+            assert excinfo.value.headers.get("Retry-After") is not None
+            assert json.loads(excinfo.value.read())["retry_after"] > 0
+            # The refused leader left nothing behind for later requests.
+            assert service.singleflight.in_flight() == 0
+            endpoint = "search_stream" if stream else "search"
+            wait_for_metric(
+                service, f'repro_requests_total{{endpoint="{endpoint}",status="503"}} 1'
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_mid_stream_deadline_is_an_error_frame(self, small_dblp_db):
+        service = QueryService(
+            small_dblp_db,
+            ServiceConfig(workers=1, queue_size=2),
+            engine_factory=lambda db, hooks: SlowEngine(delay=1.0),
+        )
+        server, base = start_server(service)
+        try:
+            request = urllib.request.Request(
+                f"{base}/search",
+                data=json.dumps(
+                    {"keywords": ["slow"], "stream": True, "deadline": 0.05}
+                ).encode(),
+            )
+            with urllib.request.urlopen(request, timeout=10.0) as response:
+                # Headers were committed before the deadline hit.
+                assert response.status == 200
+                text = response.read().decode()
+            assert text.startswith("event: error\ndata: ")
+            assert "deadline" in json.loads(text.split("data: ", 1)[1])["error"]
+            wait_for_metric(
+                service, 'repro_requests_total{endpoint="search_stream",status="504"} 1'
+            )
+            assert "repro_deadline_exceeded_total 1" in service.metrics_text()
         finally:
             server.shutdown()
             server.server_close()

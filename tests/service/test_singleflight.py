@@ -14,7 +14,12 @@ import time
 import pytest
 
 from repro.core import XKeyword
-from repro.service import QueryService, ServiceConfig, SingleFlight
+from repro.service import (
+    DeadlineExceededError,
+    QueryService,
+    ServiceConfig,
+    SingleFlight,
+)
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +215,102 @@ class TestServiceCoalescing:
         service.search(["smith", "balmin"], k=7, max_size=6)
         assert service._singleflight_flights.value == 2
         assert service._singleflight_hits.value == 0
+
+
+def settle(service: QueryService, timeout: float = 10.0) -> None:
+    """Block until no execution is registered, queued or running."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if (
+            service.singleflight.in_flight() == 0
+            and service.admission.queue_depth() == 0
+            and service.admission.in_flight == 0
+        ):
+            return
+        time.sleep(0.005)
+    raise AssertionError("execution never wound down")
+
+
+class TestBufferedDeadline:
+    """A buffered waiter is a stream consumer like any other: when its
+    deadline expires it detaches, and only the *last* detachment cancels
+    the shared execution (ROADMAP item 3's "confirm with a test")."""
+
+    QUERY = dict(keywords=["smith", "balmin"], k=5, max_size=6)
+
+    def expire_buffered(self, service, attached: int):
+        """Run one buffered search into its 50 ms deadline; returns the
+        flight it was attached to."""
+        errors = []
+
+        def call():
+            try:
+                service.search(**self.QUERY, deadline=0.05)
+            except Exception as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        wait_for_waiters(service, attached)
+        (flight,) = service.singleflight._flights.values()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert [type(error) for error in errors] == [DeadlineExceededError]
+        return flight
+
+    def test_sole_waiter_expiry_cancels_the_execution(self, gated_service):
+        service, engine = gated_service
+        flight = self.expire_buffered(service, attached=1)
+        assert flight.stream.cancelled
+        engine.gate.set()
+        settle(service)
+        # The cancelled run wound down without publishing to the cache.
+        assert len(service.cache) == 0
+        assert service.search(**self.QUERY)["cached"] is False
+
+    def test_expiry_with_second_waiter_leaves_execution_running(self, gated_service):
+        service, engine = gated_service
+        survivor = service.search_stream(**self.QUERY)
+        flight = self.expire_buffered(service, attached=2)
+        assert flight is survivor._flight
+        assert not flight.stream.cancelled
+        engine.gate.set()
+        events = list(survivor.events())
+        assert [name for name, _ in events][-1] == "done"
+        assert events[-1][1]["count"] == len(events) - 1 > 0
+        settle(service)
+        assert service.search(**self.QUERY)["cached"] is True
+
+
+class TestCachedReplay:
+    def test_sse_replay_equals_the_live_stream_that_filled_it(self, gated_service):
+        service, engine = gated_service
+        engine.gate.set()
+        query = dict(keywords=["smith", "balmin"], k=5, max_size=6)
+        live = list(service.search_stream(**query).events())
+        replay = list(service.search_stream(**query).events())
+        assert engine.calls == 1
+        assert live[-1][1]["cached"] is False
+        assert replay[-1][1]["cached"] is True
+        assert replay[-1][1]["first_result_ms"] is not None
+
+        def frames(events):
+            # Wall-clock fields and the cached flag are per-session.
+            return [
+                (
+                    name,
+                    {
+                        key: value
+                        for key, value in payload.items()
+                        if key not in ("elapsed_ms", "first_result_ms", "cached")
+                    },
+                )
+                for name, payload in events
+            ]
+
+        assert frames(replay) == frames(live)
+        assert [name for name, _ in live] == ["result"] * (len(live) - 1) + ["done"]
+        assert len(live) > 1
 
 
 # ----------------------------------------------------------------------
