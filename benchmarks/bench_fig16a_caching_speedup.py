@@ -57,14 +57,10 @@ def test_fig16a_with_round_trips(benchmark, size, memoize):
     translate into the paper's wall-clock speedup curve."""
     benchmark.group = f"fig16a-latency-size{size}"
     benchmark.name = "optimized (cached)" if memoize else "naive (no cache)"
-    database = common.bench_database().database
-    database.simulated_latency = LATENCY
-    try:
+    with common.round_trip_latency(common.bench_database().database, LATENCY):
         produced = benchmark.pedantic(
             run_mode, args=(size, memoize), rounds=3, iterations=1
         )
-    finally:
-        database.simulated_latency = 0.0
     assert produced > 0
 
 

@@ -83,17 +83,12 @@ def test_fig16b_expand_paper_with_round_trips(benchmark, variant, size):
     needs far more focused queries to complete each MTTON."""
     benchmark.group = f"fig16b-latency-size{size}"
     benchmark.name = variant
-    database = common.bench_database().database
 
     def setup():
-        navigator = build_navigator(variant, size)
-        database.simulated_latency = LATENCY
-        return (navigator,), {}
+        return (build_navigator(variant, size),), {}
 
-    try:
+    with common.round_trip_latency(common.bench_database().database, LATENCY):
         benchmark.pedantic(expand_paper, setup=setup, rounds=3)
-    finally:
-        database.simulated_latency = 0.0
 
 
 def test_fig16b_query_counts_shape():

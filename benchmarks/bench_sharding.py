@@ -1,4 +1,4 @@
-"""Shard scaling: scatter-gather top-k/all-results vs the single shard.
+"""Shard scaling: thread-scatter top-k/all-results vs the single shard.
 
 The scatter partitions each plan's *anchor seeds* by target-object hash,
 so it scales exactly the workloads whose cost is proportional to the
@@ -11,8 +11,8 @@ even lose — EXPERIMENTS.md's "Shard scaling" section shows both rows on
 purpose.
 
 As with Figure 16(a), wall-clock scaling appears once every DBMS query
-pays a round trip (``simulated_latency``): sleeps overlap across shard
-threads/processes while the GIL-bound Python work does not, which is
+pays a round trip (``common.round_trip_latency``): sleeps overlap
+across shard threads while the GIL-bound Python work does not, which is
 the honest single-machine analogue of N independent DBMS connections.
 
 Run:  pytest benchmarks/bench_sharding.py --benchmark-only
@@ -20,20 +20,12 @@ Run:  pytest benchmarks/bench_sharding.py --benchmark-only
 
 from __future__ import annotations
 
-import tempfile
 import time
-from functools import lru_cache
 
 import pytest
 
 import common
 from repro.core import ExecutorConfig, KeywordQuery, XKeyword
-from repro.sharding import (
-    ShardWorkerPool,
-    ShardedXKeyword,
-    create_shards,
-    open_sharded,
-)
 
 LATENCY = 0.002
 """Per-query round trip: a remote-DBMS hop (cf. fig16a's 0.3 ms LAN hop)."""
@@ -51,33 +43,16 @@ def scaling_queries() -> list[KeywordQuery]:
     return [KeywordQuery(pair, max_size=MAX_SIZE) for pair in ALL_RESULTS_PAIRS]
 
 
-@lru_cache(maxsize=None)
-def shard_directory(count: int) -> str:
-    """Scatter the shared bench database into ``count`` shards (memoized)."""
-    directory = tempfile.mkdtemp(prefix=f"bench_shards_{count}_")
-    create_shards(common.bench_database(), count, directory)
-    return directory
-
-
-def bench_decompositions():
-    loaded = common.bench_database()
-    return [store.decomposition for store in loaded.stores.values()]
-
-
 def run_thread_scatter(shards: int, backend: str) -> int:
     """All-results workload under logical (thread) scatter with latency."""
     loaded = common.bench_database()
     engine = XKeyword(
         loaded, executor_config=ExecutorConfig(backend=backend), shards=shards
     )
-    database = loaded.database
-    database.simulated_latency = LATENCY
-    try:
-        produced = 0
+    produced = 0
+    with common.round_trip_latency(loaded.database, LATENCY):
         for query in scaling_queries():
             produced += len(engine.search_all(query).mttons)
-    finally:
-        database.simulated_latency = 0.0
     return produced
 
 
@@ -92,53 +67,6 @@ def test_thread_scatter_all_results(benchmark, shards, backend):
     assert produced > 0
 
 
-def run_process_scatter(pool: ShardWorkerPool, engine: ShardedXKeyword) -> int:
-    produced = 0
-    for query in scaling_queries():
-        produced += len(engine.search_all(query).mttons)
-    return produced
-
-
-def process_setup(count: int, backend: str):
-    """A started pool plus a gather engine over the same shard directory."""
-    directory = shard_directory(count)
-    loaded = common.bench_database()
-    decompositions = bench_decompositions()
-    pool = ShardWorkerPool(
-        directory,
-        loaded.catalog,
-        decompositions,
-        config=ExecutorConfig(backend=backend),
-        simulated_latency=LATENCY,
-    )
-    engine = ShardedXKeyword(
-        open_sharded(
-            directory,
-            loaded.catalog,
-            decompositions,
-            simulated_latency=LATENCY,
-        ),
-        pool,
-    )
-    return pool, engine
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("shards", (1, 4))
-def test_process_scatter_all_results(benchmark, shards, backend):
-    benchmark.group = f"sharding-processes-{backend}"
-    benchmark.name = f"{shards} worker(s)"
-    pool, engine = process_setup(shards, backend)
-    try:
-        run_process_scatter(pool, engine)  # warm worker engines
-        produced = benchmark.pedantic(
-            run_process_scatter, args=(pool, engine), rounds=1, iterations=1
-        )
-    finally:
-        pool.close()
-    assert produced > 0
-
-
 def run_thread_topk(shards: int) -> int:
     """The Fig 15(a) co-author top-10 workload under logical scatter.
 
@@ -149,14 +77,10 @@ def run_thread_topk(shards: int) -> int:
     """
     loaded = common.bench_database()
     engine = XKeyword(loaded, shards=shards)
-    database = loaded.database
-    database.simulated_latency = LATENCY
-    try:
-        produced = 0
+    produced = 0
+    with common.round_trip_latency(loaded.database, LATENCY):
         for query in common.bench_queries(max_size=8):
             produced += len(engine.search(query, k=10).mttons)
-    finally:
-        database.simulated_latency = 0.0
     return produced
 
 
@@ -176,27 +100,6 @@ def test_four_shard_speedup_thread():
     serial = _timed_thread(1)
     scattered = _timed_thread(4)
     assert serial / scattered >= 1.8, (serial, scattered)
-
-
-def test_four_shard_speedup_process():
-    """Shape check: 4 worker processes beat the 1-worker pool.
-
-    The threshold is looser than the thread-mode gate (1.4x vs 1.8x):
-    each worker re-runs the pipeline front half and the coordinator
-    rematerializes MTTONs from returned triples, so the process win is
-    smaller and more sensitive to host load (measured 1.7-2.1x).
-    """
-    walls = {}
-    for count in (1, 4):
-        pool, engine = process_setup(count, "python")
-        try:
-            run_process_scatter(pool, engine)  # warm worker engines
-            started = time.perf_counter()
-            run_process_scatter(pool, engine)
-            walls[count] = time.perf_counter() - started
-        finally:
-            pool.close()
-    assert walls[1] / walls[4] >= 1.4, walls
 
 
 def _timed_thread(shards: int) -> float:

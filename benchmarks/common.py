@@ -10,6 +10,8 @@ Oracle absolute times — and every knob is in :data:`BenchScale`.
 from __future__ import annotations
 
 import random
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,6 +77,32 @@ def bench_database() -> LoadedDatabase:
         )
     )
     return load_database(graph, catalog, build_decompositions())
+
+
+@contextmanager
+def round_trip_latency(database, seconds: float):
+    """Charge every read query on ``database`` one round trip.
+
+    The paper's system talks to Oracle over JDBC, so every focused query
+    pays a round trip; in-process SQLite has none.  Inside the block
+    this instance's ``query``/``query_one`` sleep ``seconds`` before
+    running (writes are not delayed); the originals are restored on
+    exit.  Not reentrant on one database.
+    """
+
+    def delayed(read):
+        def call(sql, params=()):
+            time.sleep(seconds)
+            return read(sql, params)
+
+        return call
+
+    database.query = delayed(database.query)
+    database.query_one = delayed(database.query_one)
+    try:
+        yield
+    finally:
+        del database.query, database.query_one
 
 
 @lru_cache(maxsize=1)

@@ -139,12 +139,9 @@ def fig16a(repeats: int, latency: float) -> None:
 
         raw_cached = timed(lambda: run(True), repeats)
         raw_naive = timed(lambda: run(False), repeats)
-        database.simulated_latency = latency
-        try:
+        with common.round_trip_latency(database, latency):
             lat_cached = timed(lambda: run(True), 1)
             lat_naive = timed(lambda: run(False), 1)
-        finally:
-            database.simulated_latency = 0.0
         record_metric(
             f"fig16a/size{size}/in_process_speedup", raw_naive / raw_cached, "higher"
         )
@@ -175,24 +172,18 @@ def fig16b(repeats: int, latency: float) -> None:
     for size in sizes:
         row = [str(size)]
         for variant in ("inlined", "minimal", "combination"):
-            database.simulated_latency = latency
-            try:
-                samples = []
-                for _ in range(repeats):
-                    navigator = None
-                    database.simulated_latency = 0.0
-                    navigator = fig.build_navigator(variant, size)
-                    database.simulated_latency = latency
+            samples = []
+            for _ in range(repeats):
+                navigator = fig.build_navigator(variant, size)
+                with common.round_trip_latency(database, latency):
                     started = time.perf_counter()
                     fig.expand_paper(navigator)
                     samples.append(time.perf_counter() - started)
-                record_metric(
-                    f"fig16b/size{size}/{variant}",
-                    statistics.median(samples) * 1000,
-                )
-                row.append(f"{statistics.median(samples) * 1000:.0f}")
-            finally:
-                database.simulated_latency = 0.0
+            record_metric(
+                f"fig16b/size{size}/{variant}",
+                statistics.median(samples) * 1000,
+            )
+            row.append(f"{statistics.median(samples) * 1000:.0f}")
         rows.append(row)
     table(
         f"Figure 16(b) - expansion time (ms) of a Paper node, "
@@ -306,12 +297,9 @@ def sql_backend_report(repeats: int, latency: float) -> None:
         py_seconds = timed(lambda: run("python"), repeats)
         run("sql")  # warm the compiled-statement cache before timing
         sql_seconds = timed(lambda: run("sql"), repeats)
-        database.simulated_latency = latency
-        try:
+        with common.round_trip_latency(database, latency):
             lat_py = timed(lambda: run("python"), 1)
             lat_sql = timed(lambda: run("sql"), 1)
-        finally:
-            database.simulated_latency = 0.0
         record_metric(f"sqlbackend/top{k:02d}/python", py_seconds * 1000)
         record_metric(f"sqlbackend/top{k:02d}/sql", sql_seconds * 1000)
         record_metric(
@@ -475,13 +463,9 @@ def streaming_report(repeats: int) -> None:
 def sharding_report(repeats: int) -> None:
     """Shard scaling on the bandwidth-bound all-results workload.
 
-    Logical (thread) scatter sweeps 1/2/4/8 shards; physical (worker
-    process) scatter compares a 1-worker pool to 4 workers.  Both time
-    ``bench_sharding``'s mid-frequency all-results queries under its
-    simulated round trip, for both executor backends.  Runs *last*:
-    ``create_shards`` persists index metadata into the shared memoized
-    bench database, which would perturb the fingerprint-sensitive
-    sections if they ran after it.
+    Thread scatter sweeps 1/2/4/8 shards, timing ``bench_sharding``'s
+    mid-frequency all-results queries under its simulated round trip,
+    for both executor backends.
     """
     import bench_sharding as shard
 
@@ -499,43 +483,14 @@ def sharding_report(repeats: int) -> None:
             f"sharding/{backend}/thread_speedup_4shards", speedup, "higher"
         )
         rows.append(
-            [backend, "threads"]
+            [backend]
             + [f"{walls[c] * 1000:.0f}" for c in shard.SHARD_COUNTS]
             + [f"{speedup:.2f}x"]
-        )
-    for backend in shard.BACKENDS:
-        walls = {}
-        for count in (1, 4):
-            pool, engine = shard.process_setup(count, backend)
-            try:
-                shard.run_process_scatter(pool, engine)  # warm workers
-                walls[count] = timed(
-                    lambda: shard.run_process_scatter(pool, engine), repeats
-                )
-            finally:
-                pool.close()
-            record_metric(
-                f"sharding/{backend}/process{count}", walls[count] * 1000
-            )
-        speedup = walls[1] / walls[4]
-        record_metric(
-            f"sharding/{backend}/process_speedup_4shards", speedup, "higher"
-        )
-        rows.append(
-            [
-                backend,
-                "processes",
-                f"{walls[1] * 1000:.0f}",
-                "-",
-                f"{walls[4] * 1000:.0f}",
-                "-",
-                f"{speedup:.2f}x",
-            ]
         )
     table(
         f"Shard scaling - all-results workload (ms), "
         f"round trip = {shard.LATENCY * 1000:.1f} ms",
-        ["backend", "mode", "1", "2", "4", "8", "1/4 speedup"],
+        ["backend", "1", "2", "4", "8", "1/4 speedup"],
         rows,
     )
 

@@ -57,16 +57,12 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "updates": frozenset(
         {"decomposition", "schema", "storage", "trace", "xmlgraph"}
     ),
-    "sharding": frozenset(
-        {"core", "decomposition", "schema", "storage", "trace", "xmlgraph"}
-    ),
     "service": frozenset(
         {
             "analysis",
             "core",
             "decomposition",
             "schema",
-            "sharding",
             "storage",
             "trace",
             "updates",

@@ -7,7 +7,6 @@ Usage::
     python -m repro search --catalog dblp --xml dblp.xml "smith chen" -k 10
     python -m repro search --catalog tpch --xml fig1.xml "john vcr" --explain
     python -m repro search --catalog dblp --demo "smith chen" --shards 4
-    python -m repro search --catalog dblp --demo "smith chen" --shards 4 --shard-mode process
     python -m repro explain --catalog dblp --demo "smith chen"
     python -m repro serve --catalog dblp --demo --port 8080
     python -m repro update insert --server http://127.0.0.1:8080 --xml new.xml --parent c0y1
@@ -127,16 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="print the recorded span tree (stages, plans, "
                 "estimated vs. actual cardinality, per-relation lookups) "
                 "after the results",
-            )
-            sub.add_argument(
-                "--shard-mode",
-                choices=("thread", "process"),
-                default="thread",
-                dest="shard_mode",
-                help="with --shards N>1: scatter on threads over one "
-                "database, or physically partition into per-shard SQLite "
-                "files and run one worker process per shard "
-                "(multiprocess scatter-gather; see repro.sharding)",
             )
             sub.add_argument(
                 "--stream",
@@ -354,56 +343,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _process_sharded_search(
-    args: argparse.Namespace,
-    catalog: Catalog,
-    loaded: LoadedDatabase,
-    query: KeywordQuery,
-):
-    """Run one search over a freshly scattered shard directory.
-
-    The multiprocess demo path of ``search --shards N --shard-mode
-    process``: partitions the loaded database into per-shard SQLite
-    files under a temporary directory, starts one worker process per
-    shard, and scatter-gathers the query through
-    :class:`repro.sharding.ShardedXKeyword`.
-    """
-    import tempfile
-
-    from .core import ExecutorConfig
-    from .sharding import (
-        ShardWorkerPool,
-        ShardedXKeyword,
-        create_shards,
-        open_sharded,
-    )
-
-    decompositions = [store.decomposition for store in loaded.stores.values()]
-    config = ExecutorConfig(
-        backend=getattr(args, "backend", None),
-        strategy=getattr(args, "strategy", "shared-prefix+pruning"),
-    )
-    tracer = None
-    if args.explain:
-        from .trace import Tracer
-
-        tracer = Tracer()
-    with tempfile.TemporaryDirectory(prefix="repro_shards_") as directory:
-        create_shards(loaded, args.shards, directory)
-        pool = ShardWorkerPool(directory, catalog, decompositions, config=config)
-        try:
-            engine = ShardedXKeyword(
-                open_sharded(directory, catalog, decompositions),
-                pool,
-                tracer=tracer,
-            )
-            if args.all:
-                return engine.search_all(query)
-            return engine.search(query, k=args.k)
-        finally:
-            pool.close()
-
-
 def _print_mtton(rank: int, mtton, prefix: str = "") -> None:
     """Print one ranked result (nodes joined by edges) with ``prefix``."""
     labels = mtton.ctssn.network.labels
@@ -419,16 +358,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     query = KeywordQuery(tuple(args.keywords.split()), max_size=args.max_size)
     started = time.perf_counter()
     streamed = False
-    if args.shard_mode == "process" and (args.shards or 0) > 1:
-        if args.stream:
-            print(
-                "--stream: process shard-mode gathers before ranking; "
-                "delivery is buffered",
-                file=sys.stderr,
-            )
-        result = _process_sharded_search(args, catalog, loaded, query)
-    elif args.stream:
-        engine = _make_engine(args, loaded)
+    engine = _make_engine(args, loaded)
+    if args.stream:
         stream = engine.search_streaming(
             query, k=args.k, all_results=args.all
         )
@@ -437,12 +368,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
             arrived = (time.perf_counter() - started) * 1000
             _print_mtton(rank, mtton, prefix=f"[{arrived:8.1f} ms] ")
         result = stream.result()
+    elif args.all:
+        result = engine.search_all(query)
     else:
-        engine = _make_engine(args, loaded)
-        if args.all:
-            result = engine.search_all(query)
-        else:
-            result = engine.search(query, k=args.k)
+        result = engine.search(query, k=args.k)
     elapsed = time.perf_counter() - started
     print(
         f"{len(result.mttons)} result(s) from "
@@ -456,8 +385,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
             for shard, count in sorted(result.metrics.shard_results.items())
         )
         print(
-            f"scattered across {len(result.metrics.shard_results)} shards "
-            f"({args.shard_mode} mode): {per_shard}"
+            f"scattered across {len(result.metrics.shard_results)} shards: "
+            f"{per_shard}"
         )
     if not streamed:
         for rank, mtton in enumerate(result.mttons, start=1):

@@ -35,7 +35,6 @@ from .execution import (
     PlannedCN,
     PrefixSpec,
     QueryExecution,
-    ShardPartition,
     TopKBound,
     assign_shared_prefixes,
     resolve_shards,
@@ -169,13 +168,11 @@ class XKeyword:
     Every entry point funnels into :meth:`_run`: matching, the front
     half (:meth:`_plan_networks`) and execution, each stage behind the
     one :func:`_stage` wrapper.  Execution is **lanes × work units**: a
-    lane is one partition of the anchor space (one lane when unsharded
-    or when the caller passes a ``partition``, ``shards`` otherwise), a
-    unit is one candidate network evaluated on one lane, and
-    :meth:`_evaluate` is the only code that runs a unit.  A lone lane
-    fans its units over the thread pool; scatter runs one thread per
-    lane via :meth:`_gather`, the one hook
-    :class:`repro.sharding.ShardedXKeyword` overrides.
+    lane is one partition of the anchor space (one lane when unsharded,
+    ``shards`` otherwise), a unit is one candidate network evaluated on
+    one lane, and :meth:`_evaluate` is the only code that runs a unit.
+    A lone lane fans its units over the thread pool; scatter runs one
+    thread per lane via :meth:`_gather`.
     """
 
     def __init__(
@@ -215,8 +212,7 @@ class XKeyword:
                 seeds partitioned by :func:`~repro.core.execution.shard_of`;
                 ranked results stay byte-identical to the unsharded run).
                 ``None`` resolves from ``$REPRO_SHARDS``; 0/1 disable
-                scattering.  Process-per-shard execution lives in
-                :mod:`repro.sharding`.
+                scattering.
         """
         self.loaded = loaded
         names = store_priority or list(loaded.stores)
@@ -337,8 +333,6 @@ class XKeyword:
         config: ExecutorConfig | None = None,
         parallel: bool = True,
         *,
-        partition: ShardPartition | None = None,
-        shared_bound=None,
         stream: ResultStream | None = None,
     ) -> SearchResult:
         """Top-k search: the web-search-engine-like presentation mode.
@@ -350,13 +344,6 @@ class XKeyword:
             config: Per-call execution switches (defaults to the
                 engine's).
             parallel: Evaluate candidate networks on a thread pool.
-            partition: Evaluate only one shard's slice of the anchor
-                space (a worker's sub-run in scatter-gather mode); the
-                engine's own ``shards`` scattering is bypassed.
-            shared_bound: External top-k bound replacing the local
-                :class:`~repro.core.execution.TopKBound` — scatter-gather
-                coordinators propagate the global k-th best through it so
-                cross-shard pruning stays exact.
             stream: Optional :class:`~repro.core.streaming.ResultStream`
                 the scheduler publishes each ranked result to the moment
                 its score band is final (the streamed sequence is
@@ -364,7 +351,7 @@ class XKeyword:
                 stream is completed — or its unstreamed tail published —
                 when the search returns.
         """
-        return self._run(query, k, config, parallel, partition, shared_bound, stream)
+        return self._run(query, k, config, parallel, stream=stream)
 
     def search_all(
         self,
@@ -441,8 +428,6 @@ class XKeyword:
         limit: int | None,
         config: ExecutorConfig | None,
         parallel: bool,
-        partition: ShardPartition | None = None,
-        shared_bound=None,
         stream: ResultStream | None = None,
     ) -> SearchResult:
         if isinstance(query, str):
@@ -471,14 +456,13 @@ class XKeyword:
         if all(containing.keyword_tos[keyword] for keyword in query.keywords):
             planned = self._plan_networks(query, containing, config, result, trace)
             run = QueryExecution(
-                query, planned, containing, config, limit,
-                self.shards if partition is None else 1, trace,
+                query, planned, containing, config, limit, self.shards, trace
             )
             if config.prune_by_bound and limit is not None:
-                run.bound = shared_bound if shared_bound is not None else TopKBound(limit)
+                run.bound = TopKBound(limit)
             if stream is not None:
                 run.emitter = self._open_emitter(stream, run, metrics)
-            self._execute(run, parallel, partition)
+            self._execute(run, parallel)
             for lane in run.lanes:
                 metrics.merge(lane.metrics)
             # The gathered multiset is the same however the units were
@@ -576,18 +560,16 @@ class XKeyword:
     # ------------------------------------------------------------------
     # Execution: dispatchers of the one work-unit evaluator
     # ------------------------------------------------------------------
-    def _execute(
-        self, run: QueryExecution, parallel: bool, partition: ShardPartition | None
-    ) -> None:
-        """Dispatch every unit of ``run``: a lone lane (unsharded, or a
-        worker's ``partition``) fans its CNs over the thread pool,
-        smallest first; a scattered run goes to :meth:`_gather`."""
+    def _execute(self, run: QueryExecution, parallel: bool) -> None:
+        """Dispatch every unit of ``run``: a lone (unsharded) lane fans
+        its CNs over the thread pool, smallest first; a scattered run
+        goes to :meth:`_gather`."""
         if run.shards > 1:
             for cn in run.planned:
                 cn.span.annotate(scattered_across=run.shards)
             self._gather(run)
             return
-        lane = run.open_lane(partition)
+        lane = run.open_lane(None)
         if parallel and len(run.planned) > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 list(pool.map(lambda cn: self._evaluate(run, cn, lane), run.planned))
@@ -603,11 +585,6 @@ class XKeyword:
         every CN in rank order; the partition is exact, so the union
         over lanes equals the unsharded result multiset.  Pruning is per
         unit: ``cns_pruned`` counts each (CN, shard) skip.
-
-        The one hook other lane transports override, reporting through
-        the same ``shard_lane`` / ``unit_done`` / ``close`` ledger.  An
-        override that only learns results at gather time may ignore
-        ``run.emitter``: the stream then publishes in bulk at completion.
         """
 
         def run_lane(lane: Lane) -> None:
@@ -692,14 +669,6 @@ class XKeyword:
     def _finish(
         self, result: SearchResult, started: float, trace, stream: ResultStream | None
     ) -> SearchResult:
-        if stream is not None and result.mttons:
-            # Paths without an incremental emitter (process-sharded
-            # gather, empty-query early return) only deliver at
-            # completion: first-result latency equals full latency.
-            if "first_result" not in result.metrics.stage_seconds:
-                result.metrics.record_stage(
-                    "first_result", time.perf_counter() - started
-                )
         trace.root.annotate(
             results=len(result.mttons),
             candidate_networks=len(result.candidate_networks),

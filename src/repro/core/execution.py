@@ -88,9 +88,8 @@ def shard_of(to_id: str, shards: int) -> int:
     """The shard owning a target object: ``crc32(to_id) % shards``.
 
     CRC32 rather than :func:`hash` because Python string hashing is
-    salted per process — worker processes and the coordinator must agree
-    on ownership, and the persisted partition book must stay valid
-    across restarts.
+    salted per process: a target object keeps its shard, and with it
+    its per-shard metric series, across restarts.
     """
     return zlib.crc32(to_id.encode("utf-8")) % shards
 
@@ -138,15 +137,18 @@ class ShardPartition:
 def resolve_shards(shards: int | None) -> int:
     """Normalize a shard count, resolving ``None`` from ``$REPRO_SHARDS``.
 
-    Returns at least 1; invalid or missing environment values mean
-    unsharded rather than a crash at engine construction.
+    Returns at least 1: 0, 1 and an unset or empty variable all mean
+    unsharded.  A non-integer or negative environment value raises (as a
+    mistyped ``$REPRO_BACKEND`` does) instead of silently running
+    unsharded.
     """
     if shards is None:
         raw = os.environ.get(SHARDS_ENV_VAR, "")
-        try:
-            shards = int(raw) if raw else 1
-        except ValueError:
-            shards = 1
+        if raw and not raw.isdecimal():
+            raise ValueError(
+                f"${SHARDS_ENV_VAR} must be a non-negative integer, got {raw!r}"
+            )
+        shards = int(raw or 1)
     return max(1, shards)
 
 
@@ -584,10 +586,9 @@ class _HashAccess:
 class ExecutorConfig:
     """Execution-mode switches (Section 6 variants).
 
-    A plain validated value object (hashable, picklable — the shard
-    worker pool ships it to its processes) with five settable fields.
-    Validation collects *every* invalid field into one ``ValueError``
-    instead of stopping at the first.
+    A plain validated value object (hashable, picklable) with five
+    settable fields.  Validation collects *every* invalid field into one
+    ``ValueError`` instead of stopping at the first.
     """
 
     backend: str | None = None
@@ -1098,9 +1099,9 @@ class QueryExecution:
         self.lanes.append(lane)
         return lane
 
-    def shard_lane(self, index: int, **attributes) -> Lane:
+    def shard_lane(self, index: int) -> Lane:
         """Add the scatter lane of shard ``index`` under a ``shard`` span."""
-        span = self.trace.span("shard", shard=index, shards=self.shards, **attributes)
+        span = self.trace.span("shard", shard=index, shards=self.shards)
         return self.open_lane(ShardPartition(index, self.shards), span)
 
     def unit_done(
@@ -1108,8 +1109,8 @@ class QueryExecution:
         cn: PlannedCN,
         lane: Lane,
         mttons: list[MTTON],
-        skipped: dict | None = None,
-        metrics: ExecutionMetrics | None = None,
+        skipped: dict | None,
+        metrics: ExecutionMetrics,
     ) -> None:
         """Fold one finished (CN, lane) unit into the shared ledgers.
 
@@ -1120,8 +1121,7 @@ class QueryExecution:
         with self._lock:
             self.collected.extend(mttons)
             lane.results += len(mttons)
-            if metrics is not None:
-                lane.metrics.merge(metrics)
+            lane.metrics.merge(metrics)
             cn.produced += len(mttons)
             cn.executed = cn.executed or skipped is None
             cn.reported += 1

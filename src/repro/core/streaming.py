@@ -90,10 +90,10 @@ class ResultStream:
     :meth:`publish` for each admitted result in final ranked order and
     exactly one of :meth:`complete` / :meth:`fail` at the end.
     :meth:`complete` also publishes any ranked tail the producer never
-    streamed incrementally (e.g. the process-sharded scatter path,
-    which only learns results at gather time), so consumers always see
-    the full buffered top-k regardless of how incremental the engine
-    path was.
+    streamed incrementally (e.g. the service's cached replay, which
+    completes a fresh stream from a stored result), so consumers always
+    see the full buffered top-k regardless of how incremental the
+    producer was.
 
     Consumers either iterate a :meth:`subscribe` cursor for incremental
     delivery or block on :meth:`result` for the buffered

@@ -826,34 +826,9 @@ class QueryService:
 
     @staticmethod
     def _shard_health(state: _EngineState) -> dict:
-        """The ``/healthz`` shard section for the current generation.
-
-        Reports the engine's scatter width always; when the storage is a
-        sharded directory (``repro.sharding.ShardedDatabase``, detected
-        by its partition book) also the persisted partition layout and
-        per-shard write counts, so imbalance is visible from a probe.
-        """
+        """The ``/healthz`` shard section: the engine's scatter width."""
         shard_count = getattr(state.engine, "shards", 1)
-        payload: dict = {
-            "count": shard_count,
-            "scattered": shard_count > 1,
-        }
-        database = state.loaded.database
-        book = getattr(database, "book", None)
-        if book is not None:
-            payload["partition"] = {
-                "policy": book.policy,
-                "num_shards": book.num_shards,
-                "objects_per_shard": {
-                    str(index): count
-                    for index, count in sorted(book.counts.items())
-                },
-            }
-            payload["writes_per_shard"] = {
-                str(index): count
-                for index, count in sorted(database.write_counts().items())
-            }
-        return payload
+        return {"count": shard_count, "scattered": shard_count > 1}
 
     def metrics_text(self) -> str:
         """Render the registry, refreshing scrape-time gauges first."""

@@ -11,34 +11,22 @@ from __future__ import annotations
 import itertools
 import sqlite3
 import threading
-import time
 from typing import Any, Iterable, Sequence
 
 _MEMORY_COUNTER = itertools.count(1)
 
 
 class Database:
-    """Thread-aware wrapper over one SQLite database.
+    """Thread-aware wrapper over one SQLite database."""
 
-    Attributes:
-        simulated_latency: Optional per-read-query delay in seconds.
-            The paper's system talks to Oracle over JDBC, so every
-            focused query pays a round trip; in-process SQLite has none.
-            Setting this models that round-trip cost explicitly (the
-            Figure 16(b) benchmark uses it to reproduce the paper's
-            trade-off between query count and query width).
-    """
-
-    def __init__(self, path: str | None = None, simulated_latency: float = 0.0) -> None:
+    def __init__(self, path: str | None = None) -> None:
         """Create or open a database.
 
         Args:
             path: Filesystem path, or ``None`` for a private in-memory
                 database shared across this object's per-thread
                 connections.
-            simulated_latency: Per-read-query delay in seconds.
         """
-        self.simulated_latency = simulated_latency
         if path is None:
             name = f"xkeyword_mem_{next(_MEMORY_COUNTER)}"
             self._uri = f"file:{name}?mode=memory&cache=shared"
@@ -72,13 +60,9 @@ class Database:
         self.connection.executemany(sql, rows)
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
-        if self.simulated_latency > 0.0:
-            time.sleep(self.simulated_latency)
         return self.connection.execute(sql, params).fetchall()
 
     def query_one(self, sql: str, params: Sequence[Any] = ()) -> tuple | None:
-        if self.simulated_latency > 0.0:
-            time.sleep(self.simulated_latency)
         return self.connection.execute(sql, params).fetchone()
 
     def commit(self) -> None:

@@ -77,8 +77,8 @@ class TestValueObject:
             ExecutorConfig().backend = BACKEND_SQL
 
     def test_pickles_with_the_resolved_backend(self, monkeypatch):
-        # The shard worker pool ships the config to its processes; the
-        # backend resolved from the coordinator's environment must stick.
+        # A copy keeps the backend resolved where the config was built,
+        # not the environment of whoever unpickles it.
         monkeypatch.setenv(BACKEND_ENV_VAR, BACKEND_SQL)
         config = ExecutorConfig(memoize=False)
         monkeypatch.delenv(BACKEND_ENV_VAR)

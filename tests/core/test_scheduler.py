@@ -205,7 +205,7 @@ def ranked(result):
 class TestEngineScheduling:
     def test_prefix_metrics_and_trace_attributes(self, small_dblp_db):
         # shards=1 pins the unsharded trace/metric shape; the scattered
-        # equivalents are covered by tests/sharding/.
+        # equivalents are covered by tests/core/test_work_units.py.
         engine = XKeyword(small_dblp_db, tracer=Tracer(TraceStore()), shards=1)
         config = ExecutorConfig(strategy="shared-prefix")
         result = engine.search(DBLP_QUERY, k=10, config=config, parallel=False)

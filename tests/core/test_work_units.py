@@ -2,7 +2,6 @@
 
 Covers what the one-evaluator refactor made *single* paths: the
 scattered trace shape (``cn`` spans close with summed actuals), the
-public partitioned entry point the shard workers call, the
 ``XKeyword.stream()`` generator as a cancelling view of
 ``search_streaming``, bounded failure when a unit raises, and the one
 stage vocabulary.
@@ -24,7 +23,6 @@ from repro.core import (
     ExecutorConfig,
     KeywordQuery,
     ResultStream,
-    ShardPartition,
     XKeyword,
 )
 from repro.core.execution import QueryExecution
@@ -96,23 +94,7 @@ class TestScatteredTrace:
                 assert span.attributes["actual_results"] == 0
 
 
-class TestPartitionedEntryPoint:
-    """``search(partition=...)`` is what a shard worker calls — public."""
-
-    @pytest.mark.parametrize("k", [None, 7])
-    def test_partitions_union_to_the_unsharded_run(self, small_dblp_db, k):
-        engine = XKeyword(small_dblp_db, shards=1)
-        oracle = ranked(engine.search(QUERY, k=k, parallel=False))
-        gathered = []
-        for index in range(3):
-            part = engine.search(QUERY, k=k, partition=ShardPartition(index, 3))
-            assert not part.metrics.shard_results  # a sub-run is one lane
-            gathered.extend(ranked(part))
-        gathered.sort(key=lambda row: (row[2], row[0], row[1]))
-        assert gathered[: len(oracle)] == oracle
-        if k is None:
-            assert len(gathered) == len(oracle)
-
+class TestAllResultsEntryPoint:
     def test_search_all_is_search_without_a_cutoff(self, small_dblp_db):
         engine = XKeyword(small_dblp_db)
         assert ranked(engine.search_all(QUERY)) == ranked(engine.search(QUERY, k=None))

@@ -1,6 +1,4 @@
-"""Tests for the store-level scan/hash caches and simulated latency."""
-
-import time
+"""Tests for the store-level scan/hash caches."""
 
 import pytest
 
@@ -52,33 +50,3 @@ class TestScanCache:
         store.load(to_graph)
         assert store.scan_cached(fragment) is not first
 
-
-class TestSimulatedLatency:
-    def test_latency_slows_queries(self):
-        db = Database()
-        db.execute("CREATE TABLE t (x INTEGER)")
-        db.execute("INSERT INTO t VALUES (1)")
-        started = time.perf_counter()
-        for _ in range(5):
-            db.query("SELECT * FROM t")
-        fast = time.perf_counter() - started
-        db.simulated_latency = 0.01
-        started = time.perf_counter()
-        for _ in range(5):
-            db.query("SELECT * FROM t")
-        slow = time.perf_counter() - started
-        db.simulated_latency = 0.0
-        assert slow >= 0.05 > fast
-
-    def test_latency_applies_to_query_one(self):
-        db = Database(simulated_latency=0.01)
-        db.execute("CREATE TABLE t (x INTEGER)")
-        started = time.perf_counter()
-        db.query_one("SELECT COUNT(*) FROM t")
-        assert time.perf_counter() - started >= 0.01
-
-    def test_writes_unaffected(self):
-        db = Database(simulated_latency=0.05)
-        started = time.perf_counter()
-        db.execute("CREATE TABLE t (x INTEGER)")
-        assert time.perf_counter() - started < 0.05

@@ -24,7 +24,7 @@ import inspect
 import pkgutil
 import sys
 
-PACKAGES = ("repro.core", "repro.service", "repro.sharding", "repro.trace")
+PACKAGES = ("repro.core", "repro.service", "repro.trace")
 
 
 def iter_modules(package_name: str):
