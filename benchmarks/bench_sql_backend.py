@@ -21,21 +21,16 @@ from __future__ import annotations
 import pytest
 
 import common
-from repro.storage import CompiledStatementCache
 
 KS = (1, 10)
 BACKENDS = ("python", "sql")
 
 
-def run_topk(backend: str, k: int, statement_cache=None) -> int:
+def run_topk(backend: str, k: int) -> int:
     total = 0
     for prepared in common.prepared_searches("XKeyword", max_size=8):
         total += common.execute_prepared(
-            prepared,
-            k,
-            backend=backend,
-            strategy="shared-prefix+pruning",
-            statement_cache=statement_cache,
+            prepared, k, backend=backend, strategy="shared-prefix+pruning"
         )
     return total
 
@@ -47,18 +42,6 @@ def test_backend_topk(benchmark, backend, k):
     benchmark.name = backend
     produced = benchmark(run_topk, backend, k)
     assert produced > 0
-
-
-@pytest.mark.parametrize("k", KS)
-def test_backend_topk_sql_cached_statements(benchmark, k):
-    """The service wiring: compiled statements reused across searches."""
-    benchmark.group = f"sql-backend-top{k}"
-    benchmark.name = "sql+stmtcache"
-    cache = CompiledStatementCache()
-    run_topk("sql", k, statement_cache=cache)  # warm the cache
-    produced = benchmark(run_topk, "sql", k, cache)
-    assert produced > 0
-    assert cache.stats()["hits"] > 0
 
 
 def test_sql_sends_fewer_statements():

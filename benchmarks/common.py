@@ -192,7 +192,6 @@ def execute_prepared(
     backend: str = "python",
     memoize: bool = True,
     strategy: str = "serial",
-    statement_cache=None,
 ) -> int:
     """Run pre-planned CTSSNs in score order under one scheduling strategy.
 
@@ -205,8 +204,6 @@ def execute_prepared(
     adds once-per-query materialization of canonical join prefixes, and
     ``shared-prefix+pruning`` also skips CNs whose score exceeds the
     global k-th best collected score — all three produce the same top-k.
-    ``statement_cache`` (a ``CompiledStatementCache``) lets repeated
-    ``sql`` runs skip recompilation, mirroring the service wiring.
     """
     from repro.core import (
         CTSSNExecutor,
@@ -242,18 +239,10 @@ def execute_prepared(
             prefix=prefixes.get(index),
             prefix_table=prefix_table,
         )
-        if config.backend == "sql":
-            executor = SQLCTSSNExecutor(
-                plan,
-                prepared.engine.stores,
-                prepared.containing,
-                statement_cache=statement_cache,
-                **kwargs,
-            )
-        else:
-            executor = CTSSNExecutor(
-                plan, prepared.engine.stores, prepared.containing, **kwargs
-            )
+        executor_class = SQLCTSSNExecutor if config.backend == "sql" else CTSSNExecutor
+        executor = executor_class(
+            plan, prepared.engine.stores, prepared.containing, **kwargs
+        )
         for _ in executor.run(limit=k):
             produced += 1
             if bound is not None:

@@ -274,28 +274,18 @@ def sql_backend_report(repeats: int, latency: float) -> None:
     with the per-statement round trip.  Both run the default
     ``shared-prefix+pruning`` scheduler.
     """
-    from repro.storage import CompiledStatementCache
-
     database = common.bench_database().database
     rows = []
     for k in (1, 10):
         prepared = common.prepared_searches("XKeyword", max_size=8)
-        statement_cache = CompiledStatementCache()
 
         def run(backend: str) -> None:
             for p in prepared:
                 common.execute_prepared(
-                    p,
-                    k,
-                    backend=backend,
-                    strategy="shared-prefix+pruning",
-                    statement_cache=(
-                        statement_cache if backend == "sql" else None
-                    ),
+                    p, k, backend=backend, strategy="shared-prefix+pruning"
                 )
 
         py_seconds = timed(lambda: run("python"), repeats)
-        run("sql")  # warm the compiled-statement cache before timing
         sql_seconds = timed(lambda: run("sql"), repeats)
         with common.round_trip_latency(database, latency):
             lat_py = timed(lambda: run("python"), 1)

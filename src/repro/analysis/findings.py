@@ -63,6 +63,8 @@ RULES: dict[str, str] = {
     "RA202": "container mutated while being iterated",
     "RA203": "value-type dataclass in xmlgraph.model missing "
              "frozen=True/slots=True",
+    "RA204": "'<name> or <Class>(...)' default where <Class> defines "
+             "__len__/__bool__ (an empty instance passed in is replaced)",
     # --- domain invariants (runtime, debug_verify) --------------------
     "RV301": "candidate/TSS network is not a tree (cycle, self-loop or "
              "disconnected roles)",

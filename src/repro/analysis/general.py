@@ -1,4 +1,4 @@
-"""General correctness rules (RA201-RA203).
+"""General correctness rules (RA201-RA204).
 
 * RA201 — mutable default arguments (``def f(x=[])``): the default is
   shared across calls, a classic aliasing bug.
@@ -11,6 +11,11 @@
   makes accidental mutation impossible and slots cuts per-instance
   memory.  Dataclasses with mutable (dict/set/list) fields are exempt —
   they are builders, not values.
+* RA204 — ``<name> or <Class>(...)`` where ``<Class>`` is a class of this
+  package defining ``__len__`` or ``__bool__``: an *empty* instance is
+  falsy, so the default silently replaces the object the caller passed
+  (a shared cache handed over before its first entry).  Test
+  ``is None`` instead.
 """
 
 from __future__ import annotations
@@ -175,11 +180,47 @@ def _check_model_dataclass(module: Module, node: ast.ClassDef) -> list[Finding]:
     ]
 
 
+def _falsy_capable_classes(modules: list[Module]) -> set[str]:
+    """Names of the package's classes whose instances can be falsy."""
+    return {
+        node.name
+        for module in modules
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(member, ast.FunctionDef)
+            and member.name in ("__len__", "__bool__")
+            for member in node.body
+        )
+    }
+
+
+def _check_or_default(module: Module, node: ast.BoolOp, falsy: set[str]) -> list[Finding]:
+    fallback = node.values[-1]
+    if not (isinstance(node.op, ast.Or) and isinstance(fallback, ast.Call)):
+        return []
+    called = fallback.func
+    name = called.attr if isinstance(called, ast.Attribute) else getattr(called, "id", None)
+    if name not in falsy or not all(
+        isinstance(value, (ast.Name, ast.Attribute)) for value in node.values[:-1]
+    ):
+        return []
+    return [
+        module.finding(
+            node.lineno,
+            "RA204",
+            f"'... or {name}(...)' also replaces an empty {name} (it defines "
+            "__len__/__bool__, so a fresh instance is falsy); test 'is None'",
+        )
+    ]
+
+
 class GeneralChecker:
-    """RA201 and RA202 everywhere; RA203 on ``xmlgraph.model`` only."""
+    """RA201 and RA202 everywhere; RA203 on ``xmlgraph.model`` only;
+    RA204 project-wide (it resolves class names across modules)."""
 
     name = "general"
-    rules = ("RA201", "RA202", "RA203")
+    rules = ("RA201", "RA202", "RA203", "RA204")
 
     def check(self, module: Module) -> list[Finding]:
         findings: list[Finding] = []
@@ -192,3 +233,13 @@ class GeneralChecker:
             elif isinstance(node, ast.ClassDef) and model_module:
                 findings.extend(_check_model_dataclass(module, node))
         return findings
+
+    def check_project(self, modules: list[Module]) -> list[Finding]:
+        falsy = _falsy_capable_classes(modules)
+        return [
+            finding
+            for module in modules
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.BoolOp)
+            for finding in _check_or_default(module, node, falsy)
+        ]

@@ -7,7 +7,7 @@ initializes an attribute carries a guard annotation comment::
     class Counter:
         def __init__(self) -> None:
             self._value = 0.0          # guarded by: self._lock
-            self._state = build()      # guarded by: self._swap_lock [writes]
+            self._closed = False       # guarded by: self._lock [writes]
 
 ``guarded by`` demands that every read and write of the attribute inside
 the class happens under ``with self.<lock>``.  The ``[writes]`` qualifier

@@ -73,21 +73,21 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("keywords", help="space-separated keywords, quoted")
-        sub.add_argument("--catalog", choices=("dblp", "tpch", "xmark"), default="dblp")
-        source = sub.add_mutually_exclusive_group(required=True)
-        source.add_argument("--xml", help="XML document to load")
-        source.add_argument(
-            "--demo", action="store_true", help="use built-in synthetic data"
+        _add_engine_arguments(
+            sub,
+            backend_help="per-CN execution backend: Python nested loops, Python "
+            "hash joins, or one compiled SQL statement per plan executed "
+            "inside SQLite (all return identical results; default "
+            "honors $REPRO_BACKEND, else python)",
+            shards_help="scatter execution across N shards of the target-object "
+            "space (ranked results are identical to the unsharded run; "
+            "default honors $REPRO_SHARDS, else unsharded)",
+            verify_help="verify CN/CTSSN/plan invariants (RV301-RV310) "
+            "before executing",
         )
         sub.add_argument("-k", type=int, default=10, help="top-k cutoff")
         sub.add_argument("-z", "--max-size", type=int, default=8, dest="max_size")
-        sub.add_argument(
-            "--decomposition",
-            choices=("minimal", "xkeyword", "combined"),
-            default="minimal",
-        )
         sub.add_argument("--all", action="store_true", help="list every result")
-        sub.add_argument("--seed", type=int, default=7)
         sub.add_argument(
             "--strategy",
             choices=("serial", "shared-prefix", "shared-prefix+pruning"),
@@ -95,29 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="cross-CN scheduling: evaluate CNs independently, share "
             "canonical join prefixes, or also prune by the global top-k "
             "bound (all three return identical results)",
-        )
-        sub.add_argument(
-            "--backend",
-            choices=("python", "python-hash", "sql"),
-            default=None,
-            help="per-CN execution backend: Python nested loops, Python "
-            "hash joins, or one compiled SQL statement per plan executed "
-            "inside SQLite (all return identical results; default "
-            "honors $REPRO_BACKEND, else python)",
-        )
-        sub.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            help="scatter execution across N shards of the target-object "
-            "space (ranked results are identical to the unsharded run; "
-            "default honors $REPRO_SHARDS, else unsharded)",
-        )
-        sub.add_argument(
-            "--debug-verify",
-            action="store_true",
-            dest="debug_verify",
-            help="verify CN/CTSSN/plan invariants (RV301-RV310) before executing",
         )
         if name == "search":
             sub.add_argument(
@@ -150,17 +127,15 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="run the long-lived HTTP/JSON query service"
     )
-    serve.add_argument("--catalog", choices=("dblp", "tpch", "xmark"), default="dblp")
-    source = serve.add_mutually_exclusive_group(required=True)
-    source.add_argument("--xml", help="XML document to load")
-    source.add_argument(
-        "--demo", action="store_true", help="use built-in synthetic data"
-    )
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument(
-        "--decomposition",
-        choices=("minimal", "xkeyword", "combined"),
-        default="minimal",
+    _add_engine_arguments(
+        serve,
+        backend_help="default execution backend for the served engine "
+        "(per-request override via the /search 'backend' option; default "
+        "honors $REPRO_BACKEND, else python)",
+        shards_help="scatter every served search across N logical shards "
+        "(identical results; /metrics exports repro_shard_* series and "
+        "/healthz the layout; default honors $REPRO_SHARDS)",
+        verify_help="verify CN/CTSSN/plan invariants on every query (diagnostic)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080, help="0 picks a free port")
@@ -182,12 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result-cache freshness in seconds (0 disables expiry)",
     )
     serve.add_argument(
-        "--debug-verify",
-        action="store_true",
-        dest="debug_verify",
-        help="verify CN/CTSSN/plan invariants on every query (diagnostic)",
-    )
-    serve.add_argument(
         "--slow-query", type=float, default=1.0, dest="slow_query",
         help="log searches slower than this many seconds with their "
         "trace id (0 disables)",
@@ -197,28 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="no_tracing",
         help="disable per-query span trees and the /debug/trace endpoints",
-    )
-    serve.add_argument(
-        "--strategy",
-        choices=("serial", "shared-prefix", "shared-prefix+pruning"),
-        default="shared-prefix+pruning",
-        help="cross-CN scheduling strategy for the served engine",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("python", "python-hash", "sql"),
-        default=None,
-        help="default execution backend for the served engine (per-request "
-        "override via the /search 'backend' option; default honors "
-        "$REPRO_BACKEND, else python)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="scatter every served search across N logical shards "
-        "(identical results; /metrics exports repro_shard_* series and "
-        "/healthz the layout; default honors $REPRO_SHARDS)",
     )
 
     update = commands.add_parser(
@@ -251,6 +198,40 @@ def _build_parser() -> argparse.ArgumentParser:
             help="base URL of a running `repro serve` instance",
         )
     return parser
+
+
+def _add_engine_arguments(
+    sub: argparse.ArgumentParser,
+    *,
+    backend_help: str,
+    shards_help: str,
+    verify_help: str,
+) -> None:
+    """Declare what every database-loading command takes: the data
+    source (read by :func:`_load`) and the engine's backend, scatter
+    width and verifier; only the help prose differs per command."""
+    sub.add_argument("--catalog", choices=("dblp", "tpch", "xmark"), default="dblp")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--xml", help="XML document to load")
+    source.add_argument(
+        "--demo", action="store_true", help="use built-in synthetic data"
+    )
+    sub.add_argument("--seed", type=int, default=7)
+    sub.add_argument(
+        "--decomposition",
+        choices=("minimal", "xkeyword", "combined"),
+        default="minimal",
+    )
+    sub.add_argument(
+        "--backend",
+        choices=("python", "python-hash", "sql"),
+        default=None,
+        help=backend_help,
+    )
+    sub.add_argument("--shards", type=int, default=None, help=shards_help)
+    sub.add_argument(
+        "--debug-verify", action="store_true", dest="debug_verify", help=verify_help
+    )
 
 
 def _make_engine(args: argparse.Namespace, loaded: LoadedDatabase) -> XKeyword:
@@ -421,7 +402,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_navigate(args: argparse.Namespace) -> int:
-    from .core import OnDemandNavigator
+    from .core import open_navigator
 
     catalog, loaded = _load(args)
     engine = _make_engine(args, loaded)
@@ -431,23 +412,17 @@ def _cmd_navigate(args: argparse.Namespace) -> int:
     if not ctssns:
         print("no candidate networks")
         return 1
-    candidates = sorted(ctssns, key=lambda c: (c.score, c.canonical_key))
-    if args.cn >= 0:
-        candidates = [candidates[min(args.cn, len(candidates) - 1)]]
-    navigator = graph = None
-    for ctssn in candidates:
-        attempt = OnDemandNavigator(
-            ctssn, engine.optimizer, engine.stores, containing
-        )
-        try:
-            graph = attempt.initialize()
-            navigator = attempt
-            break
-        except LookupError:
-            continue
-    if navigator is None or graph is None:
+    navigator = open_navigator(
+        ctssns,
+        engine.optimizer,
+        engine.stores,
+        containing,
+        min(args.cn, len(ctssns) - 1),
+    )
+    if navigator is None:
         print("no candidate network has results")
         return 1
+    graph = navigator.graph
     print(f"candidate network: {navigator.ctssn}")
     print(graph.describe())
 
@@ -506,7 +481,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         debug_verify=args.debug_verify,
         tracing=not args.no_tracing,
         slow_query_seconds=args.slow_query or None,
-        strategy=args.strategy,
         backend=args.backend,
         shards=args.shards,
     )

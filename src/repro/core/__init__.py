@@ -32,7 +32,7 @@ from .execution import (
     resolve_shards,
     shard_of,
 )
-from .expansion import OnDemandNavigator
+from .expansion import OnDemandNavigator, open_navigator
 from .matching import ContainingLists
 from .optimizer import Optimizer, PlanningError
 from .plans import ExecutionPlan, PlanStep
@@ -98,6 +98,7 @@ __all__ = [
     "prefix_spec",
     "max_ctssn_size",
     "node_network",
+    "open_navigator",
     "reduce_to_ctssn",
     "render_sql",
     "resolve_shards",

@@ -20,7 +20,6 @@ from typing import Callable, Iterator, Mapping, Protocol, Sequence
 from ..schema.tss import TSSGraph
 from ..storage.decomposer import LoadedDatabase
 from ..storage.relations import RelationStore
-from ..storage.stmtcache import CompiledStatementCache
 from ..trace import NULL_SPAN, NULL_TRACER, QueryTrace, Span
 from .cn_generator import CandidateNetwork, CNGenerator
 from .ctssn import CTSSN, reduce_to_ctssn
@@ -184,7 +183,6 @@ class XKeyword:
         hooks: SearchHooks | None = None,
         verifier: NetworkVerifier | None = None,
         tracer=None,
-        statement_cache: CompiledStatementCache | None = None,
         shards: int | None = None,
     ) -> None:
         """
@@ -203,10 +201,6 @@ class XKeyword:
                 search records a span tree onto ``SearchResult.trace``
                 (the EXPLAIN/``/debug/trace`` substrate).  ``None`` uses
                 the null tracer — the identical code path at no-op cost.
-            statement_cache: Compiled-SQL statement cache for the
-                ``sql`` backend; the service passes one guarded by its
-                mutation ``VersionVector``.  A private unguarded cache
-                is created when omitted.
             shards: Scatter execution across this many logical shards of
                 the target-object id space (one thread per shard, anchor
                 seeds partitioned by :func:`~repro.core.execution.shard_of`;
@@ -224,7 +218,6 @@ class XKeyword:
         self.verifier = verifier
         self.tracer = tracer or NULL_TRACER
         self.optimizer = Optimizer(self.stores, loaded.statistics)
-        self.statement_cache = statement_cache or CompiledStatementCache()
 
     # ------------------------------------------------------------------
     # Pipeline stages, individually exposed for tests and examples
@@ -298,12 +291,7 @@ class XKeyword:
         """Build the executor the configured backend selects."""
         if config.backend == BACKEND_SQL:
             return SQLCTSSNExecutor(
-                plan,
-                self.stores,
-                containing,
-                statement_cache=self.statement_cache,
-                config=config,
-                **kwargs,
+                plan, self.stores, containing, config=config, **kwargs
             )
         return CTSSNExecutor(plan, self.stores, containing, config=config, **kwargs)
 

@@ -125,14 +125,6 @@ class ShardPartition:
         """Whether this shard owns the given target object."""
         return shard_of(to_id, self.count) == self.index
 
-    @property
-    def cache_key(self) -> tuple[int, int]:
-        """Identity for caches whose payload depends on the partition
-        (the compiled-SQL statement cache bakes the anchor's admitted
-        values into the statement parameters, so equal-size but
-        different per-shard subsets must not collide)."""
-        return (self.index, self.count)
-
 
 def resolve_shards(shards: int | None) -> int:
     """Normalize a shard count, resolving ``None`` from ``$REPRO_SHARDS``.
@@ -662,7 +654,6 @@ class CTSSNExecutor:
         stores: dict[str, RelationStore],
         containing: ContainingLists,
         config: ExecutorConfig | None = None,
-        cache: ResultCache | None = None,
         metrics: ExecutionMetrics | None = None,
         lookup_cache: ResultCache | None = None,
         observer: ExecutionObserver | None = None,
@@ -677,8 +668,6 @@ class CTSSNExecutor:
             stores: Relation stores keyed by store name.
             containing: Keyword containing lists (role admission filters).
             config: Execution-mode switches; optimized+shared by default.
-            cache: Suffix (partial-result) cache, shareable across
-                executors; a private one is created when omitted.
             metrics: Counter sink; a fresh one is created when omitted.
             lookup_cache: Cross-CN shared relation-lookup cache.
             observer: Service-layer instrumentation hooks.
@@ -700,14 +689,11 @@ class CTSSNExecutor:
         self.metrics = metrics or ExecutionMetrics()
         self.containing = containing
         self.observer = observer
-        self.cache = cache or ResultCache(self.config.cache_capacity)
+        self.cache = ResultCache(self.config.cache_capacity)
         self._prefix = prefix
         self._prefix_table = prefix_table
         self._span = span
         self.partition = partition
-        # The suffix cache may be shared across executors; namespace the
-        # keys by this plan's identity.
-        self._cache_ns = plan.ctssn.canonical_key
         if self.config.backend == BACKEND_PYTHON_HASH:
             self._access: list = [
                 _HashAccess(stores[step.store_name], step, self.metrics, span)
@@ -827,22 +813,8 @@ class CTSSNExecutor:
         """Evaluate via the shared prefix: borrow (or materialize) the
         canonical prefix rows, then run only the remaining join steps."""
         spec = self._prefix
-        assert spec is not None and self._prefix_table is not None
-        rows, reused = self._prefix_table.get_or_materialize(
-            spec.key, lambda: list(self._enumerate_prefix(spec))
-        )
-        if reused:
-            self.metrics.prefix_hits += 1
-        else:
-            self.metrics.prefix_materializations += 1
-        if self._span is not None:
-            self._span.annotate(
-                prefix_reuse={
-                    "reused": reused,
-                    "length": spec.length,
-                    "rows": len(rows),
-                }
-            )
+        assert spec is not None
+        rows = self._borrow_prefix(spec, lambda: list(self._enumerate_prefix(spec)))
         needed = self._needed_roles({self.plan.anchor_role})
         produced = 0
         for values in rows:
@@ -856,6 +828,30 @@ class CTSSNExecutor:
                 yield row
                 if limit is not None and produced >= limit:
                     return
+
+    def _borrow_prefix(
+        self,
+        spec: PrefixSpec,
+        producer: Callable[[], list[tuple[str, ...]]],
+    ) -> list[tuple[str, ...]]:
+        """The shared prefix's canonical rows: borrowed from the per-query
+        table, or materialized into it by ``producer`` (each backend
+        supplies its own) — counted and span-annotated either way."""
+        assert self._prefix_table is not None
+        rows, reused = self._prefix_table.get_or_materialize(spec.key, producer)
+        if reused:
+            self.metrics.prefix_hits += 1
+        else:
+            self.metrics.prefix_materializations += 1
+        if self._span is not None:
+            self._span.annotate(
+                prefix_reuse={
+                    "reused": reused,
+                    "length": spec.length,
+                    "rows": len(rows),
+                }
+            )
+        return rows
 
     def _enumerate_prefix(self, spec: PrefixSpec) -> Iterator[tuple[str, ...]]:
         """Enumerate the prefix's partial rows in canonical slot order.
@@ -918,7 +914,6 @@ class CTSSNExecutor:
         if self.config.memoize:
             key_roles = [role for role in needed[index] if role in bindings]
             key = (
-                self._cache_ns,
                 index,
                 stop,
                 tuple((role, bindings[role]) for role in key_roles),

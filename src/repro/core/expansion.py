@@ -16,6 +16,7 @@ completing a whole MTTON wants the *inlined* fragments, and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..decomposition.fragments import Fragment
 from ..storage.relations import RelationStore
@@ -173,3 +174,30 @@ class OnDemandNavigator:
                     return fragment, store_name, source_col, target_col
                 return fragment, store_name, target_col, source_col
         raise AssertionError("unreachable")  # pragma: no cover
+
+
+def open_navigator(
+    ctssns: Sequence[CTSSN],
+    optimizer: Optimizer,
+    stores: dict[str, RelationStore],
+    containing: ContainingLists,
+    cn: int = -1,
+) -> OnDemandNavigator | None:
+    """A navigator initialized on the first candidate network with results.
+
+    Candidates are tried best-first (score, then canonical key); a
+    non-negative ``cn`` restricts the attempt to that index of the same
+    order (the caller range-checks it).  The returned navigator's
+    ``graph`` is its PG_0; ``None`` means no candidate has results.
+    """
+    candidates = sorted(ctssns, key=lambda c: (c.score, c.canonical_key))
+    if cn >= 0:
+        candidates = [candidates[cn]]
+    for ctssn in candidates:
+        navigator = OnDemandNavigator(ctssn, optimizer, stores, containing)
+        try:
+            navigator.initialize()
+        except LookupError:
+            continue
+        return navigator
+    return None

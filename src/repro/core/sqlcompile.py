@@ -314,21 +314,11 @@ class SQLCTSSNExecutor(CTSSNExecutor):
         plan: ExecutionPlan,
         stores: dict[str, RelationStore],
         containing,
-        statement_cache=None,
         **kwargs,
     ) -> None:
-        """Superclass arguments pass through unchanged.
-
-        Args:
-            statement_cache: Optional
-                :class:`~repro.storage.stmtcache.CompiledStatementCache`
-                shared across queries; compiled SQL is keyed by the plan
-                signature + parameter shape and guarded by the database's
-                fingerprint ``VersionVector``.
-        """
+        """Superclass arguments pass through unchanged."""
         super().__init__(plan, stores, containing, **kwargs)
         self._stores = stores
-        self._statement_cache = statement_cache
         self._database = (
             stores[plan.steps[0].store_name].database if plan.steps else None
         )
@@ -351,31 +341,23 @@ class SQLCTSSNExecutor(CTSSNExecutor):
         yield from self._run_sql(limit)
 
     def _run_sql(self, limit: int | None) -> Iterator[ResultRow]:
-        spec = self._prefix
+        spec = self._prefix if self._prefix_table is not None else None
         prefix_rows: list[tuple[str, ...]] | None = None
-        if spec is not None and self._prefix_table is not None:
-            rows, reused = self._prefix_table.get_or_materialize(
-                spec.key, lambda: self._materialize_prefix(spec)
+        if spec is not None:
+            prefix_rows = self._borrow_prefix(
+                spec, lambda: self._materialize_prefix(spec)
             )
-            if reused:
-                self.metrics.prefix_hits += 1
-            else:
-                self.metrics.prefix_materializations += 1
-            if self._span is not None:
-                self._span.annotate(
-                    prefix_reuse={
-                        "reused": reused,
-                        "length": spec.length,
-                        "rows": len(rows),
-                    }
-                )
-            if not rows:
+            if not prefix_rows:
                 return
-            prefix_rows = rows
-        else:
-            spec = None
 
-        compiled = self._compiled(spec, prefix_rows, limit is not None)
+        compiled = compile_plan(
+            self.plan,
+            self._stores,
+            self.role_filters,
+            prefix=spec,
+            prefix_rows=prefix_rows,
+            with_limit=limit is not None,
+        )
         if compiled.empty:
             return
         params: list = list(compiled.params)
@@ -409,63 +391,3 @@ class SQLCTSSNExecutor(CTSSNExecutor):
         if self.observer is not None:
             self.observer.on_query("compiled-sql:prefix", len(rows), False)
         return rows
-
-    def _compiled(
-        self,
-        spec: PrefixSpec | None,
-        prefix_rows: list[tuple[str, ...]] | None,
-        with_limit: bool,
-    ) -> CompiledQuery:
-        """Compile (or replay) this plan's statement via the shared cache."""
-        cache = self._statement_cache
-        if cache is None:
-            return compile_plan(
-                self.plan,
-                self._stores,
-                self.role_filters,
-                prefix=spec,
-                prefix_rows=prefix_rows,
-                with_limit=with_limit,
-            )
-        plan = self.plan
-        # The SQL text depends on the plan shape, the *lengths* of the
-        # IN parameter lists, and (prefix rows being inlined literals)
-        # the prefix row values themselves — all captured in the key, so
-        # a hit can never replay a stale statement even without the
-        # version guard.  The shard partition is part of the key because
-        # the parameter *values* are the anchor's admitted ids: two
-        # shards' subsets can have equal lengths but different members.
-        key = (
-            plan.ctssn.canonical_key,
-            plan.anchor_role,
-            tuple((step.relation_name, step.store_name) for step in plan.steps),
-            tuple(
-                (role, len(allowed))
-                for role, allowed in sorted(self.role_filters.items())
-            ),
-            (spec.key, tuple(prefix_rows or ())) if spec is not None else None,
-            with_limit,
-            self.partition.cache_key if self.partition is not None else None,
-        )
-        compiled = cache.get(key)
-        if compiled is None:
-            compiled = compile_plan(
-                plan,
-                self._stores,
-                self.role_filters,
-                prefix=spec,
-                prefix_rows=prefix_rows,
-                with_limit=with_limit,
-            )
-            cache.put(
-                key,
-                compiled,
-                keywords=[
-                    keyword
-                    for _, constraints in plan.ctssn.keyword_roles()
-                    for constraint in constraints
-                    for keyword in constraint.keywords
-                ],
-                relations=plan.relations_used(),
-            )
-        return compiled

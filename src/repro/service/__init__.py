@@ -5,7 +5,9 @@ long-lived query service (``python -m repro serve``).  Service logic —
 the one session every search is served through, mutations, health and
 metrics — lives in :mod:`repro.service.query_service`; the HTTP/SSE
 transport (route table, response writer, error map) in
-:mod:`repro.service.server`.
+:mod:`repro.service.server`.  One service serves one database for the
+life of the process; the only state that outlives a query is the
+:class:`QueryCache`, whose entries the mutation ``VersionVector`` guards.
 """
 
 from .admission import (

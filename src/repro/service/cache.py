@@ -8,18 +8,16 @@ repeated query (the common case behind a web search box) skips the
 entire pipeline: no containing-list retrieval, no CN generation, no
 planning, no execution.
 
-Keys are ``(database fingerprint, frozen keyword bag, k, max_size,
-mode)``: the fingerprint (storage/fingerprint.py) is the database's
-*load-time identity*, so swapping or reloading the database can never
-serve stale trees — the service calls :meth:`QueryCache.invalidate` on
-reload, and even a missed invalidation is safe because the new
-fingerprint simply misses.  The keyword *bag* is order-insensitive
-(keyword order is irrelevant to query semantics), so ``"smith chen"``
-and ``"chen smith"`` share an entry.
+Keys are ``(frozen keyword bag, k, max_size, mode)`` — one service
+serves one database for the life of the process, so the database is not
+part of the key.  The keyword *bag* is order-insensitive (keyword order
+is irrelevant to query semantics), so ``"smith chen"`` and
+``"chen smith"`` share an entry.
 
-Live mutations (:mod:`repro.updates`) do **not** change the
-fingerprint.  Instead the cache is constructed over the service's
-:class:`~repro.storage.fingerprint.VersionVector`: each entry records a
+The served data changes one way, through live mutations
+(:mod:`repro.updates`), and one rule decides staleness: the cache is
+constructed over the service's
+:class:`~repro.storage.fingerprint.VersionVector`, and each entry records a
 version snapshot of its query's keywords and the connection relations
 its plans scanned.  An entry is stale exactly when a later mutation
 bumped one of those counters — i.e. the delta's keyword set intersects
@@ -45,20 +43,19 @@ from ..core.engine import SearchResult
 from ..core.query import KeywordQuery
 from ..storage.fingerprint import VersionVector
 
-CacheKey = tuple[str, tuple[str, ...], object, int, str]
+CacheKey = tuple[tuple[str, ...], object, int, str]
 
 _FRESH = ((), ())
 """Version snapshot used when no version vector is installed."""
 
 
 def query_cache_key(
-    fingerprint: str,
     query: KeywordQuery,
     k: int | None,
     mode: str = "topk",
 ) -> CacheKey:
-    """The canonical cache key for one search against one database."""
-    return (fingerprint, tuple(sorted(query.keywords)), k, query.max_size, mode)
+    """The canonical cache key for one search."""
+    return (tuple(sorted(query.keywords)), k, query.max_size, mode)
 
 
 @dataclass
@@ -82,7 +79,6 @@ class CacheStats:
 @dataclass
 class _Entry:
     result: SearchResult
-    fingerprint: str
     expires_at: float
     snapshot: tuple = _FRESH
     stored_at: float = field(default_factory=time.monotonic)
@@ -98,7 +94,7 @@ class QueryCache:
         clock: Monotonic time source, injectable for tests.
         versions: The mutation version vector entries validate against;
             ``None`` (no live updates) keeps every entry valid until
-            TTL/eviction/reload, exactly the pre-update behavior.
+            TTL/eviction.
     """
 
     def __init__(
@@ -174,34 +170,18 @@ class QueryCache:
             else _FRESH
         )
         with self._lock:
-            self._entries[key] = _Entry(result, key[0], expires, snapshot, now)
+            self._entries[key] = _Entry(result, expires, snapshot, now)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def invalidate(self, fingerprint: str | None = None) -> int:
-        """Drop entries; only those of one database when given its
-        fingerprint, everything otherwise.  Returns the count dropped.
-        The service calls this on database reload."""
+    def invalidate(self) -> int:
+        """Drop every entry; returns the count dropped."""
         with self._lock:
-            if fingerprint is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                stale = [
-                    key
-                    for key, entry in self._entries.items()
-                    if entry.fingerprint == fingerprint
-                ]
-                for key in stale:
-                    del self._entries[key]
-                dropped = len(stale)
+            dropped = len(self._entries)
+            self._entries.clear()
             self._invalidations += dropped
-            if dropped:
-                self._invalidation_reasons["reload"] = (
-                    self._invalidation_reasons.get("reload", 0) + dropped
-                )
             return dropped
 
     def invalidate_stale(self) -> dict[str, int]:

@@ -52,13 +52,13 @@ from ..core import (
     ExecutionObserver,
     ExecutorConfig,
     KeywordQuery,
-    OnDemandNavigator,
     ResultStream,
     SearchHooks,
     SearchResult,
     XKeyword,
+    open_navigator,
 )
-from ..storage import CompiledStatementCache, LoadedDatabase, VersionVector
+from ..storage import LoadedDatabase, VersionVector
 from ..trace import NULL_TRACER, TraceStore, Tracer
 from ..updates import UpdateManager
 from .admission import AdmissionController, DeadlineExceededError, RejectedError
@@ -106,11 +106,6 @@ class ServiceConfig:
     slow_query_seconds: float | None = 1.0
     """Log searches slower than this to stderr, with their trace id;
     ``None`` disables the slow-query log."""
-
-    strategy: str = "shared-prefix+pruning"
-    """Cross-CN scheduling strategy for the served engine (one of
-    :data:`repro.core.execution.STRATEGIES`); the default shares join
-    prefixes across CNs and prunes by the global top-k bound."""
 
     backend: str | None = None
     """Default execution backend for the served engine (one of
@@ -206,38 +201,13 @@ class _EngineInstrumentation(ExecutionObserver):
 
 
 @dataclass(frozen=True)
-class _EngineState:
-    """One immutable (database, fingerprint, engine) generation.
-
-    Requests snapshot ``self._state`` once and use the snapshot
-    throughout, so a concurrent :meth:`QueryService.reload` can never
-    pair an old fingerprint with a new engine (the race RA101 surfaced
-    when these lived in three separate attributes).
-    """
-
-    loaded: LoadedDatabase
-    fingerprint: str
-    engine: XKeyword
-    updates: UpdateManager | None = None
-    """Live-update manager; ``None`` when the database is read-only
-    (reopened without its XML graph)."""
-
-    def read(self):
-        """The read side of the update lock: a concurrent mutation waits
-        for in-flight readers, and readers queued behind a waiting writer
-        see the fully published next epoch.  A no-op when read-only."""
-        return self.updates.read() if self.updates is not None else nullcontext()
-
-
-@dataclass(frozen=True)
 class _PreparedSearch:
-    """A validated search request bound to one engine generation.
+    """A validated search request.
 
     Shared by the buffered and streaming entry points so both coalesce
     on the same single-flight key and honor the same backend override.
     """
 
-    state: _EngineState
     query: KeywordQuery
     k: int | None
     all_results: bool
@@ -251,9 +221,11 @@ class _PreparedSearch:
 class QueryService:
     """One loaded database behind caching, admission control and metrics.
 
-    The service owns the engine; :meth:`reload` atomically swaps in a new
-    :class:`LoadedDatabase` and invalidates the cross-query cache, so a
-    long-lived process can pick up re-generated data without restarting.
+    The service owns the engine for the life of the process.  The served
+    data changes one way — through the :class:`~repro.updates.UpdateManager`
+    — and the only state that outlives a query is the cross-query cache,
+    whose entries the mutation :class:`~repro.storage.VersionVector`
+    invalidates.
     """
 
     def __init__(
@@ -279,23 +251,30 @@ class QueryService:
             if self.config.tracing
             else NULL_TRACER
         )
-        self._engine_factory = engine_factory or (
+        build_engine = engine_factory or (
             lambda db, hooks: XKeyword(
                 db,
-                executor_config=ExecutorConfig(
-                    backend=self.config.backend, strategy=self.config.strategy
-                ),
+                executor_config=ExecutorConfig(backend=self.config.backend),
                 threads=self.config.engine_threads,
                 hooks=hooks,
                 verifier=DebugVerifier() if self.config.debug_verify else None,
                 tracer=self.tracer,
-                statement_cache=CompiledStatementCache(versions=self.versions),
                 shards=self.config.shards,
             )
         )
         self.versions = VersionVector()
-        self._swap_lock = threading.Lock()
-        self._state = self._build_state(loaded)  # guarded by: self._swap_lock [writes]
+        self.loaded = loaded
+        self.fingerprint = loaded.fingerprint()
+        """Load-time identity of the served database (``/healthz``, the
+        ``serve`` banner); live mutations do not change it."""
+        self.updates = (
+            UpdateManager(loaded, versions=self.versions, tracer=self.tracer)
+            if loaded.graph is not None
+            else None
+        )
+        """Live-update manager; ``None`` when the database is read-only
+        (reopened without its XML graph)."""
+        self.engine = build_engine(loaded, self._instrumentation.hooks())
         self.cache = QueryCache(
             capacity=self.config.cache_capacity,
             ttl=self.config.cache_ttl,
@@ -359,48 +338,11 @@ class QueryService:
         self._invalidation_lock = threading.Lock()
         self._invalidation_mirrored: dict[str, int] = {}  # guarded by: self._invalidation_lock
 
-    def _build_state(self, loaded: LoadedDatabase) -> _EngineState:
-        updates = None
-        if loaded.graph is not None:
-            updates = UpdateManager(
-                loaded, versions=self.versions, tracer=self.tracer
-            )
-        return _EngineState(
-            loaded=loaded,
-            fingerprint=loaded.fingerprint(),
-            engine=self._engine_factory(loaded, self._instrumentation.hooks()),
-            updates=updates,
-        )
-
-    # Read-only views of the current generation; in-flight requests must
-    # snapshot self._state once instead of reading these repeatedly.
-    @property
-    def loaded(self) -> LoadedDatabase:
-        return self._state.loaded
-
-    @property
-    def fingerprint(self) -> str:
-        return self._state.fingerprint
-
-    @property
-    def engine(self) -> XKeyword:
-        return self._state.engine
-
-    # ------------------------------------------------------------------
-    def reload(self, loaded: LoadedDatabase) -> dict:
-        """Swap the served database and invalidate its cached results."""
-        with self._swap_lock:
-            previous = self._state.fingerprint
-            # analysis: blocking-ok[fingerprinting the incoming database
-            # runs sqlite row counts; _swap_lock only serializes reloads,
-            # searches read self._state lock-free]
-            self._state = self._build_state(loaded)
-            dropped = self.cache.invalidate(previous)
-            return {
-                "previous_fingerprint": previous,
-                "fingerprint": self._state.fingerprint,
-                "cache_entries_dropped": dropped,
-            }
+    def _read(self):
+        """The read side of the update lock: a concurrent mutation waits
+        for in-flight readers, and readers queued behind a waiting writer
+        see the fully published next epoch.  A no-op when read-only."""
+        return self.updates.read() if self.updates is not None else nullcontext()
 
     # ------------------------------------------------------------------
     def search(
@@ -444,12 +386,9 @@ class QueryService:
         query = KeywordQuery(tuple(keywords), max_size=max_size)
         mode = "all" if all_results else "topk"
         k = None if all_results else (k if k is not None else self.config.default_k)
-        # One snapshot for the whole request: the cache key's fingerprint
-        # must describe the engine that actually computes the result.
-        state = self._state
         # Injected test engines may not expose an executor config; they
         # simply never honor a backend override.
-        base_config = getattr(state.engine, "executor_config", None)
+        base_config = getattr(self.engine, "executor_config", None)
         override = (
             backend is not None
             and base_config is not None
@@ -459,11 +398,10 @@ class QueryService:
             mode = f"{mode}@{backend}"
         config = replace(base_config, backend=backend) if override else None
         return _PreparedSearch(
-            state=state,
             query=query,
             k=k,
             all_results=all_results,
-            key=query_cache_key(state.fingerprint, query, k, mode),
+            key=query_cache_key(query, k, mode),
             config=config,
             # The snapshot anchors mid-flight invalidation detection: a
             # VersionVector bump between here and execution means the
@@ -527,7 +465,7 @@ class QueryService:
         invalidation, caches fresh completed results, and always
         terminates the stream and retires the flight.
         """
-        state, query = prep.state, prep.query
+        engine, query = self.engine, prep.query
 
         def mark_if_stale() -> None:
             if self.versions.stale_reason(prep.snapshot) is not None:
@@ -538,17 +476,17 @@ class QueryService:
                 overrides = {}
                 if prep.config is not None:
                     overrides["config"] = prep.config
-                if isinstance(state.engine, XKeyword):
+                if isinstance(engine, XKeyword):
                     overrides["stream"] = flight.stream
-                with state.read():
+                with self._read():
                     # Under the read lock no bump can interleave with the
                     # execution, so staleness is decided *before* results
                     # flow: waiters always observe a settled flag.
                     mark_if_stale()
                     if prep.all_results:
-                        result = state.engine.search_all(query, **overrides)
+                        result = engine.search_all(query, **overrides)
                     else:
-                        result = state.engine.search(query, k=prep.k, **overrides)
+                        result = engine.search(query, k=prep.k, **overrides)
                 # Engines without the update lock (injected fakes) can
                 # race mutations; re-check so stale results stay uncached.
                 mark_if_stale()
@@ -658,39 +596,26 @@ class QueryService:
             deadline: Per-request deadline override.
         """
 
-        state = self._state
-
         def execute() -> dict:
-            with state.read():
+            with self._read():
                 return navigate()
 
         def navigate() -> dict:
             query = KeywordQuery(tuple(keywords), max_size=max_size)
-            engine = state.engine
+            engine = self.engine
             containing = engine.containing_lists(query)
             ctssns = engine.candidate_tss_networks(query, containing)
             if not ctssns:
                 raise LookupError("no candidate networks for this query")
-            candidates = sorted(ctssns, key=lambda c: (c.score, c.canonical_key))
-            if cn >= 0:
-                if cn >= len(candidates):
-                    raise LookupError(
-                        f"candidate network {cn} out of range "
-                        f"({len(candidates)} networks)"
-                    )
-                candidates = [candidates[cn]]
-            navigator = graph = None
-            for ctssn in candidates:
-                attempt = OnDemandNavigator(
-                    ctssn, engine.optimizer, engine.stores, containing
+            if cn >= len(ctssns):
+                raise LookupError(
+                    f"candidate network {cn} out of range "
+                    f"({len(ctssns)} networks)"
                 )
-                try:
-                    graph = attempt.initialize()
-                    navigator = attempt
-                    break
-                except LookupError:
-                    continue
-            if navigator is None or graph is None:
+            navigator = open_navigator(
+                ctssns, engine.optimizer, engine.stores, containing, cn
+            )
+            if navigator is None:
                 raise LookupError("no candidate network has results")
             newly = []
             if role is not None:
@@ -706,7 +631,7 @@ class QueryService:
                 ],
                 "displayed": [
                     {"role": r, "label": labels[r], "target_object": to}
-                    for r, to in sorted(graph.displayed)
+                    for r, to in sorted(navigator.graph.displayed)
                 ],
                 "newly_displayed": [
                     {"role": r, "label": labels[r], "target_object": to}
@@ -749,13 +674,12 @@ class QueryService:
         writer-preferring lock already serializes them against each
         other and against in-flight searches.
         """
-        state = self._state
-        if state.updates is None:
+        if self.updates is None:
             raise MutationsDisabledError(
                 "database was reopened without its XML graph; serving read-only"
             )
         started = time.perf_counter()
-        report = action(state.updates)
+        report = action(self.updates)
         self._mutations(op).inc()
         self._mutation_seconds(op).observe(time.perf_counter() - started)
         dropped = self.cache.invalidate_stale()
@@ -806,28 +730,26 @@ class QueryService:
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
         """Liveness payload: database identity, index epoch, queue stats."""
-        state = self._state
-        snapshot = state.updates.snapshot() if state.updates is not None else None
+        snapshot = self.updates.snapshot() if self.updates is not None else None
         return {
             "status": "ok",
             "uptime_seconds": round(time.time() - self.started_at, 3),
-            "database_fingerprint": state.fingerprint,
-            "catalog": state.loaded.catalog.name,
-            "stores": sorted(state.loaded.stores),
+            "database_fingerprint": self.fingerprint,
+            "catalog": self.loaded.catalog.name,
+            "stores": sorted(self.loaded.stores),
             "queue_depth": self.admission.queue_depth(),
             "in_flight": self.admission.in_flight,
             "cache_entries": len(self.cache),
-            "mutations_enabled": state.updates is not None,
-            "index_epoch": snapshot.epoch if snapshot else state.loaded.epoch,
+            "mutations_enabled": self.updates is not None,
+            "index_epoch": snapshot.epoch if snapshot else self.loaded.epoch,
             "document_count": snapshot.document_count if snapshot else None,
             "last_mutation_at": snapshot.last_mutation_at if snapshot else None,
-            "shards": self._shard_health(state),
+            "shards": self._shard_health(),
         }
 
-    @staticmethod
-    def _shard_health(state: _EngineState) -> dict:
+    def _shard_health(self) -> dict:
         """The ``/healthz`` shard section: the engine's scatter width."""
-        shard_count = getattr(state.engine, "shards", 1)
+        shard_count = getattr(self.engine, "shards", 1)
         return {"count": shard_count, "scattered": shard_count > 1}
 
     def metrics_text(self) -> str:
@@ -849,11 +771,10 @@ class QueryService:
         self.registry.gauge(
             "repro_admission_expired_total", "Requests expired while queued"
         ).set(admission.expired)
-        state = self._state
-        snapshot = state.updates.snapshot() if state.updates is not None else None
+        snapshot = self.updates.snapshot() if self.updates is not None else None
         self.registry.gauge(
             "repro_index_epoch", "Mutation epoch of the served index"
-        ).set(snapshot.epoch if snapshot else state.loaded.epoch)
+        ).set(snapshot.epoch if snapshot else self.loaded.epoch)
         self._sync_invalidation_metrics()
         return self.registry.render()
 

@@ -14,12 +14,10 @@ from .persistence import (
 )
 from .relations import PhysicalTable, RelationStore, fragment_instances
 from .statistics import Statistics
-from .stmtcache import CompiledStatementCache
 from .target_objects import EdgeInstance, TargetObjectGraph, build_target_object_graph
 
 __all__ = [
     "BlobStore",
-    "CompiledStatementCache",
     "Database",
     "EdgeInstance",
     "IndexEntry",

@@ -1,11 +1,11 @@
 """Stable content fingerprints and version vectors for loaded databases.
 
-The service layer's cross-query cache keys results by *which database*
-answered them; the fingerprint is the database's load-time identity and
-only changes when a whole new database is swapped in.  Incremental
-mutations instead advance a :class:`VersionVector` — per-keyword and
-per-relation counters — so the cache can tell exactly which entries a
-delta made stale instead of dropping everything.
+The fingerprint is the database's load-time identity: what ``/healthz``
+and the ``serve`` banner print so an operator can tell which data a
+process is serving.  It plays no part in cache validity — incremental
+mutations advance a :class:`VersionVector` — per-keyword and
+per-relation counters — so the service's cross-query cache can tell
+exactly which entries a delta made stale instead of dropping everything.
 
 The fingerprint digests what the load stage materialized — catalog
 identity, the loaded decompositions, and the row population of every

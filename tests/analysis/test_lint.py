@@ -26,6 +26,7 @@ SEEDED = {
     "RA201": 3,
     "RA202": 2,
     "RA203": 2,
+    "RA204": 2,
 }
 
 
@@ -110,6 +111,28 @@ class TestSuppressions:
         )
         findings = run_analysis(tmp_path / "repro")
         assert [f.rule for f in findings] == ["RA201"]
+
+
+class TestOrDefault:
+    """RA204 resolves the defaulted class across modules of the package."""
+
+    def test_class_defined_in_another_module(self, tmp_path):
+        core = tmp_path / "repro" / "core"
+        storage = tmp_path / "repro" / "storage"
+        core.mkdir(parents=True)
+        storage.mkdir(parents=True)
+        (storage / "cache.py").write_text(
+            "class Cache:\n    def __len__(self):\n        return 0\n"
+        )
+        (core / "engine.py").write_text(
+            "from ..storage.cache import Cache\n\n"
+            "def build(cache=None, config=None):\n"
+            "    return cache or Cache(), config or dict()\n"
+        )
+        findings = run_analysis(tmp_path / "repro")
+        assert [(f.rule, Path(f.path).name, f.line) for f in findings] == [
+            ("RA204", "engine.py", 4)
+        ]
 
 
 class TestLayeringResolution:

@@ -15,6 +15,7 @@ from repro.core import (
     ExecutorConfig,
     KeywordQuery,
     ShardPartition,
+    SQLCTSSNExecutor,
     XKeyword,
     resolve_shards,
     shard_of,
@@ -85,12 +86,45 @@ def test_logical_scatter_matches_oracle_unbounded(loaded, keywords, shards):
     assert scattered == oracle
 
 
-def test_partition_identity_and_cache_key():
+def test_partition_identity_and_ownership():
     solo = ShardPartition(index=0, count=1)
     assert solo.owns("anything")
     split = ShardPartition(index=1, count=2)
-    assert split.cache_key != solo.cache_key
+    assert split != solo
     assert split.owns("x") == (shard_of("x", 2) == 1)
+
+
+def test_equal_length_shard_subsets_return_their_own_rows(loaded):
+    """Three of this query's four shards admit exactly one anchor target
+    object each — compiled statements of identical text whose parameter
+    *values* differ.  Executors share nothing, so each shard's rows are
+    seeded by its own anchor and the union is the unpartitioned run."""
+    engine = XKeyword(loaded, shards=1)
+    query = KeywordQuery(("smith", "hristidis"), max_size=6)
+    containing = engine.containing_lists(query)
+    plan = next(
+        plan
+        for ctssn in engine.candidate_tss_networks(query, containing)
+        for plan in [engine.plan(ctssn, containing)]
+        if plan.steps and plan.ctssn.annotations[plan.anchor_role]
+    )
+    anchor = plan.anchor_role
+    whole = list(SQLCTSSNExecutor(plan, engine.stores, containing).run())
+    lanes = [
+        SQLCTSSNExecutor(
+            plan, engine.stores, containing, partition=ShardPartition(index, 4)
+        )
+        for index in range(4)
+    ]
+    assert [len(lane.role_filters[anchor]) for lane in lanes] == [1, 1, 1, 0]
+    rows = [list(lane.run()) for lane in lanes]
+    assert all(rows[:3]) and not rows[3]
+    for lane, own in zip(lanes, rows):
+        assert {row[anchor] for row in own} == lane.role_filters[anchor]
+    key = lambda row: sorted(row.items())
+    assert sorted((row for own in rows for row in own), key=key) == sorted(
+        whole, key=key
+    )
 
 
 def test_resolve_shards_reads_environment(monkeypatch):

@@ -12,7 +12,6 @@ from repro.core.sqlcompile import (
     compile_plan,
     render_sql,
 )
-from repro.storage import CompiledStatementCache, VersionVector
 
 
 def planned(db, *keywords, max_size=8):
@@ -169,51 +168,6 @@ class TestSQLExecutor:
         rows = list(executor.run())
         assert executor.metrics.queries_sent == 1
         assert executor.metrics.results == len(rows)
-
-
-class TestStatementCache:
-    def test_second_execution_hits(self, figure1_db):
-        engine, containing, plans = planned(figure1_db, "john", "vcr")
-        plan = next(p for p in plans if p.steps)
-        cache = CompiledStatementCache()
-        for _ in range(2):
-            list(
-                SQLCTSSNExecutor(
-                    plan, engine.stores, containing, statement_cache=cache
-                ).run()
-            )
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-
-    def test_version_bump_invalidates(self, figure1_db):
-        engine, containing, plans = planned(figure1_db, "john", "vcr")
-        plan = next(p for p in plans if p.steps)
-        versions = VersionVector()
-        cache = CompiledStatementCache(versions=versions)
-        run = lambda: list(
-            SQLCTSSNExecutor(
-                plan, engine.stores, containing, statement_cache=cache
-            ).run()
-        )
-        run()
-        versions.bump(relations=plan.relations_used())
-        run()
-        stats = cache.stats()
-        assert stats["invalidations"] == 1
-        assert stats["misses"] == 2
-
-    def test_lru_eviction_and_clear(self):
-        cache = CompiledStatementCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert cache.get("a") is None
-        assert cache.get("c") == 3
-        cache.clear()
-        assert len(cache) == 0
-        with pytest.raises(ValueError):
-            CompiledStatementCache(capacity=0)
 
 
 class TestEngineIntegration:

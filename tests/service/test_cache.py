@@ -25,24 +25,23 @@ class FakeClock:
 
 class TestKeying:
     def test_keyword_order_is_irrelevant(self):
-        first = query_cache_key("fp", KeywordQuery.of("smith", "chen"), 10)
-        second = query_cache_key("fp", KeywordQuery.of("chen", "smith"), 10)
+        first = query_cache_key(KeywordQuery.of("smith", "chen"), 10)
+        second = query_cache_key(KeywordQuery.of("chen", "smith"), 10)
         assert first == second
 
     def test_distinct_dimensions_distinct_keys(self):
         query = KeywordQuery.of("smith", "chen")
-        base = query_cache_key("fp", query, 10)
-        assert query_cache_key("other", query, 10) != base
-        assert query_cache_key("fp", query, 20) != base
-        assert query_cache_key("fp", query, None, "all") != base
+        base = query_cache_key(query, 10)
+        assert query_cache_key(query, 20) != base
+        assert query_cache_key(query, None, "all") != base
         bigger = KeywordQuery.of("smith", "chen", max_size=4)
-        assert query_cache_key("fp", bigger, 10) != base
+        assert query_cache_key(bigger, 10) != base
 
 
 class TestHitMiss:
     def test_round_trip(self):
         cache = QueryCache()
-        key = query_cache_key("fp", KeywordQuery.of("a"), 10)
+        key = query_cache_key(KeywordQuery.of("a"), 10)
         assert cache.get(key) is None
         result = make_result("a")
         cache.put(key, result)
@@ -52,7 +51,7 @@ class TestHitMiss:
 
     def test_lru_eviction(self):
         cache = QueryCache(capacity=2, ttl=None)
-        keys = [query_cache_key("fp", KeywordQuery.of(k), 10) for k in "abc"]
+        keys = [query_cache_key(KeywordQuery.of(k), 10) for k in "abc"]
         for key, keyword in zip(keys, "abc"):
             cache.put(key, make_result(keyword))
         assert cache.get(keys[0]) is None  # oldest evicted
@@ -61,7 +60,7 @@ class TestHitMiss:
 
     def test_get_refreshes_recency(self):
         cache = QueryCache(capacity=2, ttl=None)
-        keys = [query_cache_key("fp", KeywordQuery.of(k), 10) for k in "abc"]
+        keys = [query_cache_key(KeywordQuery.of(k), 10) for k in "abc"]
         cache.put(keys[0], make_result("a"))
         cache.put(keys[1], make_result("b"))
         cache.get(keys[0])  # touch: 'b' becomes LRU
@@ -74,7 +73,7 @@ class TestTTL:
     def test_entries_expire(self):
         clock = FakeClock()
         cache = QueryCache(ttl=10.0, clock=clock)
-        key = query_cache_key("fp", KeywordQuery.of("a"), 10)
+        key = query_cache_key(KeywordQuery.of("a"), 10)
         cache.put(key, make_result("a"))
         clock.advance(9.9)
         assert cache.get(key) is not None
@@ -86,7 +85,7 @@ class TestTTL:
     def test_ttl_none_never_expires(self):
         clock = FakeClock()
         cache = QueryCache(ttl=None, clock=clock)
-        key = query_cache_key("fp", KeywordQuery.of("a"), 10)
+        key = query_cache_key(KeywordQuery.of("a"), 10)
         cache.put(key, make_result("a"))
         clock.advance(1e9)
         assert cache.get(key) is not None
@@ -99,21 +98,11 @@ class TestTTL:
 
 
 class TestInvalidation:
-    def test_invalidate_one_fingerprint(self):
-        cache = QueryCache()
-        old = query_cache_key("old", KeywordQuery.of("a"), 10)
-        new = query_cache_key("new", KeywordQuery.of("a"), 10)
-        cache.put(old, make_result("a"))
-        cache.put(new, make_result("a"))
-        assert cache.invalidate("old") == 1
-        assert cache.get(old) is None
-        assert cache.get(new) is not None
-
     def test_invalidate_everything(self):
         cache = QueryCache()
         for keyword in "abc":
             cache.put(
-                query_cache_key("fp", KeywordQuery.of(keyword), 10),
+                query_cache_key(KeywordQuery.of(keyword), 10),
                 make_result(keyword),
             )
         assert cache.invalidate() == 3
@@ -131,12 +120,12 @@ class TestThreadSafety:
             try:
                 for i in range(300):
                     key = query_cache_key(
-                        "fp", KeywordQuery.of(f"k{worker}", f"i{i % 40}"), 10
+                        KeywordQuery.of(f"k{worker}", f"i{i % 40}"), 10
                     )
                     cache.put(key, make_result(f"k{worker}", f"i{i % 40}"))
                     cache.get(key)
                     if i % 50 == 0:
-                        cache.invalidate("fp")
+                        cache.invalidate()
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 

@@ -162,21 +162,6 @@ class TestCrossQueryCache:
         )
         assert body["cached"] is False
 
-    def test_reload_invalidates(self, small_dblp_db, small_tpch_db):
-        # A private service: reload must leave the shared fixture alone.
-        service = QueryService(small_dblp_db, ServiceConfig(workers=1, queue_size=4))
-        try:
-            first = service.search(["smith", "balmin"], k=5, max_size=6)
-            assert first["cached"] is False
-            assert service.search(["smith", "balmin"], k=5, max_size=6)["cached"] is True
-            report = service.reload(small_tpch_db)
-            assert report["fingerprint"] != report["previous_fingerprint"]
-            assert report["cache_entries_dropped"] >= 1
-            again = service.search(["smith", "balmin"], k=5, max_size=6)
-            assert again["cached"] is False
-        finally:
-            service.close()
-
 
 class TestHealthAndMetrics:
     def test_healthz(self, served):

@@ -1,13 +1,14 @@
 """Property test: the SQL backend stays exact under live updates.
 
 Hypothesis drives random insert/delete/update sequences against one
-database while a single engine — with a version-guarded compiled-
-statement cache, exactly as the service wires it — serves queries on
-both backends.  After every mutation the ``sql`` backend must return
-the identical ranked top-k to the Python oracle: the statements it
-compiled before the mutation are stale the moment the delta lands, so
-any missed invalidation (or a compiled statement reading a rotation the
-delta skipped) shows up as a ranking mismatch here.
+database while a single long-lived engine serves queries on both
+backends.  After every mutation the ``sql`` backend must return the
+identical ranked top-k to the Python oracle.  The engine holds no state
+between queries (every statement is compiled from the current admission
+sets), so a ranking mismatch here means a compiled statement read a
+rotation the delta skipped — or that something started caching
+statements again: the deterministic same-size swap below is the case a
+statement cache keyed by parameter *lengths* got wrong.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import ExecutorConfig, KeywordQuery, XKeyword
-from repro.storage import CompiledStatementCache, VersionVector
+from repro.service import QueryService, ServiceConfig
 from repro.updates import UpdateManager
 
 from .conftest import build_dblp
@@ -36,9 +37,9 @@ ops = st.lists(
 QUERIES = (("alpha", "proximity"), ("gamma",))
 
 
-def ranked(engine, keywords, backend):
+def ranked(engine, keywords, backend, max_size=8):
     result = engine.search(
-        KeywordQuery(keywords),
+        KeywordQuery(keywords, max_size=max_size),
         k=10,
         config=ExecutorConfig(backend=backend),
         parallel=False,
@@ -54,11 +55,8 @@ def ranked(engine, keywords, backend):
 @given(sequence=ops)
 def test_sql_backend_matches_oracle_across_mutations(sequence):
     catalog, decomps, loaded = build_dblp(papers=12, authors=8)
-    versions = VersionVector()
-    manager = UpdateManager(loaded, versions=versions)
-    engine = XKeyword(
-        loaded, statement_cache=CompiledStatementCache(versions=versions)
-    )
+    manager = UpdateManager(loaded)
+    engine = XKeyword(loaded)
     papers = sorted(
         to_id
         for to_id, tss in loaded.to_graph.tss_of_to.items()
@@ -96,3 +94,81 @@ def test_sql_backend_matches_oracle_across_mutations(sequence):
             refs = [p for p in papers if p != target][: pick % 2 + 1]
             manager.update_document(target, paper_xml(target, pick + 1, refs))
         check((op, pick))
+
+
+def study_xml(node_id: str, word: str, ref: str | None = None) -> str:
+    ref = f' ref="{ref}"' if ref else ""
+    return (
+        f'<paper id="{node_id}"{ref}>'
+        f'<title id="{node_id}t">{word} study</title></paper>'
+    )
+
+
+def same_size_swap(insert, delete, check):
+    """Replace a keyword's only match by a new document of the same shape.
+
+    Every admission list keeps its *length* across the swap (one zebra
+    paper citing one quokka paper, before and after) while the values
+    change, so a statement replayed from before the swap filters on the
+    deleted ``hzA`` and loses the score-3 ``hzA2 -> hzB`` answer.
+    """
+    insert(study_xml("hzB", "quokka"))
+    insert(study_xml("hzA", "zebra", ref="hzB"))
+    check("before the swap")
+    delete("hzA")
+    insert(study_xml("hzA2", "zebra", ref="hzB"))
+    check("after the swap")
+
+
+def first_year(loaded) -> str:
+    return min(
+        to_id for to_id, tss in loaded.to_graph.tss_of_to.items() if tss == "Year"
+    )
+
+
+SWAP_QUERY = ("zebra", "quokka")
+
+
+def test_same_size_swap_bare_engine():
+    _, _, loaded = build_dblp(papers=12, authors=8)
+    manager = UpdateManager(loaded)
+    engine = XKeyword(loaded)
+    parent = first_year(loaded)
+
+    def check(context):
+        oracle = ranked(engine, SWAP_QUERY, "python", max_size=6)
+        assert 3 in [score for score, _, _ in oracle], context
+        assert ranked(engine, SWAP_QUERY, "sql", max_size=6) == oracle, context
+
+    same_size_swap(
+        lambda xml: manager.insert_document(xml, parent_id=parent),
+        manager.delete_document,
+        check,
+    )
+
+
+def test_same_size_swap_through_service():
+    _, _, loaded = build_dblp(papers=12, authors=8)
+    service = QueryService(loaded, ServiceConfig(backend="sql"))
+    parent = first_year(loaded)
+
+    def answers(backend):
+        reply = service.search(list(SWAP_QUERY), k=10, max_size=6, backend=backend)
+        return [
+            (r["score"], r["network"], [n["target_object"] for n in r["nodes"]])
+            for r in reply["results"]
+        ]
+
+    def check(context):
+        oracle = answers("python")
+        assert 3 in [score for score, _, _ in oracle], context
+        assert answers(None) == oracle, context
+
+    try:
+        same_size_swap(
+            lambda xml: service.insert_document(xml, parent_id=parent),
+            service.delete_document,
+            check,
+        )
+    finally:
+        service.close()

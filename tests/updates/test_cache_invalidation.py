@@ -82,11 +82,13 @@ class TestQueryCacheVersioning:
         assert len(cache) == 1
         assert cache.get("safe") == "r3"
 
-    def test_reload_invalidation_reason(self):
+    def test_flush_is_counted_without_a_reason(self):
         versions, cache = self.make()
-        cache.put(("fp", "x"), "r", keywords=[], relations=[])
+        cache.put("x", "r", keywords=[], relations=[])
         assert cache.invalidate() == 1
-        assert cache.stats().invalidation_reasons == {"reload": 1}
+        stats = cache.stats()
+        assert stats.invalidations == 1
+        assert stats.invalidation_reasons == {}
 
 
 class TestServiceRetention:
