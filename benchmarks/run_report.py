@@ -450,41 +450,6 @@ def streaming_report(repeats: int) -> None:
     )
 
 
-def sharding_report(repeats: int) -> None:
-    """Shard scaling on the bandwidth-bound all-results workload.
-
-    Thread scatter sweeps 1/2/4/8 shards, timing ``bench_sharding``'s
-    mid-frequency all-results queries under its simulated round trip,
-    for both executor backends.
-    """
-    import bench_sharding as shard
-
-    rows = []
-    for backend in shard.BACKENDS:
-        walls = {}
-        for count in shard.SHARD_COUNTS:
-            seconds = timed(
-                lambda: shard.run_thread_scatter(count, backend), repeats
-            )
-            walls[count] = seconds
-            record_metric(f"sharding/{backend}/threads{count}", seconds * 1000)
-        speedup = walls[1] / walls[4]
-        record_metric(
-            f"sharding/{backend}/thread_speedup_4shards", speedup, "higher"
-        )
-        rows.append(
-            [backend]
-            + [f"{walls[c] * 1000:.0f}" for c in shard.SHARD_COUNTS]
-            + [f"{speedup:.2f}x"]
-        )
-    table(
-        f"Shard scaling - all-results workload (ms), "
-        f"round trip = {shard.LATENCY * 1000:.1f} ms",
-        ["backend", "1", "2", "4", "8", "1/4 speedup"],
-        rows,
-    )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="1 repeat per point")
@@ -519,7 +484,6 @@ def main() -> None:
     baselines_report(repeats)
     updates_report(repeats)
     streaming_report(repeats)
-    sharding_report(repeats)
 
     if args.json:
         report = {

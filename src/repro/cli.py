@@ -6,7 +6,6 @@ Usage::
     python -m repro generate --catalog tpch --figure1 --out fig1.xml
     python -m repro search --catalog dblp --xml dblp.xml "smith chen" -k 10
     python -m repro search --catalog tpch --xml fig1.xml "john vcr" --explain
-    python -m repro search --catalog dblp --demo "smith chen" --shards 4
     python -m repro explain --catalog dblp --demo "smith chen"
     python -m repro serve --catalog dblp --demo --port 8080
     python -m repro update insert --server http://127.0.0.1:8080 --xml new.xml --parent c0y1
@@ -79,13 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "hash joins, or one compiled SQL statement per plan executed "
             "inside SQLite (all return identical results; default "
             "honors $REPRO_BACKEND, else python)",
-            shards_help="scatter execution across N shards of the target-object "
-            "space (ranked results are identical to the unsharded run; "
-            "default honors $REPRO_SHARDS, else unsharded)",
             verify_help="verify CN/CTSSN/plan invariants (RV301-RV310) "
             "before executing",
         )
-        sub.add_argument("-k", type=int, default=10, help="top-k cutoff")
+        sub.add_argument("-k", type=_top_k, default=10, help="top-k cutoff (>= 1)")
         sub.add_argument("-z", "--max-size", type=int, default=8, dest="max_size")
         sub.add_argument("--all", action="store_true", help="list every result")
         sub.add_argument(
@@ -132,9 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         backend_help="default execution backend for the served engine "
         "(per-request override via the /search 'backend' option; default "
         "honors $REPRO_BACKEND, else python)",
-        shards_help="scatter every served search across N logical shards "
-        "(identical results; /metrics exports repro_shard_* series and "
-        "/healthz the layout; default honors $REPRO_SHARDS)",
         verify_help="verify CN/CTSSN/plan invariants on every query (diagnostic)",
     )
     serve.add_argument("--host", default="127.0.0.1")
@@ -200,16 +193,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _top_k(text: str) -> int:
+    """argparse type of ``-k``: an integer >= 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_engine_arguments(
     sub: argparse.ArgumentParser,
     *,
     backend_help: str,
-    shards_help: str,
     verify_help: str,
 ) -> None:
     """Declare what every database-loading command takes: the data
-    source (read by :func:`_load`) and the engine's backend, scatter
-    width and verifier; only the help prose differs per command."""
+    source (read by :func:`_load`) and the engine's backend and
+    verifier; only the help prose differs per command."""
     sub.add_argument("--catalog", choices=("dblp", "tpch", "xmark"), default="dblp")
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--xml", help="XML document to load")
@@ -228,7 +231,6 @@ def _add_engine_arguments(
         default=None,
         help=backend_help,
     )
-    sub.add_argument("--shards", type=int, default=None, help=shards_help)
     sub.add_argument(
         "--debug-verify", action="store_true", dest="debug_verify", help=verify_help
     )
@@ -253,11 +255,7 @@ def _make_engine(args: argparse.Namespace, loaded: LoadedDatabase) -> XKeyword:
         strategy=getattr(args, "strategy", "shared-prefix+pruning"),
     )
     return XKeyword(
-        loaded,
-        executor_config=config,
-        verifier=verifier,
-        tracer=tracer,
-        shards=getattr(args, "shards", None),
+        loaded, executor_config=config, verifier=verifier, tracer=tracer
     )
 
 
@@ -360,15 +358,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"{elapsed * 1000:.1f} ms "
         f"({result.metrics.queries_sent} focused queries)"
     )
-    if result.metrics.shard_results:
-        per_shard = " ".join(
-            f"s{shard}={count}"
-            for shard, count in sorted(result.metrics.shard_results.items())
-        )
-        print(
-            f"scattered across {len(result.metrics.shard_results)} shards: "
-            f"{per_shard}"
-        )
     if not streamed:
         for rank, mtton in enumerate(result.mttons, start=1):
             _print_mtton(rank, mtton)
@@ -482,7 +471,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracing=not args.no_tracing,
         slow_query_seconds=args.slow_query or None,
         backend=args.backend,
-        shards=args.shards,
     )
     print(
         f"loaded {catalog.name}: {loaded.to_graph.target_object_count} target "

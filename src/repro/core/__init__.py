@@ -15,7 +15,6 @@ from .execution import (
     BACKEND_SQL,
     BACKENDS,
     PIPELINE_STAGES,
-    SHARDS_ENV_VAR,
     STRATEGIES,
     CTSSNExecutor,
     ExecutionMetrics,
@@ -24,13 +23,10 @@ from .execution import (
     PrefixSpec,
     ResultCache,
     ResultRow,
-    ShardPartition,
     SharedPrefixTable,
     TopKBound,
     assign_shared_prefixes,
     prefix_spec,
-    resolve_shards,
-    shard_of,
 )
 from .expansion import OnDemandNavigator, open_navigator
 from .matching import ContainingLists
@@ -81,12 +77,10 @@ __all__ = [
     "ResultStream",
     "StreamCancelledError",
     "StreamCursor",
-    "SHARDS_ENV_VAR",
     "STRATEGIES",
     "SQLCTSSNExecutor",
     "SearchHooks",
     "SearchResult",
-    "ShardPartition",
     "SharedPrefixTable",
     "TopKBound",
     "WitnessConstraint",
@@ -101,7 +95,5 @@ __all__ = [
     "open_navigator",
     "reduce_to_ctssn",
     "render_sql",
-    "resolve_shards",
     "schema_edge_id",
-    "shard_of",
 ]

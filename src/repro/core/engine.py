@@ -2,10 +2,12 @@
 
 ``XKeyword.search`` runs the five stages end to end: keyword discoverer
 (containing lists), CN generator, CTSSN reduction, optimizer, execution —
-and materializes MTTONs.  Top-k queries use the paper's thread-pool
-strategy: a thread per candidate network, smaller CNs first (they are
-cheaper *and* produce higher-ranked results), all threads sharing a
-global result budget of K.
+and materializes MTTONs.  Candidate networks are evaluated smaller
+first (they are cheaper *and* produce higher-ranked results) against a
+global result budget of K, in rank order on the calling thread.  The
+paper's strategy — a thread per candidate network, to overlap DBMS
+round trips — is the explicit ``parallel=True`` opt-in; with an
+in-process store it buys no overlap (EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from .execution import (
     ExecutionMetrics,
     ExecutionObserver,
     ExecutorConfig,
-    Lane,
     PlannedCN,
     PrefixSpec,
     QueryExecution,
     TopKBound,
     assign_shared_prefixes,
-    resolve_shards,
 )
 from .matching import ContainingLists
 from .optimizer import Optimizer
@@ -104,7 +104,7 @@ class SearchHooks:
     Every field is optional; unset hooks cost one ``None`` check.  The
     engine never depends on what the callbacks do — they must not raise
     and must be thread-safe (``observer`` is shared by the per-CN
-    thread pool).
+    thread pool of a ``parallel=True`` search).
     """
 
     on_search_start: Callable[[KeywordQuery], None] | None = None
@@ -166,12 +166,10 @@ class XKeyword:
 
     Every entry point funnels into :meth:`_run`: matching, the front
     half (:meth:`_plan_networks`) and execution, each stage behind the
-    one :func:`_stage` wrapper.  Execution is **lanes × work units**: a
-    lane is one partition of the anchor space (one lane when unsharded,
-    ``shards`` otherwise), a unit is one candidate network evaluated on
-    one lane, and :meth:`_evaluate` is the only code that runs a unit.
-    A lone lane fans its units over the thread pool; scatter runs one
-    thread per lane via :meth:`_gather`.
+    one :func:`_stage` wrapper.  A work unit is one candidate network
+    and :meth:`_evaluate` is the only code that runs one.  Units run in
+    rank order on the calling thread; ``parallel=True`` fans the same
+    units over a pool of ``threads``.
     """
 
     def __init__(
@@ -183,7 +181,6 @@ class XKeyword:
         hooks: SearchHooks | None = None,
         verifier: NetworkVerifier | None = None,
         tracer=None,
-        shards: int | None = None,
     ) -> None:
         """
         Args:
@@ -192,7 +189,7 @@ class XKeyword:
                 defaults to the load order.  The optimizer prefers
                 relations from earlier stores.
             executor_config: Default execution switches.
-            threads: Thread-pool width for top-k search.
+            threads: Thread-pool width of a ``parallel=True`` search.
             hooks: Optional instrumentation callbacks.
             verifier: Optional invariant checker run on every CN, CTSSN
                 and plan before execution (``debug_verify`` mode); adds
@@ -201,19 +198,12 @@ class XKeyword:
                 search records a span tree onto ``SearchResult.trace``
                 (the EXPLAIN/``/debug/trace`` substrate).  ``None`` uses
                 the null tracer — the identical code path at no-op cost.
-            shards: Scatter execution across this many logical shards of
-                the target-object id space (one thread per shard, anchor
-                seeds partitioned by :func:`~repro.core.execution.shard_of`;
-                ranked results stay byte-identical to the unsharded run).
-                ``None`` resolves from ``$REPRO_SHARDS``; 0/1 disable
-                scattering.
         """
         self.loaded = loaded
         names = store_priority or list(loaded.stores)
         self.stores = {name: loaded.store(name) for name in names}
         self.executor_config = executor_config or ExecutorConfig()
         self.threads = max(1, threads)
-        self.shards = resolve_shards(shards)
         self.hooks = hooks or SearchHooks()
         self.verifier = verifier
         self.tracer = tracer or NULL_TRACER
@@ -319,7 +309,7 @@ class XKeyword:
         query: KeywordQuery | str,
         k: int | None = 10,
         config: ExecutorConfig | None = None,
-        parallel: bool = True,
+        parallel: bool = False,
         *,
         stream: ResultStream | None = None,
     ) -> SearchResult:
@@ -331,7 +321,9 @@ class XKeyword:
                 (what :meth:`search_all` passes).
             config: Per-call execution switches (defaults to the
                 engine's).
-            parallel: Evaluate candidate networks on a thread pool.
+            parallel: Evaluate candidate networks on a thread pool (the
+                paper's Section 6 strategy) instead of in rank order on
+                the calling thread; the ranked results are identical.
             stream: Optional :class:`~repro.core.streaming.ResultStream`
                 the scheduler publishes each ranked result to the moment
                 its score band is final (the streamed sequence is
@@ -359,7 +351,7 @@ class XKeyword:
         query: KeywordQuery | str,
         k: int = 10,
         config: ExecutorConfig | None = None,
-        parallel: bool = True,
+        parallel: bool = False,
         *,
         all_results: bool = False,
     ) -> ResultStream:
@@ -401,9 +393,7 @@ class XKeyword:
         time; stop consuming whenever enough arrived — closing the
         generator cancels the background execution.
         """
-        results = self.search_streaming(
-            query, config=config, parallel=False, all_results=True
-        )
+        results = self.search_streaming(query, config=config, all_results=True)
         try:
             yield from results
         finally:
@@ -443,19 +433,16 @@ class XKeyword:
             )
         if all(containing.keyword_tos[keyword] for keyword in query.keywords):
             planned = self._plan_networks(query, containing, config, result, trace)
-            run = QueryExecution(
-                query, planned, containing, config, limit, self.shards, trace
-            )
+            run = QueryExecution(query, planned, containing, config, limit, trace)
             if config.prune_by_bound and limit is not None:
                 run.bound = TopKBound(limit)
             if stream is not None:
                 run.emitter = self._open_emitter(stream, run, metrics)
             self._execute(run, parallel)
-            for lane in run.lanes:
-                metrics.merge(lane.metrics)
-            # The gathered multiset is the same however the units were
-            # dispatched, so this one sort+truncate keeps every mode
-            # byte-identical to the unsharded run.
+            metrics.merge(run.metrics)
+            # The collected multiset is the same however the units were
+            # dispatched, so this one sort+truncate keeps the pool
+            # byte-identical to the loop.
             run.collected.sort(
                 key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment)
             )
@@ -540,60 +527,32 @@ class XKeyword:
             stream,
             [cn.ctssn.score for cn in run.planned],
             run.limit,
-            multiplier=run.shards,
             on_first=lambda seconds: metrics.record_stage("first_result", seconds),
             on_emit=on_emit,
         )
 
     # ------------------------------------------------------------------
-    # Execution: dispatchers of the one work-unit evaluator
+    # Execution: the one work-unit evaluator and its dispatcher
     # ------------------------------------------------------------------
     def _execute(self, run: QueryExecution, parallel: bool) -> None:
-        """Dispatch every unit of ``run``: a lone (unsharded) lane fans
-        its CNs over the thread pool, smallest first; a scattered run
-        goes to :meth:`_gather`."""
-        if run.shards > 1:
-            for cn in run.planned:
-                cn.span.annotate(scattered_across=run.shards)
-            self._gather(run)
-            return
-        lane = run.open_lane(None)
+        """Evaluate every CN of ``run``, smallest first: in rank order on
+        the calling thread, or fanned over the thread pool."""
         if parallel and len(run.planned) > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                list(pool.map(lambda cn: self._evaluate(run, cn, lane), run.planned))
+                list(pool.map(lambda cn: self._evaluate(run, cn), run.planned))
         else:
             for cn in run.planned:
-                self._evaluate(run, cn, lane)
+                self._evaluate(run, cn)
 
-    def _gather(self, run: QueryExecution) -> None:
-        """Run a scattered query's lanes: one thread per logical shard.
-
-        Each lane restricts anchor seeds to the target objects its
-        :class:`~repro.core.execution.ShardPartition` owns and evaluates
-        every CN in rank order; the partition is exact, so the union
-        over lanes equals the unsharded result multiset.  Pruning is per
-        unit: ``cns_pruned`` counts each (CN, shard) skip.
-        """
-
-        def run_lane(lane: Lane) -> None:
-            started = time.perf_counter()
-            for cn in run.planned:
-                self._evaluate(run, cn, lane)
-            lane.close(time.perf_counter() - started)
-
-        lanes = [run.shard_lane(index) for index in range(run.shards)]
-        with ThreadPoolExecutor(max_workers=run.shards) as pool:
-            list(pool.map(run_lane, lanes))
-
-    def _evaluate(self, run: QueryExecution, cn: PlannedCN, lane: Lane) -> None:
-        """Evaluate one work unit — ``cn`` on ``lane`` — the only place a
-        plan is executed.
+    def _evaluate(self, run: QueryExecution, cn: PlannedCN) -> None:
+        """Evaluate one work unit — one CN — the only place a plan is
+        executed.
 
         Owns the unit's whole life: cancel check, top-k bound admission
         and mid-run abandonment, the executor and its row loop, MTTON
         materialization, stream offers, the ``execute`` span and metrics.
-        *Every* exit — ran, pruned, cancelled, raised — reports to the CN
-        ledger and the emitter, or the score-band frontier would stall.
+        *Every* exit — ran, pruned, cancelled, raised — reports to the
+        run and the emitter, or the score-band frontier would stall.
         """
         ctssn, bound, emitter = cn.ctssn, run.bound, run.emitter
         lower = self.optimizer.score_lower_bound(ctssn)
@@ -608,10 +567,7 @@ class XKeyword:
                 metrics.cns_pruned += 1
                 skipped = {"pruned": True, "prune_bound": bound.bound()}
                 return
-            span = (lane.span or cn.span).child("execute")
-            if lane.span is not None:
-                span.annotate(network=ctssn.canonical_key)
-            span.annotate(backend=run.config.backend)
+            span = cn.span.child("execute", backend=run.config.backend)
             executor = self._make_executor(
                 cn.plan,
                 run.containing,
@@ -621,8 +577,7 @@ class XKeyword:
                 observer=self.hooks.observer,
                 span=span if run.trace.enabled else None,
                 prefix=cn.prefix,
-                prefix_table=lane.prefix_table,
-                partition=lane.partition,
+                prefix_table=run.prefix_table,
             )
             abandoned = False
             with _stage("execution", metrics, span):
@@ -650,7 +605,7 @@ class XKeyword:
                 if abandoned:
                     span.annotate(pruned="abandoned")
         finally:
-            run.unit_done(cn, lane, mttons, skipped, metrics)
+            run.unit_done(cn, mttons, skipped, metrics)
             if emitter is not None:
                 emitter.cn_done(ctssn.score)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 import os
 import threading
-import zlib
 from collections import Counter, OrderedDict
 from dataclasses import KW_ONLY, dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -79,78 +78,13 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 """Environment variable supplying the default backend (CI runs the
 tier-1 suite once per backend by exporting it)."""
 
-SHARDS_ENV_VAR = "REPRO_SHARDS"
-"""Environment variable supplying the default shard count (CI runs the
-tier-1 suite once with ``REPRO_SHARDS=4`` so every engine scatters)."""
-
-
-def shard_of(to_id: str, shards: int) -> int:
-    """The shard owning a target object: ``crc32(to_id) % shards``.
-
-    CRC32 rather than :func:`hash` because Python string hashing is
-    salted per process: a target object keeps its shard, and with it
-    its per-shard metric series, across restarts.
-    """
-    return zlib.crc32(to_id.encode("utf-8")) % shards
-
-
-@dataclass(frozen=True)
-class ShardPartition:
-    """One shard's slice of the target-object id space.
-
-    A partition restricts an executor's *anchor* seeds to the target
-    objects this shard owns (``crc32(to_id) % count == index``).  The
-    anchor seeds a plan's outermost loop, so restricting them partitions
-    the plan's result multiset exactly: the disjoint union over all
-    ``count`` partitions equals the unpartitioned run, row for row, and
-    the canonical enumeration order within each shard is a subsequence
-    of the global order (which keeps per-shard top-k truncation exact).
-
-    Plans whose anchor carries no keyword filter cannot be seed-split;
-    those run on shard 0 only (see ``CTSSNExecutor``).
-    """
-
-    index: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("a partition needs at least one shard")
-        if not 0 <= self.index < self.count:
-            raise ValueError(
-                f"shard index {self.index} outside [0, {self.count})"
-            )
-
-    def owns(self, to_id: str) -> bool:
-        """Whether this shard owns the given target object."""
-        return shard_of(to_id, self.count) == self.index
-
-
-def resolve_shards(shards: int | None) -> int:
-    """Normalize a shard count, resolving ``None`` from ``$REPRO_SHARDS``.
-
-    Returns at least 1: 0, 1 and an unset or empty variable all mean
-    unsharded.  A non-integer or negative environment value raises (as a
-    mistyped ``$REPRO_BACKEND`` does) instead of silently running
-    unsharded.
-    """
-    if shards is None:
-        raw = os.environ.get(SHARDS_ENV_VAR, "")
-        if raw and not raw.isdecimal():
-            raise ValueError(
-                f"${SHARDS_ENV_VAR} must be a non-negative integer, got {raw!r}"
-            )
-        shards = int(raw or 1)
-    return max(1, shards)
-
-
 PIPELINE_STAGES = (
     "matching", "cn_generation", "ctssn_reduction", "planning", "execution",
     "first_result",
 )
 """The one stage vocabulary: every key of
 :attr:`ExecutionMetrics.stage_seconds`, hence every ``stage`` label of
-``repro_stage_seconds`` (docs/OPERATIONS.md §6 is diffed against this).
+``repro_stage_seconds`` (docs/OPERATIONS.md §5 is diffed against this).
 The first five are the Fig 7 pipeline in order; ``first_result`` is the
 streaming time-to-first-answer."""
 
@@ -175,20 +109,10 @@ class ExecutionMetrics:
     :data:`PIPELINE_STAGES`.  Always recorded — independent of tracing —
     and merged additively, so the service can export per-stage latency
     histograms."""
-    shard_results: dict[int, int] = field(default_factory=dict)
-    """Results each shard produced when the search scattered (empty for
-    unsharded runs); the service exports these as ``repro_shard_*``."""
-    shard_seconds: dict[int, float] = field(default_factory=dict)
-    """Wall-clock execution seconds per shard when the search scattered."""
 
     def record_stage(self, stage: str, seconds: float) -> None:
         """Accumulate wall-clock time against one pipeline stage."""
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-
-    def record_shard(self, shard: int, results: int, seconds: float) -> None:
-        """Accumulate one shard's scatter-gather contribution."""
-        self.shard_results[shard] = self.shard_results.get(shard, 0) + results
-        self.shard_seconds[shard] = self.shard_seconds.get(shard, 0.0) + seconds
 
     def merge(self, other: "ExecutionMetrics") -> None:
         """Fold another metrics object into this one (all fields add)."""
@@ -202,8 +126,6 @@ class ExecutionMetrics:
         self.cns_pruned += other.cns_pruned
         for stage, seconds in other.stage_seconds.items():
             self.record_stage(stage, seconds)
-        for shard, results in other.shard_results.items():
-            self.record_shard(shard, results, other.shard_seconds.get(shard, 0.0))
 
 
 class ResultCache:
@@ -660,7 +582,6 @@ class CTSSNExecutor:
         span: Span | None = None,
         prefix: PrefixSpec | None = None,
         prefix_table: SharedPrefixTable | None = None,
-        partition: ShardPartition | None = None,
     ) -> None:
         """
         Args:
@@ -678,11 +599,6 @@ class CTSSNExecutor:
             prefix_table: The per-query table the shared prefix is
                 materialized into / borrowed from; both ``prefix`` and
                 ``prefix_table`` must be set for sharing to engage.
-            partition: Restrict anchor seeds to one shard's target
-                objects (scatter-gather mode); ``None`` evaluates the
-                full plan.  Plans whose anchor has no keyword filter are
-                evaluated by shard 0 only — any single owner keeps the
-                cross-shard union exact, and 0 is the conventional one.
         """
         self.plan = plan
         self.config = config or ExecutorConfig()
@@ -693,7 +609,6 @@ class CTSSNExecutor:
         self._prefix = prefix
         self._prefix_table = prefix_table
         self._span = span
-        self.partition = partition
         if self.config.backend == BACKEND_PYTHON_HASH:
             self._access: list = [
                 _HashAccess(stores[step.store_name], step, self.metrics, span)
@@ -715,19 +630,6 @@ class CTSSNExecutor:
             role: containing.allowed_tos(constraints)
             for role, constraints in plan.ctssn.keyword_roles()
         }
-        if partition is not None:
-            anchor = plan.anchor_role
-            if anchor in self.role_filters:
-                self.role_filters[anchor] = {
-                    to_id
-                    for to_id in self.role_filters[anchor]
-                    if partition.owns(to_id)
-                }
-            elif partition.index != 0:
-                # An unfiltered anchor cannot be seed-split; shard 0
-                # evaluates the whole plan and every other shard yields
-                # nothing (an empty admission set produces no seeds).
-                self.role_filters[anchor] = set()
         self._step_roles = [set(step.roles()) for step in plan.steps]
 
     # ------------------------------------------------------------------
@@ -1013,115 +915,60 @@ class CTSSNExecutor:
 
 
 # ----------------------------------------------------------------------
-# Scheduling: lanes × work units (dispatched by ``core/engine.py``)
+# Scheduling: one work unit per CN (dispatched by ``core/engine.py``)
 # ----------------------------------------------------------------------
 @dataclass
 class PlannedCN:
-    """One candidate network, planned, awaiting its work units.
+    """One candidate network, planned, awaiting evaluation.
 
-    A CN is evaluated as one unit per :class:`Lane`.  Its ``cn`` trace
-    span opens at planning and closes when the *last* unit reports
-    (:meth:`QueryExecution.unit_done`), so ``actual_results`` sums the
-    lanes; the three ledger fields are written under that method's lock.
+    Its ``cn`` trace span opens at planning and closes when the CN
+    reports to :meth:`QueryExecution.unit_done`.
     """
 
     ctssn: CTSSN
     plan: ExecutionPlan
     span: Span
     prefix: PrefixSpec | None = None
-    reported: int = 0
-    produced: int = 0
-    executed: bool = False
-
-
-@dataclass
-class Lane:
-    """One partition of a query's anchor space and what is private to it.
-
-    Prefix rows embed the partitioned anchor, so they must not cross
-    lanes: each owns its :class:`SharedPrefixTable`.  A scatter lane
-    also carries its ``shard`` span (the lane's ``execute`` spans hang
-    under it); a lone lane leaves them under each ``cn`` span.
-    """
-
-    partition: ShardPartition | None
-    prefix_table: SharedPrefixTable | None
-    span: Span | None = None
-    metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
-    results: int = 0
-
-    def close(self, seconds: float) -> None:
-        """Account a finished scatter lane: shard metrics, ``shard`` span."""
-        self.metrics.record_shard(self.partition.index, self.results, seconds)
-        self.span.annotate(
-            results=self.results,
-            queries_sent=self.metrics.queries_sent,
-            cns_pruned=self.metrics.cns_pruned,
-        )
-        self.span.finish()
 
 
 @dataclass
 class QueryExecution:
-    """What the work units of one query share.
-
-    One :class:`TopKBound` and one relation-lookup cache span every lane:
-    raw probes are partition-independent, and a result collected on any
-    lane prunes candidate networks everywhere.
-    """
+    """What the work units of one query share: one :class:`TopKBound`
+    (a result collected from any CN prunes every other), one
+    relation-lookup cache, one :class:`SharedPrefixTable`."""
 
     query: KeywordQuery
     planned: list[PlannedCN]
     containing: ContainingLists
     config: ExecutorConfig
     limit: int | None
-    shards: int
-    """Lanes the anchor space is split into — units per CN (1: unsharded)."""
     trace: QueryTrace | NullTrace
     bound: TopKBound | None = None
     emitter: _StreamEmitter | None = None
-    lanes: list[Lane] = field(default_factory=list)
+    metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
     collected: list[MTTON] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.lookup_cache = ResultCache(self.config.cache_capacity)
-        self._lock = threading.Lock()
-
-    def open_lane(self, partition: ShardPartition | None, span: Span | None = None) -> Lane:
-        """Add a lane over ``partition`` (``None``: the whole anchor space)."""
         shares = any(cn.prefix is not None for cn in self.planned)
-        lane = Lane(partition, SharedPrefixTable() if shares else None, span)
-        self.lanes.append(lane)
-        return lane
-
-    def shard_lane(self, index: int) -> Lane:
-        """Add the scatter lane of shard ``index`` under a ``shard`` span."""
-        span = self.trace.span("shard", shard=index, shards=self.shards)
-        return self.open_lane(ShardPartition(index, self.shards), span)
+        self.prefix_table = SharedPrefixTable() if shares else None
+        self._lock = threading.Lock()
 
     def unit_done(
         self,
         cn: PlannedCN,
-        lane: Lane,
         mttons: list[MTTON],
         skipped: dict | None,
         metrics: ExecutionMetrics,
     ) -> None:
-        """Fold one finished (CN, lane) unit into the shared ledgers.
+        """Fold one finished CN into the shared results and metrics and
+        close its span.
 
         ``skipped`` holds the ``cn``-span attributes of a unit that never
-        ran (pruned / cancelled), shown only if no lane ran the CN.  The
-        unit that completes a CN closes its span with the summed actuals.
+        ran (pruned / cancelled).
         """
         with self._lock:
             self.collected.extend(mttons)
-            lane.results += len(mttons)
-            lane.metrics.merge(metrics)
-            cn.produced += len(mttons)
-            cn.executed = cn.executed or skipped is None
-            cn.reported += 1
-            last = cn.reported == self.shards
-        if last:
-            outcome = {} if cn.executed else skipped
-            cn.span.annotate(**outcome, actual_results=cn.produced)
-            cn.span.finish()
+            self.metrics.merge(metrics)
+        cn.span.annotate(**(skipped or {}), actual_results=len(mttons))
+        cn.span.finish()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .results import MTTON
@@ -250,24 +251,20 @@ class _StreamEmitter:
         scores: list[int],
         limit: int | None,
         *,
-        multiplier: int = 1,
         on_first: Callable[[float], None] | None = None,
         on_emit: Callable[[int, MTTON], None] | None = None,
     ) -> None:
         """Track one planned execution.
 
         ``scores`` is the score of every planned CN (duplicates
-        expected — one entry per CN); ``multiplier`` is the number of
-        completion signals per CN (the thread-scatter path runs every
-        CN once per shard).  ``on_first`` fires with elapsed seconds at
-        the first publication; ``on_emit`` fires per published result
-        with its 1-based rank (used for per-event trace spans).
+        expected — one entry, and one completion signal, per CN).
+        ``on_first`` fires with elapsed seconds at the first
+        publication; ``on_emit`` fires per published result with its
+        1-based rank (used for per-event trace spans).
         """
         self._stream = stream
         self._lock = threading.Lock()
-        self._remaining: dict[int, int] = {}  # guarded by: self._lock
-        for score in scores:
-            self._remaining[score] = self._remaining.get(score, 0) + multiplier
+        self._remaining = Counter(scores)  # guarded by: self._lock
         self._bands: dict[int, list[MTTON]] = {}  # guarded by: self._lock
         self._order = sorted(self._remaining)  # ascending score bands
         self._next_band = 0  # guarded by: self._lock

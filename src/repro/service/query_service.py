@@ -84,7 +84,6 @@ class ServiceConfig:
     cache_ttl: float | None = 300.0
     default_k: int = 10
     max_body_bytes: int = 64 * 1024
-    engine_threads: int = 4
     debug_verify: bool = False
     """Verify CN/CTSSN/plan invariants on every query (RV301-RV310).
 
@@ -113,14 +112,6 @@ class ServiceConfig:
     ``REPRO_BACKEND`` environment variable and falls back to the Python
     nested-loop executor.  Requests may override per query via the
     ``/search`` body's ``backend`` option."""
-
-    shards: int | None = None
-    """Scatter every search across this many logical shards of the
-    target-object space (see ``XKeyword(shards=...)``); ``None`` honors
-    the ``REPRO_SHARDS`` environment variable, 0/1 serve unsharded.
-    Ranked results are byte-identical either way; ``/metrics`` exports
-    per-shard ``repro_shard_*`` series and ``/healthz`` reports the
-    shard layout."""
 
 
 class _EngineInstrumentation(ExecutionObserver):
@@ -163,16 +154,6 @@ class _EngineInstrumentation(ExecutionObserver):
             "repro_cns_pruned_total",
             "Candidate networks skipped by the global top-k bound",
         )
-        self._shard_results = lambda shard: registry.counter(
-            "repro_shard_results_total",
-            "Results produced per shard by scattered searches",
-            shard=str(shard),
-        )
-        self._shard_seconds = lambda shard: registry.histogram(
-            "repro_shard_seconds",
-            "Per-shard execution wall-clock of scattered searches",
-            shard=str(shard),
-        )
 
     # SearchHooks callbacks ------------------------------------------------
     def search_complete(self, query, result: SearchResult, seconds: float) -> None:
@@ -186,11 +167,6 @@ class _EngineInstrumentation(ExecutionObserver):
             self._cns_pruned.inc(result.metrics.cns_pruned)
         for stage, stage_seconds in result.metrics.stage_seconds.items():
             self._stage_seconds(stage).observe(stage_seconds)
-        for shard, shard_results in result.metrics.shard_results.items():
-            self._shard_results(shard).inc(shard_results)
-            self._shard_seconds(shard).observe(
-                result.metrics.shard_seconds.get(shard, 0.0)
-            )
 
     # ExecutionObserver ----------------------------------------------------
     def on_query(self, relation_name: str, rows: int, cached: bool) -> None:
@@ -255,11 +231,9 @@ class QueryService:
             lambda db, hooks: XKeyword(
                 db,
                 executor_config=ExecutorConfig(backend=self.config.backend),
-                threads=self.config.engine_threads,
                 hooks=hooks,
                 verifier=DebugVerifier() if self.config.debug_verify else None,
                 tracer=self.tracer,
-                shards=self.config.shards,
             )
         )
         self.versions = VersionVector()
@@ -744,13 +718,7 @@ class QueryService:
             "index_epoch": snapshot.epoch if snapshot else self.loaded.epoch,
             "document_count": snapshot.document_count if snapshot else None,
             "last_mutation_at": snapshot.last_mutation_at if snapshot else None,
-            "shards": self._shard_health(),
         }
-
-    def _shard_health(self) -> dict:
-        """The ``/healthz`` shard section: the engine's scatter width."""
-        shard_count = getattr(self.engine, "shards", 1)
-        return {"count": shard_count, "scattered": shard_count > 1}
 
     def metrics_text(self) -> str:
         """Render the registry, refreshing scrape-time gauges first."""

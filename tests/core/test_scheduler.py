@@ -204,9 +204,7 @@ def ranked(result):
 
 class TestEngineScheduling:
     def test_prefix_metrics_and_trace_attributes(self, small_dblp_db):
-        # shards=1 pins the unsharded trace/metric shape; the scattered
-        # equivalents are covered by tests/core/test_work_units.py.
-        engine = XKeyword(small_dblp_db, tracer=Tracer(TraceStore()), shards=1)
+        engine = XKeyword(small_dblp_db, tracer=Tracer(TraceStore()))
         config = ExecutorConfig(strategy="shared-prefix")
         result = engine.search(DBLP_QUERY, k=10, config=config, parallel=False)
         assert result.metrics.prefix_materializations > 0
@@ -223,8 +221,7 @@ class TestEngineScheduling:
         assert all(note["length"] >= 1 for note in reuse_notes)
 
     def test_pruned_cns_are_counted_and_annotated(self, small_dblp_db):
-        # shards=1: under scatter, pruning is counted per (CN, shard).
-        engine = XKeyword(small_dblp_db, tracer=Tracer(TraceStore()), shards=1)
+        engine = XKeyword(small_dblp_db, tracer=Tracer(TraceStore()))
         result = engine.search(DBLP_QUERY, k=1, parallel=False)
         assert result.metrics.cns_pruned > 0
         pruned_spans = [

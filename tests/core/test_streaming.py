@@ -4,9 +4,9 @@ The streaming contract is strict: the concatenation of results
 published on a :class:`~repro.core.ResultStream` is *identical* — same
 results, same order — to the buffered ranked top-k of
 :meth:`~repro.core.XKeyword.search`.  The equivalence tests here run
-under whatever ambient ``$REPRO_BACKEND`` / ``$REPRO_SHARDS`` the CI
-matrix sets, so every variant cell re-proves the contract, and on top
-of that an explicit backend x shards sweep pins the cells locally.
+under whatever ambient ``$REPRO_BACKEND`` the CI matrix sets, so every
+variant cell re-proves the contract, and on top of that an explicit
+backend sweep pins the cells locally.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.core.streaming import _StreamEmitter
 
 @pytest.fixture(scope="module")
 def engine(small_dblp_db):
-    """Engine under the ambient backend/shards (the CI matrix cell)."""
+    """Engine under the ambient backend (the CI matrix cell)."""
     return XKeyword(small_dblp_db)
 
 
@@ -68,13 +68,10 @@ class TestStreamedEquivalence:
         assert streamed == list(buffered.mttons)
 
     @pytest.mark.parametrize("backend", ["python", "python-hash", "sql"])
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_backend_shard_cells(self, small_dblp_db, backend, shards):
-        """Explicit sweep of the CI variant cells (thread scatter)."""
+    def test_backend_cells(self, small_dblp_db, backend):
+        """Explicit sweep of the CI variant cells."""
         cell = XKeyword(
-            small_dblp_db,
-            executor_config=ExecutorConfig(backend=backend),
-            shards=shards,
+            small_dblp_db, executor_config=ExecutorConfig(backend=backend)
         )
         buffered = cell.search(QUERY, k=8)
         streamed = list(cell.search_streaming(QUERY, k=8))
@@ -238,15 +235,6 @@ class TestStreamEmitter:
             emitter.offer(fake_mtton(1, f"k{index}", f"t{index}"))
         emitter.cn_done(1)
         assert stream.emitted == 2
-
-    def test_multiplier_counts_shard_completions(self):
-        stream = ResultStream()
-        emitter = _StreamEmitter(stream, scores=[1], limit=10, multiplier=2)
-        emitter.offer(fake_mtton(1, "a", "t1"))
-        emitter.cn_done(1)
-        assert stream.emitted == 0  # one shard done, one to go
-        emitter.cn_done(1)
-        assert stream.emitted == 1
 
     def test_on_first_fires_once(self):
         stream = ResultStream()

@@ -12,9 +12,7 @@ DBLP_QUERY = KeywordQuery.of("smith", "balmin", max_size=6)
 
 
 def traced_engine(db) -> XKeyword:
-    # shards=1 pins the unsharded trace shape (cn spans own the execute
-    # children); the scattered shape is covered by test_work_units.py.
-    return XKeyword(db, tracer=Tracer(TraceStore()), shards=1)
+    return XKeyword(db, tracer=Tracer(TraceStore()))
 
 
 class TestSpanTreeContents:

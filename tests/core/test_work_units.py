@@ -1,7 +1,6 @@
-"""The single scheduler: lanes × work units behind one evaluator.
+"""The single scheduler: one work unit per CN behind one evaluator.
 
 Covers what the one-evaluator refactor made *single* paths: the
-scattered trace shape (``cn`` spans close with summed actuals), the
 ``XKeyword.stream()`` generator as a cancelling view of
 ``search_streaming``, bounded failure when a unit raises, and the one
 stage vocabulary.
@@ -33,65 +32,6 @@ QUERY = KeywordQuery.of("smith", "balmin", max_size=6)
 
 def ranked(result):
     return [(m.ctssn.canonical_key, m.assignment, m.score) for m in result.mttons]
-
-
-def spans_named(span, name):
-    found = [span] if span.name == name else []
-    for child in span.children:
-        found.extend(spans_named(child, name))
-    return found
-
-
-class TestScatteredTrace:
-    """Under thread scatter a ``cn`` span closes when its *last* unit does."""
-
-    def test_cn_spans_sum_actuals_across_lanes(self, small_dblp_db):
-        actuals = {}
-        for shards in (1, 3):
-            engine = XKeyword(small_dblp_db, tracer=Tracer(), shards=shards)
-            # All-results mode: no pruning, so per-CN actuals are exact.
-            root = engine.search_all(QUERY).trace.root
-            cn_spans = spans_named(root, "cn")
-            assert cn_spans
-            assert all(span.end is not None for span in cn_spans)
-            actuals[shards] = {
-                span.attributes["network"]: span.attributes["actual_results"]
-                for span in cn_spans
-            }
-        assert actuals[3] == actuals[1]
-        assert sum(actuals[3].values()) > 0
-
-    def test_scattered_shape_is_kept(self, small_dblp_db):
-        engine = XKeyword(small_dblp_db, tracer=Tracer(), shards=3)
-        result = engine.search(QUERY, k=10)
-        root = result.trace.root
-        for span in spans_named(root, "cn"):
-            assert span.attributes["scattered_across"] == 3
-            assert "estimated_results" in span.attributes
-            assert [child.name for child in span.children] == ["plan"]
-        shard_spans = spans_named(root, "shard")
-        assert {span.attributes["shard"] for span in shard_spans} == {0, 1, 2}
-        for span in shard_spans:
-            executes = span.children
-            assert all(child.name == "execute" for child in executes)
-            assert span.attributes["results"] == sum(
-                child.attributes["results"] for child in executes
-            )
-        assert sum(s.attributes["results"] for s in shard_spans) == sum(
-            s.attributes["actual_results"] for s in spans_named(root, "cn")
-        )
-
-    def test_cn_pruned_on_every_lane_says_so(self, small_dblp_db):
-        engine = XKeyword(small_dblp_db, tracer=Tracer(), shards=2)
-        root = engine.search(QUERY, k=1, parallel=False).trace.root
-        executed = {
-            span.attributes["network"] for span in spans_named(root, "execute")
-        }
-        for span in spans_named(root, "cn"):
-            skipped_everywhere = span.attributes["network"] not in executed
-            assert span.attributes.get("pruned", False) is skipped_everywhere
-            if skipped_everywhere:
-                assert span.attributes["actual_results"] == 0
 
 
 class TestAllResultsEntryPoint:
@@ -139,9 +79,8 @@ class TestRunStateLifetime:
     reference cycle through the emitter would park it all until the
     cycle collector's next full pass."""
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_streamed_run_is_freed_by_refcount_alone(self, small_dblp_db, shards):
-        engine = XKeyword(small_dblp_db, tracer=Tracer(), shards=shards)
+    def test_streamed_run_is_freed_by_refcount_alone(self, small_dblp_db):
+        engine = XKeyword(small_dblp_db, tracer=Tracer())
         gc.collect()
         gc.disable()
         try:
@@ -172,12 +111,9 @@ class TestUnitFailure:
     """Every unit signals completion or the stream fails — never a hang."""
 
     @pytest.mark.parametrize("parallel", [False, True])
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_stream_fails_promptly(self, small_dblp_db, shards, parallel):
+    def test_stream_fails_promptly(self, small_dblp_db, parallel):
         engine = _FailingFactory(
-            small_dblp_db,
-            executor_config=ExecutorConfig(strategy="serial"),
-            shards=shards,
+            small_dblp_db, executor_config=ExecutorConfig(strategy="serial")
         )
         stream = engine.search_streaming(QUERY, all_results=True, parallel=parallel)
         with pytest.raises(RuntimeError, match="exploded"):
@@ -185,9 +121,8 @@ class TestUnitFailure:
         with pytest.raises(RuntimeError, match="exploded"):
             list(stream)
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_buffered_search_raises(self, small_dblp_db, shards):
-        engine = _FailingFactory(small_dblp_db, shards=shards)
+    def test_buffered_search_raises(self, small_dblp_db):
+        engine = _FailingFactory(small_dblp_db)
         with pytest.raises(RuntimeError, match="exploded"):
             engine.search_all(QUERY)
 

@@ -100,13 +100,13 @@ class TestExposition:
 class TestCatalogue:
     def test_operations_lists_exactly_the_registered_metric_names(self):
         """Static diff: every ``"repro_…"`` metric-name literal under
-        ``src/repro/service/`` against the OPERATIONS.md §6 tables."""
+        ``src/repro/service/`` against the OPERATIONS.md §5 tables."""
         root = Path(__file__).resolve().parents[2]
         registered = set()
         for source in (root / "src" / "repro" / "service").glob("*.py"):
             registered |= set(re.findall(r'"(repro_\w+)"', source.read_text()))
         runbook = (root / "docs" / "OPERATIONS.md").read_text()
-        section = runbook[runbook.index("## 6."):runbook.index("## 7.")]
+        section = runbook[runbook.index("## 5."):runbook.index("## 6.")]
         documented = set()
         for line in section.splitlines():
             if line.startswith("| `repro_"):

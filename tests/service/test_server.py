@@ -7,6 +7,7 @@ exercised exactly as a client would.
 
 from __future__ import annotations
 
+import inspect
 import json
 import socket
 import threading
@@ -17,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import ExecutionMetrics, KeywordQuery, SearchResult
+from repro.core import ExecutionMetrics, KeywordQuery, SearchResult, XKeyword
 from repro.service import QueryService, ServiceConfig, XKeywordHTTPServer
 
 
@@ -217,6 +218,32 @@ class TestExpandEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(base, "/expand")
         assert excinfo.value.code == 400
+
+
+# ----------------------------------------------------------------------
+# One dispatcher: a served search runs on the worker thread that took it
+# ----------------------------------------------------------------------
+class TestRankOrderDispatch:
+    def test_served_searches_open_no_thread_pool(self, small_dblp_db, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a served search opened a per-query thread pool")
+
+        monkeypatch.setattr("repro.core.engine.ThreadPoolExecutor", no_pool)
+        service = QueryService(small_dblp_db, ServiceConfig(workers=1, queue_size=2))
+        try:
+            buffered = service.search(["smith", "balmin"], k=5, max_size=6)
+            assert buffered["count"] == 5
+            events = list(
+                service.search_stream(["smith", "balmin"], k=4, max_size=6).events()
+            )
+            assert [kind for kind, _ in events] == ["result"] * 4 + ["done"]
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("method", ["search", "search_all", "search_streaming"])
+    def test_parallel_is_opt_in(self, method):
+        signature = inspect.signature(getattr(XKeyword, method))
+        assert signature.parameters["parallel"].default is False
 
 
 # ----------------------------------------------------------------------

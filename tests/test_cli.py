@@ -80,6 +80,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["search", "smith"])
 
+    @pytest.mark.parametrize("command", ["search", "explain", "navigate"])
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_is_a_usage_error(self, command, k, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--demo", "smith balmin", "-k", k])
+        assert excinfo.value.code == 2
+        assert "argument -k" in capsys.readouterr().err
+
 
 class TestNavigate:
     def test_scripted_navigation(self, capsys):

@@ -9,6 +9,10 @@ from repro.core import KeywordQuery, ResultCache, XKeyword
 pytestmark = pytest.mark.stress
 
 
+def ranked(result):
+    return [(m.ctssn.canonical_key, m.assignment, m.score) for m in result.mttons]
+
+
 class TestConcurrentSearches:
     def test_parallel_topk_consistent(self, small_dblp_db):
         """The thread-pool top-k must produce valid, deduplicated
@@ -60,6 +64,10 @@ class TestConcurrentSearches:
             # Results are always presented in ranking order, whatever
             # order the threads produced them in.
             assert result.scores() == sorted(result.scores())
+            # ... and are the rank-order loop's, member for member, also
+            # when the cut falls inside a band of tied scores (k=1).
+            loop = engine.search(query, k=k, parallel=False)
+            assert ranked(result) == ranked(loop)
 
 
 class TestResultCacheThreadSafety:

@@ -4,7 +4,7 @@ Hypothesis drives random sequences of insert/delete/update against one
 database; after the whole sequence (and after every prefix, since each
 example replays from scratch) the incrementally maintained artifacts
 must match ``load_database`` run on the mutated graph, and a top-k
-query must rank identically — unsharded and scattered over two lanes.
+query must rank identically.
 """
 
 from __future__ import annotations
@@ -92,10 +92,8 @@ def test_any_interleaving_matches_full_reload(sequence):
             (m.score, tuple(sorted(m.assignment)))
             for m in XKeyword(fresh).search(query, k=10).mttons
         ]
-        # The default engine, and thread scatter over the mutated load.
-        for shards in (None, 2):
-            ours = [
-                (m.score, tuple(sorted(m.assignment)))
-                for m in XKeyword(loaded, shards=shards).search(query, k=10).mttons
-            ]
-            assert ours == theirs, (keywords, shards)
+        ours = [
+            (m.score, tuple(sorted(m.assignment)))
+            for m in XKeyword(loaded).search(query, k=10).mttons
+        ]
+        assert ours == theirs, keywords
