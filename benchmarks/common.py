@@ -111,8 +111,9 @@ def bench_graph():
 
 
 @lru_cache(maxsize=None)
-def engine_for(decomposition_name: str, backend: str = "python") -> XKeyword:
-    """An engine restricted to one decomposition's relations."""
+def engine_for(decomposition_name: str, backend: str | None = "python") -> XKeyword:
+    """An engine restricted to one decomposition's relations
+    (``backend=None`` follows the library default)."""
     loaded = bench_database()
     names = [decomposition_name]
     if decomposition_name == "Combined":

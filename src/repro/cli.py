@@ -74,12 +74,17 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("keywords", help="space-separated keywords, quoted")
         _add_engine_arguments(
             sub,
-            backend_help="per-CN execution backend: Python nested loops, Python "
-            "hash joins, or one compiled SQL statement per plan executed "
-            "inside SQLite (all return identical results; default "
-            "honors $REPRO_BACKEND, else python)",
             verify_help="verify CN/CTSSN/plan invariants (RV301-RV310) "
             "before executing",
+        )
+        sub.add_argument(
+            "--backend",
+            choices=("python", "python-hash", "sql"),
+            default=None,
+            help="per-CN execution backend, for ablations: one compiled SQL "
+            "statement per plan executed inside SQLite, Python nested "
+            "loops (the oracle), or Python hash joins (all return "
+            "identical results; default honors $REPRO_BACKEND, else sql)",
         )
         sub.add_argument("-k", type=_top_k, default=10, help="top-k cutoff (>= 1)")
         sub.add_argument("-z", "--max-size", type=int, default=8, dest="max_size")
@@ -125,9 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_arguments(
         serve,
-        backend_help="default execution backend for the served engine "
-        "(per-request override via the /search 'backend' option; default "
-        "honors $REPRO_BACKEND, else python)",
         verify_help="verify CN/CTSSN/plan invariants on every query (diagnostic)",
     )
     serve.add_argument("--host", default="127.0.0.1")
@@ -207,12 +209,11 @@ def _top_k(text: str) -> int:
 def _add_engine_arguments(
     sub: argparse.ArgumentParser,
     *,
-    backend_help: str,
     verify_help: str,
 ) -> None:
     """Declare what every database-loading command takes: the data
-    source (read by :func:`_load`) and the engine's backend and
-    verifier; only the help prose differs per command."""
+    source (read by :func:`_load`) and the engine's verifier; only the
+    help prose differs per command."""
     sub.add_argument("--catalog", choices=("dblp", "tpch", "xmark"), default="dblp")
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--xml", help="XML document to load")
@@ -224,12 +225,6 @@ def _add_engine_arguments(
         "--decomposition",
         choices=("minimal", "xkeyword", "combined"),
         default="minimal",
-    )
-    sub.add_argument(
-        "--backend",
-        choices=("python", "python-hash", "sql"),
-        default=None,
-        help=backend_help,
     )
     sub.add_argument(
         "--debug-verify", action="store_true", dest="debug_verify", help=verify_help
@@ -470,7 +465,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         debug_verify=args.debug_verify,
         tracing=not args.no_tracing,
         slow_query_seconds=args.slow_query or None,
-        backend=args.backend,
     )
     print(
         f"loaded {catalog.name}: {loaded.to_graph.target_object_count} target "

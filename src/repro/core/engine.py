@@ -43,7 +43,7 @@ from .optimizer import Optimizer
 from .plans import ExecutionPlan
 from .query import KeywordQuery
 from .results import MTTON, materialize
-from .sqlcompile import SQLCTSSNExecutor, render_sql
+from .sqlcompile import SQLCTSSNExecutor
 from .streaming import ResultStream, _StreamEmitter
 
 
@@ -284,22 +284,6 @@ class XKeyword:
                 plan, self.stores, containing, config=config, **kwargs
             )
         return CTSSNExecutor(plan, self.stores, containing, config=config, **kwargs)
-
-    def compiled_sql(
-        self, plan: ExecutionPlan, containing: ContainingLists
-    ) -> str:
-        """The statement the ``sql`` backend executes for ``plan``.
-
-        EXPLAIN's view of the compiler: the same rendering the
-        :class:`~repro.core.sqlcompile.SQLCTSSNExecutor` runs (shared
-        prefixes aside — those are assigned per query, so EXPLAIN shows
-        the standalone form).
-        """
-        role_filters = {
-            role: containing.allowed_tos(constraints)
-            for role, constraints in plan.ctssn.keyword_roles()
-        }
-        return render_sql(plan, self.stores, role_filters)
 
     # ------------------------------------------------------------------
     # Search entry points

@@ -75,8 +75,8 @@ BACKENDS = (BACKEND_PYTHON, BACKEND_PYTHON_HASH, BACKEND_SQL)
 """Valid values for :attr:`ExecutorConfig.backend`."""
 
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-"""Environment variable supplying the default backend (CI runs the
-tier-1 suite once per backend by exporting it)."""
+"""Environment variable overriding the default backend (the test seam:
+CI exports it to run the tier-1 suite on the ``python`` oracle too)."""
 
 PIPELINE_STAGES = (
     "matching", "cn_generation", "ctssn_reduction", "planning", "execution",
@@ -513,12 +513,14 @@ class ExecutorConfig:
     * ``python-hash`` — full-scan + in-memory hash joins (the Figure
       15(b) all-results strategy);
     * ``sql`` — each plan compiled to one parameterized SELECT and
-      executed inside the DBMS (see :mod:`repro.core.sqlcompile`).
+      executed inside the DBMS (see :mod:`repro.core.sqlcompile`): the
+      paper's one-statement-per-CN model, the default, and the only
+      backend the service runs.
 
     ``None`` (the default) resolves at construction from the
     :data:`REPRO_BACKEND <BACKEND_ENV_VAR>` environment variable, falling
-    back to ``python`` — that is how CI runs the whole tier-1 suite once
-    per backend without editing every test."""
+    back to ``sql`` — the variable is how CI runs the whole tier-1 suite
+    on the ``python`` oracle too without editing every test."""
     _: KW_ONLY
     cache_capacity: int = 50_000
     """Suffix/lookup cache size (positive)."""
@@ -537,7 +539,7 @@ class ExecutorConfig:
     """Whether CNs share one relation-lookup cache (``python`` backend)."""
 
     def __post_init__(self) -> None:
-        backend = self.backend or os.environ.get(BACKEND_ENV_VAR) or BACKEND_PYTHON
+        backend = self.backend or os.environ.get(BACKEND_ENV_VAR) or BACKEND_SQL
         object.__setattr__(self, "backend", backend)  # frozen: resolve once
         errors: list[str] = []
         if backend not in BACKENDS:

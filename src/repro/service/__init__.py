@@ -6,8 +6,10 @@ the one session every search is served through, mutations, health and
 metrics — lives in :mod:`repro.service.query_service`; the HTTP/SSE
 transport (route table, response writer, error map) in
 :mod:`repro.service.server`.  One service serves one database for the
-life of the process; the only state that outlives a query is the
-:class:`QueryCache`, whose entries the mutation ``VersionVector`` guards.
+life of the process, on the engine's default ``sql`` backend (neither a
+deployment nor a request can pick another); the only state that outlives
+a query is the :class:`QueryCache`, whose entries the mutation
+``VersionVector`` guards.
 """
 
 from .admission import (

@@ -2,9 +2,10 @@
 
 One level above the paper's per-query partial-result cache: where
 ``ResultCache`` (core/execution.py) memoizes *suffix* results inside one
-keyword query — the Figure 16(a) lever — this cache stores whole
-materialized :class:`~repro.core.SearchResult`s across queries, so a
-repeated query (the common case behind a web search box) skips the
+keyword query — the Figure 16(a) lever — this cache stores finished
+answers (the service puts what a reply reads of a
+:class:`~repro.core.SearchResult`: ranked results, metrics, counts)
+across queries, so a repeated query (the common case behind a web search box) skips the
 entire pipeline: no containing-list retrieval, no CN generation, no
 planning, no execution.
 
@@ -39,7 +40,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..core.engine import SearchResult
 from ..core.query import KeywordQuery
 from ..storage.fingerprint import VersionVector
 
@@ -78,14 +78,14 @@ class CacheStats:
 
 @dataclass
 class _Entry:
-    result: SearchResult
+    result: object
     expires_at: float
     snapshot: tuple = _FRESH
     stored_at: float = field(default_factory=time.monotonic)
 
 
 class QueryCache:
-    """A thread-safe LRU + TTL cache of materialized search results.
+    """A thread-safe LRU + TTL cache of finished search answers.
 
     Args:
         capacity: Maximum entries; least-recently-used beyond it are
@@ -122,7 +122,7 @@ class QueryCache:
         self._invalidation_reasons: dict[str, int] = {}  # guarded by: self._lock
 
     # ------------------------------------------------------------------
-    def get(self, key: CacheKey) -> SearchResult | None:
+    def get(self, key: CacheKey) -> object | None:
         """Return the cached entry for ``key`` if present, fresh, and
         untouched by any mutation since it was stored."""
         with self._lock:
@@ -152,7 +152,7 @@ class QueryCache:
     def put(
         self,
         key: CacheKey,
-        result: SearchResult,
+        result: object,
         keywords=(),
         relations=(),
     ) -> None:

@@ -44,13 +44,12 @@ import sys
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..analysis.plans import DebugVerifier
 from ..core import (
-    BACKENDS,
+    ExecutionMetrics,
     ExecutionObserver,
-    ExecutorConfig,
     KeywordQuery,
     ResultStream,
     SearchHooks,
@@ -73,7 +72,13 @@ class MutationsDisabledError(Exception):
 
 @dataclass
 class ServiceConfig:
-    """Service-level knobs (transport, pooling, caching)."""
+    """Service-level knobs (transport, pooling, caching).
+
+    There is no execution-backend knob: the served engine runs
+    :class:`~repro.core.ExecutorConfig`'s default (``sql``, the paper's
+    one statement per candidate network), which won every served cell
+    measured in OPERATIONS.md section 2.
+    """
 
     host: str = "127.0.0.1"
     port: int = 8080
@@ -105,13 +110,6 @@ class ServiceConfig:
     slow_query_seconds: float | None = 1.0
     """Log searches slower than this to stderr, with their trace id;
     ``None`` disables the slow-query log."""
-
-    backend: str | None = None
-    """Default execution backend for the served engine (one of
-    :data:`repro.core.execution.BACKENDS`); ``None`` honors the
-    ``REPRO_BACKEND`` environment variable and falls back to the Python
-    nested-loop executor.  Requests may override per query via the
-    ``/search`` body's ``backend`` option."""
 
 
 class _EngineInstrumentation(ExecutionObserver):
@@ -177,18 +175,49 @@ class _EngineInstrumentation(ExecutionObserver):
 
 
 @dataclass(frozen=True)
+class _Answer:
+    """What a ``/search`` reply reads of a finished search.
+
+    The cache retains these, not the :class:`~repro.core.SearchResult`:
+    a result's ``candidate_networks``, ``ctssns`` and span tree pin the
+    query's whole front-half working set (~0.8 MB for a cold ``Z=8``
+    query) to be read back as one count and one id.
+    """
+
+    query: KeywordQuery
+    mttons: list
+    metrics: ExecutionMetrics
+    page_count: int
+    candidate_networks: int
+    trace_id: str | None
+
+    @classmethod
+    def of(cls, result: "SearchResult | _Answer") -> "_Answer":
+        """``result`` itself when it is a cached answer, else its summary."""
+        if isinstance(result, cls):
+            return result
+        return cls(
+            result.query,
+            result.mttons,
+            result.metrics,
+            result.page_count(),
+            len(result.candidate_networks),
+            result.trace.trace_id if result.trace is not None else None,
+        )
+
+
+@dataclass(frozen=True)
 class _PreparedSearch:
     """A validated search request.
 
     Shared by the buffered and streaming entry points so both coalesce
-    on the same single-flight key and honor the same backend override.
+    on the same single-flight key.
     """
 
     query: KeywordQuery
     k: int | None
     all_results: bool
     key: tuple
-    config: ExecutorConfig | None
     snapshot: tuple
     """Per-keyword VersionVector snapshot taken at admission, compared
     around execution to detect mid-flight invalidation."""
@@ -230,7 +259,6 @@ class QueryService:
         build_engine = engine_factory or (
             lambda db, hooks: XKeyword(
                 db,
-                executor_config=ExecutorConfig(backend=self.config.backend),
                 hooks=hooks,
                 verifier=DebugVerifier() if self.config.debug_verify else None,
                 tracer=self.tracer,
@@ -326,22 +354,14 @@ class QueryService:
         max_size: int = 8,
         all_results: bool = False,
         deadline: float | None = None,
-        backend: str | None = None,
     ) -> dict:
         """Run (or replay) one keyword search; returns the JSON payload.
 
         Cache hits are answered inline — they cost a dictionary probe, so
         they bypass admission control entirely and stay fast even when
         the worker pool is saturated.
-
-        Args:
-            backend: Per-request execution backend override (one of
-                :data:`repro.core.BACKENDS`); ``None`` uses the engine's
-                configured default.  All backends return identical
-                results, but entries are cached per backend so replays
-                keep honest per-backend traces and metrics.
         """
-        prep = self._prepare_search(keywords, k, max_size, all_results, backend)
+        prep = self._prepare_search(keywords, k, max_size, all_results)
         return self._open(prep, deadline).result()
 
     def _prepare_search(
@@ -350,33 +370,16 @@ class QueryService:
         k: int | None,
         max_size: int,
         all_results: bool,
-        backend: str | None,
     ) -> "_PreparedSearch":
         """Validate a request and compute its cache/single-flight key."""
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         query = KeywordQuery(tuple(keywords), max_size=max_size)
         mode = "all" if all_results else "topk"
         k = None if all_results else (k if k is not None else self.config.default_k)
-        # Injected test engines may not expose an executor config; they
-        # simply never honor a backend override.
-        base_config = getattr(self.engine, "executor_config", None)
-        override = (
-            backend is not None
-            and base_config is not None
-            and backend != base_config.backend
-        )
-        if override:
-            mode = f"{mode}@{backend}"
-        config = replace(base_config, backend=backend) if override else None
         return _PreparedSearch(
             query=query,
             k=k,
             all_results=all_results,
             key=query_cache_key(query, k, mode),
-            config=config,
             # The snapshot anchors mid-flight invalidation detection: a
             # VersionVector bump between here and execution means the
             # flight computed from (and is marked as) a stale snapshot.
@@ -448,8 +451,6 @@ class QueryService:
         def runner() -> SearchResult:
             try:
                 overrides = {}
-                if prep.config is not None:
-                    overrides["config"] = prep.config
                 if isinstance(engine, XKeyword):
                     overrides["stream"] = flight.stream
                 with self._read():
@@ -467,7 +468,7 @@ class QueryService:
                 if not flight.stream.cancelled and not flight.stale:
                     self.cache.put(
                         prep.key,
-                        result,
+                        _Answer.of(result),
                         keywords=query.keywords,
                         relations=result.relations_used,
                     )
@@ -488,7 +489,6 @@ class QueryService:
         max_size: int = 8,
         all_results: bool = False,
         deadline: float | None = None,
-        backend: str | None = None,
     ) -> "_SearchSession":
         """Start (or join, or replay) a search for incremental delivery.
 
@@ -505,9 +505,8 @@ class QueryService:
             RejectedError: Admission shed the execution (queue full) —
                 raised here, before any response bytes, so HTTP can
                 still answer 503.
-            ValueError: Unknown backend override.
         """
-        prep = self._prepare_search(keywords, k, max_size, all_results, backend)
+        prep = self._prepare_search(keywords, k, max_size, all_results)
         self._stream_requests.inc()
         return self._open(prep, deadline)
 
@@ -828,11 +827,11 @@ class _SearchSession:
                 f"deadline of {self._timeout:.3f}s exceeded before completion"
             ) from None
 
-    def _ranked(self, result: SearchResult) -> list:
+    def _ranked(self, result: "SearchResult | _Answer") -> list:
         k = self._prep.k
-        return result.mttons if k is None else result.top(k)
+        return result.mttons if k is None else result.mttons[:k]
 
-    def _finish(self, result: SearchResult) -> dict:
+    def _finish(self, result: "SearchResult | _Answer") -> dict:
         """Slow-query log, then the ``/search`` JSON body minus ``results``.
 
         A cached replay reports the trace id of the search that computed
@@ -846,25 +845,26 @@ class _SearchSession:
         seconds = time.perf_counter() - self._started
         if self._flight is not None:
             self._service._log_if_slow(result, seconds)
+        answer = _Answer.of(result)
         return {
             "query": {
-                "keywords": list(result.query.keywords),
-                "max_size": result.query.max_size,
+                "keywords": list(answer.query.keywords),
+                "max_size": answer.query.max_size,
             },
             "k": self._prep.k,
             "cached": self._flight is None,
             "shared": self._shared,
             "stale": self._flight.stale if self._flight is not None else False,
-            "trace_id": result.trace.trace_id if result.trace is not None else None,
+            "trace_id": answer.trace_id,
             "elapsed_ms": round(seconds * 1000.0, 3),
-            "count": len(self._ranked(result)),
-            "page_count": result.page_count(),
-            "candidate_networks": len(result.candidate_networks),
+            "count": len(self._ranked(answer)),
+            "page_count": answer.page_count,
+            "candidate_networks": answer.candidate_networks,
             "engine_metrics": {
-                "queries_sent": result.metrics.queries_sent,
-                "rows_fetched": result.metrics.rows_fetched,
-                "cache_hits": result.metrics.cache_hits,
-                "cache_misses": result.metrics.cache_misses,
+                "queries_sent": answer.metrics.queries_sent,
+                "rows_fetched": answer.metrics.rows_fetched,
+                "cache_hits": answer.metrics.cache_hits,
+                "cache_misses": answer.metrics.cache_misses,
             },
         }
 

@@ -276,7 +276,7 @@ class _Handler(BaseHTTPRequestHandler):
             keywords = str(body["q"]).split()
         if not keywords or not isinstance(keywords, list):
             raise ValueError('body needs "keywords": [..] or "q": "a b"')
-        k, deadline, backend = body.get("k"), body.get("deadline"), body.get("backend")
+        k, deadline = body.get("k"), body.get("deadline")
         if deadline is not None and not (
             isinstance(deadline, (int, float))
             and not isinstance(deadline, bool)
@@ -290,7 +290,6 @@ class _Handler(BaseHTTPRequestHandler):
             max_size=_integer(body.get("max_size", 8), "max_size"),
             all_results=bool(body.get("all", False)),
             deadline=float(deadline) if deadline is not None else None,
-            backend=str(backend) if backend is not None else None,
         )
 
     def _expand(self, params: dict[str, list[str]], tail: str) -> dict:

@@ -17,25 +17,25 @@ from repro.core.execution import (
 
 
 class TestBackendSelection:
-    def test_default_is_python(self, monkeypatch):
+    def test_default_is_sql(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert ExecutorConfig().backend == BACKEND_PYTHON
+        assert ExecutorConfig().backend == BACKEND_SQL
 
     def test_explicit_backend(self):
         for backend in BACKENDS:
             assert ExecutorConfig(backend=backend).backend == backend
 
     def test_env_var_supplies_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, BACKEND_SQL)
-        assert ExecutorConfig().backend == BACKEND_SQL
+        monkeypatch.setenv(BACKEND_ENV_VAR, BACKEND_PYTHON)
+        assert ExecutorConfig().backend == BACKEND_PYTHON
 
     def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, BACKEND_SQL)
-        assert ExecutorConfig(backend=BACKEND_PYTHON).backend == BACKEND_PYTHON
+        monkeypatch.setenv(BACKEND_ENV_VAR, BACKEND_PYTHON)
+        assert ExecutorConfig(backend=BACKEND_SQL).backend == BACKEND_SQL
 
-    def test_empty_env_means_python(self, monkeypatch):
+    def test_empty_env_means_sql(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "")
-        assert ExecutorConfig().backend == BACKEND_PYTHON
+        assert ExecutorConfig().backend == BACKEND_SQL
 
     def test_bad_env_backend_raises(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "duckdb")
@@ -79,12 +79,12 @@ class TestValueObject:
     def test_pickles_with_the_resolved_backend(self, monkeypatch):
         # A copy keeps the backend resolved where the config was built,
         # not the environment of whoever unpickles it.
-        monkeypatch.setenv(BACKEND_ENV_VAR, BACKEND_SQL)
+        monkeypatch.setenv(BACKEND_ENV_VAR, BACKEND_PYTHON)
         config = ExecutorConfig(memoize=False)
         monkeypatch.delenv(BACKEND_ENV_VAR)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
-        assert clone.backend == BACKEND_SQL and clone.memoize is False
+        assert clone.backend == BACKEND_PYTHON and clone.memoize is False
 
 
 class TestValidationReportsEverything:

@@ -7,19 +7,33 @@ exercised exactly as a client would.
 
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import socket
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import ExecutionMetrics, KeywordQuery, SearchResult, XKeyword
-from repro.service import QueryService, ServiceConfig, XKeywordHTTPServer
+from repro.core import (
+    CTSSN,
+    CandidateNetwork,
+    ExecutionMetrics,
+    KeywordQuery,
+    SearchResult,
+    XKeyword,
+)
+from repro.service import (
+    QueryService,
+    ServiceConfig,
+    XKeywordHTTPServer,
+    query_cache_key,
+)
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +177,32 @@ class TestCrossQueryCache:
         )
         assert body["cached"] is False
 
+    def test_entry_retains_only_what_its_ranked_results_reference(self, served):
+        # A finished search drags its whole front-half working set along
+        # (every CN and CTSSN it generated); a cache entry must not.
+        service, _ = served
+        query = KeywordQuery.of("smith", "hristidis", max_size=6)
+        reply = service.search(list(query.keywords), k=1, max_size=6)
+        entry = service.cache.get(query_cache_key(query, 1))
+
+        def networks_reachable_from(root) -> set[int]:
+            found, seen, stack = set(), set(), [root]
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen or isinstance(
+                    obj, (type, types.ModuleType, types.FunctionType)
+                ):
+                    continue
+                seen.add(id(obj))
+                if isinstance(obj, (CandidateNetwork, CTSSN)):
+                    found.add(id(obj))
+                stack.extend(gc.get_referents(obj))
+            return found
+
+        retained = networks_reachable_from(entry)
+        assert retained == networks_reachable_from(entry.mttons)
+        assert 0 < len(retained) < reply["candidate_networks"]
+
 
 class TestHealthAndMetrics:
     def test_healthz(self, served):
@@ -244,6 +284,51 @@ class TestRankOrderDispatch:
     def test_parallel_is_opt_in(self, method):
         signature = inspect.signature(getattr(XKeyword, method))
         assert signature.parameters["parallel"].default is False
+
+
+# ----------------------------------------------------------------------
+# One served backend: nothing on the serving surface selects another
+# ----------------------------------------------------------------------
+class TestServedBackend:
+    def test_default_service_executes_on_sql(self, small_dblp_db, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        service = QueryService(small_dblp_db, ServiceConfig(tracing=True))
+        try:
+            reply = service.search(["smith", "balmin"], k=5, max_size=6)
+            spans = [service.trace_payload(reply["trace_id"])["root"]]
+            backends = set()
+            while spans:
+                span = spans.pop()
+                spans.extend(span.get("children", ()))
+                if span["name"] == "execute":
+                    backends.add(span["attributes"]["backend"])
+            assert backends == {"sql"}
+        finally:
+            service.close()
+
+    def test_service_config_has_no_backend_field(self):
+        with pytest.raises(TypeError, match="backend"):
+            ServiceConfig(backend="sql")
+
+    def test_serve_has_no_backend_flag_but_search_keeps_it(self, capsys):
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        with pytest.raises(SystemExit) as usage:
+            parser.parse_args(["serve", "--demo", "--backend", "sql"])
+        assert usage.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        args = parser.parse_args(["search", "smith", "--demo", "--backend", "python"])
+        assert args.backend == "python"
+
+    def test_backend_body_key_is_not_read(self, served):
+        _, base = served
+        body = {"keywords": ["smith", "query"], "k": 3, "max_size": 5}
+        _, first, _ = post_search(base, {**body, "backend": "python-hash"})
+        _, second, _ = post_search(base, {**body, "backend": "python"})
+        assert first["cached"] is False
+        assert second["cached"] is True
+        assert second["results"] == first["results"]
 
 
 # ----------------------------------------------------------------------

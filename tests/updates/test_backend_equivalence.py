@@ -19,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import ExecutorConfig, KeywordQuery, XKeyword
-from repro.service import QueryService, ServiceConfig
+from repro.service import QueryService
 from repro.updates import UpdateManager
 
 from .conftest import build_dblp
@@ -149,20 +149,26 @@ def test_same_size_swap_bare_engine():
 
 def test_same_size_swap_through_service():
     _, _, loaded = build_dblp(papers=12, authors=8)
-    service = QueryService(loaded, ServiceConfig(backend="sql"))
+    service = QueryService(loaded)
+    oracle_engine = XKeyword(loaded, executor_config=ExecutorConfig(backend="python"))
     parent = first_year(loaded)
 
-    def answers(backend):
-        reply = service.search(list(SWAP_QUERY), k=10, max_size=6, backend=backend)
+    def served():
+        reply = service.search(list(SWAP_QUERY), k=10, max_size=6)
         return [
             (r["score"], r["network"], [n["target_object"] for n in r["nodes"]])
             for r in reply["results"]
         ]
 
     def check(context):
-        oracle = answers("python")
+        oracle = [
+            (score, network, [to for _, to in assignment])
+            for score, network, assignment in ranked(
+                oracle_engine, SWAP_QUERY, "python", max_size=6
+            )
+        ]
         assert 3 in [score for score, _, _ in oracle], context
-        assert answers(None) == oracle, context
+        assert served() == oracle, context
 
     try:
         same_size_swap(
