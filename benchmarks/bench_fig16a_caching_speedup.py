@@ -80,9 +80,7 @@ def test_fig16a_queries_saved():
                         plan,
                         prepared.engine.stores,
                         prepared.containing,
-                        config=ExecutorConfig(
-                            memoize=memoize, shared_lookup_cache=False
-                        ),
+                        config=ExecutorConfig(memoize=memoize),
                     )
                     for _ in executor.run():
                         pass

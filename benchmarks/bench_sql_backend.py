@@ -2,11 +2,11 @@
 
 The ``sql`` backend compiles each execution plan to one parameterized
 SELECT and evaluates the whole join inside SQLite, so a top-k search
-sends a handful of statements where the Python executor sends one probe
-per binding.  Under the default ``shared-prefix+pruning`` scheduler the
-two are neck and neck in-process; once every statement pays a network
-round trip (the paper's JDBC hop to Oracle), the compiled backend's
-statement economy dominates.
+sends one statement per executed candidate network where the Python
+executor sends one probe per binding.  Under the default
+``shared-prefix+pruning`` scheduler the compiled backend already wins
+in-process; once every statement pays a network round trip (the paper's
+JDBC hop to Oracle), its statement economy dominates.
 
 The serial scheduler is deliberately absent here: without the top-k
 bound SQLite computes the full join before applying LIMIT, so

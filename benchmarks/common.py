@@ -202,7 +202,8 @@ def execute_prepared(
     no partial-result reuse of any kind (every inner loop re-sends its
     queries).  ``strategy`` ablates the cross-CN scheduler: ``serial``
     evaluates every CN independently to ``k`` results, ``shared-prefix``
-    adds once-per-query materialization of canonical join prefixes, and
+    adds once-per-query materialization of canonical join prefixes (on
+    the Python backends; on ``sql`` it runs as ``serial``), and
     ``shared-prefix+pruning`` also skips CNs whose score exceeds the
     global k-th best collected score — all three produce the same top-k.
     """
@@ -219,10 +220,9 @@ def execute_prepared(
     config = ExecutorConfig(
         backend=backend,
         memoize=memoize,
-        shared_lookup_cache=memoize,
         strategy=strategy,
     )
-    lookup_cache = ResultCache() if memoize else None
+    lookup_cache = ResultCache()
     prefixes = {}
     prefix_table = None
     if config.share_prefixes:

@@ -39,7 +39,6 @@ from .sqlcompile import (
     CompiledQuery,
     SQLCTSSNExecutor,
     compile_plan,
-    compile_prefix,
     render_sql,
 )
 from .streaming import ResultStream, StreamCancelledError, StreamCursor
@@ -87,7 +86,6 @@ __all__ = [
     "XKeyword",
     "assign_shared_prefixes",
     "compile_plan",
-    "compile_prefix",
     "materialize",
     "prefix_spec",
     "max_ctssn_size",

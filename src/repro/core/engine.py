@@ -442,7 +442,8 @@ class XKeyword:
         trace,
     ) -> list[PlannedCN]:
         """The front half: CN generation → CTSSN reduction → costing →
-        ordering → planning → shared-prefix assignment.
+        ordering → planning → shared-prefix assignment (Python backends
+        only: ``config.share_prefixes`` is off on ``sql``).
 
         Every CN is planned upfront (the prefix canonicalization needs
         all plans before any executes), smallest first; each ``cn`` span

@@ -500,7 +500,7 @@ class _HashAccess:
 class ExecutorConfig:
     """Execution-mode switches (Section 6 variants).
 
-    A plain validated value object (hashable, picklable) with five
+    A plain validated value object (hashable, picklable) with four
     settable fields.  Validation collects *every* invalid field into one
     ``ValueError`` instead of stopping at the first.
     """
@@ -528,15 +528,16 @@ class ExecutorConfig:
     """Cross-CN scheduling strategy (one of :data:`STRATEGIES`):
     ``serial`` evaluates every CN independently, ``shared-prefix`` adds
     once-per-query materialization of canonicalized common join
-    prefixes, ``shared-prefix+pruning`` (default) also skips or abandons
-    CNs whose minimum achievable MTNN size exceeds the global k-th best.
-    All three return identical top-k results — the knob exists for the
+    prefixes (Python backends only — see :attr:`share_prefixes`),
+    ``shared-prefix+pruning`` (default) also skips or abandons CNs whose
+    minimum achievable MTNN size exceeds the global k-th best.  All three
+    return identical top-k results — the knob exists for the
     EXPERIMENTS.md ablation."""
     memoize: bool = True
-    """Suffix/partial-result caching on the Python backends; ``False``
-    selects naive nested loops — the paper's DISCOVER-style baseline."""
-    shared_lookup_cache: bool = True
-    """Whether CNs share one relation-lookup cache (``python`` backend)."""
+    """Partial-result reuse on the Python backends: suffix memoization
+    plus the relation-lookup cache the CNs of one query share.
+    ``False`` selects naive nested loops with no reuse of any kind — the
+    paper's DISCOVER-style baseline."""
 
     def __post_init__(self) -> None:
         backend = self.backend or os.environ.get(BACKEND_ENV_VAR) or BACKEND_SQL
@@ -560,8 +561,12 @@ class ExecutorConfig:
 
     @property
     def share_prefixes(self) -> bool:
-        """Whether the scheduler materializes shared join prefixes."""
-        return self.strategy != STRATEGY_SERIAL
+        """Whether the scheduler materializes shared join prefixes.
+
+        Never on ``sql``: there every CN is one statement, so a borrowed
+        prefix adds a statement and saves none.
+        """
+        return self.backend != BACKEND_SQL and self.strategy != STRATEGY_SERIAL
 
     @property
     def prune_by_bound(self) -> bool:
@@ -622,7 +627,7 @@ class CTSSNExecutor:
                     stores[step.store_name],
                     step,
                     self.metrics,
-                    lookup_cache if self.config.shared_lookup_cache else None,
+                    lookup_cache if self.config.memoize else None,
                     observer,
                     span,
                 )
@@ -717,8 +722,18 @@ class CTSSNExecutor:
         """Evaluate via the shared prefix: borrow (or materialize) the
         canonical prefix rows, then run only the remaining join steps."""
         spec = self._prefix
-        assert spec is not None
-        rows = self._borrow_prefix(spec, lambda: list(self._enumerate_prefix(spec)))
+        assert spec is not None and self._prefix_table is not None
+        rows, reused = self._prefix_table.get_or_materialize(
+            spec.key, lambda: list(self._enumerate_prefix(spec))
+        )
+        if reused:
+            self.metrics.prefix_hits += 1
+        else:
+            self.metrics.prefix_materializations += 1
+        if self._span is not None:
+            self._span.annotate(
+                prefix_reuse={"reused": reused, "length": spec.length, "rows": len(rows)}
+            )
         needed = self._needed_roles({self.plan.anchor_role})
         produced = 0
         for values in rows:
@@ -732,30 +747,6 @@ class CTSSNExecutor:
                 yield row
                 if limit is not None and produced >= limit:
                     return
-
-    def _borrow_prefix(
-        self,
-        spec: PrefixSpec,
-        producer: Callable[[], list[tuple[str, ...]]],
-    ) -> list[tuple[str, ...]]:
-        """The shared prefix's canonical rows: borrowed from the per-query
-        table, or materialized into it by ``producer`` (each backend
-        supplies its own) — counted and span-annotated either way."""
-        assert self._prefix_table is not None
-        rows, reused = self._prefix_table.get_or_materialize(spec.key, producer)
-        if reused:
-            self.metrics.prefix_hits += 1
-        else:
-            self.metrics.prefix_materializations += 1
-        if self._span is not None:
-            self._span.annotate(
-                prefix_reuse={
-                    "reused": reused,
-                    "length": spec.length,
-                    "rows": len(rows),
-                }
-            )
-        return rows
 
     def _enumerate_prefix(self, spec: PrefixSpec) -> Iterator[tuple[str, ...]]:
         """Enumerate the prefix's partial rows in canonical slot order.

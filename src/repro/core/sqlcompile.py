@@ -18,16 +18,16 @@ renders directly as one parameterized ``SELECT``:
 * MTTON injectivity (distinct roles bind distinct target objects) is a
   pairwise ``<>`` clique over the role expressions, and per-level
   assignment dedup becomes ``SELECT DISTINCT``;
-* shared prefixes from
-  :func:`~repro.core.execution.assign_shared_prefixes` are rendered as a
-  ``VALUES`` CTE over the rows the scheduler materialized once per query
-  (the :class:`~repro.core.execution.SharedPrefixTable` contract
-  survives compilation: the prefix subplan runs exactly once, every
-  borrowing CN re-joins its rows engine-side);
 * the global top-k bound is pushed down as ``LIMIT ?``: every result of
   one CTSSN scores exactly ``ctssn.score``, so score order is constant
   within a plan and the cutoff is monotone — the scheduler's skip/abandon
   logic handles cross-CN pruning.
+
+Each candidate network is exactly one statement, and every data value
+(admission ids, the ``LIMIT``) is a bound parameter.  Cross-CN shared
+prefixes are a Python-executor mechanism: borrowing one here would cost
+an extra statement and save none, so ``ExecutorConfig.share_prefixes``
+is off on this backend.
 
 Determinism contract: the Python executor enumerates rows
 lexicographically in *binding order* (anchor value first, then each
@@ -43,11 +43,11 @@ the Python oracle in the equivalence suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ..storage.database import quote_identifier
 from ..storage.relations import RelationStore
-from .execution import CTSSNExecutor, PrefixSpec, ResultRow
+from .execution import CTSSNExecutor, ResultRow
 from .plans import ExecutionPlan
 
 
@@ -74,7 +74,7 @@ class CompiledQuery:
 EMPTY_QUERY = CompiledQuery(sql="", params=(), roles=(), empty=True)
 
 
-def binding_order(plan: ExecutionPlan, stop: int | None = None) -> tuple[int, ...]:
+def binding_order(plan: ExecutionPlan) -> tuple[int, ...]:
     """Roles in the order the nested-loop executor binds them.
 
     The anchor role seeds the loop; each step then contributes its
@@ -84,7 +84,7 @@ def binding_order(plan: ExecutionPlan, stop: int | None = None) -> tuple[int, ..
     """
     ordered: list[int] = [plan.anchor_role]
     seen = {plan.anchor_role}
-    for step in plan.steps[: len(plan.steps) if stop is None else stop]:
+    for step in plan.steps:
         for role in sorted(step.new_roles):
             if role not in seen:
                 seen.add(role)
@@ -92,51 +92,32 @@ def binding_order(plan: ExecutionPlan, stop: int | None = None) -> tuple[int, ..
     return tuple(ordered)
 
 
-def _sql_literal(value: str) -> str:
-    """A safely quoted SQL string literal (target-object ids)."""
-    return "'" + str(value).replace("'", "''") + "'"
-
-
-def _compile(
+def compile_plan(
     plan: ExecutionPlan,
     stores: dict[str, RelationStore],
     role_filters: dict[int, set[str]],
     *,
-    stop: int | None = None,
-    output_roles: Sequence[int] | None = None,
-    prefix: PrefixSpec | None = None,
-    prefix_rows: Sequence[tuple[str, ...]] | None = None,
     with_limit: bool = False,
 ) -> CompiledQuery:
-    """Shared renderer behind :func:`compile_plan` / :func:`compile_prefix`."""
-    steps = plan.steps[: len(plan.steps) if stop is None else stop]
-    if not steps:
+    """Render one execution plan as a single parameterized SELECT.
+
+    Args:
+        plan: The optimizer's plan (at least one step; zero-join CTSSNs
+            are evaluated from the containing list without SQL).
+        stores: Relation stores by store name (supply physical tables).
+        role_filters: Admitted target objects per keyword-annotated role
+            (``CTSSNExecutor.role_filters``).
+        with_limit: Append ``LIMIT ?`` (top-k pushdown; the bound is
+            supplied at execution time).
+    """
+    if not plan.steps:
         raise ValueError("cannot compile a zero-step plan to SQL")
     role_expr: dict[int, str] = {}
     from_parts: list[str] = []
     where: list[str] = []
     params: list[str] = []
-    prefix_roles: frozenset[int] = frozenset()
-    cte = ""
 
-    start = 0
-    if prefix is not None:
-        if prefix_rows is None:
-            raise ValueError("a shared prefix needs its materialized rows")
-        columns = [f"s{slot}" for slot in range(len(prefix.roles_by_slot))]
-        values = ", ".join(
-            "(" + ", ".join(_sql_literal(value) for value in row) + ")"
-            for row in prefix_rows
-        )
-        cte = f"WITH pfx ({', '.join(columns)}) AS (VALUES {values})\n"
-        from_parts.append("pfx")
-        for slot, role in enumerate(prefix.roles_by_slot):
-            role_expr[role] = f"pfx.{columns[slot]}"
-        prefix_roles = frozenset(prefix.roles_by_slot)
-        start = prefix.length
-
-    for index in range(start, len(steps)):
-        step = steps[index]
+    for index, step in enumerate(plan.steps):
         alias = f"t{index}"
         fragment = step.piece.fragment
         on: list[str] = []
@@ -177,11 +158,8 @@ def _compile(
             )
 
     # Keyword admission: the containing lists' admitted target objects,
-    # bound as parameters.  Prefix roles were filtered when the prefix
-    # rows were materialized, so they are not re-filtered here.
+    # bound as parameters.
     for role in sorted(role_expr):
-        if role in prefix_roles:
-            continue
         allowed = role_filters.get(role)
         if allowed is None:
             continue
@@ -193,18 +171,14 @@ def _compile(
         params.extend(ordered_values)
 
     # Injectivity: an MTTON is a *set* of target objects, so distinct
-    # roles must bind distinct ids.  Pairs fully inside the prefix were
-    # already enforced when its rows were enumerated.
+    # roles must bind distinct ids.
     roles = sorted(role_expr)
     for position, role_a in enumerate(roles):
         for role_b in roles[position + 1 :]:
-            if role_a in prefix_roles and role_b in prefix_roles:
-                continue
             where.append(f"{role_expr[role_a]} <> {role_expr[role_b]}")
 
-    ordered_roles = binding_order(plan, stop=stop)
-    selected = tuple(output_roles) if output_roles is not None else ordered_roles
-    select = ", ".join(f"{role_expr[role]} AS r{role}" for role in selected)
+    ordered_roles = binding_order(plan)
+    select = ", ".join(f"{role_expr[role]} AS r{role}" for role in ordered_roles)
     lines = [f"SELECT DISTINCT {select}", f"FROM {from_parts[0]}"]
     lines.extend(f"  {part}" for part in from_parts[1:])
     if where:
@@ -213,67 +187,10 @@ def _compile(
     if with_limit:
         lines.append("LIMIT ?")
     return CompiledQuery(
-        sql=cte + "\n".join(lines),
+        sql="\n".join(lines),
         params=tuple(params),
-        roles=selected,
+        roles=ordered_roles,
         with_limit=with_limit,
-    )
-
-
-def compile_plan(
-    plan: ExecutionPlan,
-    stores: dict[str, RelationStore],
-    role_filters: dict[int, set[str]],
-    *,
-    prefix: PrefixSpec | None = None,
-    prefix_rows: Sequence[tuple[str, ...]] | None = None,
-    with_limit: bool = False,
-) -> CompiledQuery:
-    """Render one execution plan as a single parameterized SELECT.
-
-    Args:
-        plan: The optimizer's plan (at least one step; zero-join CTSSNs
-            are evaluated from the containing list without SQL).
-        stores: Relation stores by store name (supply physical tables).
-        role_filters: Admitted target objects per keyword-annotated role
-            (``CTSSNExecutor.role_filters``).
-        prefix: The plan's shared join prefix, when the scheduler
-            assigned one; rendered as a ``VALUES`` CTE over
-            ``prefix_rows`` so the once-per-query materialization
-            survives compilation.
-        prefix_rows: The canonical rows materialized for ``prefix``.
-        with_limit: Append ``LIMIT ?`` (top-k pushdown; the bound is
-            supplied at execution time).
-    """
-    return _compile(
-        plan,
-        stores,
-        role_filters,
-        prefix=prefix,
-        prefix_rows=prefix_rows,
-        with_limit=with_limit,
-    )
-
-
-def compile_prefix(
-    plan: ExecutionPlan,
-    stores: dict[str, RelationStore],
-    role_filters: dict[int, set[str]],
-    spec: PrefixSpec,
-) -> CompiledQuery:
-    """Render a shared join prefix as a standalone SELECT.
-
-    The select list follows ``spec.roles_by_slot`` so the produced rows
-    drop straight into the cross-CN
-    :class:`~repro.core.execution.SharedPrefixTable` in canonical slot
-    order, interchangeable with the Python executor's enumeration.
-    """
-    return _compile(
-        plan,
-        stores,
-        role_filters,
-        stop=spec.length,
-        output_roles=spec.roles_by_slot,
     )
 
 
@@ -341,21 +258,10 @@ class SQLCTSSNExecutor(CTSSNExecutor):
         yield from self._run_sql(limit)
 
     def _run_sql(self, limit: int | None) -> Iterator[ResultRow]:
-        spec = self._prefix if self._prefix_table is not None else None
-        prefix_rows: list[tuple[str, ...]] | None = None
-        if spec is not None:
-            prefix_rows = self._borrow_prefix(
-                spec, lambda: self._materialize_prefix(spec)
-            )
-            if not prefix_rows:
-                return
-
         compiled = compile_plan(
             self.plan,
             self._stores,
             self.role_filters,
-            prefix=spec,
-            prefix_rows=prefix_rows,
             with_limit=limit is not None,
         )
         if compiled.empty:
@@ -374,20 +280,3 @@ class SQLCTSSNExecutor(CTSSNExecutor):
         for row in rows:
             self.metrics.results += 1
             yield dict(zip(compiled.roles, row))
-
-    # ------------------------------------------------------------------
-    def _materialize_prefix(self, spec: PrefixSpec) -> list[tuple[str, ...]]:
-        """Produce the shared prefix's canonical rows with one statement."""
-        compiled = compile_prefix(
-            self.plan, self._stores, self.role_filters, spec
-        )
-        if compiled.empty:
-            return []
-        self.metrics.queries_sent += 1
-        rows = self._database.query(compiled.sql, list(compiled.params))
-        self.metrics.rows_fetched += len(rows)
-        if self._span is not None:
-            self._span.record_lookup("compiled-sql:prefix", len(rows), False)
-        if self.observer is not None:
-            self.observer.on_query("compiled-sql:prefix", len(rows), False)
-        return rows

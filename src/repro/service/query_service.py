@@ -144,10 +144,6 @@ class _EngineInstrumentation(ExecutionObserver):
             buckets=STAGE_BUCKETS,
             stage=stage,
         )
-        self._prefix_hits = registry.counter(
-            "repro_prefix_hits_total",
-            "CN evaluations that borrowed a materialized shared join prefix",
-        )
         self._cns_pruned = registry.counter(
             "repro_cns_pruned_total",
             "Candidate networks skipped by the global top-k bound",
@@ -159,8 +155,6 @@ class _EngineInstrumentation(ExecutionObserver):
         self._searches.inc()
         self._latency.observe(seconds)
         self._results.inc(len(result.mttons))
-        if result.metrics.prefix_hits:
-            self._prefix_hits.inc(result.metrics.prefix_hits)
         if result.metrics.cns_pruned:
             self._cns_pruned.inc(result.metrics.cns_pruned)
         for stage, stage_seconds in result.metrics.stage_seconds.items():

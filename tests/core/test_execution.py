@@ -94,9 +94,7 @@ class TestCachedVsNaive:
             )
             naive, _ = run_all(
                 db, ctssn, containing, optimizer,
-                ExecutorConfig(
-                    backend="python", memoize=False, shared_lookup_cache=False
-                ),
+                ExecutorConfig(backend="python", memoize=False),
             )
             assert cached == naive, str(ctssn)
 
@@ -123,9 +121,7 @@ class TestCachedVsNaive:
             )
             _, naive_exec = run_all(
                 db, ctssn, containing, optimizer,
-                ExecutorConfig(
-                    backend="python", memoize=False, shared_lookup_cache=False
-                ),
+                ExecutorConfig(backend="python", memoize=False),
             )
             total_cached += cached_exec.metrics.queries_sent
             total_naive += naive_exec.metrics.queries_sent

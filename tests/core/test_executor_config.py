@@ -49,27 +49,26 @@ class TestRemovedKwargs:
         with pytest.raises(TypeError, match=name):
             ExecutorConfig(**{name: True})
 
+    def test_shared_lookup_cache_is_folded_into_memoize(self):
+        with pytest.raises(TypeError, match="shared_lookup_cache"):
+            ExecutorConfig(shared_lookup_cache=False)
+
     def test_python_hash_is_a_backend_not_a_flag(self):
         assert ExecutorConfig(backend=BACKEND_PYTHON_HASH).backend == BACKEND_PYTHON_HASH
 
 
 class TestTuningKnobs:
-    def test_memoize_and_shared_lookup_cache_are_real_fields(self):
-        config = ExecutorConfig(memoize=False, shared_lookup_cache=False)
-        assert config.memoize is False
-        assert config.shared_lookup_cache is False
+    def test_memoize_is_a_real_field(self):
+        assert ExecutorConfig(memoize=False).memoize is False
 
     def test_defaults_are_on(self):
-        config = ExecutorConfig()
-        assert config.memoize is True
-        assert config.shared_lookup_cache is True
+        assert ExecutorConfig().memoize is True
 
 
 class TestValueObject:
-    def test_five_settable_fields(self):
+    def test_four_settable_fields(self):
         assert [f.name for f in dataclasses.fields(ExecutorConfig)] == [
             "backend", "cache_capacity", "strategy", "memoize",
-            "shared_lookup_cache",
         ]
 
     def test_immutable(self):
@@ -111,12 +110,15 @@ class TestValidationReportsEverything:
 
 class TestDerivedProperties:
     def test_strategy_properties(self):
-        serial = ExecutorConfig(strategy="serial")
-        assert serial.share_prefixes is False
-        assert serial.prune_by_bound is False
-        pruned = ExecutorConfig(strategy="shared-prefix+pruning")
-        assert pruned.share_prefixes is True
-        assert pruned.prune_by_bound is True
+        for backend in BACKENDS:
+            serial = ExecutorConfig(backend, strategy="serial")
+            assert serial.share_prefixes is False
+            assert serial.prune_by_bound is False
+            pruned = ExecutorConfig(backend, strategy="shared-prefix+pruning")
+            # One statement per CN on ``sql``: a shared prefix could only
+            # add statements there.
+            assert pruned.share_prefixes is (backend != BACKEND_SQL), backend
+            assert pruned.prune_by_bound is True
 
     def test_repr_and_eq(self):
         a = ExecutorConfig(backend=BACKEND_SQL)

@@ -191,9 +191,13 @@ class TestExecutorConfigStrategy:
         ],
     )
     def test_strategy_flags(self, strategy, share, prune):
-        config = ExecutorConfig(strategy=strategy)
-        assert config.share_prefixes is share
-        assert config.prune_by_bound is prune
+        """``share`` is the Python backends' flag: on ``sql`` every CN is
+        one statement, so no strategy shares prefixes there.  Pruning is
+        backend-independent."""
+        for backend in ("python", "python-hash", "sql"):
+            config = ExecutorConfig(backend, strategy=strategy)
+            assert config.share_prefixes is (share and backend != "sql"), backend
+            assert config.prune_by_bound is prune, backend
 
 
 def ranked(result):
@@ -205,7 +209,7 @@ def ranked(result):
 class TestEngineScheduling:
     def test_prefix_metrics_and_trace_attributes(self, small_dblp_db):
         engine = XKeyword(small_dblp_db, tracer=Tracer(TraceStore()))
-        config = ExecutorConfig(strategy="shared-prefix")
+        config = ExecutorConfig(backend="python", strategy="shared-prefix")
         result = engine.search(DBLP_QUERY, k=10, config=config, parallel=False)
         assert result.metrics.prefix_materializations > 0
         assert result.metrics.prefix_hits > 0

@@ -5,13 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ExecutorConfig, KeywordQuery, XKeyword
-from repro.core.execution import CTSSNExecutor
+from repro.core.execution import BACKEND_ENV_VAR, BACKEND_SQL, CTSSNExecutor
 from repro.core.sqlcompile import (
     SQLCTSSNExecutor,
     binding_order,
     compile_plan,
     render_sql,
 )
+from repro.trace import Tracer, TraceStore
+
+DBLP_QUERY = KeywordQuery.of("smith", "balmin", max_size=6)
 
 
 def planned(db, *keywords, max_size=8):
@@ -211,3 +214,42 @@ class TestEngineIntegration:
                         saw_sql = True
         assert backends == {"sql"}
         assert saw_sql
+
+
+def all_spans(span):
+    yield span
+    for child in span.children:
+        yield from all_spans(child)
+
+
+def ranked(result):
+    return [
+        (m.ctssn.canonical_key, m.assignment, m.score) for m in result.mttons
+    ]
+
+
+class TestOneStatementPerCN:
+    """The paper's execution model on the default backend: each executed
+    candidate network is exactly one parameterized statement — no shared
+    prefix is assigned, materialized or spliced into the SQL text."""
+
+    @pytest.mark.parametrize("k", [1, 10, None])
+    def test_default_search_sends_one_statement_per_cn(
+        self, small_dblp_db, monkeypatch, k
+    ):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        engine = XKeyword(small_dblp_db, tracer=Tracer(TraceStore()))
+        assert engine.executor_config.backend == BACKEND_SQL
+        result = engine.search(DBLP_QUERY, k=k)
+        executes = [
+            span for span in all_spans(result.trace.root) if span.name == "execute"
+        ]
+        assert executes
+        for span in executes:
+            assert span.attributes["queries_sent"] <= 1, span.attributes
+            assert "compiled-sql:prefix" not in span.lookups
+            assert "WITH" not in span.attributes.get("sql", "")
+        assert result.metrics.prefix_materializations == 0
+        assert result.metrics.prefix_hits == 0
+        oracle = engine.search(DBLP_QUERY, k=k, config=ExecutorConfig(backend="python"))
+        assert ranked(result) == ranked(oracle)

@@ -227,7 +227,6 @@ class TestHealthAndMetrics:
         assert "repro_query_cache_hits_total" in text
         assert "repro_engine_searches_total" in text
         assert "repro_engine_lookups_total" in text
-        assert "# TYPE repro_prefix_hits_total counter" in text
         assert "# TYPE repro_cns_pruned_total counter" in text
         # Every sample line parses as "name{labels} value" with a float value.
         for line in text.splitlines():

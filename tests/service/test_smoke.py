@@ -80,7 +80,6 @@ def test_service_smoke(served):
     metrics = urllib.request.urlopen(base + "/metrics", timeout=30).read().decode()
     assert "repro_requests_total" in metrics
     assert "# TYPE repro_request_seconds histogram" in metrics
-    assert "repro_prefix_hits_total" in metrics
     assert "repro_cns_pruned_total" in metrics
     assert "repro_singleflight_flights_total" in metrics
     assert "repro_stream_requests_total" in metrics

@@ -186,9 +186,7 @@ class TestCachedVsNaiveRandomQueries:
         )
         naive = engine.search_all(
             query,
-            config=ExecutorConfig(
-                backend="python", memoize=False, shared_lookup_cache=False
-            ),
+            config=ExecutorConfig(backend="python", memoize=False),
             parallel=False,
         )
         assert {(m.ctssn.canonical_key, m.assignment) for m in cached.mttons} == {
