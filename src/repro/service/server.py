@@ -23,7 +23,10 @@ table picks the endpoint, one parsing step validates the request's
 scalars, one writer puts the reply on the socket, and one
 exception→status table turns failures into replies — a JSON body
 before the response headers are out, the SSE ``event: error`` frame
-after.  A ``/search`` answer carries its trace id as an ``X-Trace-Id``
+after.  A buffered reply leaves in one write and every connection runs
+with ``TCP_NODELAY``, so no reply segment waits for the client's
+delayed ACK; neither is configurable, because no workload is better
+off waiting.  A ``/search`` answer carries its trace id as an ``X-Trace-Id``
 response header as well as in the payload.
 
 Everything is stdlib (``http.server`` + ``json``); the transport layer is
@@ -34,6 +37,7 @@ ends) without touching :class:`QueryService`.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -77,6 +81,13 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def service(self) -> QueryService:
         return self.server.service  # type: ignore[attr-defined]
+
+    def setup(self) -> None:
+        super().setup()
+        # The SSE preamble and every SSE frame are separate writes by
+        # design; with Nagle on, each waits for the client to ACK the one
+        # before it.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):  # pragma: no cover
@@ -173,24 +184,34 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _respond(self, status: int, headers: dict[str, str], body) -> None:
-        """The one response writer: status line, headers, then the body.
+        """The one response writer: status line, headers and body in one write.
 
         ``body`` is a dict (sent as JSON), a string (sent as is, under
         the caller's ``Content-Type``) or ``None`` — the preamble of a
         chunked stream whose frames follow through :meth:`_write_chunk`.
+        A reply after which the server closes the connection says
+        ``Connection: close``, so an HTTP/1.1 client does not reuse it.
+
+        Not ``end_headers()``: it sends the head by itself, and a body
+        written after it is a second small segment that Nagle holds until
+        the client's delayed ACK — ~40 ms on every keep-alive reply.
         """
-        self.send_response(status)
         if isinstance(body, dict):
             body = json.dumps(body)
             headers = {"Content-Type": "application/json", **headers}
+        data = b""
         if body is not None:
-            body = body.encode()
-            headers = {**headers, "Content-Length": str(len(body))}
+            data = body.encode()
+            headers = {**headers, "Content-Length": str(len(data))}
+        if self.close_connection:
+            headers = {**headers, "Connection": "close"}
+        self.send_response(status)
         for name, value in headers.items():
             self.send_header(name, value)
-        self.end_headers()
-        if body is not None:
-            self.wfile.write(body)
+        if self.request_version != "HTTP/0.9":  # a 0.9 reply is its bare body
+            data = b"".join(self._headers_buffer) + b"\r\n" + data
+            self._headers_buffer = []
+        self.wfile.write(data)
 
     def _stream(self, session) -> None:
         """Answer one ``/search`` session as Server-Sent Events over chunked HTTP.

@@ -8,9 +8,11 @@ exercised exactly as a client would.
 from __future__ import annotations
 
 import gc
+import http.client
 import inspect
 import json
 import socket
+import statistics
 import threading
 import time
 import types
@@ -34,6 +36,7 @@ from repro.service import (
     XKeywordHTTPServer,
     query_cache_key,
 )
+from repro.service.server import _Handler
 
 
 # ----------------------------------------------------------------------
@@ -422,8 +425,9 @@ class TestConcurrency:
 def raw_request(base: str, method: str, path: str, headers: dict, body: bytes = b""):
     """One request over a bare socket, so hostile headers go out verbatim.
 
-    Returns ``(status, body)``; a server that hangs or drops the
-    connection unanswered surfaces as a socket timeout / empty reply.
+    Returns ``(status, headers, body)`` with lower-cased header names; a
+    server that hangs or drops the connection unanswered surfaces as a
+    socket timeout / empty reply.
     """
     host, port = base.removeprefix("http://").split(":")
     head = f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n" + "".join(
@@ -437,18 +441,17 @@ def raw_request(base: str, method: str, path: str, headers: dict, body: bytes = 
             assert chunk, f"connection closed with no full reply: {reply!r}"
             reply += chunk
         head, _, rest = reply.partition(b"\r\n\r\n")
-        length = int(
-            next(
-                line.split(b":")[1]
-                for line in head.split(b"\r\n")
-                if line.lower().startswith(b"content-length:")
-            )
-        )
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        fields = {
+            name.strip().lower(): value.strip()
+            for name, _, value in (line.partition(":") for line in lines)
+        }
+        length = int(fields["content-length"])
         while len(rest) < length:
             chunk = sock.recv(65536)
             assert chunk, "connection closed mid-body"
             rest += chunk
-    return int(head.split()[1]), json.loads(rest[:length])
+    return int(status_line.split()[1]), fields, json.loads(rest[:length])
 
 
 def hostile_search(fields: dict | None = None, length: str | None = None):
@@ -471,6 +474,9 @@ HOSTILE = {
     "list-deadline": hostile_search({"deadline": [1]}),
     "negative-content-length": hostile_search(length="-1"),
     "non-integer-content-length": hostile_search(length="abc"),
+    "oversized-content-length": hostile_search(
+        length=str(ServiceConfig().max_body_bytes + 1)
+    ),
     "non-integer-limit": lambda stream: ("GET", "/debug/traces?limit=abc", {}, b""),
 }
 
@@ -480,9 +486,13 @@ class TestHostileRequests:
     @pytest.mark.parametrize("case", sorted(HOSTILE))
     def test_answers_400_never_hangs(self, served, case, stream):
         _, base = served
-        status, body = raw_request(base, *HOSTILE[case](stream))
+        status, headers, body = raw_request(base, *HOSTILE[case](stream))
         assert status == 400, body
         assert body["error"]
+        # The body of a bad Content-Length stays unread, so the server
+        # closes the connection — and the reply must say so.
+        closes = case.endswith("content-length")
+        assert (headers.get("connection") == "close") == closes, headers
         # The handler thread came back: the server still answers.
         assert get_json(base, "/healthz")["status"] == "ok"
 
@@ -565,3 +575,110 @@ class TestOneErrorTable:
         finally:
             server.shutdown()
             server.server_close()
+
+
+# ----------------------------------------------------------------------
+# Transport: one write per buffered reply, Nagle off on every connection
+# ----------------------------------------------------------------------
+class RecordingWriter:
+    """The handler's socket writer, logging every write it passes on."""
+
+    def __init__(self, raw, writes: list[bytes]) -> None:
+        self._raw = raw
+        self._writes = writes
+
+    def write(self, data) -> int:
+        self._writes.append(bytes(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+@pytest.fixture(scope="module")
+def recorded(small_dblp_db):
+    """A server whose handlers log each write and each accepted socket."""
+    writes: list[bytes] = []
+    accepted: list[socket.socket] = []
+
+    class RecordingHandler(_Handler):
+        def setup(self) -> None:
+            super().setup()
+            accepted.append(self.connection)
+            self.wfile = RecordingWriter(self.wfile, writes)
+
+    service = QueryService(small_dblp_db, ServiceConfig(workers=2, queue_size=4))
+    server = XKeywordHTTPServer(("127.0.0.1", 0), service)
+    server.RequestHandlerClass = RecordingHandler
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield server.server_address[:2], writes, accepted
+    server.shutdown()
+    server.server_close()
+
+
+SEARCH = {"keywords": ["smith", "balmin"], "k": 5, "max_size": 6}
+
+
+def exchange(connection: http.client.HTTPConnection, method: str, path: str, body=None):
+    """One request over a kept-alive connection: ``(status, raw body)``."""
+    data = None if body is None else json.dumps(body).encode()
+    connection.request(method, path, body=data, headers={"Content-Type": "application/json"})
+    response = connection.getresponse()
+    return response.status, response.read()
+
+
+class TestTransport:
+    @pytest.mark.parametrize(
+        "method, path, body, status",
+        [
+            ("POST", "/search", SEARCH, 200),
+            ("GET", "/metrics", None, 200),
+            ("GET", "/nope", None, 404),
+            ("POST", "/search", {}, 400),
+        ],
+        ids=["cached-search", "metrics", "not-found", "bad-request"],
+    )
+    def test_buffered_reply_is_one_write(self, recorded, method, path, body, status):
+        address, writes, _ = recorded
+        connection = http.client.HTTPConnection(*address, timeout=10.0)
+        try:
+            exchange(connection, "POST", "/search", SEARCH)  # fills the cache
+            writes.clear()
+            answer = exchange(connection, method, path, body)
+        finally:
+            connection.close()
+        assert answer[0] == status
+        assert len(writes) == 1, [write[:40] for write in writes]
+        assert writes[0].startswith(b"HTTP/1.1 %d " % status)
+        assert writes[0].endswith(b"\r\n\r\n" + answer[1])
+
+    def test_accepted_socket_has_nagle_off(self, recorded):
+        address, _, accepted = recorded
+        connection = http.client.HTTPConnection(*address, timeout=10.0)
+        try:
+            assert exchange(connection, "GET", "/healthz")[0] == 200
+            server_side = accepted[-1]
+            assert server_side.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["buffered", "stream"])
+    def test_cached_search_over_keep_alive_does_not_wait_for_an_ack(self, served, stream):
+        # The client keeps the kernel's default (delayed) ACKs.  A reply
+        # split into segments Nagle holds back costs ~40 ms per request.
+        _, base = served
+        host, port = base.removeprefix("http://").split(":")
+        body = {**SEARCH, "stream": stream}
+        connection = http.client.HTTPConnection(host, int(port), timeout=10.0)
+        try:
+            exchange(connection, "POST", "/search", body)  # fills the cache
+            rounds = []
+            for _ in range(20):
+                started = time.perf_counter()
+                status, data = exchange(connection, "POST", "/search", body)
+                rounds.append(time.perf_counter() - started)
+                assert status == 200
+                assert b'"cached": true' in data
+        finally:
+            connection.close()
+        assert statistics.median(rounds) < 0.010, [round(r * 1000, 1) for r in rounds]
