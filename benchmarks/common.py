@@ -196,14 +196,13 @@ def execute_prepared(
 ) -> int:
     """Run pre-planned CTSSNs in score order under one scheduling strategy.
 
-    ``backend`` picks the executor (``python``, ``python-hash`` or
-    ``sql`` — the last compiles each plan to one SELECT and runs it
-    inside SQLite).  ``memoize=False`` is the paper's *naive* executor:
+    ``backend`` picks the executor (``python`` or ``sql`` — the latter
+    compiles each plan to one SELECT and runs it inside SQLite).  ``memoize=False`` is the paper's *naive* executor:
     no partial-result reuse of any kind (every inner loop re-sends its
     queries).  ``strategy`` ablates the cross-CN scheduler: ``serial``
     evaluates every CN independently to ``k`` results, ``shared-prefix``
     adds once-per-query materialization of canonical join prefixes (on
-    the Python backends; on ``sql`` it runs as ``serial``), and
+    ``python``; on ``sql`` it runs as ``serial``), and
     ``shared-prefix+pruning`` also skips CNs whose score exceeds the
     global k-th best collected score — all three produce the same top-k.
     """
@@ -236,7 +235,7 @@ def execute_prepared(
             continue
         kwargs = dict(
             config=config,
-            lookup_cache=None if config.backend == "python-hash" else lookup_cache,
+            lookup_cache=lookup_cache,
             prefix=prefixes.get(index),
             prefix_table=prefix_table,
         )

@@ -103,17 +103,11 @@ def fig15b(repeats: int) -> None:
     for size in sizes:
         row = [str(size)]
         for name in names:
-            backend = "python-hash" if name == "MinNClustNIndx" else "python"
-            prepared = common.prepared_searches(
-                name, max_size=size + 2, backend=backend
-            )
+            prepared = common.prepared_searches(name, max_size=size + 2)
             for p in prepared:  # untimed warm-up (see fig15a)
-                common.execute_prepared(p, None, backend=backend)
+                common.execute_prepared(p, None)
             seconds = timed(
-                lambda: [
-                    common.execute_prepared(p, None, backend=backend)
-                    for p in prepared
-                ],
+                lambda: [common.execute_prepared(p, None) for p in prepared],
                 repeats,
             )
             record_metric(f"fig15b/size{size}/{name}", seconds * 1000)
@@ -379,7 +373,7 @@ def updates_report(repeats: int) -> None:
             f'<pages id="p9g">1-2</pages></paper>',
         )
 
-    one_update()  # warm sqlite page and scan caches before timing
+    one_update()  # warm the sqlite page cache before timing
     update_seconds = timed(one_update, max(repeats, 3))
     reload_seconds = timed(
         lambda: load_database(
@@ -423,33 +417,6 @@ def updates_report(repeats: int) -> None:
     )
 
 
-def streaming_report(repeats: int) -> None:
-    """Incremental delivery: time-to-first-result vs full-query latency.
-
-    Streams the Fig 15(a) workload through ``XKeyword.search_streaming``
-    and reports the median wall clock to the first published result and
-    to stream completion, plus their ratio — the user-visible win of
-    incremental delivery (the full-query time is the same work the
-    buffered ``search()`` does).
-    """
-    import bench_streaming as streaming
-
-    first, full = streaming.streaming_latencies(repeats=max(repeats, 2))
-    speedup = full / first if first else 0.0
-    record_metric("streaming/first_result_ms", first * 1000)
-    record_metric("streaming/full_query_ms", full * 1000)
-    record_metric("streaming/first_vs_full_speedup", speedup, "higher")
-    table(
-        "Streaming - first-result vs full-query latency (Fig 15(a) workload)",
-        ["metric", "value"],
-        [
-            ["first result (ms, median)", f"{first * 1000:.1f}"],
-            ["full query (ms, median)", f"{full * 1000:.1f}"],
-            ["first-result speedup", f"{speedup:.2f}x"],
-        ],
-    )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="1 repeat per point")
@@ -483,7 +450,6 @@ def main() -> None:
     space_report()
     baselines_report(repeats)
     updates_report(repeats)
-    streaming_report(repeats)
 
     if args.json:
         report = {

@@ -79,12 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--backend",
-            choices=("python", "python-hash", "sql"),
+            choices=("python", "sql"),
             default=None,
             help="per-CN execution backend, for ablations: one compiled SQL "
-            "statement per plan executed inside SQLite, Python nested "
-            "loops (the oracle), or Python hash joins (all return "
-            "identical results; default honors $REPRO_BACKEND, else sql)",
+            "statement per plan executed inside SQLite, or Python nested "
+            "loops (the oracle); both return identical results (default "
+            "honors $REPRO_BACKEND, else sql)",
         )
         sub.add_argument("-k", type=_top_k, default=10, help="top-k cutoff (>= 1)")
         sub.add_argument("-z", "--max-size", type=int, default=8, dest="max_size")

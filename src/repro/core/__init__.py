@@ -11,7 +11,6 @@ from .ctssn import (
 from .engine import SearchHooks, SearchResult, XKeyword
 from .execution import (
     BACKEND_PYTHON,
-    BACKEND_PYTHON_HASH,
     BACKEND_SQL,
     BACKENDS,
     PIPELINE_STAGES,
@@ -45,7 +44,6 @@ from .streaming import ResultStream, StreamCancelledError, StreamCursor
 
 __all__ = [
     "BACKEND_PYTHON",
-    "BACKEND_PYTHON_HASH",
     "BACKEND_SQL",
     "BACKENDS",
     "CNGenerator",

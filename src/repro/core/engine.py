@@ -107,14 +107,11 @@ class SearchHooks:
     thread pool of a ``parallel=True`` search).
     """
 
-    on_search_start: Callable[[KeywordQuery], None] | None = None
-    """Called when a search begins, before containing-list retrieval."""
-
     on_search_complete: Callable[[KeywordQuery, "SearchResult", float], None] | None = None
     """Called with the finished result and wall-clock seconds elapsed."""
 
     observer: ExecutionObserver | None = None
-    """Passed to every executor; sees per-lookup and per-CN completion."""
+    """Passed to every executor; sees every per-relation lookup."""
 
 
 class NetworkVerifier(Protocol):
@@ -395,8 +392,6 @@ class XKeyword:
         if isinstance(query, str):
             query = KeywordQuery(tuple(query.split()))
         config = config or self.executor_config
-        if self.hooks.on_search_start is not None:
-            self.hooks.on_search_start(query)
         trace = self.tracer.begin(
             " ".join(query.keywords), k=limit, max_size=query.max_size
         )

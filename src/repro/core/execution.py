@@ -14,10 +14,7 @@ way the paper describes:
   bounded, like the paper's fixed-size cache — on overflow, queries are
   simply re-sent;
 * the **naive** executor (DISCOVER/DBXplorer behaviour) re-executes inner
-  loops unconditionally;
-* the **hash** executor prefetches each relation once and joins in
-  memory — the full-scan + hash-join strategy that wins for *all-results*
-  queries over the unindexed minimal decomposition (Figure 15(b)).
+  loops unconditionally.
 
 Results are role -> target-object-id assignments; distinct roles must
 bind distinct target objects (an MTTON is a *set* of target objects).
@@ -65,13 +62,10 @@ STRATEGIES = (
 BACKEND_PYTHON = "python"
 """Per-probe nested loops in Python with suffix memoization."""
 
-BACKEND_PYTHON_HASH = "python-hash"
-"""Python nested loops over prefetched in-memory hash joins."""
-
 BACKEND_SQL = "sql"
 """Each plan compiled to one SQL statement executed inside the DBMS."""
 
-BACKENDS = (BACKEND_PYTHON, BACKEND_PYTHON_HASH, BACKEND_SQL)
+BACKENDS = (BACKEND_PYTHON, BACKEND_SQL)
 """Valid values for :attr:`ExecutorConfig.backend`."""
 
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -128,6 +122,10 @@ class ExecutionMetrics:
             self.record_stage(stage, seconds)
 
 
+RESULT_CACHE_CAPACITY = 50_000
+"""Entries per suffix/lookup cache: the paper's fixed-size cache."""
+
+
 class ResultCache:
     """A bounded LRU cache of partial (suffix) results.
 
@@ -135,13 +133,13 @@ class ResultCache:
     past results and if the cache gets full, the queries are re-sent to
     the DBMS" — eviction here plays that role.
 
-    Instances are shared across the engine's per-CN thread pool (and,
-    under the query service, across concurrent requests), so every
-    operation holds a lock; ``OrderedDict`` reordering is not atomic
-    under free threading.
+    One instance lives for one query (its CNs share the lookup cache);
+    it is shared only by the opt-in per-CN thread pool (``parallel=``),
+    so every operation holds a lock — ``OrderedDict`` reordering is not
+    atomic under free threading.
     """
 
-    def __init__(self, capacity: int = 50_000) -> None:
+    def __init__(self, capacity: int = RESULT_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
@@ -286,9 +284,8 @@ class SharedPrefixTable:
     the first caller becomes the owner and computes, later callers block
     on an event and then read the finished rows.
 
-    Shared across the engine's per-CN thread pool (and therefore across
-    the service's worker threads within one request), so all state is
-    lock-guarded.
+    Shared across the engine's opt-in per-CN thread pool
+    (``parallel=``), so all state is lock-guarded.
     """
 
     def __init__(self) -> None:
@@ -395,112 +392,12 @@ class ExecutionObserver:
     def on_query(self, relation_name: str, rows: int, cached: bool) -> None:
         """One focused lookup: served from the shared cache or the DBMS."""
 
-    def on_run_complete(self, metrics: ExecutionMetrics) -> None:
-        """One CTSSN evaluation finished (or its consumer stopped early)."""
-
-
-class _SqlAccess:
-    """Per-lookup SQL access: one focused query per probe.
-
-    An optional shared lookup cache implements the paper's reuse of
-    common subexpressions *across* candidate networks: two CNs probing
-    the same relation with the same junction ids share the result.
-    """
-
-    def __init__(
-        self,
-        store: RelationStore,
-        step: PlanStep,
-        metrics: ExecutionMetrics,
-        lookup_cache: "ResultCache | None" = None,
-        observer: "ExecutionObserver | None" = None,
-        span: "Span | None" = None,
-    ):
-        self._store = store
-        self._fragment = step.piece.fragment
-        self._metrics = metrics
-        self._lookup_cache = lookup_cache
-        self._observer = observer
-        self._span = span
-
-    def lookup(self, bindings: dict[str, str]) -> list[tuple[str, ...]]:
-        """One focused query (or a shared-cache replay) for the bindings."""
-        key = None
-        if self._lookup_cache is not None:
-            key = (self._fragment.relation_name, tuple(sorted(bindings.items())))
-            cached = self._lookup_cache.get(key)
-            if cached is not None:
-                self._metrics.cache_hits += 1
-                if self._observer is not None:
-                    self._observer.on_query(
-                        self._fragment.relation_name, len(cached), True
-                    )
-                if self._span is not None:
-                    self._span.record_lookup(
-                        self._fragment.relation_name, len(cached), True
-                    )
-                return cached  # type: ignore[return-value]
-        self._metrics.queries_sent += 1
-        rows = self._store.lookup(self._fragment, bindings)
-        self._metrics.rows_fetched += len(rows)
-        if key is not None:
-            self._lookup_cache.put(key, rows)  # type: ignore[arg-type]
-        if self._observer is not None:
-            self._observer.on_query(self._fragment.relation_name, len(rows), False)
-        if self._span is not None:
-            self._span.record_lookup(self._fragment.relation_name, len(rows), False)
-        return rows
-
-
-class _HashAccess:
-    """Full-scan + hash-join access (the Figure 15(b) strategy).
-
-    The scan and its hash indexes live on the relation store, playing
-    the DBMS buffer pool's role: the first executor to touch a relation
-    pays the scan, later probes are dictionary lookups.
-    """
-
-    def __init__(
-        self,
-        store: RelationStore,
-        step: PlanStep,
-        metrics: ExecutionMetrics,
-        span: "Span | None" = None,
-    ):
-        self._store = store
-        self._fragment = step.piece.fragment
-        self._metrics = metrics
-        self._scanned = False
-        self._span = span
-
-    def _ensure_scan(self) -> list[tuple[str, ...]]:
-        rows = self._store.scan_cached(self._fragment)
-        if not self._scanned:
-            self._metrics.queries_sent += 1
-            self._scanned = True
-            if self._span is not None:
-                self._span.record_lookup(
-                    self._fragment.relation_name, len(rows), False
-                )
-        return rows
-
-    def lookup(self, bindings: dict[str, str]) -> list[tuple[str, ...]]:
-        """Probe the in-memory hash of the (once-scanned) relation."""
-        rows = self._ensure_scan()
-        if not bindings:
-            return rows
-        key_columns = tuple(sorted(bindings))
-        index = self._store.hash_index(self._fragment, key_columns)
-        matches = index.get(tuple(bindings[c] for c in key_columns), [])
-        self._metrics.rows_fetched += len(matches)
-        return matches
-
 
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Execution-mode switches (Section 6 variants).
 
-    A plain validated value object (hashable, picklable) with four
+    A plain validated value object (hashable, picklable) with three
     settable fields.  Validation collects *every* invalid field into one
     ``ValueError`` instead of stopping at the first.
     """
@@ -510,8 +407,6 @@ class ExecutorConfig:
 
     * ``python`` — per-probe nested loops with suffix memoization (the
       oracle the equivalence suite trusts);
-    * ``python-hash`` — full-scan + in-memory hash joins (the Figure
-      15(b) all-results strategy);
     * ``sql`` — each plan compiled to one parameterized SELECT and
       executed inside the DBMS (see :mod:`repro.core.sqlcompile`): the
       paper's one-statement-per-CN model, the default, and the only
@@ -522,19 +417,17 @@ class ExecutorConfig:
     back to ``sql`` — the variable is how CI runs the whole tier-1 suite
     on the ``python`` oracle too without editing every test."""
     _: KW_ONLY
-    cache_capacity: int = 50_000
-    """Suffix/lookup cache size (positive)."""
     strategy: str = STRATEGY_SHARED_PREFIX_PRUNING
     """Cross-CN scheduling strategy (one of :data:`STRATEGIES`):
     ``serial`` evaluates every CN independently, ``shared-prefix`` adds
     once-per-query materialization of canonicalized common join
-    prefixes (Python backends only — see :attr:`share_prefixes`),
+    prefixes (``python`` backend only — see :attr:`share_prefixes`),
     ``shared-prefix+pruning`` (default) also skips or abandons CNs whose
     minimum achievable MTNN size exceeds the global k-th best.  All three
     return identical top-k results — the knob exists for the
     EXPERIMENTS.md ablation."""
     memoize: bool = True
-    """Partial-result reuse on the Python backends: suffix memoization
+    """Partial-result reuse on the ``python`` backend: suffix memoization
     plus the relation-lookup cache the CNs of one query share.
     ``False`` selects naive nested loops with no reuse of any kind — the
     paper's DISCOVER-style baseline."""
@@ -550,11 +443,6 @@ class ExecutorConfig:
         if self.strategy not in STRATEGIES:
             errors.append(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
-        if not isinstance(self.cache_capacity, int) or self.cache_capacity < 1:
-            errors.append(
-                "cache_capacity must be a positive integer, "
-                f"got {self.cache_capacity!r}"
             )
         if errors:
             raise ValueError("; ".join(errors))
@@ -612,27 +500,12 @@ class CTSSNExecutor:
         self.metrics = metrics or ExecutionMetrics()
         self.containing = containing
         self.observer = observer
-        self.cache = ResultCache(self.config.cache_capacity)
+        self.cache = ResultCache(RESULT_CACHE_CAPACITY)
+        self._lookup_cache = lookup_cache if self.config.memoize else None
         self._prefix = prefix
         self._prefix_table = prefix_table
         self._span = span
-        if self.config.backend == BACKEND_PYTHON_HASH:
-            self._access: list = [
-                _HashAccess(stores[step.store_name], step, self.metrics, span)
-                for step in plan.steps
-            ]
-        else:
-            self._access = [
-                _SqlAccess(
-                    stores[step.store_name],
-                    step,
-                    self.metrics,
-                    lookup_cache if self.config.memoize else None,
-                    observer,
-                    span,
-                )
-                for step in plan.steps
-            ]
+        self._stores = stores
         self.role_filters: dict[int, set[str]] = {
             role: containing.allowed_tos(constraints)
             for role, constraints in plan.ctssn.keyword_roles()
@@ -656,18 +529,6 @@ class CTSSNExecutor:
                 explored first, which makes the first result reuse as much
                 of the presentation graph as possible.
         """
-        try:
-            yield from self._run(limit, fixed_bindings, prefer)
-        finally:
-            if self.observer is not None:
-                self.observer.on_run_complete(self.metrics)
-
-    def _run(
-        self,
-        limit: int | None,
-        fixed_bindings: ResultRow | None,
-        prefer: dict[int, set[str]] | None,
-    ) -> Iterator[ResultRow]:
         plan = self.plan
         network = plan.ctssn.network
         fixed = dict(fixed_bindings or {})
@@ -846,7 +707,7 @@ class CTSSNExecutor:
         lookup_bindings = {
             step.column_of_role(role): bindings[role] for role in bound_roles
         }
-        rows = self._access[index].lookup(lookup_bindings)
+        rows = self._lookup(step, lookup_bindings)
         candidates = []
         for row in rows:
             assignment: ResultRow = {}
@@ -896,6 +757,38 @@ class CTSSNExecutor:
                 if not conflict:
                     yield merged
 
+    def _lookup(
+        self, step: PlanStep, bindings: dict[str, str]
+    ) -> list[tuple[str, ...]]:
+        """One focused query for ``step`` (or a lookup-cache replay).
+
+        The lookup cache implements the paper's reuse of common
+        subexpressions *across* candidate networks: two CNs probing the
+        same relation with the same junction ids share the result.
+        """
+        relation_name = step.relation_name
+        key = None
+        if self._lookup_cache is not None:
+            key = (relation_name, tuple(sorted(bindings.items())))
+            cached = self._lookup_cache.get(key)
+            if cached is not None:
+                self.metrics.cache_hits += 1
+                if self.observer is not None:
+                    self.observer.on_query(relation_name, len(cached), True)
+                if self._span is not None:
+                    self._span.record_lookup(relation_name, len(cached), True)
+                return cached  # type: ignore[return-value]
+        self.metrics.queries_sent += 1
+        rows = self._stores[step.store_name].lookup(step.piece.fragment, bindings)
+        self.metrics.rows_fetched += len(rows)
+        if key is not None:
+            self._lookup_cache.put(key, rows)  # type: ignore[arg-type]
+        if self.observer is not None:
+            self.observer.on_query(relation_name, len(rows), False)
+        if self._span is not None:
+            self._span.record_lookup(relation_name, len(rows), False)
+        return rows
+
     @staticmethod
     def _prefer_rank(assignment: ResultRow, prefer: dict[int, set[str]]) -> int:
         """Fewer non-preferred bindings sort first (expansion minimality)."""
@@ -942,7 +835,7 @@ class QueryExecution:
     collected: list[MTTON] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.lookup_cache = ResultCache(self.config.cache_capacity)
+        self.lookup_cache = ResultCache(RESULT_CACHE_CAPACITY)
         shares = any(cn.prefix is not None for cn in self.planned)
         self.prefix_table = SharedPrefixTable() if shares else None
         self._lock = threading.Lock()

@@ -235,25 +235,25 @@ class SQLCTSSNExecutor(CTSSNExecutor):
     ) -> None:
         """Superclass arguments pass through unchanged."""
         super().__init__(plan, stores, containing, **kwargs)
-        self._stores = stores
         self._database = (
             stores[plan.steps[0].store_name].database if plan.steps else None
         )
 
     # ------------------------------------------------------------------
-    def _run(
+    def run(
         self,
-        limit: int | None,
-        fixed_bindings: ResultRow | None,
-        prefer: dict[int, set[str]] | None,
+        limit: int | None = None,
+        fixed_bindings: ResultRow | None = None,
+        prefer: dict[int, set[str]] | None = None,
     ) -> Iterator[ResultRow]:
+        """One compiled statement, or the superclass's nested loops."""
         if (
             fixed_bindings
             or prefer is not None
             or self._database is None
             or not self.plan.steps
         ):
-            yield from super()._run(limit, fixed_bindings, prefer)
+            yield from super().run(limit, fixed_bindings, prefer)
             return
         yield from self._run_sql(limit)
 

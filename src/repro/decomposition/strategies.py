@@ -46,7 +46,7 @@ class IndexPolicy(enum.Enum):
     """One heap relation with a secondary index on every id column."""
 
     NONE = "none"
-    """One heap relation, no indexes (full scans + hash joins)."""
+    """One heap relation, no indexes (a focused lookup scans the table)."""
 
 
 @dataclass(frozen=True)

@@ -113,8 +113,6 @@ class RelationStore:
         self.decomposition = decomposition
         self.policy = decomposition.index_policy
         self._code = _POLICY_CODES[self.policy]
-        self._scan_cache: dict[str, list[tuple[str, ...]]] = {}
-        self._hash_indexes: dict[tuple[str, tuple[str, ...]], dict] = {}
 
     # ------------------------------------------------------------------
     # Naming
@@ -189,7 +187,6 @@ class RelationStore:
                 )
             counts[fragment.relation_name] = len(rows)
         self.database.commit()
-        self.drop_memory_caches()
         return counts
 
     # ------------------------------------------------------------------
@@ -216,36 +213,8 @@ class RelationStore:
         return self.database.query(sql, params)
 
     def scan(self, fragment: Fragment) -> list[tuple[str, ...]]:
-        """Full scan in fragment column order (hash-join building block)."""
+        """Full scan in fragment column order (exhaustive expansion)."""
         return self.lookup(fragment, {})
-
-    def scan_cached(self, fragment: Fragment) -> list[tuple[str, ...]]:
-        """Full scan, kept in memory after the first read.
-
-        Models the DBMS buffer pool the paper's Figure 15(b) relies on:
-        "the full table scan and the hash join is the fastest way to
-        perform a join when the size of the relations is small relative
-        to the main memory".
-        """
-        rows = self._scan_cache.get(fragment.relation_name)
-        if rows is None:
-            rows = self.scan(fragment)
-            self._scan_cache[fragment.relation_name] = rows
-        return rows
-
-    def hash_index(
-        self, fragment: Fragment, key_columns: tuple[str, ...]
-    ) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
-        """An in-memory hash index on the cached scan (built once)."""
-        cache_key = (fragment.relation_name, key_columns)
-        index = self._hash_indexes.get(cache_key)
-        if index is None:
-            positions = [fragment.columns.index(column) for column in key_columns]
-            index = {}
-            for row in self.scan_cached(fragment):
-                index.setdefault(tuple(row[p] for p in positions), []).append(row)
-            self._hash_indexes[cache_key] = index
-        return index
 
     # ------------------------------------------------------------------
     # Incremental maintenance (the update subsystem's delta surface)
@@ -298,29 +267,6 @@ class RelationStore:
                     f"INSERT OR IGNORE INTO {table.name} VALUES ({placeholders})",
                     [tuple(row[p] for p in projection) for row in add_rows],
                 )
-        self.drop_memory_caches([fragment.relation_name])
-
-    def drop_memory_caches(self, relations=None) -> None:
-        """Forget cached scans and hash indexes.
-
-        Args:
-            relations: Relation names to forget; ``None`` (reloads)
-                forgets everything.  The update subsystem passes the
-                touched relations so untouched in-memory scans survive a
-                mutation.
-        """
-        if relations is None:
-            self._scan_cache.clear()
-            self._hash_indexes.clear()
-            return
-        names = set(relations)
-        for name in names:
-            self._scan_cache.pop(name, None)
-        self._hash_indexes = {
-            key: index
-            for key, index in self._hash_indexes.items()
-            if key[0] not in names
-        }
 
     def row_count(self, fragment: Fragment) -> int:
         return self.database.row_count(self.base_table(fragment))

@@ -773,9 +773,6 @@ class UpdateManager:
                 relations_touched.add(fragment.relation_name)
                 rows_added += len(new_rows - old_rows)
                 rows_removed += len(old_rows - new_rows)
-        if relations_touched:
-            for store in loaded.stores.values():
-                store.drop_memory_caches(relations_touched)
         return relations_touched, rows_added, rows_removed
 
     def _publish(self) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ExecutorConfig, KeywordQuery, XKeyword
+from repro.core import BACKENDS, ExecutorConfig, KeywordQuery, XKeyword
 from repro.decomposition import IndexPolicy, minimal_decomposition, xkeyword_decomposition
 from repro.storage import load_database
 
@@ -118,12 +118,16 @@ class TestDecompositionAgreement:
             dblp,
             [minimal_decomposition(dblp.tss, IndexPolicy.NONE)],
         )
-        engine = XKeyword(loaded, executor_config=ExecutorConfig(backend="python-hash"))
         reference = XKeyword(
             load_database(small_dblp_graph, dblp, [minimal_decomposition(dblp.tss)])
         )
-        a = engine.search_all(query, parallel=False)
-        b = reference.search_all(query, parallel=False)
-        assert {(m.ctssn.canonical_key, m.assignment) for m in a.mttons} == {
-            (m.ctssn.canonical_key, m.assignment) for m in b.mttons
+        expected = {
+            (m.ctssn.canonical_key, m.assignment)
+            for m in reference.search_all(query, parallel=False).mttons
         }
+        for backend in BACKENDS:
+            engine = XKeyword(loaded, executor_config=ExecutorConfig(backend=backend))
+            found = engine.search_all(query, parallel=False)
+            assert {
+                (m.ctssn.canonical_key, m.assignment) for m in found.mttons
+            } == expected, backend

@@ -10,9 +10,8 @@ equality on the full (canonical_key, assignment, score) triples — not
 just on scores.
 
 The execution backends extend the same contract: the Python nested-loop
-executor is the oracle, and ``python-hash`` and ``sql`` (one compiled
-statement per plan, executed inside SQLite) must reproduce its ranked
-top-k bit for bit.  Both sides enumerate rows lexicographically in the
+executor is the oracle, and ``sql`` (one compiled statement per plan,
+executed inside SQLite) must reproduce its ranked top-k bit for bit.  Both sides enumerate rows lexicographically in the
 plan's binding order — the Python executor via its canonical candidate
 sort, the SQL backend via ``ORDER BY`` under SQLite's BINARY collation —
 so even the k-subset a >k-result CN contributes is identical.

@@ -11,6 +11,7 @@ from repro.core import (
     Optimizer,
     ResultCache,
 )
+from repro.core import execution
 from repro.core.cn_generator import CNGenerator
 from repro.core.ctssn import reduce_to_ctssn
 
@@ -98,15 +99,6 @@ class TestCachedVsNaive:
             )
             assert cached == naive, str(ctssn)
 
-    def test_hash_join_same_results(self, pipeline):
-        db, (containing, ctssns, optimizer) = pipeline
-        for ctssn in ctssns:
-            sql_rows, _ = run_all(db, ctssn, containing, optimizer)
-            hash_rows, _ = run_all(
-                db, ctssn, containing, optimizer, ExecutorConfig(backend="python-hash")
-            )
-            assert sql_rows == hash_rows, str(ctssn)
-
     def test_cache_reduces_queries(self, pipeline):
         """The Section 6 optimization: repeated junction ids reuse inner
         results instead of re-querying (Figure 16(a)'s speedup source)."""
@@ -175,7 +167,7 @@ class TestResultCache:
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
 
-    def test_bounded_cache_still_correct(self, small_dblp_db, dblp):
+    def test_bounded_cache_still_correct(self, small_dblp_db, dblp, monkeypatch):
         """A tiny cache (constant re-sending, like the paper's full-cache
         fallback) must not change results."""
         query = KeywordQuery.of("smith", "balmin", max_size=6)
@@ -183,11 +175,8 @@ class TestResultCache:
         ctssn = max(ctssns, key=lambda c: c.size)
         plan = optimizer.plan(ctssn)
         big = CTSSNExecutor(plan, dict(small_dblp_db.stores), containing)
-        tiny = CTSSNExecutor(
-            plan,
-            dict(small_dblp_db.stores),
-            containing,
-            config=ExecutorConfig(cache_capacity=2),
-        )
+        monkeypatch.setattr(execution, "RESULT_CACHE_CAPACITY", 2)
+        tiny = CTSSNExecutor(plan, dict(small_dblp_db.stores), containing)
+        assert tiny.cache.capacity == 2
         as_set = lambda rows: sorted(tuple(sorted(r.items())) for r in rows)
         assert as_set(big.run()) == as_set(tiny.run())

@@ -11,7 +11,6 @@ from repro.core import BACKENDS, ExecutorConfig
 from repro.core.execution import (
     BACKEND_ENV_VAR,
     BACKEND_PYTHON,
-    BACKEND_PYTHON_HASH,
     BACKEND_SQL,
 )
 
@@ -53,8 +52,13 @@ class TestRemovedKwargs:
         with pytest.raises(TypeError, match="shared_lookup_cache"):
             ExecutorConfig(shared_lookup_cache=False)
 
-    def test_python_hash_is_a_backend_not_a_flag(self):
-        assert ExecutorConfig(backend=BACKEND_PYTHON_HASH).backend == BACKEND_PYTHON_HASH
+    def test_python_hash_is_gone(self, monkeypatch):
+        assert BACKENDS == (BACKEND_PYTHON, BACKEND_SQL)
+        with pytest.raises(ValueError, match="python-hash"):
+            ExecutorConfig(backend="python-hash")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python-hash")
+        with pytest.raises(ValueError, match="python-hash"):
+            ExecutorConfig()
 
 
 class TestTuningKnobs:
@@ -66,9 +70,9 @@ class TestTuningKnobs:
 
 
 class TestValueObject:
-    def test_four_settable_fields(self):
+    def test_three_settable_fields(self):
         assert [f.name for f in dataclasses.fields(ExecutorConfig)] == [
-            "backend", "cache_capacity", "strategy", "memoize",
+            "backend", "strategy", "memoize",
         ]
 
     def test_immutable(self):
@@ -89,23 +93,14 @@ class TestValueObject:
 class TestValidationReportsEverything:
     def test_all_invalid_fields_reported_at_once(self):
         with pytest.raises(ValueError) as excinfo:
-            ExecutorConfig(
-                backend="duckdb", strategy="psychic", cache_capacity=0
-            )
+            ExecutorConfig(backend="duckdb", strategy="psychic")
         message = str(excinfo.value)
         assert "duckdb" in message
         assert "psychic" in message
-        assert "cache_capacity" in message
 
     def test_invalid_strategy_alone(self):
         with pytest.raises(ValueError, match="strategy"):
             ExecutorConfig(strategy="nope")
-
-    def test_invalid_cache_capacity_alone(self):
-        with pytest.raises(ValueError, match="cache_capacity"):
-            ExecutorConfig(cache_capacity=-5)
-        with pytest.raises(ValueError, match="cache_capacity"):
-            ExecutorConfig(cache_capacity="lots")
 
 
 class TestDerivedProperties:

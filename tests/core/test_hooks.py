@@ -6,20 +6,15 @@ from repro.core import ExecutionObserver, KeywordQuery, SearchHooks, XKeyword
 class RecordingObserver(ExecutionObserver):
     def __init__(self) -> None:
         self.lookups: list[tuple[str, int, bool]] = []
-        self.completed_runs = 0
 
     def on_query(self, relation_name: str, rows: int, cached: bool) -> None:
         self.lookups.append((relation_name, rows, cached))
-
-    def on_run_complete(self, metrics) -> None:
-        self.completed_runs += 1
 
 
 class TestSearchHooks:
     def test_callbacks_fire_with_result_and_timing(self, small_dblp_db):
         events = []
         hooks = SearchHooks(
-            on_search_start=lambda query: events.append(("start", query)),
             on_search_complete=lambda query, result, seconds: events.append(
                 ("complete", query, result, seconds)
             ),
@@ -27,10 +22,10 @@ class TestSearchHooks:
         engine = XKeyword(small_dblp_db, hooks=hooks)
         query = KeywordQuery.of("smith", "balmin", max_size=6)
         result = engine.search(query, k=5)
-        assert [kind for kind, *_ in events] == ["start", "complete"]
+        assert [kind for kind, *_ in events] == ["complete"]
         assert events[0][1] == query
-        assert events[1][2] is result
-        assert events[1][3] >= 0
+        assert events[0][2] is result
+        assert events[0][3] >= 0
 
     def test_complete_fires_for_empty_keyword(self, small_dblp_db):
         events = []
@@ -42,14 +37,13 @@ class TestSearchHooks:
         assert events == [result]
         assert result.mttons == []
 
-    def test_observer_sees_lookups_and_run_completions(self, small_dblp_db):
+    def test_observer_sees_lookups(self, small_dblp_db):
         observer = RecordingObserver()
         engine = XKeyword(small_dblp_db, hooks=SearchHooks(observer=observer))
         result = engine.search(
             KeywordQuery.of("smith", "balmin", max_size=6), k=5, parallel=False
         )
         assert result.mttons
-        assert observer.completed_runs >= 1
         assert observer.lookups
         sent = sum(1 for _, _, cached in observer.lookups if not cached)
         assert sent == result.metrics.queries_sent

@@ -191,10 +191,10 @@ class TestExecutorConfigStrategy:
         ],
     )
     def test_strategy_flags(self, strategy, share, prune):
-        """``share`` is the Python backends' flag: on ``sql`` every CN is
+        """``share`` is the ``python`` backend's flag: on ``sql`` every CN is
         one statement, so no strategy shares prefixes there.  Pruning is
         backend-independent."""
-        for backend in ("python", "python-hash", "sql"):
+        for backend in ("python", "sql"):
             config = ExecutorConfig(backend, strategy=strategy)
             assert config.share_prefixes is (share and backend != "sql"), backend
             assert config.prune_by_bound is prune, backend

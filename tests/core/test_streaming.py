@@ -67,7 +67,7 @@ class TestStreamedEquivalence:
         streamed = list(engine.search_streaming(QUERY, all_results=True))
         assert streamed == list(buffered.mttons)
 
-    @pytest.mark.parametrize("backend", ["python", "python-hash", "sql"])
+    @pytest.mark.parametrize("backend", ["python", "sql"])
     def test_backend_cells(self, small_dblp_db, backend):
         """Explicit sweep of the CI variant cells."""
         cell = XKeyword(

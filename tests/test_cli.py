@@ -88,6 +88,12 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "argument -k" in capsys.readouterr().err
 
+    def test_python_hash_backend_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--demo", "smith", "--backend", "python-hash"])
+        assert excinfo.value.code == 2
+        assert "python-hash" in capsys.readouterr().err
+
 
 class TestNavigate:
     def test_scripted_navigation(self, capsys):

@@ -100,26 +100,26 @@ class TestCompare:
 class TestDirectionDefaults:
     def test_explicit_better_wins(self, gate):
         entry = {"value": 1.0, "better": "higher"}
-        assert gate.direction_for("streaming/first_result_ms", entry) == "higher"
+        assert gate.direction_for("updates/single_update_ms", entry) == "higher"
 
     def test_streaming_first_result_defaults_lower(self, gate):
         assert gate.direction_for("streaming/first_result_ms", {}) == "lower"
 
     def test_streaming_speedup_defaults_higher(self, gate):
-        assert gate.direction_for("streaming/first_vs_full_speedup", {}) == "higher"
+        assert gate.direction_for("fig16a/size2/in_process_speedup", {}) == "higher"
 
     def test_unknown_prefix_defaults_lower(self, gate):
         assert gate.direction_for("fig15a/top01/XKeyword", {}) == "lower"
 
     def test_compare_uses_prefix_default_when_better_missing(self, gate):
-        # A higher-is-better streaming speedup that *improves* must pass
+        # A higher-is-better Fig 16(a) speedup that *improves* must pass
         # even when the baseline entry forgot its "better" field.
-        base = {"streaming/first_vs_full_speedup": {"value": 1.5}}
-        report = {"streaming/first_vs_full_speedup": {"value": 3.0}}
+        base = {"fig16a/size2/in_process_speedup": {"value": 1.5}}
+        report = {"fig16a/size2/in_process_speedup": {"value": 3.0}}
         _, regressions = gate.compare(base, report, 0.25)
         assert regressions == []
         # ... and a drop past tolerance fails.
-        report = {"streaming/first_vs_full_speedup": {"value": 0.9}}
+        report = {"fig16a/size2/in_process_speedup": {"value": 0.9}}
         _, regressions = gate.compare(base, report, 0.25)
         assert len(regressions) == 1
 

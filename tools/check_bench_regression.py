@@ -47,9 +47,9 @@ DEFAULT_TOLERANCE = 0.25
 # an older report).  First match wins; anything unmatched defaults to
 # ``lower`` (latencies dominate the report).
 DEFAULT_DIRECTIONS: tuple[tuple[str, str], ...] = (
-    ("streaming/first_result", "lower"),
-    ("streaming/full_query", "lower"),
-    ("streaming/first_vs_full", "higher"),
+    ("fig16a/", "higher"),
+    ("updates/update_vs_reload", "higher"),
+    ("updates/cache_retention", "higher"),
 )
 
 
