@@ -111,14 +111,14 @@ def bench_graph():
 
 
 @lru_cache(maxsize=None)
-def engine_for(decomposition_name: str, backend: str | None = "python") -> XKeyword:
-    """An engine restricted to one decomposition's relations
-    (``backend=None`` follows the library default)."""
+def engine_for(decomposition_name: str) -> XKeyword:
+    """An engine restricted to one decomposition's relations, on the
+    ``python`` executor the Figure 15/16 benches time."""
     loaded = bench_database()
     names = [decomposition_name]
     if decomposition_name == "Combined":
         names = ["XKeyword", "MinClust"]
-    config = ExecutorConfig(backend=backend)
+    config = ExecutorConfig(backend="python")
     return XKeyword(loaded, store_priority=names, executor_config=config)
 
 
@@ -173,10 +173,10 @@ class PreparedQuery:
 
 @lru_cache(maxsize=None)
 def prepared_searches(
-    decomposition_name: str, max_size: int = 8, backend: str = "python"
+    decomposition_name: str, max_size: int = 8
 ) -> tuple[PreparedQuery, ...]:
     """Pre-planned queries for one decomposition (memoized)."""
-    engine = engine_for(decomposition_name, backend=backend)
+    engine = engine_for(decomposition_name)
     prepared = []
     for query in bench_queries(max_size=max_size):
         containing = engine.containing_lists(query)
@@ -190,34 +190,30 @@ def prepared_searches(
 def execute_prepared(
     prepared: PreparedQuery,
     k: int | None,
-    backend: str = "python",
     memoize: bool = True,
     strategy: str = "serial",
 ) -> int:
-    """Run pre-planned CTSSNs in score order under one scheduling strategy.
+    """Run pre-planned CTSSNs in score order under one scheduling strategy,
+    on the ``python`` executor (one focused query per binding).
 
-    ``backend`` picks the executor (``python`` or ``sql`` — the latter
-    compiles each plan to one SELECT and runs it inside SQLite).  ``memoize=False`` is the paper's *naive* executor:
-    no partial-result reuse of any kind (every inner loop re-sends its
-    queries).  ``strategy`` ablates the cross-CN scheduler: ``serial``
-    evaluates every CN independently to ``k`` results, ``shared-prefix``
-    adds once-per-query materialization of canonical join prefixes (on
-    ``python``; on ``sql`` it runs as ``serial``), and
+    ``memoize=False`` is the paper's *naive* executor: no partial-result
+    reuse of any kind (every inner loop re-sends its queries).
+    ``strategy`` ablates the cross-CN scheduler: ``serial`` evaluates
+    every CN independently to ``k`` results, ``shared-prefix`` adds
+    once-per-query materialization of canonical join prefixes, and
     ``shared-prefix+pruning`` also skips CNs whose score exceeds the
     global k-th best collected score — all three produce the same top-k.
     """
     from repro.core import (
         CTSSNExecutor,
-        ExecutorConfig,
         ResultCache,
         SharedPrefixTable,
-        SQLCTSSNExecutor,
         TopKBound,
         assign_shared_prefixes,
     )
 
     config = ExecutorConfig(
-        backend=backend,
+        backend="python",
         memoize=memoize,
         strategy=strategy,
     )
@@ -233,15 +229,14 @@ def execute_prepared(
     for index, (ctssn, plan) in enumerate(prepared.plans):
         if bound is not None and not bound.admits(ctssn.score):
             continue
-        kwargs = dict(
+        executor = CTSSNExecutor(
+            plan,
+            prepared.engine.stores,
+            prepared.containing,
             config=config,
             lookup_cache=lookup_cache,
             prefix=prefixes.get(index),
             prefix_table=prefix_table,
-        )
-        executor_class = SQLCTSSNExecutor if config.backend == "sql" else CTSSNExecutor
-        executor = executor_class(
-            plan, prepared.engine.stores, prepared.containing, **kwargs
         )
         for _ in executor.run(limit=k):
             produced += 1

@@ -5,17 +5,16 @@ timings; this script complements it by printing the *series* exactly the
 way the paper's figures plot them (one row per x-axis point, one column
 per curve), so paper-vs-measured comparison is direct.
 
-Run:  python benchmarks/run_report.py [--quick] [--json [PATH]]
+Every cell is the median of ``repeats`` runs (3, or 1 under
+``--quick``).  These are reproduction scripts, not a regression gate:
+regressions are caught by ``benchmarks/e2e`` (see its README).
 
-``--json`` additionally writes every numeric series to ``BENCH_report.json``
-(or PATH) for ``tools/check_bench_regression.py``, the CI regression gate
-that diffs the report against ``benchmarks/baselines/BENCH_baseline.json``.
+Run:  python benchmarks/run_report.py [--quick] [--latency SECONDS]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 import time
@@ -32,17 +31,6 @@ from repro.service import QueryService, ServiceConfig
 from repro.storage import Database, RelationStore, load_database
 from repro.updates import UpdateManager
 from repro.workloads import DBLPConfig, generate_dblp
-
-# Every numeric series the figures print, keyed "section/row/column".
-# ``better`` says which direction is an improvement, so the regression
-# gate knows whether a higher number is a win (speedups) or a loss (ms).
-METRICS: dict[str, dict] = {}
-
-
-def record_metric(name: str, value: float, better: str = "lower") -> None:
-    """Stow one numeric cell for the ``--json`` report."""
-    METRICS[name] = {"value": round(float(value), 4), "better": better}
-
 
 def timed(callable_, repeats: int = 3) -> float:
     """Median wall-clock seconds over a few repeats."""
@@ -70,7 +58,7 @@ def fig15a(repeats: int) -> None:
     # One untimed pass per decomposition first: the very first execution
     # in the process pays a one-time ~tens-of-ms setup cost (temp-schema
     # and cache warm-up) that would otherwise land on an arbitrary cell
-    # of the K=1 row and flake the regression gate at --quick repeats.
+    # of the K=1 row, so a cell's number would depend on table order.
     for name in names:
         for p in common.prepared_searches(name, max_size=8):
             common.execute_prepared(p, 1, strategy="shared-prefix+pruning")
@@ -86,7 +74,6 @@ def fig15a(repeats: int) -> None:
                 ],
                 repeats,
             )
-            record_metric(f"fig15a/top{k:02d}/{name}", seconds * 1000)
             row.append(f"{seconds * 1000:.1f}")
         rows.append(row)
     table(
@@ -110,7 +97,6 @@ def fig15b(repeats: int) -> None:
                 lambda: [common.execute_prepared(p, None) for p in prepared],
                 repeats,
             )
-            record_metric(f"fig15b/size{size}/{name}", seconds * 1000)
             row.append(f"{seconds * 1000:.1f}")
         rows.append(row)
     table(
@@ -134,14 +120,8 @@ def fig16a(repeats: int, latency: float) -> None:
         raw_cached = timed(lambda: run(True), repeats)
         raw_naive = timed(lambda: run(False), repeats)
         with common.round_trip_latency(database, latency):
-            lat_cached = timed(lambda: run(True), 1)
-            lat_naive = timed(lambda: run(False), 1)
-        record_metric(
-            f"fig16a/size{size}/in_process_speedup", raw_naive / raw_cached, "higher"
-        )
-        record_metric(
-            f"fig16a/size{size}/with_latency_speedup", lat_naive / lat_cached, "higher"
-        )
+            lat_cached = timed(lambda: run(True), repeats)
+            lat_naive = timed(lambda: run(False), repeats)
         rows.append(
             [
                 str(size),
@@ -173,10 +153,6 @@ def fig16b(repeats: int, latency: float) -> None:
                     started = time.perf_counter()
                     fig.expand_paper(navigator)
                     samples.append(time.perf_counter() - started)
-            record_metric(
-                f"fig16b/size{size}/{variant}",
-                statistics.median(samples) * 1000,
-            )
             row.append(f"{statistics.median(samples) * 1000:.0f}")
         rows.append(row)
     table(
@@ -228,8 +204,8 @@ def scheduler_ablation(repeats: int) -> None:
     it): ``serial`` evaluates every CN to K results independently;
     ``shared-prefix`` materializes each canonical join prefix once per
     query; ``shared-prefix+pruning`` also skips CNs whose score exceeds
-    the global k-th best.  The pruning column must beat serial by >=
-    1.3x — the ratio the regression gate and EXPERIMENTS.md track.
+    the global k-th best.  The last column is the serial/pruning ratio
+    EXPERIMENTS.md tracks.
     """
     strategies = ("serial", "shared-prefix", "shared-prefix+pruning")
     rows = []
@@ -246,63 +222,13 @@ def scheduler_ablation(repeats: int) -> None:
                 repeats,
             )
             measured[(k, strategy)] = seconds
-            record_metric(f"ablation/top{k:02d}/{strategy}", seconds * 1000)
             row.append(f"{seconds * 1000:.1f}")
         speedup = measured[(k, "serial")] / measured[(k, "shared-prefix+pruning")]
-        record_metric(f"ablation/top{k:02d}/pruning_speedup", speedup, "higher")
         row.append(f"{speedup:.2f}x")
         rows.append(row)
     table(
         "Scheduler ablation - Fig 15(a) workload (ms), XKeyword decomposition",
         ["K"] + list(strategies) + ["serial/pruning"],
-        rows,
-    )
-
-
-def sql_backend_report(repeats: int, latency: float) -> None:
-    """Backend ablation on the Fig 15(a) workload: Python vs compiled SQL.
-
-    Identical ranked top-k (the equivalence suite asserts it); the
-    compiled backend sends a handful of statements per query where the
-    Python executor sends one probe per binding, so its advantage scales
-    with the per-statement round trip.  Both run the default
-    ``shared-prefix+pruning`` scheduler.
-    """
-    database = common.bench_database().database
-    rows = []
-    for k in (1, 10):
-        prepared = common.prepared_searches("XKeyword", max_size=8)
-
-        def run(backend: str) -> None:
-            for p in prepared:
-                common.execute_prepared(
-                    p, k, backend=backend, strategy="shared-prefix+pruning"
-                )
-
-        py_seconds = timed(lambda: run("python"), repeats)
-        sql_seconds = timed(lambda: run("sql"), repeats)
-        with common.round_trip_latency(database, latency):
-            lat_py = timed(lambda: run("python"), 1)
-            lat_sql = timed(lambda: run("sql"), 1)
-        record_metric(f"sqlbackend/top{k:02d}/python", py_seconds * 1000)
-        record_metric(f"sqlbackend/top{k:02d}/sql", sql_seconds * 1000)
-        record_metric(
-            f"sqlbackend/top{k:02d}/latency_speedup",
-            lat_py / lat_sql,
-            "higher",
-        )
-        rows.append(
-            [
-                str(k),
-                f"{py_seconds * 1000:.1f}",
-                f"{sql_seconds * 1000:.1f}",
-                f"{lat_py / lat_sql:.2f}",
-            ]
-        )
-    table(
-        f"Backend ablation - Fig 15(a) workload, python vs compiled sql, "
-        f"round trip = {latency * 1000:.1f} ms",
-        ["K", "python (ms)", "sql (ms)", "with-round-trips speedup"],
         rows,
     )
 
@@ -330,8 +256,6 @@ def baselines_report(repeats: int) -> None:
         == banks.search(list(q.keywords), k=1, max_size=8)[0].score
         for q in queries
     )
-    record_metric("e7/xkeyword_top10", xk_seconds * 1000)
-    record_metric("e7/banks_top10", bk_seconds * 1000)
     rows.append(["XKeyword top-10", f"{xk_seconds * 1000:.1f}", "-"])
     rows.append(
         ["BANKS top-10 (data graph)", f"{bk_seconds * 1000:.1f}", str(agreement)]
@@ -402,9 +326,6 @@ def updates_report(repeats: int) -> None:
     finally:
         service.close()
 
-    record_metric("updates/single_update_ms", update_seconds * 1000)
-    record_metric("updates/update_vs_reload_speedup", speedup, "higher")
-    record_metric("updates/cache_retention", retention, "higher")
     table(
         "Live updates - incremental maintenance vs full reload",
         ["metric", "value"],
@@ -421,15 +342,6 @@ def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="1 repeat per point")
     parser.add_argument("--latency", type=float, default=0.0003)
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="BENCH_report.json",
-        default=None,
-        metavar="PATH",
-        help="also write every numeric series to PATH "
-        "(default BENCH_report.json) for tools/check_bench_regression.py",
-    )
     args = parser.parse_args()
     repeats = 1 if args.quick else 3
 
@@ -446,26 +358,9 @@ def main() -> None:
     fig16a(repeats, args.latency)
     fig16b(repeats, args.latency)
     scheduler_ablation(repeats)
-    sql_backend_report(repeats, args.latency)
     space_report()
     baselines_report(repeats)
     updates_report(repeats)
-
-    if args.json:
-        report = {
-            "meta": {
-                "quick": args.quick,
-                "repeats": repeats,
-                "scale": {
-                    "papers": common.SCALE.papers,
-                    "authors": common.SCALE.authors,
-                    "seed": common.SCALE.seed,
-                },
-            },
-            "metrics": METRICS,
-        }
-        Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"\nwrote {len(METRICS)} metrics to {args.json}")
 
 
 if __name__ == "__main__":

@@ -77,27 +77,27 @@ def _build_parser() -> argparse.ArgumentParser:
             verify_help="verify CN/CTSSN/plan invariants (RV301-RV310) "
             "before executing",
         )
-        sub.add_argument(
-            "--backend",
-            choices=("python", "sql"),
-            default=None,
-            help="per-CN execution backend, for ablations: one compiled SQL "
-            "statement per plan executed inside SQLite, or Python nested "
-            "loops (the oracle); both return identical results (default "
-            "honors $REPRO_BACKEND, else sql)",
-        )
-        sub.add_argument("-k", type=_top_k, default=10, help="top-k cutoff (>= 1)")
         sub.add_argument("-z", "--max-size", type=int, default=8, dest="max_size")
-        sub.add_argument("--all", action="store_true", help="list every result")
-        sub.add_argument(
-            "--strategy",
-            choices=("serial", "shared-prefix", "shared-prefix+pruning"),
-            default="shared-prefix+pruning",
-            help="cross-CN scheduling: evaluate CNs independently, share "
-            "canonical join prefixes, or also prune by the global top-k "
-            "bound (all three return identical results)",
-        )
         if name == "search":
+            sub.add_argument(
+                "--backend",
+                choices=("python", "sql"),
+                default=None,
+                help="per-CN execution backend, for ablations: one compiled "
+                "SQL statement per plan executed inside SQLite, or Python "
+                "nested loops (the oracle); both return identical results "
+                "(default honors $REPRO_BACKEND, else sql)",
+            )
+            sub.add_argument("-k", type=_top_k, default=10, help="top-k cutoff (>= 1)")
+            sub.add_argument("--all", action="store_true", help="list every result")
+            sub.add_argument(
+                "--strategy",
+                choices=("serial", "shared-prefix", "shared-prefix+pruning"),
+                default="shared-prefix+pruning",
+                help="cross-CN scheduling: evaluate CNs independently, share "
+                "canonical join prefixes, or also prune by the global top-k "
+                "bound (all three return identical results)",
+            )
             sub.add_argument(
                 "--explain",
                 action="store_true",

@@ -99,9 +99,8 @@ class ServiceConfig:
     tracing: bool = True
     """Record a span tree per search and serve it via ``/debug/trace``.
 
-    Cheap enough to default on for a serving process (see
-    ``benchmarks/bench_trace_overhead.py``); set ``False`` to run the
-    engine with the null tracer instead.
+    Cheap enough to default on for a serving process (see e2e's
+    ``trace.overhead_pct``); set ``False`` to run the null tracer.
     """
 
     trace_buffer: int = 128

@@ -15,8 +15,8 @@ JSON served by ``GET /debug/trace/<id>``.
 Tracing follows the null-object pattern: when no tracer is installed the
 engine talks to :data:`NULL_TRACE` / :data:`NULL_SPAN`, whose methods do
 nothing and allocate nothing, so the disabled path costs a handful of
-no-op calls per query (measured <2% by
-``benchmarks/bench_trace_overhead.py``).
+no-op calls per query (``benchmarks/e2e``'s ``trace.overhead_pct``
+measures a traced over an untraced ``QueryService`` miss).
 
 Spans are single-writer: the thread that opens a span is the only one
 that annotates, records lookups on, or finishes it.  Attaching children

@@ -80,13 +80,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["search", "smith"])
 
-    @pytest.mark.parametrize("command", ["search", "explain", "navigate"])
+    @pytest.mark.parametrize("command", ["search"])
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_k_below_one_is_a_usage_error(self, command, k, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--demo", "smith balmin", "-k", k])
         assert excinfo.value.code == 2
         assert "argument -k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["explain"], ["navigate", "--script", "quit"]],
+        ids=["explain", "navigate"],
+    )
+    @pytest.mark.parametrize(
+        "flag",
+        [["-k", "5"], ["--all"], ["--backend", "python"], ["--strategy", "serial"]],
+        ids=["k", "all", "backend", "strategy"],
+    )
+    def test_flags_explain_and_navigate_never_read_are_usage_errors(
+        self, command, flag, capsys
+    ):
+        """Only ``search`` executes, so only ``search`` takes the
+        execution flags; elsewhere they would parse and be ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--demo", "smith balmin", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_python_hash_backend_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
