@@ -23,9 +23,15 @@ pairwise disjoint and results are produced exactly once.  Totality means
 the union of the sets is the whole query; minimality means every leaf is
 annotated (a free leaf could be dropped, contradicting MTNN minimality).
 
-Non-redundancy is achieved by canonical tree encodings instead of the
-pairwise isomorphism checks of [13] — the "performance improvements over
-[13]" the paper claims; the ablation benchmark quantifies the gap.
+The "performance improvements over [13]" the paper claims come from two
+mechanisms; the ablation benchmark quantifies them:
+
+* **canonical dedupe** — non-redundancy by canonical tree encodings
+  instead of the pairwise isomorphism checks of [13];
+* **prune before build** — a child is judged from its parts (labels,
+  per-role degrees, annotations, covered keywords, size) against sound
+  distance and free-leaf bounds before any ``TSSNetwork`` exists, so
+  only survivors are built (about one attachment in twenty).
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ..decomposition.fragments import NetEdge, TSSNetwork
 from ..schema.graph import SchemaEdge, SchemaGraph, UNBOUNDED
+from ..trace import Span
 from .query import KeywordQuery
 
 
@@ -90,6 +97,74 @@ class CandidateNetwork:
         return " | ".join(parts) + f" :: {self.network}"
 
 
+class _Partial(NamedTuple):
+    """A frontier network plus the parts its children's pruning reads.
+
+    ``degrees`` and ``covered`` are carried from parent to child, so no
+    child re-derives them from the built network.
+    """
+
+    cn: CandidateNetwork
+    degrees: tuple[int, ...]
+    covered: frozenset[str]
+
+
+@dataclass
+class _Pruner:
+    """The per-query prune bound, and how many candidates it rejected."""
+
+    keywords: Sequence[str]
+    max_size: int
+    distances: dict[str, dict[str, int]]
+    rejected: int = 0
+
+    def rejects(
+        self,
+        labels: Sequence[str],
+        degrees: Sequence[int],
+        annotations: Sequence[frozenset[str]],
+        covered: frozenset[str],
+        size: int,
+    ) -> bool:
+        """Sound lower bounds on the edges a candidate still needs.
+
+        Reads only the candidate's parts, so it runs before any
+        ``TSSNetwork`` is built:
+
+        * a free leaf can only become legal by growing a subtree that ends
+          in roles annotated with *unused* keywords, so more free leaves
+          than missing keywords is a dead end (with nothing missing, any
+          free leaf is);
+        * every missing keyword costs at least the schema distance from
+          the closest role;
+        * every free leaf's subtree must reach some missing keyword, and
+          those subtrees are disjoint, so their minimum distances add up.
+        """
+        missing = [keyword for keyword in self.keywords if keyword not in covered]
+        free_leaves = [
+            labels[role]
+            for role, degree in enumerate(degrees)
+            if degree == 1 and not annotations[role]
+        ]
+        dead = len(free_leaves) > len(missing)
+        if not dead:
+            unreachable = self.max_size + 1
+            reach_bound = 0
+            for keyword in missing:
+                dist = self.distances[keyword]
+                reach_bound = max(
+                    reach_bound, min(dist.get(label, unreachable) for label in labels)
+                )
+            leaf_bound = sum(
+                min(self.distances[keyword].get(label, unreachable) for keyword in missing)
+                for label in free_leaves
+            )
+            dead = max(reach_bound, leaf_bound) > self.max_size - size
+        if dead:
+            self.rejected += 1
+        return dead
+
+
 class CNGenerator:
     """Breadth-first generation of all candidate networks up to size Z."""
 
@@ -116,45 +191,54 @@ class CNGenerator:
         self.dedupe = dedupe
 
     # ------------------------------------------------------------------
-    def generate(self, query: KeywordQuery) -> list[CandidateNetwork]:
-        """All candidate networks of size up to ``query.max_size``."""
+    def generate(self, query: KeywordQuery, span: Span | None = None) -> list[CandidateNetwork]:
+        """All candidate networks of size up to ``query.max_size``.
+
+        ``span`` (when tracing) is annotated with ``pruned`` — candidates
+        the bound rejected before any network was built — and
+        ``expanded`` — candidates built and kept on the frontier.
+        """
         keywords = query.keywords
         for keyword in keywords:
             if not self.keyword_schema_nodes.get(keyword):
                 return []  # a keyword with no matches kills every CN
-        distances = self._keyword_distances(keywords)
+        pruner = _Pruner(keywords, query.max_size, self._keyword_distances(keywords))
+        total = frozenset(keywords)
         anchor = keywords[0]
         results: list[CandidateNetwork] = []
         seen_results: set[str] = set()
         seen_partials: set[str] = set()
-        frontier: list[CandidateNetwork] = []
+        frontier: list[_Partial] = []
 
         for schema_node in sorted(self.keyword_schema_nodes[anchor]):
+            seed: TSSNetwork | None = None
             for subset in self._subsets_containing(schema_node, keywords, anchor):
-                candidate = CandidateNetwork(
-                    TSSNetwork([schema_node], []), (subset,)
-                )
-                if self._prune(candidate, keywords, query.max_size, distances):
+                if pruner.rejects((schema_node,), (0,), (subset,), subset, 0):
                     continue
+                if seed is None:
+                    seed = TSSNetwork([schema_node], [])
+                candidate = _Partial(CandidateNetwork(seed, (subset,)), (0,), subset)
                 frontier.append(candidate)
-                self._accept(candidate, keywords, results, seen_results)
+                self._accept(candidate, total, results, seen_results)
+        expanded = len(frontier)
 
         while frontier:
-            next_frontier: list[CandidateNetwork] = []
+            next_frontier: list[_Partial] = []
             for partial in frontier:
-                if partial.size >= query.max_size:
+                if partial.cn.size >= query.max_size:
                     continue
-                for child in self._expansions(partial, keywords):
-                    if self._prune(child, keywords, query.max_size, distances):
-                        continue
-                    key = child.canonical_key
+                for child in self._expansions(partial, pruner):
                     if self.dedupe:
+                        key = child.cn.canonical_key
                         if key in seen_partials:
                             continue
                         seen_partials.add(key)
                     next_frontier.append(child)
-                    self._accept(child, keywords, results, seen_results)
+                    self._accept(child, total, results, seen_results)
+            expanded += len(next_frontier)
             frontier = next_frontier
+        if span is not None:
+            span.annotate(pruned=pruner.rejected, expanded=expanded)
         results.sort(key=lambda cn: (cn.size, cn.canonical_key))
         return results
 
@@ -181,72 +265,23 @@ class CNGenerator:
             distances[keyword] = dist
         return distances
 
-    def _prune(
-        self,
-        partial: CandidateNetwork,
-        keywords: Sequence[str],
-        max_size: int,
-        distances: dict[str, dict[str, int]],
-    ) -> bool:
-        """Sound lower bounds on the edges a partial still needs.
-
-        * a free leaf can only become legal by growing a subtree that ends
-          in roles annotated with *unused* keywords, so more free leaves
-          than missing keywords is a dead end;
-        * every missing keyword costs at least the schema distance from
-          the closest role;
-        * every free leaf's subtree must reach some missing keyword, and
-          those subtrees are disjoint, so their minimum distances add up.
-        """
-        network = partial.network
-        missing = [k for k in keywords if k not in partial.covered_keywords()]
-        free_leaves = [
-            role
-            for role in range(network.role_count)
-            if network.role_count > 1
-            and len(network.incident(role)) == 1
-            and not partial.annotations[role]
-        ]
-        if len(free_leaves) > len(missing):
-            return True
-        budget = max_size - partial.size
-        reach_bound = 0
-        for keyword in missing:
-            dist = distances[keyword]
-            best = min(
-                (dist.get(label, max_size + 1) for label in network.labels),
-                default=max_size + 1,
-            )
-            reach_bound = max(reach_bound, best)
-        leaf_bound = 0
-        for role in free_leaves:
-            dist_options = [
-                distances[keyword].get(network.labels[role], max_size + 1)
-                for keyword in missing
-            ]
-            leaf_bound += min(dist_options, default=max_size + 1)
-        return max(reach_bound, leaf_bound) > budget
-
     # ------------------------------------------------------------------
+    @staticmethod
     def _accept(
-        self,
-        candidate: CandidateNetwork,
-        keywords: Sequence[str],
+        candidate: _Partial,
+        total: frozenset[str],
         results: list[CandidateNetwork],
         seen: set[str],
     ) -> None:
-        if candidate.covered_keywords() != frozenset(keywords):
+        # A surviving candidate that covers every keyword has no free
+        # leaf (the pruner rejects those), so it is minimal.
+        if candidate.covered != total:
             return
-        network = candidate.network
-        if network.role_count > 1:
-            for role in range(network.role_count):
-                if len(network.incident(role)) == 1 and not candidate.annotations[role]:
-                    return  # free leaf: the MTNN node would be removable
-        key = candidate.canonical_key
+        key = candidate.cn.canonical_key
         if key in seen:
             return
         seen.add(key)
-        results.append(candidate)
+        results.append(candidate.cn)
 
     def _subsets_containing(
         self, schema_node: str, keywords: Sequence[str], required: str | None
@@ -266,76 +301,94 @@ class CNGenerator:
                 if subset:
                     yield subset
 
-    def _expansions(
-        self, partial: CandidateNetwork, keywords: Sequence[str]
-    ) -> Iterator[CandidateNetwork]:
-        network = partial.network
-        used_keywords = partial.covered_keywords()
-        remaining = [keyword for keyword in keywords if keyword not in used_keywords]
-        for role in range(network.role_count):
-            label = network.labels[role]
+    def _expansions(self, partial: _Partial, pruner: _Pruner) -> Iterator[_Partial]:
+        network = partial.cn.network
+        remaining = [keyword for keyword in pruner.keywords if keyword not in partial.covered]
+        for role, label in enumerate(network.labels):
             for edge in self.schema.out_edges(label):
-                if self._attachment_blocked(partial, role, edge, outgoing=True):
+                edge_id = schema_edge_id(edge)
+                if self._attachment_blocked(network, role, edge, edge_id, outgoing=True):
                     continue
-                yield from self._attach(partial, role, edge, True, remaining)
+                yield from self._attach(partial, role, edge, edge_id, True, remaining, pruner)
             for edge in self.schema.in_edges(label):
-                if self._attachment_blocked(partial, role, edge, outgoing=False):
+                edge_id = schema_edge_id(edge)
+                if self._attachment_blocked(network, role, edge, edge_id, outgoing=False):
                     continue
-                yield from self._attach(partial, role, edge, False, remaining)
+                yield from self._attach(partial, role, edge, edge_id, False, remaining, pruner)
 
     def _attach(
         self,
-        partial: CandidateNetwork,
+        partial: _Partial,
         role: int,
         edge: SchemaEdge,
+        edge_id: str,
         outgoing: bool,
         remaining: Sequence[str],
-    ) -> Iterator[CandidateNetwork]:
-        network = partial.network
+        pruner: _Pruner,
+    ) -> Iterator[_Partial]:
+        """The children of one attachment that survive the pruner.
+
+        The free attachment comes first, then one per subset of the
+        unused keywords the new role can hold.  The grown network is
+        built once, when the first variant survives, and shared by all.
+        """
+        network = partial.cn.network
         new_label = edge.target if outgoing else edge.source
-        new_role = network.role_count
-        labels = list(network.labels) + [new_label]
-        if outgoing:
-            edges = list(network.edges) + [NetEdge(role, new_role, schema_edge_id(edge))]
-        else:
-            edges = list(network.edges) + [NetEdge(new_role, role, schema_edge_id(edge))]
-        grown = TSSNetwork(labels, edges)
-        # Free attachment:
-        yield CandidateNetwork(grown, partial.annotations + (frozenset(),))
-        # Annotated attachments with unused keyword subsets:
+        labels = network.labels + (new_label,)
+        degrees = list(partial.degrees)
+        degrees[role] += 1
+        degrees.append(1)
+        child_degrees = tuple(degrees)
+        size = network.size + 1
         eligible = [
             keyword
             for keyword in remaining
             if new_label in self.keyword_schema_nodes.get(keyword, ())
         ]
-        for size in range(1, len(eligible) + 1):
-            for combo in combinations(eligible, size):
-                yield CandidateNetwork(grown, partial.annotations + (frozenset(combo),))
+        subsets = [frozenset()] + [
+            frozenset(combo)
+            for count in range(1, len(eligible) + 1)
+            for combo in combinations(eligible, count)
+        ]
+        grown: TSSNetwork | None = None
+        for subset in subsets:
+            annotations = partial.cn.annotations + (subset,)
+            covered = partial.covered | subset
+            if pruner.rejects(labels, child_degrees, annotations, covered, size):
+                continue
+            if grown is None:
+                new_role = network.role_count
+                if outgoing:
+                    joint = NetEdge(role, new_role, edge_id)
+                else:
+                    joint = NetEdge(new_role, role, edge_id)
+                grown = TSSNetwork(labels, network.edges + (joint,))
+            yield _Partial(CandidateNetwork(grown, annotations), child_degrees, covered)
 
     def _attachment_blocked(
-        self, partial: CandidateNetwork, role: int, edge: SchemaEdge, outgoing: bool
+        self,
+        network: TSSNetwork,
+        role: int,
+        edge: SchemaEdge,
+        edge_id: str,
+        outgoing: bool,
     ) -> bool:
         """XML-specific satisfiability pruning at the attachment point."""
-        network = partial.network
-        label = network.labels[role]
         incident = network.incident(role)
         if outgoing:
             # Parallel children over the same schema edge: maxoccurs bound.
             parallel = sum(
                 1
                 for existing in incident
-                if existing.oriented_from(role)
-                and existing.edge_id == schema_edge_id(edge)
+                if existing.oriented_from(role) and existing.edge_id == edge_id
             )
             if edge.maxoccurs != UNBOUNDED and parallel + 1 > edge.maxoccurs:
                 return True
-            if self.schema.node(label).is_choice:
+            if self.schema.node(network.labels[role]).is_choice:
                 # A choice instance realizes exactly one alternative,
                 # containment or reference alike.
-                outgoing = sum(
-                    1 for existing in incident if existing.oriented_from(role)
-                )
-                if outgoing >= 1:
+                realized = sum(1 for existing in incident if existing.oriented_from(role))
+                if realized >= 1:
                     return True
             return False
         # Incoming edge: the new node is the parent/source.

@@ -214,12 +214,19 @@ class XKeyword:
         return ContainingLists.fetch(self.loaded.master_index, query)
 
     def candidate_networks(
-        self, query: KeywordQuery, containing: ContainingLists | None = None
+        self,
+        query: KeywordQuery,
+        containing: ContainingLists | None = None,
+        span: Span | None = None,
     ) -> list[CandidateNetwork]:
-        """Stage 2 (Fig 7): generate candidate networks on the schema graph."""
+        """Stage 2 (Fig 7): generate candidate networks on the schema graph.
+
+        ``span`` (when tracing) receives the generator's ``pruned`` and
+        ``expanded`` counts.
+        """
         containing = containing or self.containing_lists(query)
         generator = CNGenerator(self.loaded.catalog.schema, containing.schema_nodes())
-        networks = generator.generate(query)
+        networks = generator.generate(query, span=span)
         if self.verifier is not None:
             for cn in networks:
                 self.verifier.check_cn(cn, query.keywords)
@@ -447,7 +454,7 @@ class XKeyword:
         """
         metrics = result.metrics
         with _stage("cn_generation", metrics, trace.span("cn_generation")) as span:
-            result.candidate_networks = self.candidate_networks(query, containing)
+            result.candidate_networks = self.candidate_networks(query, containing, span)
             span.annotate(networks=len(result.candidate_networks))
         with _stage("ctssn_reduction", metrics, trace.span("ctssn_reduction")) as span:
             result.ctssns = self._reduce(result.candidate_networks, query)

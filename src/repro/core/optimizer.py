@@ -57,13 +57,6 @@ class Optimizer:
                     universe.append((fragment, store_name))
         return universe
 
-    def _store_of(self, fragment: Fragment) -> str:
-        for store_name, store in self.stores.items():
-            for candidate in store.decomposition.fragments:
-                if candidate.relation_name == fragment.relation_name:
-                    return store_name
-        raise PlanningError(f"no store holds {fragment.relation_name}")
-
     def _rows(self, fragment: Fragment, store_name: str) -> int:
         count = self._row_counts.get(fragment.relation_name)
         if count is None:
@@ -123,10 +116,7 @@ class Optimizer:
             raise PlanningError(
                 f"no decomposition in {sorted(self.stores)} covers {ctssn}"
             )
-        store_by_relation = {
-            fragment.relation_name: store_name for fragment, store_name in universe
-        }
-        steps = self._order_pieces(ctssn, cover, anchor_role, store_by_relation)
+        steps = self._order_pieces(ctssn, cover, anchor_role, store_of)
         plan = ExecutionPlan(ctssn, tuple(steps), anchor_role)
         if span is not None:
             span.annotate(

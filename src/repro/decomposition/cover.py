@@ -66,6 +66,20 @@ def embedding_pieces(network: TSSNetwork, fragment: Fragment) -> list[CoverPiece
     return pieces
 
 
+def edge_ids_fit(fragment: TSSNetwork, network: TSSNetwork) -> bool:
+    """Whether ``network`` has every edge id of ``fragment``, as often.
+
+    An embedding maps fragment edges one-to-one onto network edges with
+    the same id, so a fragment that does not fit has no embedding:
+    :func:`min_cover` skips it without running the embedding search.
+    """
+    available = network.edge_id_counts
+    return all(
+        count <= available[edge_id]
+        for edge_id, count in fragment.edge_id_counts.items()
+    )
+
+
 def min_cover(
     network: TSSNetwork,
     fragments: Sequence[Fragment],
@@ -90,7 +104,8 @@ def min_cover(
     """
     all_pieces: list[CoverPiece] = []
     for fragment in fragments:
-        all_pieces.extend(embedding_pieces(network, fragment))
+        if edge_ids_fit(fragment, network):
+            all_pieces.extend(embedding_pieces(network, fragment))
     if not all_pieces:
         return None
     pieces_by_edge: dict[int, list[CoverPiece]] = {}

@@ -16,6 +16,7 @@ naming, plus tree-embedding search used by the join-bound coverage test.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -110,6 +111,12 @@ class TSSNetwork:
 
     def incident(self, role: int) -> tuple[NetEdge, ...]:
         return self._adjacency[role]
+
+    @cached_property
+    def edge_id_counts(self) -> Counter[str]:
+        """The multiset of edge ids: an embedding into another network
+        needs each id at least this many times there."""
+        return Counter(edge.edge_id for edge in self.edges)
 
     def roles_with_label(self, label: str) -> list[int]:
         return [role for role, lbl in enumerate(self.labels) if lbl == label]
@@ -285,6 +292,20 @@ def find_embeddings(fragment: TSSNetwork, network: TSSNetwork) -> Iterator[dict[
         return
 
     fragment_order = _connected_order(fragment)
+    root_label = fragment.labels[0]
+    if fragment.edges:
+        # Fragment role 0 can only map onto the matching end of a network
+        # edge that carries the id of the fragment's first edge.
+        _, first = fragment_order[1]
+        root_is_source = first.oriented_from(0)
+        roots = sorted({
+            edge.source if root_is_source else edge.target
+            for edge in network.edges
+            if edge.edge_id == first.edge_id
+        })
+        roots = [role for role in roots if network.labels[role] == root_label]
+    else:
+        roots = network.roles_with_label(root_label)
 
     def extend(index: int, mapping: dict[int, int], used: set[int]) -> Iterator[dict[int, int]]:
         if index == len(fragment_order):
@@ -292,9 +313,7 @@ def find_embeddings(fragment: TSSNetwork, network: TSSNetwork) -> Iterator[dict[
             return
         role, via = fragment_order[index]
         if via is None:
-            for candidate in network.roles_with_label(fragment.labels[role]):
-                if candidate in used:
-                    continue
+            for candidate in roots:
                 mapping[role] = candidate
                 used.add(candidate)
                 yield from extend(index + 1, mapping, used)

@@ -1,5 +1,9 @@
 """Tests for join-bound coverage (paper Section 5.1 / Example 5.1)."""
 
+import pytest
+
+from repro.core import CNGenerator, KeywordQuery
+from repro.core.ctssn import reduce_to_ctssn
 from repro.decomposition import (
     Fragment,
     NetEdge,
@@ -8,7 +12,10 @@ from repro.decomposition import (
     min_cover,
     minimal_fragments,
     single_edge_fragment,
+    xkeyword_decomposition,
 )
+from repro.decomposition.cover import edge_ids_fit
+from tests.core.test_front_half_golden import CATALOGS, QUERIES
 
 
 def ctssn4_network(tpch):
@@ -98,3 +105,44 @@ class TestMinCover:
         """covers_with_joins short-circuits small networks with singles."""
         network = olpa_fragment(tpch)
         assert covers_with_joins(network, minimal_fragments(tpch.tss), 1)
+
+
+class TestEdgeIdPrefilter:
+    """``min_cover`` skips fragments whose edge ids the network lacks;
+    that must never drop an embedding."""
+
+    @pytest.mark.parametrize("catalog_name", ["dblp", "tpch"])
+    def test_skipped_fragments_have_no_embeddings(self, catalog_name):
+        catalog = CATALOGS[catalog_name]()
+        fragments = xkeyword_decomposition(catalog.tss, 4, 1).fragments
+        skipped = kept = 0
+        for name, keyword_nodes, max_size, dedupe in QUERIES:
+            if name != catalog_name:
+                continue
+            query = KeywordQuery(tuple(keyword_nodes), max_size=max_size)
+            generator = CNGenerator(catalog.schema, keyword_nodes, dedupe=dedupe)
+            for cn in generator.generate(query):
+                network = reduce_to_ctssn(cn, catalog.tss).network
+                for fragment in fragments:
+                    if edge_ids_fit(fragment, network):
+                        kept += 1
+                    else:
+                        skipped += 1
+                        assert embedding_pieces(network, fragment) == [], (
+                            f"{fragment.relation_name} skipped but embeds in {network}"
+                        )
+        assert skipped and kept  # the check is not vacuous either way
+
+    def test_repeated_edge_id_needs_as_many_network_edges(self, tpch):
+        """A fan of two Order=>Lineitem edges does not fit OLPa, which has
+        that id once: the check counts ids, it does not just collect them."""
+        fan = Fragment(
+            ["Lineitem", "Order", "Lineitem"],
+            [NetEdge(1, 0, "Order=>Lineitem"), NetEdge(1, 2, "Order=>Lineitem")],
+        )
+        olpa = olpa_fragment(tpch)
+        assert fan.size == olpa.size
+        assert not edge_ids_fit(fan, olpa)
+        assert embedding_pieces(olpa, fan) == []
+        assert edge_ids_fit(fan, ctssn4_network(tpch))
+        assert len(embedding_pieces(ctssn4_network(tpch), fan)) == 1
