@@ -25,10 +25,20 @@ class Violation:
         return f"{self.node_id}: {self.message}"
 
 
-def validate(graph: XMLGraph, schema: SchemaGraph) -> list[Violation]:
-    """Check every node and edge of ``graph`` against ``schema``."""
+def validate(graph: XMLGraph, schema: SchemaGraph, node_ids=None) -> list[Violation]:
+    """Check nodes of ``graph`` and their out-edges against ``schema``.
+
+    Args:
+        graph: An :class:`XMLGraph`, or any view exposing ``node`` and
+            ``out_edges`` (and ``nodes`` when ``node_ids`` is omitted).
+        schema: The schema graph to conform to.
+        node_ids: Check only these nodes; every node by default.  The
+            update subsystem passes the nodes whose out-edges a mutation
+            changes, over a view of the post-mutation graph.
+    """
     violations: list[Violation] = []
-    for node in graph.nodes():
+    nodes = graph.nodes() if node_ids is None else map(graph.node, node_ids)
+    for node in nodes:
         if not schema.has_node(node.label):
             violations.append(Violation(node.node_id, f"unknown element tag {node.label!r}"))
             continue
@@ -70,9 +80,9 @@ def validate(graph: XMLGraph, schema: SchemaGraph) -> list[Violation]:
     return violations
 
 
-def check_conformance(graph: XMLGraph, schema: SchemaGraph) -> None:
-    """Raise :class:`SchemaError` when ``graph`` violates ``schema``."""
-    violations = validate(graph, schema)
+def check_conformance(graph: XMLGraph, schema: SchemaGraph, node_ids=None) -> None:
+    """Raise :class:`SchemaError` when ``graph`` (or ``node_ids``) violates ``schema``."""
+    violations = validate(graph, schema, node_ids)
     if violations:
         summary = "; ".join(str(v) for v in violations[:5])
         more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""

@@ -66,6 +66,13 @@ from .metrics import STAGE_BUCKETS, MetricsRegistry
 from .singleflight import Flight, SingleFlight
 
 
+DEFAULT_K = 10
+"""Answers per top-k search whose request names no ``k``."""
+
+TRACE_BUFFER = 128
+"""Traces retained in the in-memory ring buffer (oldest evicted)."""
+
+
 class MutationsDisabledError(Exception):
     """Raised when a mutation hits a read-only (graph-less) database."""
 
@@ -87,8 +94,6 @@ class ServiceConfig:
     deadline: float | None = 30.0
     cache_capacity: int = 256
     cache_ttl: float | None = 300.0
-    default_k: int = 10
-    max_body_bytes: int = 64 * 1024
     debug_verify: bool = False
     """Verify CN/CTSSN/plan invariants on every query (RV301-RV310).
 
@@ -102,9 +107,6 @@ class ServiceConfig:
     Cheap enough to default on for a serving process (see e2e's
     ``trace.overhead_pct``); set ``False`` to run the null tracer.
     """
-
-    trace_buffer: int = 128
-    """Traces retained in the in-memory ring buffer (oldest evicted)."""
 
     slow_query_seconds: float | None = 1.0
     """Log searches slower than this to stderr, with their trace id;
@@ -245,7 +247,7 @@ class QueryService:
         self.registry = registry or MetricsRegistry()
         self._instrumentation = _EngineInstrumentation(self.registry)
         self.tracer = (
-            Tracer(TraceStore(self.config.trace_buffer))
+            Tracer(TraceStore(TRACE_BUFFER))
             if self.config.tracing
             else NULL_TRACER
         )
@@ -367,7 +369,7 @@ class QueryService:
         """Validate a request and compute its cache/single-flight key."""
         query = KeywordQuery(tuple(keywords), max_size=max_size)
         mode = "all" if all_results else "topk"
-        k = None if all_results else (k if k is not None else self.config.default_k)
+        k = None if all_results else (k if k is not None else DEFAULT_K)
         return _PreparedSearch(
             query=query,
             k=k,

@@ -48,6 +48,9 @@ from .admission import DeadlineExceededError, RejectedError
 from .metrics import MetricsRegistry
 from .query_service import MutationsDisabledError, QueryService, ServiceConfig
 
+MAX_BODY_BYTES = 64 * 1024
+"""Largest request body accepted; a longer ``Content-Length`` answers 400."""
+
 # The one exception→status table, first match wins (DeadlineExceededError
 # is a TimeoutError, RejectedError a RuntimeError: neither is shadowed).
 _STATUS_OF = (
@@ -252,7 +255,7 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(declared)
         except ValueError:
             length = -1
-        if not 0 <= length <= self.service.config.max_body_bytes:
+        if not 0 <= length <= MAX_BODY_BYTES:
             # The body stays unread on the socket (and a negative length
             # would read until the client hangs up); without closing, the
             # base handler would parse it as a pipelined request line.

@@ -28,6 +28,11 @@ class EdgeInstance:
     node_path: tuple[str, ...]
     """XML node ids realizing the schema path, endpoints included."""
 
+    @property
+    def key(self) -> tuple[str, str, str]:
+        """``(edge_id, source_to, target_to)``: the TO-level edge it realizes."""
+        return (self.edge_id, self.source_to, self.target_to)
+
 
 @dataclass
 class TargetObjectGraph:
@@ -61,7 +66,7 @@ class TargetObjectGraph:
 
     def add_instance(self, instance: EdgeInstance) -> None:
         bucket = self.instances.setdefault(instance.edge_id, [])
-        key = (instance.edge_id, instance.source_to, instance.target_to)
+        key = instance.key
         if key in self._paths:
             return  # parallel node-level paths collapse to one TO edge
         self._paths[key] = instance.node_path
@@ -99,9 +104,7 @@ class TargetObjectGraph:
         moved = bucket.pop()
         if position < len(bucket):
             bucket[position] = moved
-            self._bucket_pos[
-                (moved.edge_id, moved.source_to, moved.target_to)
-            ] = position
+            self._bucket_pos[moved.key] = position
         forward = self._forward.get((edge_id, source_to))
         if forward is not None:
             forward.remove(target_to)
@@ -196,42 +199,41 @@ def build_target_object_graph(graph: XMLGraph, tss_graph: TSSGraph) -> TargetObj
         tss_name = tss_graph.tss_of(node.label)
         if tss_name is None:
             continue
-        root_id = _find_to_root(graph, node.node_id, tss_graph)
+        root_id = find_to_root(graph, node.node_id, tss_graph)
         result.add_member(root_id, node.node_id)
     # Pass 2: TSS edge instances.
-    for tss_edge in tss_graph.edges():
-        origin_label = tss_edge.path[0].source
-        for node in graph.nodes():
-            if node.label != origin_label:
-                continue
-            for node_path in _match_path(graph, node.node_id, tss_edge.path):
-                source_to = result.to_of_node[node_path[0]]
-                target_to = result.to_of_node[node_path[-1]]
-                result.add_instance(
-                    EdgeInstance(tss_edge.edge_id, source_to, target_to, node_path)
-                )
+    for instance in edge_instances(graph, tss_graph, graph.nodes(), result.to_of_node.get):
+        result.add_instance(instance)
     return result
 
 
-def find_to_root(graph, node_id: str, tss_graph: TSSGraph) -> str:
-    """Public alias of :func:`_find_to_root` for incremental maintenance.
+def edge_instances(
+    graph: XMLGraph, tss_graph: TSSGraph, origins, to_of
+) -> Iterator[EdgeInstance]:
+    """TSS-edge instances realized by node paths starting at ``origins``.
+
+    ``origins`` are :class:`~repro.xmlgraph.model.Node` objects.
+    ``to_of`` maps an XML node id to its target object, ``None`` when
+    unmapped; a path with an unmapped endpoint realizes no instance.
+    ``graph`` may be any object exposing ``node``/``out_edges``.
+    """
+    edges_from: dict[str, list] = {}
+    for tss_edge in tss_graph.edges():
+        edges_from.setdefault(tss_edge.path[0].source, []).append(tss_edge)
+    for origin in origins:
+        for tss_edge in edges_from.get(origin.label, ()):
+            for node_path in match_schema_path(graph, origin.node_id, tss_edge.path):
+                source_to, target_to = to_of(node_path[0]), to_of(node_path[-1])
+                if source_to is not None and target_to is not None:
+                    yield EdgeInstance(tss_edge.edge_id, source_to, target_to, node_path)
+
+
+def find_to_root(graph: XMLGraph, node_id: str, tss_graph: TSSGraph) -> str:
+    """The TO root a mapped node belongs to (itself when it is a root).
 
     ``graph`` may be any object exposing ``node``/``containment_parent``
-    (the update subsystem passes a merged fragment-plus-graph view).
+    (the update subsystem passes its post-mutation merged view).
     """
-    return _find_to_root(graph, node_id, tss_graph)
-
-
-def match_schema_path(graph, origin: str, path: tuple) -> Iterator[tuple[str, ...]]:
-    """Public alias of :func:`_match_path` for incremental maintenance.
-
-    ``graph`` may be any object exposing ``out_edges``/``node``.
-    """
-    yield from _match_path(graph, origin, path)
-
-
-def _find_to_root(graph: XMLGraph, node_id: str, tss_graph: TSSGraph) -> str:
-    """The TO root a mapped node belongs to (itself when it is a root)."""
     label = graph.node(node_id).label
     tss_name = tss_graph.tss_of(label)
     assert tss_name is not None
@@ -252,8 +254,11 @@ def _find_to_root(graph: XMLGraph, node_id: str, tss_graph: TSSGraph) -> str:
     return current
 
 
-def _match_path(graph: XMLGraph, origin: str, path: tuple) -> Iterator[tuple[str, ...]]:
-    """All node paths from ``origin`` realizing a schema path."""
+def match_schema_path(graph: XMLGraph, origin: str, path: tuple) -> Iterator[tuple[str, ...]]:
+    """All node paths from ``origin`` realizing a schema path.
+
+    ``graph`` may be any object exposing ``out_edges``/``node``.
+    """
 
     def step(current: str, depth: int, acc: list[str]) -> Iterator[tuple[str, ...]]:
         if depth == len(path):

@@ -8,6 +8,11 @@ reloading: a mutation recomputes exactly the parts of each artifact the
 touched containment subtree can reach, which on realistic corpora is
 orders of magnitude less work than a full reload.
 
+Every verb runs one pipeline, plan → apply → commit (DESIGN.md §11):
+planning writes nothing and decides every rejection on the
+post-mutation :class:`_MergedView`, with :func:`repro.schema.validate`
+as the conformance check; apply makes the deltas; commit runs once.
+
 Soundness rests on two locality arguments:
 
 * **Insert** — every new TSS-edge instance must traverse at least one
@@ -38,10 +43,11 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field, fields
 
-from ..schema.graph import UNBOUNDED
+from ..schema.graph import SchemaError
+from ..schema.validate import check_conformance
 from ..storage.decomposer import LoadedDatabase
 from ..storage.fingerprint import VersionVector
 from ..storage.persistence import (
@@ -50,7 +56,12 @@ from ..storage.persistence import (
     store_index_epoch,
 )
 from ..storage.relations import fragment_instances
-from ..storage.target_objects import EdgeInstance, find_to_root, match_schema_path
+from ..storage.target_objects import (
+    EdgeInstance,
+    edge_instances,
+    find_to_root,
+    match_schema_path,
+)
 from ..trace import NULL_TRACER
 from ..xmlgraph.model import Edge, EdgeKind, XMLGraph, XMLGraphError
 from ..xmlgraph.parser import ParseOptions, parse_fragment
@@ -85,7 +96,21 @@ class MutationReport:
     keywords_touched: tuple[str, ...] = ()
     relations_touched: tuple[str, ...] = ()
 
+    def __add__(self, other: MutationReport) -> MutationReport:
+        """Field-wise sum: counts add, touched names union, ids stay ours."""
+        merged = {}
+        for spec in fields(self):
+            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
+            if isinstance(mine, str):
+                merged[spec.name] = mine
+            elif isinstance(mine, tuple):
+                merged[spec.name] = tuple(sorted(set(mine) | set(theirs)))
+            else:
+                merged[spec.name] = mine + theirs
+        return MutationReport(**merged)
+
     def to_dict(self) -> dict:
+        """The JSON form returned to clients and annotated on the trace."""
         payload = asdict(self)
         payload["keywords_touched"] = list(self.keywords_touched)
         payload["relations_touched"] = list(self.relations_touched)
@@ -93,17 +118,22 @@ class MutationReport:
 
 
 class _MergedView:
-    """Read-only union of the live graph, a fragment, and boundary edges.
+    """Read-only post-mutation graph: live graph − hidden + fragment.
 
     Duck-types the :class:`~repro.xmlgraph.model.XMLGraph` surface that
-    target-object assignment and schema-path matching need, so the
-    insert path can discover the post-merge index state *before* any
-    shared structure is mutated.
+    schema validation, target-object assignment and schema-path matching
+    need, so a mutation is checked and its index delta discovered
+    *before* any shared structure is written.  ``hidden`` is the subtree
+    a replace removes: its nodes and every edge into them are invisible,
+    and the fragment may re-create their ids.
     """
 
-    def __init__(self, graph: XMLGraph, fragment: XMLGraph, boundary) -> None:
+    def __init__(
+        self, graph: XMLGraph, fragment: XMLGraph, boundary, hidden=frozenset()
+    ) -> None:
         self._graph = graph
         self._fragment = fragment
+        self._hidden = hidden
         self._extra_out: dict[str, list[Edge]] = {}
         self._extra_in: dict[str, list[Edge]] = {}
         for edge in boundary:
@@ -111,25 +141,29 @@ class _MergedView:
             self._extra_in.setdefault(edge.target, []).append(edge)
 
     def has_node(self, node_id: str) -> bool:
-        return self._fragment.has_node(node_id) or self._graph.has_node(node_id)
+        return self._fragment.has_node(node_id) or (
+            node_id not in self._hidden and self._graph.has_node(node_id)
+        )
 
     def node(self, node_id: str):
         if self._fragment.has_node(node_id):
             return self._fragment.node(node_id)
+        if node_id in self._hidden:
+            raise XMLGraphError(f"unknown node id {node_id!r}")
         return self._graph.node(node_id)
 
     def out_edges(self, node_id: str) -> list[Edge]:
         if self._fragment.has_node(node_id):
             base = self._fragment.out_edges(node_id)
         else:
-            base = self._graph.out_edges(node_id)
+            base = [e for e in self._graph.out_edges(node_id) if e.target not in self._hidden]
         return base + self._extra_out.get(node_id, [])
 
     def in_edges(self, node_id: str) -> list[Edge]:
         if self._fragment.has_node(node_id):
             base = self._fragment.in_edges(node_id)
         else:
-            base = self._graph.in_edges(node_id)
+            base = [e for e in self._graph.in_edges(node_id) if e.source not in self._hidden]
         return base + self._extra_in.get(node_id, [])
 
     def containment_parent(self, node_id: str):
@@ -139,6 +173,45 @@ class _MergedView:
         if self._fragment.has_node(node_id):
             return self._fragment.containment_parent(node_id)
         return self._graph.containment_parent(node_id)
+
+
+@dataclass
+class _DeletePlan:
+    """A subtree to remove and the index state it takes along."""
+
+    document_id: str
+    removed_ids: set[str]
+    removed_instances: list[EdgeInstance]
+    removed_tos: dict[str, str]
+    """Removed target object -> its TSS name."""
+    member_changed: set[str]
+    boundary_tos: set[str]
+    incoming_refs: list[tuple[str, str]]
+    """References from outside the subtree into it, for a replace to restore."""
+
+
+@dataclass
+class _InsertPlan:
+    """A checked fragment and the index state it adds."""
+
+    document_id: str
+    parent_id: str | None
+    fragment: XMLGraph
+    boundary: list[Edge]
+    restore_refs: list[tuple[str, str]]
+    member_of: dict[str, str]
+    new_tos: dict[str, str]
+    instances: list[EdgeInstance]
+    """Candidate instances; apply keeps those the TO graph lacks."""
+
+
+@dataclass
+class _Delta:
+    """What the apply steps hand to the mutation's one commit."""
+
+    refresh_tos: set[str] = field(default_factory=set)
+    metadata: dict[str, list] = field(default_factory=lambda: defaultdict(list))
+    """Keyword arguments of :func:`apply_metadata_delta`."""
 
 
 class UpdateManager:
@@ -191,6 +264,7 @@ class UpdateManager:
         return self._rwlock.read()
 
     def snapshot(self) -> IndexSnapshot:
+        """The state the last committed mutation published."""
         with self._snapshot_lock:
             return self._snapshot
 
@@ -210,19 +284,9 @@ class UpdateManager:
                 or dangling references.
             LookupError: Unknown ``parent_id``.
         """
-        trace = self.tracer.begin("mutation:insert", kind="mutation", op="insert")
-        try:
-            with self._rwlock.write():
-                # analysis: blocking-ok[mutations persist durably (sqlite
-                # delta + commit) before the write lock is released, so
-                # readers never see an index ahead of its database]
-                report = self._insert_locked(
-                    xml_text, parent_id=parent_id, options=options, trace=trace
-                )
-            trace.root.annotate(**report.to_dict())
-            return report
-        finally:
-            self.tracer.finish(trace)
+        return self._mutate(
+            "insert", lambda: [self._plan_insert(xml_text, parent_id, options)]
+        )
 
     def delete_document(self, document_id: str) -> MutationReport:
         """Delete the containment subtree rooted at ``document_id``.
@@ -230,16 +294,7 @@ class UpdateManager:
         Raises:
             LookupError: Unknown document id.
         """
-        trace = self.tracer.begin("mutation:delete", kind="mutation", op="delete")
-        try:
-            with self._rwlock.write():
-                # analysis: blocking-ok[delete persists its delta and
-                # commits before the write lock is released]
-                report = self._delete_locked(document_id, trace=trace)
-            trace.root.annotate(**report.to_dict())
-            return report
-        finally:
-            self.tracer.finish(trace)
+        return self._mutate("delete", lambda: [self._plan_delete(document_id)])
 
     def update_document(
         self,
@@ -247,133 +302,119 @@ class UpdateManager:
         xml_text: str,
         options: ParseOptions | None = None,
     ) -> MutationReport:
-        """Replace one document in place: delete + insert under one lock.
+        """Replace one document in place: one delete + insert, one commit.
 
         The replacement keeps the original attachment point, takes over
-        the original root id when the new XML names no id of its own,
-        and restores references that pointed *into* the old subtree
-        whenever the replacement re-creates their target ids.
+        the original root id, and restores references that pointed
+        *into* the old subtree whenever the replacement re-creates their
+        target ids.  Both halves are planned before either is applied,
+        so a rejected replacement leaves the old document in place.
+
+        Raises:
+            ValueError: As :meth:`insert_document`, judged on the graph
+                without the old subtree.
+            LookupError: Unknown document id.
         """
-        trace = self.tracer.begin("mutation:update", kind="mutation", op="update")
+
+        def plan():
+            removal = self._plan_delete(document_id)
+            parent = self.loaded.graph.containment_parent(document_id)
+            parent_id = parent.node_id if parent is not None else None
+            return [removal, self._plan_insert(xml_text, parent_id, options, removal)]
+
+        return self._mutate("update", plan)
+
+    def _mutate(self, op: str, plan) -> MutationReport:
+        """Plan (every rejection happens here), apply, then commit once.
+
+        ``plan`` returns the steps to apply in order: one insert or one
+        delete, or a replace's delete followed by its insert.
+        """
+        trace = self.tracer.begin(f"mutation:{op}", kind="mutation", op=op)
         try:
             with self._rwlock.write():
-                graph = self.loaded.graph
-                if not graph.has_node(document_id):
-                    raise LookupError(f"unknown document {document_id!r}")
-                parent = graph.containment_parent(document_id)
-                subtree_ids = {
-                    node.node_id for node in graph.containment_subtree(document_id)
-                }
-                incoming_refs = sorted(
-                    {
-                        (edge.source, edge.target)
-                        for node_id in subtree_ids
-                        for edge in graph.in_edges(node_id)
-                        if edge.is_reference and edge.source not in subtree_ids
-                    }
-                )
-                # analysis: blocking-ok[replace is delete+insert under one
-                # write lock; both halves commit before it is released]
-                removal = self._delete_locked(document_id, trace=trace)
-                # analysis: blocking-ok[second half of the atomic replace;
-                # same durability argument as the delete above]
-                insertion = self._insert_locked(
-                    xml_text,
-                    parent_id=parent.node_id if parent is not None else None,
-                    options=options,
-                    root_id_override=document_id,
-                    restore_refs=incoming_refs,
-                    trace=trace,
-                )
-            report = MutationReport(
-                op="update",
-                document_id=insertion.document_id,
-                epoch=insertion.epoch,
-                seconds=removal.seconds + insertion.seconds,
-                nodes_added=insertion.nodes_added,
-                nodes_removed=removal.nodes_removed,
-                index_entries_added=insertion.index_entries_added,
-                index_entries_removed=removal.index_entries_removed,
-                target_objects_added=insertion.target_objects_added,
-                target_objects_removed=removal.target_objects_removed,
-                relation_rows_added=removal.relation_rows_added
-                + insertion.relation_rows_added,
-                relation_rows_removed=removal.relation_rows_removed
-                + insertion.relation_rows_removed,
-                keywords_touched=tuple(
-                    sorted(set(removal.keywords_touched) | set(insertion.keywords_touched))
-                ),
-                relations_touched=tuple(
-                    sorted(
-                        set(removal.relations_touched) | set(insertion.relations_touched)
-                    )
-                ),
-            )
+                started = time.perf_counter()
+                span = trace.span("plan", op=op)
+                steps = plan()
+                span.finish()
+                span = trace.span("apply", op=op)
+                delta = _Delta()
+                report = MutationReport(op, steps[-1].document_id)
+                for step in steps:
+                    if isinstance(step, _DeletePlan):
+                        report += self._apply_delete(step, delta)
+                    else:
+                        report += self._apply_insert(step, delta)
+                span.finish()
+                span = trace.span("commit", op=op)
+                # analysis: blocking-ok[mutations persist durably (sqlite
+                # delta + commit) before the write lock is released, so
+                # readers never see an index ahead of its database]
+                self._commit(delta, report)
+                span.finish()
+                report.epoch = self.loaded.epoch
+                report.seconds = time.perf_counter() - started
             trace.root.annotate(**report.to_dict())
             return report
         finally:
             self.tracer.finish(trace)
 
     # ------------------------------------------------------------------
-    # Insert internals
+    # Plan: pure, decides every rejection
     # ------------------------------------------------------------------
-    def _insert_locked(
+    def _plan_insert(
         self,
         xml_text: str,
         parent_id: str | None,
         options: ParseOptions | None,
-        trace,
-        root_id_override: str | None = None,
-        restore_refs=(),
-    ) -> MutationReport:
-        started = time.perf_counter()
+        replacing: _DeletePlan | None = None,
+    ) -> _InsertPlan:
         loaded = self.loaded
         graph = loaded.graph
-        schema = loaded.catalog.schema
         tss_graph = loaded.catalog.tss
-
-        span = trace.span("validate", op="insert")
         parse_options = options or ParseOptions(id_prefix=f"u{loaded.epoch}n")
         try:
             fragment, external_refs, root_id = parse_fragment(xml_text, parse_options)
         except XMLGraphError as exc:
-            span.finish()
             raise ValueError(str(exc)) from exc
-        if root_id_override is not None and root_id_override != root_id:
-            fragment, external_refs, root_id = _rename_root(
-                fragment, external_refs, root_id, root_id_override
-            )
-        restore_refs = [
-            (source, target)
-            for source, target in restore_refs
-            if fragment.has_node(target)
-            and graph.has_node(source)
-            and schema.find_edge(
-                graph.node(source).label,
-                fragment.node(target).label,
-                EdgeKind.REFERENCE,
-            )
-            is not None
-        ]
-        self._validate_insert(fragment, external_refs, parent_id, root_id)
-        span.finish()
+        hidden: frozenset[str] = frozenset()
+        restore_refs: list[tuple[str, str]] = []
+        if replacing is not None:
+            hidden = frozenset(replacing.removed_ids)
+            if root_id != replacing.document_id:
+                fragment, external_refs, root_id = _rename_root(
+                    fragment, external_refs, root_id, replacing.document_id
+                )
+            restore_refs = [ref for ref in replacing.incoming_refs if fragment.has_node(ref[1])]
+        if parent_id is not None and not graph.has_node(parent_id):
+            raise LookupError(f"unknown parent node {parent_id!r}")
+        for node_id in fragment.node_ids():
+            if graph.has_node(node_id) and node_id not in hidden:
+                raise ValueError(f"node id {node_id!r} already exists in the database")
 
-        span = trace.span("discover", op="insert")
-        boundary: list[Edge] = []
-        if parent_id is not None:
-            boundary.append(Edge(parent_id, root_id, EdgeKind.CONTAINMENT))
-        boundary.extend(
-            Edge(source, target, EdgeKind.REFERENCE) for source, target in external_refs
+        boundary = [Edge(parent_id, root_id)] if parent_id is not None else []
+        boundary += dict.fromkeys(
+            Edge(source, target, EdgeKind.REFERENCE)
+            for source, target in (*external_refs, *restore_refs)
         )
-        boundary.extend(
-            Edge(source, target, EdgeKind.REFERENCE) for source, target in restore_refs
-        )
-        view = _MergedView(graph, fragment, boundary)
+        view = _MergedView(graph, fragment, boundary, hidden)
+        for source, target in external_refs:
+            if not view.has_node(target):
+                raise ValueError(f"dangling reference from {source!r} to unknown id {target!r}")
+        # Out-edges change only at the fragment nodes and the boundary
+        # sources (the parent, restored-reference sources); the rest of
+        # the graph conformed before and loses at most edges.
+        frag_ids = set(fragment.node_ids())
+        changed = [*fragment.node_ids(), *sorted({e.source for e in boundary} - frag_ids)]
+        try:
+            check_conformance(view, loaded.catalog.schema, changed)
+        except SchemaError as exc:
+            raise ValueError(str(exc)) from exc
 
         # Target-object assignment over the merged view.  The TO root of
         # a fragment node may lie in the live graph (an intra-TSS insert
         # growing an existing target object).
-        frag_member_of: dict[str, str] = {}
+        member_of: dict[str, str] = {}
         new_tos: dict[str, str] = {}
         for node in fragment.nodes():
             tss_name = tss_graph.tss_of(node.label)
@@ -383,366 +424,226 @@ class UpdateManager:
                 to_root = find_to_root(view, node.node_id, tss_graph)
             except XMLGraphError as exc:
                 raise ValueError(str(exc)) from exc
-            frag_member_of[node.node_id] = to_root
+            member_of[node.node_id] = to_root
             if fragment.has_node(to_root):
                 new_tos[to_root] = tss_name
-        member_changed = {
-            to_root for to_root in frag_member_of.values() if to_root not in new_tos
-        }
 
         def to_of(node_id: str) -> str | None:
-            return frag_member_of.get(node_id) or loaded.to_graph.to_of_node.get(node_id)
+            if node_id in frag_ids:
+                return member_of.get(node_id)
+            return loaded.to_graph.to_of_node.get(node_id)
 
         # Every new edge instance traverses an added edge, and every
         # added edge touches a fragment node, so origins within
         # max-path-length − 1 backward hops of the added-edge sources
         # cover all schema paths that could realize a new instance.
-        frag_ids = set(fragment.node_ids())
         origins = frag_ids | {edge.source for edge in boundary}
-        frontier = list(origins)
+        frontier = set(origins)
         for _ in range(self._max_path_len - 1):
-            next_frontier = []
-            for node_id in frontier:
-                for edge in view.in_edges(node_id):
-                    if edge.source not in origins:
-                        origins.add(edge.source)
-                        next_frontier.append(edge.source)
-            frontier = next_frontier
-            if not frontier:
-                break
-        new_instances: list[EdgeInstance] = []
-        seen_keys: set[tuple[str, str, str]] = set()
-        for tss_edge in tss_graph.edges():
-            origin_label = tss_edge.path[0].source
-            for origin in origins:
-                if view.node(origin).label != origin_label:
-                    continue
-                for node_path in match_schema_path(view, origin, tss_edge.path):
-                    if not frag_ids.intersection(node_path):
-                        continue
-                    source_to = to_of(node_path[0])
-                    target_to = to_of(node_path[-1])
-                    if source_to is None or target_to is None:
-                        continue
-                    key = (tss_edge.edge_id, source_to, target_to)
-                    if key in seen_keys or loaded.to_graph.has_instance(*key):
-                        continue
-                    seen_keys.add(key)
-                    new_instances.append(
-                        EdgeInstance(tss_edge.edge_id, source_to, target_to, node_path)
-                    )
-        span.finish()
-
-        span = trace.span("apply", op="insert")
-        for node in fragment.nodes():
-            graph.add_node(node.node_id, node.label, node.value)
-        for edge in fragment.edges():
-            graph.add_edge(edge.source, edge.target, edge.kind)
-        for edge in boundary:
-            if not graph.has_edge(edge.source, edge.target, edge.kind):
-                graph.add_edge(edge.source, edge.target, edge.kind)
-        for to_id, tss_name in new_tos.items():
-            loaded.to_graph.add_target_object(to_id, tss_name)
-        for node_id, to_id in frag_member_of.items():
-            loaded.to_graph.add_member(to_id, node_id)
-        for instance in new_instances:
-            loaded.to_graph.add_instance(instance)
-
-        entries_added, keywords = loaded.master_index.add_entries(
-            fragment.nodes(),
-            frag_member_of,
-            loaded.catalog.text_nodes,
-            index_tags=loaded.index_tags,
+            frontier = {
+                edge.source
+                for node_id in frontier
+                for edge in view.in_edges(node_id)
+                if edge.source not in origins
+            }
+            origins |= frontier
+        instances: dict[tuple[str, str, str], EdgeInstance] = {}
+        for instance in edge_instances(view, tss_graph, map(view.node, origins), to_of):
+            if frag_ids.intersection(instance.node_path):
+                instances.setdefault(instance.key, instance)
+        return _InsertPlan(
+            root_id, parent_id, fragment, boundary, restore_refs,
+            member_of, new_tos, list(instances.values()),
         )
 
-        touched = set(new_tos)
-        for instance in new_instances:
-            touched.add(instance.source_to)
-            touched.add(instance.target_to)
-        surviving_by_tss: dict[str, set[str]] = {}
-        for to_id in touched:
-            tss_name = new_tos.get(to_id) or loaded.to_graph.tss_of_to[to_id]
-            surviving_by_tss.setdefault(tss_name, set()).add(to_id)
-        relations_touched, rows_added, rows_removed = self._relation_delta(
-            surviving_by_tss, delete_ids=touched, touched_tss=set(surviving_by_tss)
-        )
-
-        # Restored references change the *source* main-graph node's
-        # serialized ref attribute, so its TO needs a fresh BLOB too.
-        restore_source_tos = {
-            loaded.to_graph.to_of_node[source]
-            for source, _ in restore_refs
-            if source in loaded.to_graph.to_of_node
-        }
-        loaded.blobs.store_for(
-            graph,
-            loaded.to_graph,
-            set(new_tos) | member_changed | restore_source_tos,
-        )
-        apply_metadata_delta(
-            loaded.database,
-            new_target_objects=sorted(new_tos.items()),
-            new_members=sorted(frag_member_of.items()),
-            new_instances=new_instances,
-        )
-        loaded.statistics.refresh_from(loaded.to_graph)
-        # The epoch advances inside the mutation's transaction so a
-        # restarted process resumes from a monotonic counter.
-        loaded.epoch += 1
-        store_index_epoch(loaded.database, loaded.epoch)
-        loaded.database.commit()
-        span.finish()
-
-        self.versions.bump(keywords, relations_touched)
-        if parent_id is None:
-            self._documents.add(root_id)
-        self._publish()
-        return MutationReport(
-            op="insert",
-            document_id=root_id,
-            epoch=loaded.epoch,
-            seconds=time.perf_counter() - started,
-            nodes_added=fragment.node_count,
-            index_entries_added=entries_added,
-            target_objects_added=len(new_tos),
-            relation_rows_added=rows_added,
-            relation_rows_removed=rows_removed,
-            keywords_touched=tuple(sorted(keywords)),
-            relations_touched=tuple(sorted(relations_touched)),
-        )
-
-    def _validate_insert(
-        self,
-        fragment: XMLGraph,
-        external_refs,
-        parent_id: str | None,
-        root_id: str,
-    ) -> None:
-        """All-or-nothing phase 1: reject before any shared-state write."""
-        loaded = self.loaded
-        graph = loaded.graph
-        schema = loaded.catalog.schema
-        for node_id in fragment.node_ids():
-            if graph.has_node(node_id):
-                raise ValueError(f"node id {node_id!r} already exists in the database")
-        for node in fragment.nodes():
-            if not schema.has_node(node.label):
-                raise ValueError(f"unknown element tag {node.label!r}")
-        child_counts: dict[str, Counter] = {}
-        for edge in fragment.edges():
-            source_label = fragment.node(edge.source).label
-            target_label = fragment.node(edge.target).label
-            if schema.find_edge(source_label, target_label, edge.kind) is None:
-                raise ValueError(
-                    f"edge {source_label!r} -> {target_label!r} "
-                    f"({edge.kind.value}) not in schema"
-                )
-            child_counts.setdefault(edge.source, Counter())[
-                (target_label, edge.kind)
-            ] += 1
-        for source, target in external_refs:
-            if not graph.has_node(target):
-                raise ValueError(
-                    f"dangling reference from {source!r} to unknown id {target!r}"
-                )
-            source_label = fragment.node(source).label
-            target_label = graph.node(target).label
-            if schema.find_edge(source_label, target_label, EdgeKind.REFERENCE) is None:
-                raise ValueError(
-                    f"reference {source_label!r} ~> {target_label!r} not in schema"
-                )
-            child_counts.setdefault(source, Counter())[
-                (target_label, EdgeKind.REFERENCE)
-            ] += 1
-        for node in fragment.nodes():
-            counter = child_counts.get(node.node_id)
-            if counter is None:
-                continue
-            for (target_label, kind), count in counter.items():
-                schema_edge = schema.find_edge(node.label, target_label, kind)
-                if schema_edge.maxoccurs != UNBOUNDED and count > schema_edge.maxoccurs:
-                    raise ValueError(
-                        f"node {node.node_id!r} exceeds maxoccurs="
-                        f"{schema_edge.maxoccurs} for {target_label!r}"
-                    )
-            if schema.node(node.label).is_choice and sum(counter.values()) > 1:
-                raise ValueError(
-                    f"choice node {node.node_id!r} ({node.label}) realizes "
-                    f"{sum(counter.values())} alternatives"
-                )
-        if parent_id is not None:
-            if not graph.has_node(parent_id):
-                raise LookupError(f"unknown parent node {parent_id!r}")
-            parent_label = graph.node(parent_id).label
-            root_label = fragment.node(root_id).label
-            attach = schema.find_edge(parent_label, root_label, EdgeKind.CONTAINMENT)
-            if attach is None:
-                raise ValueError(
-                    f"schema forbids {root_label!r} under {parent_label!r}"
-                )
-            if attach.maxoccurs != UNBOUNDED:
-                siblings = sum(
-                    1
-                    for child in graph.containment_children(parent_id)
-                    if child.label == root_label
-                )
-                if siblings + 1 > attach.maxoccurs:
-                    raise ValueError(
-                        f"parent {parent_id!r} already has {siblings} "
-                        f"{root_label!r} children (maxoccurs={attach.maxoccurs})"
-                    )
-            if schema.node(parent_label).is_choice and graph.out_edges(parent_id):
-                raise ValueError(
-                    f"choice parent {parent_id!r} already realizes an alternative"
-                )
-
-    # ------------------------------------------------------------------
-    # Delete internals
-    # ------------------------------------------------------------------
-    def _delete_locked(self, document_id: str, trace) -> MutationReport:
-        started = time.perf_counter()
-        loaded = self.loaded
-        graph = loaded.graph
-        to_graph = loaded.to_graph
-        tss_graph = loaded.catalog.tss
+    def _plan_delete(self, document_id: str) -> _DeletePlan:
+        graph = self.loaded.graph
+        to_graph = self.loaded.to_graph
         if not graph.has_node(document_id):
             raise LookupError(f"unknown document {document_id!r}")
-
-        span = trace.span("discover", op="delete")
-        removed_ids = {
-            node.node_id for node in graph.containment_subtree(document_id)
+        removed_ids = {node.node_id for node in graph.containment_subtree(document_id)}
+        removed_tos = {
+            to_id: to_graph.tss_of_to[to_id] for to_id in removed_ids if to_id in to_graph.tss_of_to
         }
-        removed_instances = to_graph.instances_touching(removed_ids)
-        removed_tos = {to for to in removed_ids if to in to_graph.tss_of_to}
-        removed_tss = {to: to_graph.tss_of_to[to] for to in removed_tos}
         member_changed = {
             to_graph.to_of_node[node_id]
             for node_id in removed_ids
             if node_id in to_graph.to_of_node
-        } - removed_tos
+        } - set(removed_tos)
         # TOs owning a node adjacent to the subtree lose edges (e.g. a
         # ref attribute naming a removed id) and need fresh BLOBs even
         # when their membership and instances are untouched.
+        incident = [edge for node_id in removed_ids for edge in graph.incident_edges(node_id)]
         boundary_tos = {
             to_graph.to_of_node[other]
-            for node_id in removed_ids
-            for edge in graph.incident_edges(node_id)
+            for edge in incident
             for other in (edge.source, edge.target)
             if other not in removed_ids and other in to_graph.to_of_node
-        } - removed_tos
-        span.finish()
+        } - set(removed_tos)
+        incoming_refs = sorted(
+            {
+                (edge.source, edge.target)
+                for edge in incident
+                if edge.is_reference and edge.source not in removed_ids
+            }
+        )
+        return _DeletePlan(
+            document_id, removed_ids, to_graph.instances_touching(removed_ids),
+            removed_tos, member_changed, boundary_tos, incoming_refs,
+        )
 
-        span = trace.span("apply", op="delete")
-        entries_removed, keywords = loaded.master_index.remove_entries(removed_ids)
-        for node_id in removed_ids:
+    # ------------------------------------------------------------------
+    # Apply: in-memory and SQL deltas, no commit
+    # ------------------------------------------------------------------
+    def _apply_insert(self, plan: _InsertPlan, delta: _Delta) -> MutationReport:
+        loaded = self.loaded
+        graph = loaded.graph
+        to_graph = loaded.to_graph
+        fragment = plan.fragment
+        for node in fragment.nodes():
+            graph.add_node(node.node_id, node.label, node.value)
+        for edge in (*fragment.edges(), *plan.boundary):
+            graph.add_edge(edge.source, edge.target, edge.kind)
+        for to_id, tss_name in plan.new_tos.items():
+            to_graph.add_target_object(to_id, tss_name)
+        for node_id, to_id in plan.member_of.items():
+            to_graph.add_member(to_id, node_id)
+        added = [
+            instance
+            for instance in plan.instances
+            if not to_graph.has_instance(*instance.key)
+        ]
+        for instance in added:
+            to_graph.add_instance(instance)
+
+        entries_added, keywords = loaded.master_index.add_entries(
+            fragment.nodes(),
+            plan.member_of,
+            loaded.catalog.text_nodes,
+            index_tags=loaded.index_tags,
+        )
+
+        touched = set(plan.new_tos)
+        for instance in added:
+            touched.add(instance.source_to)
+            touched.add(instance.target_to)
+        relations_touched, rows_added, rows_removed = self._relation_delta(touched)
+
+        # Restored references change the *source* main-graph node's
+        # serialized ref attribute, so its TO needs a fresh BLOB too.
+        delta.refresh_tos |= set(plan.member_of.values()) | {
+            to_graph.to_of_node[source]
+            for source, _ in plan.restore_refs
+            if source in to_graph.to_of_node
+        }
+        delta.metadata["new_target_objects"] += plan.new_tos.items()
+        delta.metadata["new_members"] += plan.member_of.items()
+        delta.metadata["new_instances"] += added
+        if plan.parent_id is None:
+            self._documents.add(plan.document_id)
+        return MutationReport(
+            op="insert",
+            document_id=plan.document_id,
+            nodes_added=fragment.node_count,
+            index_entries_added=entries_added,
+            target_objects_added=len(plan.new_tos),
+            relation_rows_added=rows_added,
+            relation_rows_removed=rows_removed,
+            keywords_touched=tuple(keywords),
+            relations_touched=tuple(relations_touched),
+        )
+
+    def _apply_delete(self, plan: _DeletePlan, delta: _Delta) -> MutationReport:
+        loaded = self.loaded
+        graph = loaded.graph
+        to_graph = loaded.to_graph
+        tss_graph = loaded.catalog.tss
+        entries_removed, keywords = loaded.master_index.remove_entries(plan.removed_ids)
+        for node_id in plan.removed_ids:
             graph.remove_node(node_id)
-        for instance in removed_instances:
-            to_graph.remove_instance(
-                instance.edge_id, instance.source_to, instance.target_to
-            )
-        for node_id in removed_ids:
+        for instance in plan.removed_instances:
+            to_graph.remove_instance(*instance.key)
+        for node_id in plan.removed_ids:
             to_graph.remove_member(node_id)
-        for to_id in removed_tos:
+        for to_id in plan.removed_tos:
             to_graph.remove_target_object(to_id)
 
         # A removed instance whose endpoints both survive may have a
         # parallel surviving node path the loader collapsed away;
         # re-match it so the edge is not lost.
         readded: list[EdgeInstance] = []
-        for instance in removed_instances:
-            if instance.source_to in removed_tos or instance.target_to in removed_tos:
-                continue
-            if to_graph.has_instance(
-                instance.edge_id, instance.source_to, instance.target_to
+        for instance in plan.removed_instances:
+            if (
+                instance.source_to in plan.removed_tos
+                or instance.target_to in plan.removed_tos
+                or to_graph.has_instance(*instance.key)
             ):
                 continue
             tss_edge = tss_graph.edge(instance.edge_id)
-            origin_label = tss_edge.path[0].source
-            found = None
-            for member in to_graph.members_of_to.get(instance.source_to, ()):
-                if graph.node(member).label != origin_label:
-                    continue
-                for node_path in match_schema_path(graph, member, tss_edge.path):
-                    if to_graph.to_of_node.get(node_path[-1]) == instance.target_to:
-                        found = node_path
-                        break
-                if found is not None:
-                    break
+            found = next(
+                (
+                    node_path
+                    for member in to_graph.members_of_to.get(instance.source_to, ())
+                    if graph.node(member).label == tss_edge.path[0].source
+                    for node_path in match_schema_path(graph, member, tss_edge.path)
+                    if to_graph.to_of_node.get(node_path[-1]) == instance.target_to
+                ),
+                None,
+            )
             if found is not None:
-                survivor = EdgeInstance(
-                    instance.edge_id, instance.source_to, instance.target_to, found
-                )
+                survivor = EdgeInstance(*instance.key, found)
                 to_graph.add_instance(survivor)
                 readded.append(survivor)
 
-        surviving_touched = member_changed | {
+        surviving_touched = plan.member_changed | {
             endpoint
-            for instance in removed_instances
+            for instance in plan.removed_instances
             for endpoint in (instance.source_to, instance.target_to)
-            if endpoint not in removed_tos
+            if endpoint not in plan.removed_tos
         }
-        surviving_by_tss: dict[str, set[str]] = {}
-        for to_id in surviving_touched:
-            surviving_by_tss.setdefault(to_graph.tss_of_to[to_id], set()).add(to_id)
-        touched_tss = set(surviving_by_tss) | set(removed_tss.values())
         relations_touched, rows_added, rows_removed = self._relation_delta(
-            surviving_by_tss,
-            delete_ids=surviving_touched | removed_tos,
-            touched_tss=touched_tss,
+            surviving_touched, plan.removed_tos
         )
 
-        loaded.blobs.remove(removed_tos)
-        loaded.blobs.store_for(graph, to_graph, member_changed | boundary_tos)
-        apply_metadata_delta(
-            loaded.database,
-            removed_node_ids=removed_ids,
-            removed_to_ids=removed_tos,
-            removed_edge_keys=[
-                (instance.edge_id, instance.source_to, instance.target_to)
-                for instance in removed_instances
-            ],
-            new_instances=readded,
-        )
-        loaded.statistics.refresh_from(to_graph)
-        loaded.epoch += 1
-        store_index_epoch(loaded.database, loaded.epoch)
-        loaded.database.commit()
-        span.finish()
-
-        self.versions.bump(keywords, relations_touched)
-        self._documents.discard(document_id)
-        self._publish()
+        delta.refresh_tos |= plan.member_changed | plan.boundary_tos
+        delta.metadata["removed_node_ids"] += plan.removed_ids
+        delta.metadata["removed_to_ids"] += plan.removed_tos
+        delta.metadata["removed_edge_keys"] += [
+            instance.key for instance in plan.removed_instances
+        ]
+        delta.metadata["new_instances"] += readded
+        self._documents.discard(plan.document_id)
         return MutationReport(
             op="delete",
-            document_id=document_id,
-            epoch=loaded.epoch,
-            seconds=time.perf_counter() - started,
-            nodes_removed=len(removed_ids),
+            document_id=plan.document_id,
+            nodes_removed=len(plan.removed_ids),
             index_entries_removed=entries_removed,
-            target_objects_removed=len(removed_tos),
+            target_objects_removed=len(plan.removed_tos),
             relation_rows_added=rows_added,
             relation_rows_removed=rows_removed,
-            keywords_touched=tuple(sorted(keywords)),
-            relations_touched=tuple(sorted(relations_touched)),
+            keywords_touched=tuple(keywords),
+            relations_touched=tuple(relations_touched),
         )
 
-    # ------------------------------------------------------------------
-    # Shared internals
-    # ------------------------------------------------------------------
     def _relation_delta(
-        self,
-        surviving_by_tss: dict[str, set[str]],
-        delete_ids: set[str],
-        touched_tss: set[str],
+        self, surviving: set[str], removed_tos: dict[str, str] | None = None
     ) -> tuple[set[str], int, int]:
         """Recompute exactly the relation rows binding a touched TO.
 
+        ``surviving`` are the touched target objects still in the TO
+        graph, ``removed_tos`` (TO -> TSS name) the deleted ones.
         Physical tables shared across decompositions are rewritten once
         (keyed by base-table name); relations whose recomputed rows equal
         the stored rows are left untouched, so the cache's per-relation
         versions only advance for real changes.
         """
         loaded = self.loaded
+        removed_tos = removed_tos or {}
+        surviving_by_tss: dict[str, set[str]] = {}
+        for to_id in surviving:
+            surviving_by_tss.setdefault(loaded.to_graph.tss_of_to[to_id], set()).add(to_id)
+        delete_ids = surviving | set(removed_tos)
+        touched_tss = set(surviving_by_tss) | set(removed_tos.values())
         relations_touched: set[str] = set()
         rows_added = rows_removed = 0
         handled: set[str] = set()
@@ -775,37 +676,45 @@ class UpdateManager:
                 rows_removed += len(old_rows - new_rows)
         return relations_touched, rows_added, rows_removed
 
-    def _publish(self) -> None:
+    # ------------------------------------------------------------------
+    # Commit: once per mutation
+    # ------------------------------------------------------------------
+    def _commit(self, delta: _Delta, report: MutationReport) -> None:
+        loaded = self.loaded
+        loaded.blobs.remove(delta.metadata["removed_to_ids"])
+        loaded.blobs.store_for(loaded.graph, loaded.to_graph, delta.refresh_tos)
+        apply_metadata_delta(loaded.database, **delta.metadata)
+        loaded.statistics.refresh_from(loaded.to_graph)
+        # The epoch advances inside the mutation's transaction so a
+        # restarted process resumes from a monotonic counter.
+        loaded.epoch += 1
+        store_index_epoch(loaded.database, loaded.epoch)
+        loaded.database.commit()
+        self.versions.bump(report.keywords_touched, report.relations_touched)
         self._last_mutation_at = self._clock()
         with self._snapshot_lock:
             self._snapshot = IndexSnapshot(
-                epoch=self.loaded.epoch,
+                epoch=loaded.epoch,
                 document_count=len(self._documents),
                 last_mutation_at=self._last_mutation_at,
             )
 
 
 def _rename_root(
-    fragment: XMLGraph,
-    external_refs,
-    old_id: str,
-    new_id: str,
+    fragment: XMLGraph, external_refs, old_id: str, new_id: str
 ) -> tuple[XMLGraph, list[tuple[str, str]], str]:
     """Rebuild a fragment graph with its root under a different id."""
     if fragment.has_node(new_id):
         raise ValueError(
             f"cannot take over id {new_id!r}: the replacement already uses it"
         )
+
+    def rename(node_id: str) -> str:
+        return new_id if node_id == old_id else node_id
+
     renamed = XMLGraph()
-    swap = {old_id: new_id}
     for node in fragment.nodes():
-        node_id = swap.get(node.node_id, node.node_id)
-        renamed.add_node(node_id, node.label, node.value)
+        renamed.add_node(rename(node.node_id), node.label, node.value)
     for edge in fragment.edges():
-        renamed.add_edge(
-            swap.get(edge.source, edge.source),
-            swap.get(edge.target, edge.target),
-            edge.kind,
-        )
-    refs = [(swap.get(source, source), target) for source, target in external_refs]
-    return renamed, refs, new_id
+        renamed.add_edge(rename(edge.source), rename(edge.target), edge.kind)
+    return renamed, [(rename(source), target) for source, target in external_refs], new_id

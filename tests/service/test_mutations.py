@@ -84,14 +84,14 @@ class TestDocumentEndpoints:
             {"xml": NEW_AUTHOR.replace("endpoint", "replaced")},
         )
         assert status == 200
-        assert report["op"] == "update" and report["epoch"] == 3
+        assert report["op"] == "update" and report["epoch"] == 2
 
         status, report = request_json(base, "DELETE", "/documents/web0")
         assert status == 200
-        assert report["op"] == "delete" and report["epoch"] == 4
+        assert report["op"] == "delete" and report["epoch"] == 3
 
         health = get_json(base, "/healthz")
-        assert health["index_epoch"] == 4
+        assert health["index_epoch"] == 3
         assert health["document_count"] == documents
         assert health["last_mutation_at"] is not None
 
@@ -111,6 +111,17 @@ class TestDocumentEndpoints:
         assert status == 404
         status, payload = request_json(base, "DELETE", "/other/route")
         assert status == 404
+
+    def test_rejected_replace_leaves_index_unchanged(self, served):
+        _, base = served
+        before = get_json(base, "/healthz")
+        status, payload = request_json(
+            base, "PUT", "/documents/a1", {"xml": "<author id='a1'><aname>unclosed"}
+        )
+        assert status == 400 and "malformed" in payload["error"]
+        after = get_json(base, "/healthz")
+        assert after["index_epoch"] == before["index_epoch"] == 0
+        assert after["document_count"] == before["document_count"]
 
     def test_metrics_expose_mutations_and_epoch(self, served):
         _, base = served

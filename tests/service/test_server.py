@@ -36,7 +36,7 @@ from repro.service import (
     XKeywordHTTPServer,
     query_cache_key,
 )
-from repro.service.server import _Handler
+from repro.service.server import MAX_BODY_BYTES, _Handler
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +475,7 @@ HOSTILE = {
     "negative-content-length": hostile_search(length="-1"),
     "non-integer-content-length": hostile_search(length="abc"),
     "oversized-content-length": hostile_search(
-        length=str(ServiceConfig().max_body_bytes + 1)
+        length=str(MAX_BODY_BYTES + 1)
     ),
     "non-integer-limit": lambda stream: ("GET", "/debug/traces?limit=abc", {}, b""),
 }

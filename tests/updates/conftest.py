@@ -7,11 +7,14 @@ fixtures, which other test modules assume immutable.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.decomposition import minimal_decomposition
 from repro.schema import dblp_catalog
 from repro.storage import Database, load_database
+from repro.storage.persistence import load_index_epoch
 from repro.updates import UpdateManager
 from repro.workloads import DBLPConfig, generate_dblp
 
@@ -59,6 +62,33 @@ def assert_equivalent(catalog, decompositions, loaded) -> None:
             assert ours == theirs, (fragment.relation_name, sorted(ours ^ theirs)[:5])
     assert loaded.statistics.tss_counts == fresh.statistics.tss_counts
     assert loaded.statistics.edge_counts == fresh.statistics.edge_counts
+
+
+def frozen_state(manager: UpdateManager) -> dict:
+    """Everything a rejected mutation must leave exactly as it was.
+
+    The graph, the TO graph, every SQL table (master index, relations,
+    BLOBs, persisted metadata), the epoch in memory and on disk, the
+    version vector, and the published snapshot.
+    """
+    loaded = manager.loaded
+    database = loaded.database
+    tables = database.query("SELECT name FROM sqlite_master WHERE type = 'table'")
+    return {
+        "nodes": set(loaded.graph.nodes()),
+        "edges": set(loaded.graph.edges()),
+        "to_graph": (
+            dict(loaded.to_graph.tss_of_to),
+            dict(loaded.to_graph.to_of_node),
+            set(loaded.to_graph._paths),
+        ),
+        "tables": {
+            name: Counter(database.query(f"SELECT * FROM {name}")) for (name,) in tables
+        },
+        "epoch": (loaded.epoch, load_index_epoch(database)),
+        "versions": manager.versions.epoch,
+        "snapshot": manager.snapshot(),
+    }
 
 
 @pytest.fixture()

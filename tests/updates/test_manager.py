@@ -12,10 +12,15 @@ import time
 import pytest
 
 from repro.core import KeywordQuery, XKeyword
+from repro.decomposition import minimal_decomposition
+from repro.schema import Catalog, NodeType, SchemaGraph, derive_tss_graph, tpch_catalog
 from repro.storage import Database, load_database
+from repro.storage.persistence import load_index_epoch
 from repro.updates import ReadWriteLock, UpdateManager
+from repro.xmlgraph import XMLGraph
 
-from .conftest import assert_equivalent, build_dblp
+from ..conftest import build_figure1_graph
+from .conftest import assert_equivalent, build_dblp, frozen_state
 
 NEW_PAPER = (
     '<paper id="np0" ref="a1 a2 p5">'
@@ -86,17 +91,23 @@ class TestDelete:
 
 
 class TestUpdate:
-    def test_update_matches_full_reload(self, dblp_setup, manager):
+    def test_update_matches_full_reload(self, dblp_setup, manager, monkeypatch):
         catalog, decomps, loaded = dblp_setup
         revised = (
             '<paper id="p7" ref="a3"><title id="p7t">revised sweep</title>'
             '<pages id="p7g">4-44</pages></paper>'
         )
+        commits = []
+        commit = loaded.database.commit
+        monkeypatch.setattr(
+            loaded.database, "commit", lambda: commits.append(1) or commit()
+        )
         report = manager.update_document("p7", revised)
         assert report.op == "update"
         assert report.document_id == "p7"
-        # delete + insert under one write hold: epoch advances twice
-        assert report.epoch == 2
+        # delete + insert planned together and committed once: one epoch
+        assert report.epoch == 1 and load_index_epoch(loaded.database) == 1
+        assert len(commits) == 1 and manager.versions.epoch == 1
         assert_equivalent(catalog, decomps, loaded)
         hits = ranked(loaded, ("revised", "sweep"))
         assert hits and any("p7" in str(a) for _, a in hits)
@@ -199,6 +210,130 @@ class TestValidation:
                 UpdateManager(loaded)
         finally:
             loaded.graph = graph
+
+
+def choice_database():
+    """A catalog whose choice node has *containment* alternatives.
+
+    ``doc`` holds one ``body`` choice realizing either an ``a`` or a
+    ``b``; the one document's body already realizes its ``a``.
+    """
+    schema = SchemaGraph()
+    for name in ("doc", "dname", "a", "b"):
+        schema.add_node(name)
+    schema.add_node("body", NodeType.CHOICE)
+    schema.add_edge("doc", "dname", maxoccurs=1)
+    schema.add_edge("doc", "body", maxoccurs=1)
+    schema.add_edge("body", "a")
+    schema.add_edge("body", "b")
+    tss = derive_tss_graph(schema, {"doc": "Doc", "dname": "Doc", "a": "A", "b": "B"})
+    catalog = Catalog("choice", schema, tss, frozenset({"dname", "a", "b"}))
+    graph = XMLGraph()
+    for node_id, label, value, parent in (
+        ("d1", "doc", None, None),
+        ("d1n", "dname", "first", "d1"),
+        ("d1b", "body", None, "d1"),
+        ("d1a", "a", "alpha", "d1b"),
+    ):
+        graph.add_node(node_id, label, value)
+        if parent is not None:
+            graph.add_edge(parent, node_id)
+    return load_database(graph, catalog, [minimal_decomposition(catalog.tss)])
+
+
+def tpch_database():
+    catalog = tpch_catalog()
+    return load_database(
+        build_figure1_graph(), catalog, [minimal_decomposition(catalog.tss)]
+    )
+
+
+# Insert rejections the schema decides: (database, parent, fragment).
+SCHEMA_REJECTIONS = {
+    "edge-not-in-schema": (
+        lambda: build_dblp()[2],
+        "c0y1",
+        '<paper id="x0"><aname id="x0a">stray</aname></paper>',
+    ),
+    "fragment-maxoccurs": (
+        lambda: build_dblp()[2],
+        "c0y1",
+        '<paper id="x0"><title id="x0t">one</title><title id="x0u">two</title></paper>',
+    ),
+    "sibling-maxoccurs": (
+        lambda: build_dblp()[2],
+        "p5",
+        '<title id="x0t">a second title</title>',
+    ),
+    "root-not-allowed-under-parent": (lambda: build_dblp()[2], "c0y1", NEW_AUTHOR),
+    "choice-realizes-two-alternatives": (
+        tpch_database,
+        "o1",
+        '<lineitem id="l9"><quantity id="l9q">3</quantity>'
+        '<line id="li9" ref="pa1 pr1"/></lineitem>',
+    ),
+    "choice-parent-already-realized": (choice_database, "d1b", '<b id="x0">beta</b>'),
+}
+
+
+class TestSchemaRejections:
+    @pytest.mark.parametrize("case", sorted(SCHEMA_REJECTIONS))
+    def test_insert_rejected_and_nothing_changed(self, case):
+        build, parent_id, xml = SCHEMA_REJECTIONS[case]
+        manager = UpdateManager(build())
+        before = frozen_state(manager)
+        with pytest.raises(ValueError):
+            manager.insert_document(xml, parent_id=parent_id)
+        assert frozen_state(manager) == before
+
+
+# Replacements rejected after planning both halves: (document, new XML,
+# keywords whose answer names the document).
+REJECTED_REPLACEMENTS = {
+    "malformed-xml": ("p0", "<paper id='x'><title>unclosed", ("proximity", "distributed")),
+    "unknown-tag": (
+        "p0",
+        '<thesis id="p0"><title id="p0t">x</title></thesis>',
+        ("proximity", "distributed"),
+    ),
+    # p30 lives inside c0y1: once the old subtree is gone, the ref dangles.
+    "ref-into-removed-subtree": (
+        "c0y1",
+        '<confyear id="c0y1"><paper id="rz" ref="p30">'
+        '<title id="rzt">replacement</title></paper></confyear>',
+        ("1999",),
+    ),
+    # Papers cite author a5; a conference under the same id is no
+    # reference target for them, so the citations cannot be restored.
+    "restored-ref-outside-schema": (
+        "a5",
+        '<conference id="a5">renamed</conference>',
+        ("hristidis",),
+    ),
+}
+
+
+class TestRejectedReplace:
+    @pytest.mark.parametrize("case", sorted(REJECTED_REPLACEMENTS))
+    def test_old_document_survives(self, dblp_setup, manager, case):
+        _, _, loaded = dblp_setup
+        document_id, xml, keywords = REJECTED_REPLACEMENTS[case]
+        old_ids = {node.node_id for node in loaded.graph.containment_subtree(document_id)}
+        assert case != "ref-into-removed-subtree" or "p30" in old_ids
+        answer = ranked(loaded, keywords)
+        assert any(document_id in str(assignment) for _, assignment in answer)
+        before = frozen_state(manager)
+
+        with pytest.raises(ValueError):
+            manager.update_document(document_id, xml)
+
+        assert {
+            node.node_id for node in loaded.graph.containment_subtree(document_id)
+        } == old_ids
+        assert loaded.epoch == 0 and load_index_epoch(loaded.database) == 0
+        assert manager.versions.epoch == 0
+        assert ranked(loaded, keywords) == answer
+        assert frozen_state(manager) == before
 
 
 class TestReadWriteLock:
