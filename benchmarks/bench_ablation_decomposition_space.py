@@ -16,7 +16,7 @@ import pytest
 import common
 from repro.decomposition import FragmentClass, classify_fragment
 from repro.schema import dblp_catalog
-from repro.storage import Database, RelationStore
+from repro.storage import Database, RelationStore, store_metadata
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +35,10 @@ def test_ablation_load_time(benchmark, decomposition, to_graph):
 
     def load_once():
         database = Database()
+        store_metadata(database, to_graph)
         store = RelationStore(database, decomposition)
         store.create()
-        counts = store.load(to_graph)
+        counts = store.load()
         database.close()
         return sum(counts.values())
 
@@ -52,9 +53,10 @@ def test_ablation_space_report(to_graph):
     print("\ndecomposition      fragments  mvd  rows")
     for decomposition in common.build_decompositions():
         database = Database()
+        store_metadata(database, to_graph)
         store = RelationStore(database, decomposition)
         store.create()
-        counts = store.load(to_graph)
+        counts = store.load()
         rows = sum(counts.values())
         mvd = sum(
             1

@@ -28,7 +28,7 @@ from repro.core import XKeyword
 from repro.decomposition import FragmentClass, classify_fragment, minimal_decomposition
 from repro.schema import dblp_catalog
 from repro.service import QueryService, ServiceConfig
-from repro.storage import Database, RelationStore, load_database
+from repro.storage import Database, RelationStore, load_database, store_metadata
 from repro.updates import UpdateManager
 from repro.workloads import DBLPConfig, generate_dblp
 
@@ -169,10 +169,11 @@ def space_report() -> None:
     rows = []
     for decomposition in common.build_decompositions():
         database = Database()
+        store_metadata(database, loaded.to_graph)
         store = RelationStore(database, decomposition)
         store.create()
         started = time.perf_counter()
-        counts = store.load(loaded.to_graph)
+        counts = store.load()
         seconds = time.perf_counter() - started
         mvd = sum(
             1

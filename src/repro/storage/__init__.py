@@ -2,17 +2,11 @@
 
 from .blobs import BlobStore
 from .database import Database, quote_identifier
-from .decomposer import LoadReport, LoadedDatabase, load_database
+from .decomposer import LoadReport, LoadedDatabase, load_database, reopen_database
 from .fingerprint import VersionVector, database_fingerprint
 from .master_index import IndexEntry, MasterIndex, tokenize
-from .persistence import (
-    apply_metadata_delta,
-    has_metadata,
-    load_metadata,
-    persist_metadata,
-    reopen_database,
-)
-from .relations import PhysicalTable, RelationStore, fragment_instances
+from .persistence import apply_metadata_delta, has_metadata, load_metadata, store_metadata
+from .relations import PhysicalTable, RelationStore
 from .statistics import Statistics
 from .target_objects import EdgeInstance, TargetObjectGraph, build_target_object_graph
 
@@ -32,12 +26,11 @@ __all__ = [
     "apply_metadata_delta",
     "build_target_object_graph",
     "database_fingerprint",
-    "fragment_instances",
     "has_metadata",
     "load_database",
     "load_metadata",
-    "persist_metadata",
-    "reopen_database",
     "quote_identifier",
+    "reopen_database",
+    "store_metadata",
     "tokenize",
 ]

@@ -22,6 +22,7 @@ class BlobStore:
         self.database = database
 
     def create(self) -> None:
+        """Create the BLOB table."""
         self.database.execute(
             f"""CREATE TABLE IF NOT EXISTS {self.TABLE} (
                 to_id TEXT PRIMARY KEY,
@@ -31,6 +32,7 @@ class BlobStore:
         )
 
     def load(self, graph: XMLGraph, to_graph: TargetObjectGraph) -> int:
+        """Serialize every target object; returns how many were stored."""
         rows = []
         for to_id, tss_name in to_graph.tss_of_to.items():
             members = set(to_graph.members_of_to.get(to_id, ()))

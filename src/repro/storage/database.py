@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import sqlite3
 import threading
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 _MEMORY_COUNTER = itertools.count(1)
 
@@ -54,21 +54,27 @@ class Database:
 
     # ------------------------------------------------------------------
     def execute(self, sql: str, params: Sequence[Any] = ()) -> sqlite3.Cursor:
+        """Run one statement on this thread's connection."""
         return self.connection.execute(sql, params)
 
     def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> None:
+        """Run one statement once per parameter row."""
         self.connection.executemany(sql, rows)
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
+        """All rows of one query."""
         return self.connection.execute(sql, params).fetchall()
 
     def query_one(self, sql: str, params: Sequence[Any] = ()) -> tuple | None:
+        """The first row of one query, ``None`` when it has none."""
         return self.connection.execute(sql, params).fetchone()
 
     def commit(self) -> None:
+        """Commit this thread's open transaction."""
         self.connection.commit()
 
     def table_exists(self, name: str) -> bool:
+        """Whether a table or view of that name exists."""
         row = self.query_one(
             "SELECT 1 FROM sqlite_master WHERE type IN ('table','view') AND name = ?",
             (name,),
@@ -76,12 +82,14 @@ class Database:
         return row is not None
 
     def table_names(self) -> list[str]:
+        """Names of every table, in catalog order."""
         return [
             row[0]
             for row in self.query("SELECT name FROM sqlite_master WHERE type = 'table'")
         ]
 
     def row_count(self, table: str) -> int:
+        """Number of rows in one table."""
         _validate_identifier(table)
         row = self.query_one(f"SELECT COUNT(*) FROM {table}")
         return int(row[0]) if row else 0
@@ -93,11 +101,24 @@ class Database:
         return int(pages[0]) * int(size[0]) if pages and size else 0
 
     def close(self) -> None:
+        """Close this thread's connection and the anchor connection."""
         connection = getattr(self._local, "connection", None)
         if connection is not None:
             connection.close()
             self._local.connection = None
         self._anchor.close()
+
+
+def in_chunks(values, size: int = 400) -> Iterator[tuple[str, list]]:
+    """Sorted distinct ``values`` as ``(placeholders, chunk)`` pairs.
+
+    Splits a long ``IN (…)`` list into statements that stay well under
+    SQLite's bound-parameter limit.
+    """
+    ordered = sorted(set(values))
+    for start in range(0, len(ordered), size):
+        chunk = ordered[start:start + size]
+        yield ", ".join("?" for _ in chunk), chunk
 
 
 def _validate_identifier(name: str) -> None:

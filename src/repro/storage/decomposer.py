@@ -1,9 +1,11 @@
 """The load stage (paper Section 4, Figure 7 left half).
 
 The decomposer inputs the schema graph, the TSS graph and the XML graph
-and creates: the master index, the statistics, the target-object BLOBs
-and the connection relations of one or more decompositions.  The result,
-a :class:`LoadedDatabase`, is everything the query-processing stage needs.
+and creates: the master index, the statistics, the target-object BLOBs,
+the target-object graph's tables and, from those tables, the connection
+relations of one or more decompositions.  The result, a
+:class:`LoadedDatabase`, is everything the query-processing stage needs;
+:func:`reopen_database` returns one for a database file loaded earlier.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from ..xmlgraph.model import XMLGraph
 from .blobs import BlobStore
 from .database import Database
 from .master_index import MasterIndex
+from .persistence import load_index_epoch, load_metadata, store_metadata
 from .relations import RelationStore
 from .statistics import Statistics
 from .target_objects import TargetObjectGraph, build_target_object_graph
@@ -35,6 +38,7 @@ class LoadReport:
     seconds: dict[str, float] = field(default_factory=dict)
 
     def total_relation_rows(self, decomposition: str) -> int:
+        """Rows materialized for one decomposition, over all relations."""
         return sum(self.relation_rows.get(decomposition, {}).values())
 
 
@@ -43,8 +47,8 @@ class LoadedDatabase:
     """A fully loaded XKeyword database, ready for query processing.
 
     ``graph`` is ``None`` when the database was reopened from persisted
-    metadata (see :mod:`repro.storage.persistence`); everything except
-    node-level MTNN expansion works without it.
+    metadata (:func:`reopen_database`); everything except node-level
+    MTNN expansion works without it.
     """
 
     catalog: Catalog
@@ -62,6 +66,7 @@ class LoadedDatabase:
     """Whether the master index also indexes element tags."""
 
     def store(self, decomposition_name: str) -> RelationStore:
+        """The relation store of one loaded decomposition."""
         try:
             return self.stores[decomposition_name]
         except KeyError:
@@ -77,11 +82,19 @@ class LoadedDatabase:
         return database_fingerprint(self)
 
     def add_decomposition(self, decomposition: Decomposition) -> RelationStore:
-        """Load one more decomposition into the same database."""
+        """Load one more decomposition into the same database.
+
+        Records its row counts and build seconds in :attr:`report`
+        (``relations:<name>``); :func:`load_database` loads every
+        decomposition through here.
+        """
+        started = time.perf_counter()
         store = RelationStore(self.database, decomposition)
         store.create()
-        counts = store.load(self.to_graph)
-        self.report.relation_rows[decomposition.name] = counts
+        self.report.relation_rows[decomposition.name] = store.load()
+        self.report.seconds[f"relations:{decomposition.name}"] = (
+            time.perf_counter() - started
+        )
         self.stores[decomposition.name] = store
         return store
 
@@ -118,6 +131,10 @@ def load_database(
     report.edge_instances = to_graph.instance_count
 
     started = time.perf_counter()
+    store_metadata(database, to_graph)
+    report.seconds["metadata"] = time.perf_counter() - started
+
+    started = time.perf_counter()
     master_index = MasterIndex(database)
     master_index.create()
     report.index_entries = master_index.load(
@@ -133,17 +150,7 @@ def load_database(
 
     statistics = Statistics.from_target_object_graph(to_graph)
 
-    stores: dict[str, RelationStore] = {}
-    for decomposition in decompositions:
-        started = time.perf_counter()
-        store = RelationStore(database, decomposition)
-        store.create()
-        counts = store.load(to_graph)
-        report.relation_rows[decomposition.name] = counts
-        report.seconds[f"relations:{decomposition.name}"] = time.perf_counter() - started
-        stores[decomposition.name] = store
-
-    return LoadedDatabase(
+    loaded = LoadedDatabase(
         catalog=catalog,
         database=database,
         graph=graph,
@@ -151,7 +158,62 @@ def load_database(
         master_index=master_index,
         blobs=blobs,
         statistics=statistics,
-        stores=stores,
+        stores={},
         report=report,
         index_tags=index_tags,
+    )
+    for decomposition in decompositions:
+        loaded.add_decomposition(decomposition)
+    return loaded
+
+
+def reopen_database(
+    database: Database,
+    catalog: Catalog,
+    decompositions: list[Decomposition],
+) -> LoadedDatabase:
+    """Reopen a database file written by :func:`load_database` for querying.
+
+    The target-object graph comes back from its tables, the statistics
+    are recomputed from it, and each decomposition's relations must
+    already be in the file.  The result's ``graph`` is ``None``.
+
+    Raises:
+        LookupError: The file holds no target-object graph, or one of
+            the decompositions was not loaded into it.
+    """
+    to_graph = load_metadata(database, catalog)
+    report = LoadReport(
+        target_objects=to_graph.target_object_count,
+        edge_instances=to_graph.instance_count,
+    )
+    stores = {}
+    for decomposition in decompositions:
+        store = RelationStore(database, decomposition)
+        missing = [
+            fragment.relation_name
+            for fragment in decomposition.fragments
+            if not database.table_exists(store.base_table(fragment))
+        ]
+        if missing:
+            raise LookupError(
+                f"decomposition {decomposition.name!r} was not loaded into "
+                f"this database (missing {missing[:3]}...)"
+            )
+        stores[decomposition.name] = store
+        report.relation_rows[decomposition.name] = {
+            fragment.relation_name: store.row_count(fragment)
+            for fragment in decomposition.fragments
+        }
+    return LoadedDatabase(
+        catalog=catalog,
+        database=database,
+        graph=None,
+        to_graph=to_graph,
+        master_index=MasterIndex(database),
+        blobs=BlobStore(database),
+        statistics=Statistics.from_target_object_graph(to_graph),
+        stores=stores,
+        report=report,
+        epoch=load_index_epoch(database),
     )

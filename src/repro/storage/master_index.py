@@ -42,6 +42,7 @@ class MasterIndex:
         self.database = database
 
     def create(self) -> None:
+        """Create the master-index table."""
         self.database.execute(
             f"""CREATE TABLE IF NOT EXISTS {self.TABLE} (
                 keyword TEXT NOT NULL,
@@ -164,6 +165,7 @@ class MasterIndex:
         return {row[0] for row in rows}
 
     def keyword_count(self, keyword: str) -> int:
+        """Number of index entries for one keyword."""
         row = self.database.query_one(
             f"SELECT COUNT(*) FROM {self.TABLE} WHERE keyword = ?", (keyword.lower(),)
         )

@@ -1,47 +1,49 @@
-"""Persisting and reopening loaded databases (load once, query forever).
+"""The target-object graph in SQL, and the durable index epoch.
 
-The master index, BLOBs and connection relations already live in SQLite;
-this module persists the remaining load-stage artifacts — the
-target-object graph and the statistics — so a database file can be
-reopened for querying without re-parsing the XML:
+``load_database`` writes the target-object (TO) graph into three tables
+of the database it loads: ``meta_target_objects`` (each TO and its TSS),
+``meta_to_members`` (XML node -> TO) and ``meta_to_edges`` (each
+TSS-edge instance and its realizing node path).  They are the input of
+the connection-relation builder (:mod:`.relations`), which joins
+``meta_to_edges`` once per fragment edge; the update subsystem keeps
+them current in each mutation's apply step, ahead of the relation
+delta.  Because every load writes them, a database file can be reopened
+for querying without re-parsing the XML:
 
     loaded = load_database(graph, catalog, decompositions,
                            database=Database("dblp.db"))
-    persist_metadata(loaded)
     ...
     reopened = reopen_database(Database("dblp.db"), catalog, decompositions)
-
-``reopen_database`` returns a :class:`LoadedDatabase` whose ``graph`` is
-``None``: every query-stage operation works (search, navigation, BLOB
-display); only node-level MTNN expansion needs the original XML graph.
 """
 
 from __future__ import annotations
 
-from ..decomposition.strategies import Decomposition
 from ..schema.catalogs import Catalog
-from .blobs import BlobStore
-from .database import Database
-from .decomposer import LoadReport, LoadedDatabase
-from .master_index import MasterIndex
-from .relations import RelationStore
-from .statistics import Statistics
+from .database import Database, in_chunks
 from .target_objects import EdgeInstance, TargetObjectGraph
 
-_TO_TABLE = "meta_target_objects"
-_MEMBER_TABLE = "meta_to_members"
-_EDGE_TABLE = "meta_to_edges"
+TO_TABLE = "meta_target_objects"
+MEMBER_TABLE = "meta_to_members"
+EDGE_TABLE = "meta_to_edges"
 _STATE_TABLE = "meta_index_state"
+
+_METADATA_DDL = (
+    f"""CREATE TABLE IF NOT EXISTS {TO_TABLE} (
+        to_id TEXT PRIMARY KEY, tss TEXT NOT NULL) WITHOUT ROWID""",
+    f"""CREATE TABLE IF NOT EXISTS {MEMBER_TABLE} (
+        node_id TEXT PRIMARY KEY, to_id TEXT NOT NULL) WITHOUT ROWID""",
+    f"""CREATE TABLE IF NOT EXISTS {EDGE_TABLE} (
+        edge_id TEXT NOT NULL, source_to TEXT NOT NULL,
+        target_to TEXT NOT NULL, node_path TEXT NOT NULL,
+        PRIMARY KEY (edge_id, source_to, target_to)) WITHOUT ROWID""",
+    # The builder walks fragment edges in both directions.
+    f"""CREATE INDEX IF NOT EXISTS {EDGE_TABLE}_reverse
+        ON {EDGE_TABLE} (edge_id, target_to, source_to)""",
+)
 
 
 def store_index_epoch(database: Database, epoch: int) -> None:
-    """Record the index epoch durably (caller commits with the mutation).
-
-    Unlike the metadata tables this is written unconditionally: the
-    epoch must survive restarts even for databases that never ran
-    :func:`persist_metadata`, so monotonicity checks keep working after
-    a reopen.
-    """
+    """Record the index epoch durably (caller commits with the mutation)."""
     database.execute(
         f"""CREATE TABLE IF NOT EXISTS {_STATE_TABLE} (
             key TEXT PRIMARY KEY, value INTEGER NOT NULL) WITHOUT ROWID"""
@@ -62,52 +64,24 @@ def load_index_epoch(database: Database) -> int:
     return int(row[0]) if row is not None else 0
 
 
-def persist_metadata(loaded: LoadedDatabase) -> None:
-    """Write the target-object graph into the database."""
-    database = loaded.database
-    database.execute(
-        f"""CREATE TABLE IF NOT EXISTS {_TO_TABLE} (
-            to_id TEXT PRIMARY KEY, tss TEXT NOT NULL) WITHOUT ROWID"""
-    )
-    database.execute(
-        f"""CREATE TABLE IF NOT EXISTS {_MEMBER_TABLE} (
-            node_id TEXT PRIMARY KEY, to_id TEXT NOT NULL) WITHOUT ROWID"""
-    )
-    database.execute(
-        f"""CREATE TABLE IF NOT EXISTS {_EDGE_TABLE} (
-            edge_id TEXT NOT NULL, source_to TEXT NOT NULL,
-            target_to TEXT NOT NULL, node_path TEXT NOT NULL,
-            PRIMARY KEY (edge_id, source_to, target_to)) WITHOUT ROWID"""
-    )
-    to_graph = loaded.to_graph
-    database.executemany(
-        f"INSERT OR REPLACE INTO {_TO_TABLE} VALUES (?, ?)",
-        sorted(to_graph.tss_of_to.items()),
-    )
-    database.executemany(
-        f"INSERT OR REPLACE INTO {_MEMBER_TABLE} VALUES (?, ?)",
-        sorted(to_graph.to_of_node.items()),
-    )
-    edge_rows = []
-    for edge_id, instances in to_graph.instances.items():
-        for instance in instances:
-            edge_rows.append(
-                (
-                    edge_id,
-                    instance.source_to,
-                    instance.target_to,
-                    "\x1f".join(instance.node_path),
-                )
-            )
-    database.executemany(
-        f"INSERT OR REPLACE INTO {_EDGE_TABLE} VALUES (?, ?, ?, ?)",
-        sorted(edge_rows),
+def store_metadata(database: Database, to_graph: TargetObjectGraph) -> None:
+    """Create the TO-graph tables and write the whole graph into them."""
+    for statement in _METADATA_DDL:
+        database.execute(statement)
+    apply_metadata_delta(
+        database,
+        new_target_objects=to_graph.tss_of_to.items(),
+        new_members=to_graph.to_of_node.items(),
+        new_instances=[
+            instance for bucket in to_graph.instances.values() for instance in bucket
+        ],
     )
     database.commit()
 
 
 def has_metadata(database: Database) -> bool:
-    return database.table_exists(_TO_TABLE)
+    """Whether the database holds a TO graph written by a load."""
+    return database.table_exists(TO_TABLE)
 
 
 def apply_metadata_delta(
@@ -119,9 +93,10 @@ def apply_metadata_delta(
     new_members=(),
     new_instances=(),
 ) -> None:
-    """Mirror one incremental mutation into the persisted metadata tables.
+    """Mirror a change of the TO graph into its tables; the caller commits.
 
-    No-op when the database was never persisted.  The caller commits.
+    Removals run before additions, so an instance removed and re-added
+    in one call (a re-pathed edge) ends up present.
 
     Args:
         removed_node_ids: XML node ids whose member rows vanish.
@@ -131,34 +106,29 @@ def apply_metadata_delta(
         new_members: ``(node_id, to_id)`` pairs.
         new_instances: :class:`EdgeInstance` objects (added or re-pathed).
     """
-    if not has_metadata(database):
-        return
     for table, key_column, ids in (
-        (_MEMBER_TABLE, "node_id", sorted(set(removed_node_ids))),
-        (_TO_TABLE, "to_id", sorted(set(removed_to_ids))),
+        (MEMBER_TABLE, "node_id", removed_node_ids),
+        (TO_TABLE, "to_id", removed_to_ids),
     ):
-        for start in range(0, len(ids), 400):
-            chunk = ids[start:start + 400]
-            placeholders = ", ".join("?" for _ in chunk)
+        for placeholders, chunk in in_chunks(ids):
             database.execute(
                 f"DELETE FROM {table} WHERE {key_column} IN ({placeholders})", chunk
             )
-    for edge_id, source_to, target_to in sorted(set(removed_edge_keys)):
-        database.execute(
-            f"DELETE FROM {_EDGE_TABLE} "
-            "WHERE edge_id = ? AND source_to = ? AND target_to = ?",
-            (edge_id, source_to, target_to),
-        )
     database.executemany(
-        f"INSERT OR REPLACE INTO {_TO_TABLE} VALUES (?, ?)",
+        f"DELETE FROM {EDGE_TABLE} "
+        "WHERE edge_id = ? AND source_to = ? AND target_to = ?",
+        sorted(set(removed_edge_keys)),
+    )
+    database.executemany(
+        f"INSERT OR REPLACE INTO {TO_TABLE} VALUES (?, ?)",
         sorted(set(new_target_objects)),
     )
     database.executemany(
-        f"INSERT OR REPLACE INTO {_MEMBER_TABLE} VALUES (?, ?)",
+        f"INSERT OR REPLACE INTO {MEMBER_TABLE} VALUES (?, ?)",
         sorted(set(new_members)),
     )
     database.executemany(
-        f"INSERT OR REPLACE INTO {_EDGE_TABLE} VALUES (?, ?, ?, ?)",
+        f"INSERT OR REPLACE INTO {EDGE_TABLE} VALUES (?, ?, ?, ?)",
         sorted(
             {
                 (
@@ -174,66 +144,22 @@ def apply_metadata_delta(
 
 
 def load_metadata(database: Database, catalog: Catalog) -> TargetObjectGraph:
-    """Rebuild the target-object graph from persisted metadata."""
+    """Rebuild the in-memory target-object graph from its tables."""
     if not has_metadata(database):
         raise LookupError(
-            "database holds no persisted metadata; run persist_metadata first"
+            "database holds no persisted metadata; it was not written by load_database"
         )
     to_graph = TargetObjectGraph(catalog.tss)
-    for to_id, tss in database.query(f"SELECT to_id, tss FROM {_TO_TABLE}"):
+    for to_id, tss in database.query(f"SELECT to_id, tss FROM {TO_TABLE}"):
         to_graph.add_target_object(to_id, tss)
     for node_id, to_id in database.query(
-        f"SELECT node_id, to_id FROM {_MEMBER_TABLE}"
+        f"SELECT node_id, to_id FROM {MEMBER_TABLE}"
     ):
         to_graph.add_member(to_id, node_id)
     for edge_id, source_to, target_to, packed in database.query(
-        f"SELECT edge_id, source_to, target_to, node_path FROM {_EDGE_TABLE}"
+        f"SELECT edge_id, source_to, target_to, node_path FROM {EDGE_TABLE}"
     ):
         to_graph.add_instance(
             EdgeInstance(edge_id, source_to, target_to, tuple(packed.split("\x1f")))
         )
     return to_graph
-
-
-def reopen_database(
-    database: Database,
-    catalog: Catalog,
-    decompositions: list[Decomposition],
-) -> LoadedDatabase:
-    """Reopen a previously loaded-and-persisted database for querying."""
-    to_graph = load_metadata(database, catalog)
-    stores = {}
-    report = LoadReport(
-        target_objects=to_graph.target_object_count,
-        edge_instances=to_graph.instance_count,
-    )
-    for decomposition in decompositions:
-        store = RelationStore(database, decomposition)
-        missing = [
-            fragment.relation_name
-            for fragment in decomposition.fragments
-            if not database.table_exists(store.base_table(fragment))
-        ]
-        if missing:
-            raise LookupError(
-                f"decomposition {decomposition.name!r} was not loaded into "
-                f"this database (missing {missing[:3]}...)"
-            )
-        stores[decomposition.name] = store
-        report.relation_rows[decomposition.name] = {
-            fragment.relation_name: store.row_count(fragment)
-            for fragment in decomposition.fragments
-        }
-    reopened = LoadedDatabase(
-        catalog=catalog,
-        database=database,
-        graph=None,  # type: ignore[arg-type]
-        to_graph=to_graph,
-        master_index=MasterIndex(database),
-        blobs=BlobStore(database),
-        statistics=Statistics.from_target_object_graph(to_graph),
-        stores=stores,
-        report=report,
-    )
-    reopened.epoch = load_index_epoch(database)
-    return reopened

@@ -15,6 +15,13 @@ physical organization follows the decomposition's
   column (the paper's fallback when clustering is too expensive).
 * ``NONE`` — one heap table, no indexes (full scans only).
 
+SQLite builds every relation itself from the SQL copy of the
+target-object graph (:mod:`.persistence`): one ``INSERT … SELECT`` per
+physical table, compiled by :func:`fragment_select`.  The update
+subsystem runs the same query with one role pinned
+(:meth:`RelationStore.embeddings`) to recompute the rows a delta
+touched.
+
 Tables are shared across decompositions: two decompositions containing
 the same fragment under the same policy reuse the same tables.
 """
@@ -22,12 +29,11 @@ the same fragment under the same policy reuse the same tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..decomposition.fragments import Fragment
 from ..decomposition.strategies import Decomposition, IndexPolicy
-from .database import Database, quote_identifier
-from .target_objects import TargetObjectGraph
+from .database import Database, in_chunks, quote_identifier
+from .persistence import EDGE_TABLE, TO_TABLE
 
 _POLICY_CODES = {
     IndexPolicy.ALL_ROTATIONS: "cl",
@@ -36,64 +42,44 @@ _POLICY_CODES = {
 }
 
 
-def fragment_instances(
-    fragment: Fragment,
-    to_graph: TargetObjectGraph,
-    anchor: tuple[int, str] | None = None,
-) -> Iterator[tuple[str, ...]]:
-    """All embeddings of a fragment into the target-object graph.
+def fragment_select(fragment: Fragment) -> tuple[tuple[str, ...], str, list[str]]:
+    """One SQL query enumerating every embedding of a fragment.
 
-    Rows are tuples of target-object ids in role order; roles must bind
-    distinct target objects (a fragment instance is a *subgraph* of the
-    target-object graph).
+    Returns ``(roles, body, params)``: ``roles`` are the SQL expressions
+    binding each role in role order, and ``SELECT <roles> <body>`` with
+    ``params`` yields one row per embedding of the fragment into the
+    target-object graph's tables (:mod:`.persistence`).  ``body`` always
+    ends in a ``WHERE`` clause, so callers may append ``AND …``.
 
-    Args:
-        anchor: Optional ``(role, to_id)`` pair pinning one role to one
-            target object.  Enumeration then walks outward from the
-            anchor, yielding exactly the embeddings containing that
-            target object in that role — the update subsystem's way to
-            recompute only rows touched by a delta.
+    Each fragment edge reads one ``meta_to_edges`` alias, joined to its
+    neighbours on the roles they share.  Roles must bind distinct target
+    objects (a fragment instance is a *subgraph*), but each target object
+    has exactly one TSS, so only roles with the same label need ``<>``.
+    A single-role fragment reads ``meta_target_objects``.
     """
-    start = anchor[0] if anchor is not None else 0
-    order: list[tuple[int, object]] = [(start, None)]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        role = frontier.pop()
-        for edge in fragment.incident(role):
-            nxt = edge.other(role)
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append((nxt, edge))
-                frontier.append(nxt)
-
-    assignment: dict[int, str] = {}
-
-    def extend(index: int) -> Iterator[tuple[str, ...]]:
-        if index == len(order):
-            yield tuple(assignment[role] for role in range(fragment.role_count))
-            return
-        role, via = order[index]
-        if via is None:
-            if anchor is not None:
-                candidates = [anchor[1]]
+    if not fragment.edges:
+        return ("t.to_id",), f"FROM {TO_TABLE} AS t WHERE t.tss = ?", [fragment.labels[0]]
+    binding: dict[int, str] = {}
+    tables: list[str] = []
+    conditions: list[str] = []
+    params: list[str] = []
+    for index, edge in enumerate(fragment.edges):
+        alias = f"e{index}"
+        tables.append(f"{EDGE_TABLE} AS {alias}")
+        conditions.append(f"{alias}.edge_id = ?")
+        params.append(edge.edge_id)
+        for role, column in ((edge.source, "source_to"), (edge.target, "target_to")):
+            expression = f"{alias}.{column}"
+            if role in binding:
+                conditions.append(f"{expression} = {binding[role]}")
             else:
-                candidates = to_graph.target_objects(fragment.labels[role])
-        else:
-            bound = assignment[via.other(role)]  # type: ignore[union-attr]
-            if via.oriented_from(via.other(role)):  # type: ignore[union-attr]
-                candidates = to_graph.targets(via.edge_id, bound)  # type: ignore[union-attr]
-            else:
-                candidates = to_graph.sources(via.edge_id, bound)  # type: ignore[union-attr]
-        taken = set(assignment.values())
-        for candidate in candidates:
-            if candidate in taken:
-                continue
-            assignment[role] = candidate
-            yield from extend(index + 1)
-            del assignment[role]
-
-    yield from extend(0)
+                binding[role] = expression
+    roles = tuple(binding[role] for role in range(fragment.role_count))
+    for first in range(fragment.role_count):
+        for second in range(first + 1, fragment.role_count):
+            if fragment.labels[first] == fragment.labels[second]:
+                conditions.append(f"{roles[first]} <> {roles[second]}")
+    return roles, f"FROM {', '.join(tables)} WHERE {' AND '.join(conditions)}", params
 
 
 @dataclass(frozen=True)
@@ -118,6 +104,7 @@ class RelationStore:
     # Naming
     # ------------------------------------------------------------------
     def base_table(self, fragment: Fragment) -> str:
+        """The relation's base table: role-ordered columns, rotation 0."""
         return quote_identifier(f"{fragment.relation_name}_{self._code}")
 
     def _rotation_table(self, fragment: Fragment, leading: int) -> str:
@@ -125,6 +112,7 @@ class RelationStore:
         return base if leading == 0 else quote_identifier(f"{base}_r{leading}")
 
     def physical_tables(self, fragment: Fragment) -> list[PhysicalTable]:
+        """Every table materializing the relation, the base table first."""
         columns = fragment.columns
         if self.policy is IndexPolicy.ALL_ROTATIONS:
             tables = []
@@ -142,6 +130,7 @@ class RelationStore:
     # DDL + loading
     # ------------------------------------------------------------------
     def create(self) -> None:
+        """Create every physical table (and index) the policy calls for."""
         for fragment in self.decomposition.fragments:
             for table in self.physical_tables(fragment):
                 column_sql = ", ".join(f"{quote_identifier(c)} TEXT NOT NULL" for c in table.columns)
@@ -164,9 +153,14 @@ class RelationStore:
                     )
         self.database.commit()
 
-    def load(self, to_graph: TargetObjectGraph) -> dict[str, int]:
+    def load(self) -> dict[str, int]:
         """Populate every relation; returns row counts per relation name.
 
+        SQLite builds each relation from the target-object graph's tables
+        (:func:`fragment_select`): the base table with one
+        ``INSERT … SELECT`` sorted on every column in role order, then
+        each rotation copy from the base table, sorted on its own column
+        order.  Heap tables thus receive their rows in sorted order.
         Already-populated tables (shared with a previously loaded
         decomposition under the same policy) are left untouched.
         """
@@ -177,15 +171,20 @@ class RelationStore:
             if existing:
                 counts[fragment.relation_name] = existing
                 continue
-            rows = sorted(set(fragment_instances(fragment, to_graph)))
-            for table in self.physical_tables(fragment):
-                projection = [fragment.columns.index(c) for c in table.columns]
-                placeholders = ", ".join("?" for _ in table.columns)
-                self.database.executemany(
-                    f"INSERT OR IGNORE INTO {table.name} VALUES ({placeholders})",
-                    [tuple(row[p] for p in projection) for row in rows],
+            roles, body, params = fragment_select(fragment)
+            selected = ", ".join(roles)
+            # No DISTINCT: the edge keys an embedding joins are fixed by
+            # its roles, so the join yields each embedding once.
+            counts[fragment.relation_name] = self.database.execute(
+                f"INSERT INTO {base} SELECT {selected} {body} ORDER BY {selected}",
+                params,
+            ).rowcount
+            for table in self.physical_tables(fragment)[1:]:
+                columns = ", ".join(quote_identifier(c) for c in table.columns)
+                self.database.execute(
+                    f"INSERT INTO {table.name} ({columns}) "
+                    f"SELECT {columns} FROM {base} ORDER BY {columns}"
                 )
-            counts[fragment.relation_name] = len(rows)
         self.database.commit()
         return counts
 
@@ -222,24 +221,45 @@ class RelationStore:
     def rows_containing(
         self, fragment: Fragment, to_ids
     ) -> set[tuple[str, ...]]:
-        """Existing rows binding any of the given target objects."""
-        ids = sorted(set(to_ids))
-        if not ids:
-            return set()
-        base = self.base_table(fragment)
+        """Existing rows binding any of the given target objects.
+
+        Probes each column on the table keyed by it
+        (:meth:`clustered_table`), so under ``ALL_ROTATIONS`` and
+        ``SINGLE_COLUMN_INDEXES`` every probe is an index search.
+        """
         select = ", ".join(quote_identifier(c) for c in fragment.columns)
         rows: set[tuple[str, ...]] = set()
         for column in fragment.columns:
-            for start in range(0, len(ids), 400):
-                chunk = ids[start:start + 400]
-                placeholders = ", ".join("?" for _ in chunk)
+            table = self.clustered_table(fragment, column)
+            for placeholders, chunk in in_chunks(to_ids):
                 rows.update(
                     self.database.query(
-                        f"SELECT {select} FROM {base} "
+                        f"SELECT {select} FROM {table} "
                         f"WHERE {quote_identifier(column)} IN ({placeholders})",
                         chunk,
                     )
                 )
+        return rows
+
+    def embeddings(
+        self, fragment: Fragment, role: int, to_ids
+    ) -> set[tuple[str, ...]]:
+        """Embeddings binding ``role`` to one of ``to_ids``, recomputed.
+
+        The same query :meth:`load` materializes, with the role pinned:
+        the update subsystem's way to rebuild only the rows a delta
+        touched.  Rows are in the fragment's column order.
+        """
+        roles, body, params = fragment_select(fragment)
+        rows: set[tuple[str, ...]] = set()
+        for placeholders, chunk in in_chunks(to_ids):
+            rows.update(
+                self.database.query(
+                    f"SELECT {', '.join(roles)} {body} "
+                    f"AND {roles[role]} IN ({placeholders})",
+                    [*params, *chunk],
+                )
+            )
         return rows
 
     def apply_row_delta(self, fragment: Fragment, remove_rows, add_rows) -> None:
@@ -269,6 +289,7 @@ class RelationStore:
                 )
 
     def row_count(self, fragment: Fragment) -> int:
+        """Number of rows in the relation."""
         return self.database.row_count(self.base_table(fragment))
 
     def clustered_table(self, fragment: Fragment, column: str | None) -> str:

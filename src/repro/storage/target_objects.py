@@ -57,14 +57,17 @@ class TargetObjectGraph:
 
     # ------------------------------------------------------------------
     def add_target_object(self, to_id: str, tss_name: str) -> None:
+        """Register a target object of one TSS (its members come later)."""
         self.tss_of_to[to_id] = tss_name
         self.members_of_to.setdefault(to_id, [])
 
     def add_member(self, to_id: str, node_id: str) -> None:
+        """Assign one XML node to a target object."""
         self.to_of_node[node_id] = to_id
         self.members_of_to.setdefault(to_id, []).append(node_id)
 
     def add_instance(self, instance: EdgeInstance) -> None:
+        """Record one TSS-edge instance; a known TO-level key is ignored."""
         bucket = self.instances.setdefault(instance.edge_id, [])
         key = instance.key
         if key in self._paths:
@@ -85,6 +88,7 @@ class TargetObjectGraph:
     # Incremental maintenance (the update subsystem's delta surface)
     # ------------------------------------------------------------------
     def has_instance(self, edge_id: str, source_to: str, target_to: str) -> bool:
+        """Whether the TO-level edge is present."""
         return (edge_id, source_to, target_to) in self._paths
 
     def remove_instance(self, edge_id: str, source_to: str, target_to: str) -> None:
@@ -155,15 +159,18 @@ class TargetObjectGraph:
         return list(self._backward.get((edge_id, target_to), ()))
 
     def path_of(self, edge_id: str, source_to: str, target_to: str) -> tuple[str, ...]:
+        """The XML node path realizing one TO-level edge."""
         return self._paths[(edge_id, source_to, target_to)]
 
     def pairs(self, edge_id: str) -> list[tuple[str, str]]:
+        """``(source_to, target_to)`` of every instance of one TSS edge."""
         return [
             (instance.source_to, instance.target_to)
             for instance in self.instances.get(edge_id, ())
         ]
 
     def target_objects(self, tss_name: str | None = None) -> list[str]:
+        """Target objects of one TSS, or all of them."""
         if tss_name is None:
             return list(self.tss_of_to)
         return [to for to, tss in self.tss_of_to.items() if tss == tss_name]

@@ -29,8 +29,11 @@ Soundness rests on two locality arguments:
 
 Connection relations change only in rows binding a *touched* target
 object (new, removed, or an endpoint of an added/removed edge instance),
-so the delta deletes and re-enumerates exactly those rows, using
-anchored :func:`~repro.storage.relations.fragment_instances` enumeration.
+so the delta deletes and recomputes exactly those rows with the load's
+own SQL builder, one role pinned
+(:meth:`~repro.storage.relations.RelationStore.embeddings`).  The
+builder reads the target-object graph's tables, so each apply step
+writes its part of the target-object graph there first.
 
 Concurrency follows single-writer/multi-reader discipline: queries run
 under :meth:`UpdateManager.read`, mutations hold the write side of a
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 
 from ..schema.graph import SchemaError
@@ -55,7 +57,6 @@ from ..storage.persistence import (
     load_index_epoch,
     store_index_epoch,
 )
-from ..storage.relations import fragment_instances
 from ..storage.target_objects import (
     EdgeInstance,
     edge_instances,
@@ -210,8 +211,9 @@ class _Delta:
     """What the apply steps hand to the mutation's one commit."""
 
     refresh_tos: set[str] = field(default_factory=set)
-    metadata: dict[str, list] = field(default_factory=lambda: defaultdict(list))
-    """Keyword arguments of :func:`apply_metadata_delta`."""
+    """Target objects whose BLOBs are rewritten."""
+    removed_tos: list[str] = field(default_factory=list)
+    """Target objects whose BLOBs are dropped first."""
 
 
 class UpdateManager:
@@ -342,8 +344,12 @@ class UpdateManager:
                 report = MutationReport(op, steps[-1].document_id)
                 for step in steps:
                     if isinstance(step, _DeletePlan):
+                        # analysis: blocking-ok[apply writes the step's
+                        # TO-graph rows, which the relation builder reads
+                        # back; all of it commits once, below]
                         report += self._apply_delete(step, delta)
                     else:
+                        # analysis: blocking-ok[as the delete step above]
                         report += self._apply_insert(step, delta)
                 span.finish()
                 span = trace.span("commit", op=op)
@@ -515,6 +521,12 @@ class UpdateManager:
         ]
         for instance in added:
             to_graph.add_instance(instance)
+        apply_metadata_delta(
+            loaded.database,
+            new_target_objects=plan.new_tos.items(),
+            new_members=plan.member_of.items(),
+            new_instances=added,
+        )
 
         entries_added, keywords = loaded.master_index.add_entries(
             fragment.nodes(),
@@ -536,9 +548,6 @@ class UpdateManager:
             for source, _ in plan.restore_refs
             if source in to_graph.to_of_node
         }
-        delta.metadata["new_target_objects"] += plan.new_tos.items()
-        delta.metadata["new_members"] += plan.member_of.items()
-        delta.metadata["new_instances"] += added
         if plan.parent_id is None:
             self._documents.add(plan.document_id)
         return MutationReport(
@@ -594,6 +603,13 @@ class UpdateManager:
                 survivor = EdgeInstance(*instance.key, found)
                 to_graph.add_instance(survivor)
                 readded.append(survivor)
+        apply_metadata_delta(
+            loaded.database,
+            removed_node_ids=plan.removed_ids,
+            removed_to_ids=plan.removed_tos,
+            removed_edge_keys=[instance.key for instance in plan.removed_instances],
+            new_instances=readded,
+        )
 
         surviving_touched = plan.member_changed | {
             endpoint
@@ -606,12 +622,7 @@ class UpdateManager:
         )
 
         delta.refresh_tos |= plan.member_changed | plan.boundary_tos
-        delta.metadata["removed_node_ids"] += plan.removed_ids
-        delta.metadata["removed_to_ids"] += plan.removed_tos
-        delta.metadata["removed_edge_keys"] += [
-            instance.key for instance in plan.removed_instances
-        ]
-        delta.metadata["new_instances"] += readded
+        delta.removed_tos += plan.removed_tos
         self._documents.discard(plan.document_id)
         return MutationReport(
             op="delete",
@@ -631,8 +642,9 @@ class UpdateManager:
         """Recompute exactly the relation rows binding a touched TO.
 
         ``surviving`` are the touched target objects still in the TO
-        graph, ``removed_tos`` (TO -> TSS name) the deleted ones.
-        Physical tables shared across decompositions are rewritten once
+        graph, ``removed_tos`` (TO -> TSS name) the deleted ones; the TO
+        graph's tables must already reflect the step.  Physical tables
+        shared across decompositions are rewritten once
         (keyed by base-table name); relations whose recomputed rows equal
         the stored rows are left untouched, so the cache's per-relation
         versions only advance for real changes.
@@ -658,12 +670,9 @@ class UpdateManager:
                 old_rows = store.rows_containing(fragment, delete_ids)
                 new_rows: set[tuple[str, ...]] = set()
                 for role, label in enumerate(fragment.labels):
-                    for to_id in surviving_by_tss.get(label, ()):
-                        new_rows.update(
-                            fragment_instances(
-                                fragment, loaded.to_graph, anchor=(role, to_id)
-                            )
-                        )
+                    new_rows |= store.embeddings(
+                        fragment, role, surviving_by_tss.get(label, ())
+                    )
                 if old_rows == new_rows:
                     continue
                 store.apply_row_delta(
@@ -681,9 +690,8 @@ class UpdateManager:
     # ------------------------------------------------------------------
     def _commit(self, delta: _Delta, report: MutationReport) -> None:
         loaded = self.loaded
-        loaded.blobs.remove(delta.metadata["removed_to_ids"])
+        loaded.blobs.remove(delta.removed_tos)
         loaded.blobs.store_for(loaded.graph, loaded.to_graph, delta.refresh_tos)
-        apply_metadata_delta(loaded.database, **delta.metadata)
         loaded.statistics.refresh_from(loaded.to_graph)
         # The epoch advances inside the mutation's transaction so a
         # restarted process resumes from a monotonic counter.

@@ -14,7 +14,8 @@ from repro.decomposition import (
     relation_satisfies_fd,
     relation_satisfies_mvd,
 )
-from repro.storage import fragment_instances
+
+from ..storage.oracle import fragment_instances
 
 
 def frag(labels, edges):

@@ -18,7 +18,7 @@ from repro.cli import main as cli_main
 from repro.decomposition import minimal_decomposition
 from repro.schema import dblp_catalog
 from repro.service import QueryService, ServiceConfig
-from repro.storage import Database, load_database, persist_metadata, reopen_database
+from repro.storage import Database, load_database, reopen_database
 from repro.workloads import DBLPConfig, generate_dblp
 
 from .test_server import get_json, post_search, start_server
@@ -150,8 +150,6 @@ class TestReadOnlyDatabase:
         decomps = [minimal_decomposition(catalog.tss)]
         path = str(tmp_path / "persisted.db")
         loaded = load_database(graph, catalog, decomps, database=Database(path))
-        persist_metadata(loaded)
-        loaded.database.commit()
         reopened = reopen_database(Database(path), catalog, decomps)
         service = QueryService(reopened, ServiceConfig(workers=1))
         server, base = start_server(service)

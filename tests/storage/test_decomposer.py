@@ -31,6 +31,20 @@ class TestLoadStage:
         fragment = single_edge_fragment(tpch.tss, "Part=>Part")
         assert loaded.store("MinNClustNIndx").row_count(fragment) == 2
 
+    def test_both_load_paths_report_seconds_and_rows(self, figure1_graph, tpch):
+        clustered = minimal_decomposition(tpch.tss)
+        heap = minimal_decomposition(tpch.tss, IndexPolicy.NONE)
+        upfront = load_database(figure1_graph, tpch, [clustered, heap])
+        later = load_database(figure1_graph, tpch, [clustered])
+        later.add_decomposition(heap)
+        for loaded in (upfront, later):
+            for name in ("MinClust", "MinNClustNIndx"):
+                assert loaded.report.seconds[f"relations:{name}"] >= 0.0
+                assert loaded.report.relation_rows[name] == (
+                    upfront.report.relation_rows[name]
+                )
+                assert loaded.report.total_relation_rows(name) > 0
+
     def test_validation_rejects_bad_graph(self, tpch):
         g = XMLGraph()
         g.add_node("x", "mystery")

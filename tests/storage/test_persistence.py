@@ -9,7 +9,6 @@ from repro.storage import (
     has_metadata,
     load_database,
     load_metadata,
-    persist_metadata,
     reopen_database,
 )
 
@@ -21,8 +20,6 @@ def persisted(tmp_path, figure1_graph, tpch):
         figure1_graph, tpch, [minimal_decomposition(tpch.tss)],
         database=Database(path),
     )
-    persist_metadata(loaded)
-    loaded.database.commit()
     return path, loaded
 
 

@@ -10,7 +10,9 @@ from repro.decomposition import (
     minimal_decomposition,
     single_edge_fragment,
 )
-from repro.storage import Database, RelationStore, build_target_object_graph, fragment_instances
+from repro.storage import Database, RelationStore, build_target_object_graph, store_metadata
+
+from .oracle import fragment_instances
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +51,10 @@ class TestFragmentInstances:
 @pytest.fixture(scope="module")
 def clustered_store(tpch, to_graph):
     db = Database()
+    store_metadata(db, to_graph)
     store = RelationStore(db, minimal_decomposition(tpch.tss))
     store.create()
-    store.load(to_graph)
+    store.load()
     return store
 
 
@@ -84,12 +87,40 @@ class TestClusteredStore:
         assert clustered_store.lookup(fragment, {"part_id": "nope"}) == []
 
     def test_reload_is_idempotent(self, clustered_store, to_graph):
-        counts_again = clustered_store.load(to_graph)
+        counts_again = clustered_store.load()
         fragment_counts = set(counts_again.values())
         assert all(count > 0 for count in fragment_counts)
 
     def test_storage_bytes_positive(self, clustered_store):
         assert clustered_store.storage_bytes() > 0
+
+
+class TestRowsContaining:
+    def test_every_column_probe_is_an_index_search(self, tpch, to_graph):
+        fragments = (*minimal_decomposition(tpch.tss).fragments, olpa(tpch))
+        db = Database()
+        store_metadata(db, to_graph)
+        store = RelationStore(
+            db, Decomposition("Probe", fragments, IndexPolicy.ALL_ROTATIONS)
+        )
+        store.create()
+        store.load()
+        statements: list[str] = []
+        db.connection.set_trace_callback(statements.append)
+        try:
+            rows = {
+                fragment.relation_name: store.rows_containing(fragment, ["pa3", "o1"])
+                for fragment in fragments
+            }
+        finally:
+            db.connection.set_trace_callback(None)
+        assert rows[olpa(tpch).relation_name] == {("o1", "l1", "pa3"), ("o1", "l2", "pa3")}
+        assert len(statements) == sum(len(f.columns) for f in fragments)
+        for statement in statements:
+            plan = [row[3] for row in db.query(f"EXPLAIN QUERY PLAN {statement}")]
+            assert plan and all(step.startswith("SEARCH") for step in plan), (
+                statement, plan,
+            )
 
 
 class TestHeapPolicies:
@@ -98,9 +129,10 @@ class TestHeapPolicies:
     )
     def test_single_table_per_fragment(self, tpch, to_graph, policy):
         db = Database()
+        store_metadata(db, to_graph)
         store = RelationStore(db, minimal_decomposition(tpch.tss, policy))
         store.create()
-        store.load(to_graph)
+        store.load()
         fragment = single_edge_fragment(tpch.tss, "Part=>Part")
         assert len(store.physical_tables(fragment)) == 1
         assert set(store.lookup(fragment, {"part_id": "pa3"})) == {
@@ -129,12 +161,13 @@ class TestHeapPolicies:
 class TestMultiFragmentDecomposition:
     def test_wide_fragment_loads(self, tpch, to_graph):
         db = Database()
+        store_metadata(db, to_graph)
         decomposition = Decomposition(
             "Test", (olpa(tpch),), IndexPolicy.ALL_ROTATIONS
         )
         store = RelationStore(db, decomposition)
         store.create()
-        counts = store.load(to_graph)
+        counts = store.load()
         assert counts[olpa(tpch).relation_name] == 2
         rows = store.lookup(olpa(tpch), {"part_id": "pa3"})
         assert set(rows) == {("o1", "l1", "pa3"), ("o1", "l2", "pa3")}

@@ -16,12 +16,14 @@ from repro.decomposition import (
     relation_satisfies_fd,
 )
 from repro.schema import dblp_catalog, tpch_catalog
-from repro.storage import fragment_instances, load_database
+from repro.storage import load_database
 from repro.workloads import (
     DBLPConfig,
     author_keywords,
     generate_dblp,
 )
+
+from .storage.oracle import fragment_instances
 
 
 class TestQuickEngine:

@@ -14,7 +14,7 @@ import pytest
 from repro.decomposition import minimal_decomposition
 from repro.schema import dblp_catalog
 from repro.storage import Database, load_database
-from repro.storage.persistence import load_index_epoch
+from repro.storage.persistence import EDGE_TABLE, MEMBER_TABLE, TO_TABLE, load_index_epoch
 from repro.updates import UpdateManager
 from repro.workloads import DBLPConfig, generate_dblp
 
@@ -41,9 +41,15 @@ def assert_equivalent(catalog, decompositions, loaded) -> None:
     fresh = load_database(
         loaded.graph, catalog, decompositions, database=Database(), validate=True
     )
-    for table in ("master_index", "target_object_blobs"):
-        ours = set(loaded.database.query(f"SELECT * FROM {table}"))
-        theirs = set(fresh.database.query(f"SELECT * FROM {table}"))
+    for table, columns in (
+        ("master_index", "*"),
+        ("target_object_blobs", "*"),
+        (TO_TABLE, "*"),
+        (MEMBER_TABLE, "*"),
+        (EDGE_TABLE, "edge_id, source_to, target_to"),
+    ):
+        ours = set(loaded.database.query(f"SELECT {columns} FROM {table}"))
+        theirs = set(fresh.database.query(f"SELECT {columns} FROM {table}"))
         assert ours == theirs, (table, sorted(ours ^ theirs)[:5])
     assert loaded.to_graph.tss_of_to == fresh.to_graph.tss_of_to
     assert loaded.to_graph.to_of_node == fresh.to_graph.to_of_node

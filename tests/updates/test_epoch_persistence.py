@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.decomposition import minimal_decomposition
 from repro.schema import dblp_catalog
-from repro.storage import Database, load_database, persist_metadata, reopen_database
+from repro.storage import Database, load_database, reopen_database
 from repro.storage.persistence import load_index_epoch
 from repro.updates import UpdateManager
 from repro.workloads import DBLPConfig, generate_dblp
@@ -76,8 +76,6 @@ class TestEpochPersistence:
     def test_reopen_database_restores_epoch(self, tmp_path):
         catalog, decomps, path, loaded = build_file_dblp(tmp_path)
         UpdateManager(loaded).insert_document(NEW_PAPER, parent_id="c0y1")
-        persist_metadata(loaded)
-        loaded.database.commit()
 
         reopened = reopen_database(Database(path), catalog, decomps)
         assert reopened.epoch == 1

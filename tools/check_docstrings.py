@@ -24,7 +24,7 @@ import inspect
 import pkgutil
 import sys
 
-PACKAGES = ("repro.core", "repro.service", "repro.trace", "repro.updates")
+PACKAGES = ("repro.core", "repro.service", "repro.storage", "repro.trace", "repro.updates")
 
 
 def iter_modules(package_name: str):
