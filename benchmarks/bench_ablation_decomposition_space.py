@@ -16,13 +16,13 @@ import pytest
 import common
 from repro.decomposition import FragmentClass, classify_fragment
 from repro.schema import dblp_catalog
-from repro.storage import Database, RelationStore, store_metadata
+from repro.storage import Database, RelationStore, build_target_object_graph, store_metadata
 
 
 @pytest.fixture(scope="module")
 def to_graph():
     loaded = common.bench_database()
-    return loaded.to_graph
+    return build_target_object_graph(loaded.graph, loaded.catalog.tss)
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,13 @@ from repro.core import XKeyword
 from repro.decomposition import FragmentClass, classify_fragment, minimal_decomposition
 from repro.schema import dblp_catalog
 from repro.service import QueryService, ServiceConfig
-from repro.storage import Database, RelationStore, load_database, store_metadata
+from repro.storage import (
+    Database,
+    RelationStore,
+    build_target_object_graph,
+    load_database,
+    store_metadata,
+)
 from repro.updates import UpdateManager
 from repro.workloads import DBLPConfig, generate_dblp
 
@@ -166,10 +172,11 @@ def fig16b(repeats: int, latency: float) -> None:
 def space_report() -> None:
     catalog = dblp_catalog()
     loaded = common.bench_database()
+    to_graph = build_target_object_graph(loaded.graph, loaded.catalog.tss)
     rows = []
     for decomposition in common.build_decompositions():
         database = Database()
-        store_metadata(database, loaded.to_graph)
+        store_metadata(database, to_graph)
         store = RelationStore(database, decomposition)
         store.create()
         started = time.perf_counter()

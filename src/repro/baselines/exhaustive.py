@@ -120,20 +120,17 @@ class ExhaustiveSearcher:
 
     # ------------------------------------------------------------------
     def project_to_target_objects(
-        self, networks: list[ReferenceMTNN], to_of_node: dict[str, str]
+        self, networks: list[ReferenceMTNN], to_of
     ) -> set[tuple[frozenset[str], int]]:
         """Project MTNNs to (target-object set, score) pairs.
 
-        Distinct MTNNs may collapse to the same target-object tree (the
-        engine's result granularity); the projection makes both sides
-        comparable.
+        ``to_of`` maps a node id to its target object, ``None`` when
+        unmapped (``loaded.to_graph.to_of``).  Distinct MTNNs may
+        collapse to the same target-object tree (the engine's result
+        granularity); the projection makes both sides comparable.
         """
         projected: set[tuple[frozenset[str], int]] = set()
         for network in networks:
-            tos = frozenset(
-                to_of_node[node_id]
-                for node_id in network.nodes
-                if node_id in to_of_node
-            )
+            tos = frozenset(map(to_of, network.nodes)) - {None}
             projected.add((tos, network.score))
         return projected

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..storage.target_objects import TargetObjectGraph
+from ..storage.persistence import TargetObjectTables
 from .ctssn import CTSSN
 from .execution import ResultRow
 from .matching import ContainingLists
@@ -29,7 +29,6 @@ class MTTONEdge:
     target_to: str
     forward_label: str
     backward_label: str
-    node_path: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,13 @@ class MTNN:
 
 
 def materialize(
-    ctssn: CTSSN, row: ResultRow, to_graph: TargetObjectGraph
+    ctssn: CTSSN, row: ResultRow, to_graph: TargetObjectTables
 ) -> MTTON:
-    """Build the MTTON for one execution result row."""
+    """Build the MTTON for one execution result row.
+
+    Reads only ``to_graph.tss_graph``: node paths are resolved by
+    :func:`node_network`, so a result costs no table lookup.
+    """
     tss_graph = to_graph.tss_graph
     edges = []
     for net_edge in ctssn.network.edges:
@@ -115,7 +118,6 @@ def materialize(
                 target_to=target_to,
                 forward_label=tss_edge.forward_label,
                 backward_label=tss_edge.backward_label,
-                node_path=to_graph.path_of(net_edge.edge_id, source_to, target_to),
             )
         )
     return MTTON(
@@ -128,12 +130,13 @@ def materialize(
 
 def node_network(
     mtton: MTTON,
-    to_graph: TargetObjectGraph,
+    to_graph: TargetObjectTables,
     containing: ContainingLists,
     graph_parents: dict[str, str],
 ) -> MTNN:
     """Expand an MTTON to its node-level MTNN.
 
+    Each edge's node path is the one stored in ``to_graph``.
     ``graph_parents`` maps node id -> containment parent id (built once
     per XML graph by the caller); it connects keyword witness nodes to
     their target-object roots.
@@ -141,7 +144,7 @@ def node_network(
     nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
     for edge in mtton.edges:
-        path = edge.node_path
+        path = to_graph.path_of(edge.edge_id, edge.source_to, edge.target_to)
         nodes.update(path)
         for left, right in zip(path, path[1:]):
             edges.add((left, right))

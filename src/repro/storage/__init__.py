@@ -5,7 +5,12 @@ from .database import Database, quote_identifier
 from .decomposer import LoadReport, LoadedDatabase, load_database, reopen_database
 from .fingerprint import VersionVector, database_fingerprint
 from .master_index import IndexEntry, MasterIndex, tokenize
-from .persistence import apply_metadata_delta, has_metadata, load_metadata, store_metadata
+from .persistence import (
+    TargetObjectTables,
+    apply_metadata_delta,
+    has_metadata,
+    store_metadata,
+)
 from .relations import PhysicalTable, RelationStore
 from .statistics import Statistics
 from .target_objects import EdgeInstance, TargetObjectGraph, build_target_object_graph
@@ -22,13 +27,13 @@ __all__ = [
     "RelationStore",
     "Statistics",
     "TargetObjectGraph",
+    "TargetObjectTables",
     "VersionVector",
     "apply_metadata_delta",
     "build_target_object_graph",
     "database_fingerprint",
     "has_metadata",
     "load_database",
-    "load_metadata",
     "quote_identifier",
     "reopen_database",
     "store_metadata",

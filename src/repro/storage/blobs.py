@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..xmlgraph.model import XMLGraph
 from ..xmlgraph.serializer import serialize_subtree
-from .database import Database
+from .database import Database, in_chunks
 from .target_objects import TargetObjectGraph
 
 
@@ -33,27 +33,27 @@ class BlobStore:
 
     def load(self, graph: XMLGraph, to_graph: TargetObjectGraph) -> int:
         """Serialize every target object; returns how many were stored."""
-        rows = []
-        for to_id, tss_name in to_graph.tss_of_to.items():
-            members = set(to_graph.members_of_to.get(to_id, ()))
-            xml = serialize_subtree(graph, to_id, include=members)
-            rows.append((to_id, tss_name, xml))
-        self.database.executemany(
-            f"INSERT OR REPLACE INTO {self.TABLE} VALUES (?, ?, ?)", rows
-        )
+        stored = self.store_for(graph, to_graph, to_graph.tss_of_to)
         self.database.commit()
-        return len(rows)
+        return stored
 
     # ------------------------------------------------------------------
     # Incremental maintenance (the update subsystem's delta surface)
     # ------------------------------------------------------------------
-    def store_for(self, graph: XMLGraph, to_graph: TargetObjectGraph, to_ids) -> int:
-        """(Re-)serialize the given target objects; the caller commits."""
+    def store_for(self, graph, to_graph, to_ids) -> int:
+        """(Re-)serialize the given target objects; the caller commits.
+
+        ``graph`` may be any object exposing ``node``/``out_edges``/
+        ``containment_children`` (a mutation passes its post-mutation
+        merged view); ``to_graph`` is a :class:`TargetObjectGraph` or
+        the tables' view, anything with ``tss_of`` and ``members``.
+        """
         rows = []
         for to_id in sorted(set(to_ids)):
-            tss_name = to_graph.tss_of_to[to_id]
-            members = set(to_graph.members_of_to.get(to_id, ()))
-            rows.append((to_id, tss_name, serialize_subtree(graph, to_id, include=members)))
+            members = set(to_graph.members(to_id))
+            rows.append(
+                (to_id, to_graph.tss_of(to_id), serialize_subtree(graph, to_id, include=members))
+            )
         self.database.executemany(
             f"INSERT OR REPLACE INTO {self.TABLE} VALUES (?, ?, ?)", rows
         )
@@ -61,11 +61,8 @@ class BlobStore:
 
     def remove(self, to_ids) -> int:
         """Drop the BLOBs of deleted target objects; the caller commits."""
-        ids = sorted(set(to_ids))
         removed = 0
-        for start in range(0, len(ids), 400):
-            chunk = ids[start:start + 400]
-            placeholders = ", ".join("?" for _ in chunk)
+        for placeholders, chunk in in_chunks(to_ids):
             cursor = self.database.execute(
                 f"DELETE FROM {self.TABLE} WHERE to_id IN ({placeholders})", chunk
             )

@@ -73,6 +73,10 @@ class Database:
         """Commit this thread's open transaction."""
         self.connection.commit()
 
+    def rollback(self) -> None:
+        """Discard this thread's open transaction."""
+        self.connection.rollback()
+
     def table_exists(self, name: str) -> bool:
         """Whether a table or view of that name exists."""
         row = self.query_one(

@@ -20,10 +20,10 @@ from ..xmlgraph.model import XMLGraph
 from .blobs import BlobStore
 from .database import Database
 from .master_index import MasterIndex
-from .persistence import load_index_epoch, load_metadata, store_metadata
+from .persistence import TargetObjectTables, has_metadata, load_index_epoch, store_metadata
 from .relations import RelationStore
 from .statistics import Statistics
-from .target_objects import TargetObjectGraph, build_target_object_graph
+from .target_objects import build_target_object_graph
 
 
 @dataclass
@@ -46,15 +46,17 @@ class LoadReport:
 class LoadedDatabase:
     """A fully loaded XKeyword database, ready for query processing.
 
-    ``graph`` is ``None`` when the database was reopened from persisted
-    metadata (:func:`reopen_database`); everything except node-level
-    MTNN expansion works without it.
+    ``to_graph`` is a read-only view of the target-object graph's
+    tables, its only live copy: no Python object holds TO membership or
+    edge instances.  ``graph`` is ``None`` when the database was
+    reopened from persisted metadata (:func:`reopen_database`);
+    everything except node-level MTNN expansion works without it.
     """
 
     catalog: Catalog
     database: Database
     graph: XMLGraph | None
-    to_graph: TargetObjectGraph
+    to_graph: TargetObjectTables
     master_index: MasterIndex
     blobs: BlobStore
     statistics: Statistics
@@ -148,16 +150,16 @@ def load_database(
     report.blobs = blobs.load(graph, to_graph)
     report.seconds["blobs"] = time.perf_counter() - started
 
-    statistics = Statistics.from_target_object_graph(to_graph)
-
+    # From here on the tables are the TO graph's only copy.
+    tables = TargetObjectTables(database, catalog.tss)
     loaded = LoadedDatabase(
         catalog=catalog,
         database=database,
         graph=graph,
-        to_graph=to_graph,
+        to_graph=tables,
         master_index=master_index,
         blobs=blobs,
-        statistics=statistics,
+        statistics=Statistics.from_target_object_graph(tables),
         stores={},
         report=report,
         index_tags=index_tags,
@@ -174,15 +176,20 @@ def reopen_database(
 ) -> LoadedDatabase:
     """Reopen a database file written by :func:`load_database` for querying.
 
-    The target-object graph comes back from its tables, the statistics
-    are recomputed from it, and each decomposition's relations must
-    already be in the file.  The result's ``graph`` is ``None``.
+    Nothing is rebuilt in Python: the target-object graph stays in its
+    tables, the statistics are two counts over them, and each
+    decomposition's relations must already be in the file.  The
+    result's ``graph`` is ``None``.
 
     Raises:
         LookupError: The file holds no target-object graph, or one of
             the decompositions was not loaded into it.
     """
-    to_graph = load_metadata(database, catalog)
+    if not has_metadata(database):
+        raise LookupError(
+            "database holds no persisted metadata; it was not written by load_database"
+        )
+    to_graph = TargetObjectTables(database, catalog.tss)
     report = LoadReport(
         target_objects=to_graph.target_object_count,
         edge_instances=to_graph.instance_count,

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from ..xmlgraph.model import XMLGraph
-from .database import Database
+from .database import Database, in_chunks
 from .target_objects import TargetObjectGraph
 
 _TOKEN = re.compile(r"[a-z0-9]+")
@@ -64,23 +64,11 @@ class MasterIndex:
 
         Returns the number of index entries written.
         """
-        rows: set[tuple[str, str, str, str]] = set()
-        for node in graph.nodes():
-            to_id = to_graph.to_of_node.get(node.node_id)
-            if to_id is None:
-                continue
-            tokens: set[str] = set()
-            if node.label in text_nodes and node.value:
-                tokens.update(tokenize(node.value))
-            if index_tags:
-                tokens.update(tokenize(node.label))
-            for token in tokens:
-                rows.add((token, to_id, node.node_id, node.label))
-        self.database.executemany(
-            f"INSERT OR IGNORE INTO {self.TABLE} VALUES (?, ?, ?, ?)", sorted(rows)
+        written, _ = self.add_entries(
+            graph.nodes(), to_graph.to_of_node, text_nodes, index_tags=index_tags
         )
         self.database.commit()
-        return len(rows)
+        return written
 
     # ------------------------------------------------------------------
     # Incremental maintenance (the update subsystem's delta surface)
@@ -127,12 +115,9 @@ class MasterIndex:
         Returns:
             ``(entries removed, distinct keywords touched)``.
         """
-        ids = sorted(set(node_ids))
         removed = 0
         keywords: set[str] = set()
-        for start in range(0, len(ids), 400):
-            chunk = ids[start:start + 400]
-            placeholders = ", ".join("?" for _ in chunk)
+        for placeholders, chunk in in_chunks(node_ids):
             keywords.update(
                 row[0]
                 for row in self.database.query(

@@ -3,12 +3,13 @@
 ``load_database`` writes the target-object (TO) graph into three tables
 of the database it loads: ``meta_target_objects`` (each TO and its TSS),
 ``meta_to_members`` (XML node -> TO) and ``meta_to_edges`` (each
-TSS-edge instance and its realizing node path).  They are the input of
-the connection-relation builder (:mod:`.relations`), which joins
-``meta_to_edges`` once per fragment edge; the update subsystem keeps
-them current in each mutation's apply step, ahead of the relation
-delta.  Because every load writes them, a database file can be reopened
-for querying without re-parsing the XML:
+TSS-edge instance and its realizing node path).  They are the only live
+copy of the TO graph: :class:`TargetObjectTables` reads it, the
+connection-relation builder (:mod:`.relations`) joins ``meta_to_edges``
+once per fragment edge, and the update subsystem writes each mutation's
+delta there ahead of the relation delta.  Because every load writes
+them, a database file can be reopened for querying without re-parsing
+the XML:
 
     loaded = load_database(graph, catalog, decompositions,
                            database=Database("dblp.db"))
@@ -18,7 +19,7 @@ for querying without re-parsing the XML:
 
 from __future__ import annotations
 
-from ..schema.catalogs import Catalog
+from ..schema.tss import TSSGraph
 from .database import Database, in_chunks
 from .target_objects import EdgeInstance, TargetObjectGraph
 
@@ -26,6 +27,7 @@ TO_TABLE = "meta_target_objects"
 MEMBER_TABLE = "meta_to_members"
 EDGE_TABLE = "meta_to_edges"
 _STATE_TABLE = "meta_index_state"
+_PATH_SEPARATOR = "\x1f"
 
 _METADATA_DDL = (
     f"""CREATE TABLE IF NOT EXISTS {TO_TABLE} (
@@ -72,9 +74,7 @@ def store_metadata(database: Database, to_graph: TargetObjectGraph) -> None:
         database,
         new_target_objects=to_graph.tss_of_to.items(),
         new_members=to_graph.to_of_node.items(),
-        new_instances=[
-            instance for bucket in to_graph.instances.values() for instance in bucket
-        ],
+        new_instances=[EdgeInstance(*key, path) for key, path in to_graph.paths.items()],
     )
     database.commit()
 
@@ -135,7 +135,7 @@ def apply_metadata_delta(
                     instance.edge_id,
                     instance.source_to,
                     instance.target_to,
-                    "\x1f".join(instance.node_path),
+                    _PATH_SEPARATOR.join(instance.node_path),
                 )
                 for instance in new_instances
             }
@@ -143,23 +143,63 @@ def apply_metadata_delta(
     )
 
 
-def load_metadata(database: Database, catalog: Catalog) -> TargetObjectGraph:
-    """Rebuild the in-memory target-object graph from its tables."""
-    if not has_metadata(database):
-        raise LookupError(
-            "database holds no persisted metadata; it was not written by load_database"
+class TargetObjectTables:
+    """Read-only view of the TO graph's tables: the lookups callers need.
+
+    Every read runs on the calling thread's connection, so inside a
+    mutation's transaction it sees that mutation's uncommitted delta.
+    """
+
+    def __init__(self, database: Database, tss_graph: TSSGraph) -> None:
+        self.database = database
+        self.tss_graph = tss_graph
+
+    def to_of(self, node_id: str) -> str | None:
+        """The target object an XML node belongs to (``None``: unmapped)."""
+        return self._scalar(f"SELECT to_id FROM {MEMBER_TABLE} WHERE node_id = ?", node_id)
+
+    def tss_of(self, to_id: str) -> str | None:
+        """The TSS of one target object (``None``: no such TO)."""
+        return self._scalar(f"SELECT tss FROM {TO_TABLE} WHERE to_id = ?", to_id)
+
+    def members(self, to_id: str) -> list[str]:
+        """The XML nodes of one target object."""
+        return [
+            row[0]
+            for row in self.database.query(
+                f"SELECT node_id FROM {MEMBER_TABLE} WHERE to_id = ?", (to_id,)
+            )
+        ]
+
+    def path_of(
+        self, edge_id: str, source_to: str, target_to: str
+    ) -> tuple[str, ...] | None:
+        """The stored XML node path of one TO-level edge (``None``: absent)."""
+        packed = self._scalar(
+            f"SELECT node_path FROM {EDGE_TABLE} "
+            "WHERE edge_id = ? AND source_to = ? AND target_to = ?",
+            edge_id, source_to, target_to,
         )
-    to_graph = TargetObjectGraph(catalog.tss)
-    for to_id, tss in database.query(f"SELECT to_id, tss FROM {TO_TABLE}"):
-        to_graph.add_target_object(to_id, tss)
-    for node_id, to_id in database.query(
-        f"SELECT node_id, to_id FROM {MEMBER_TABLE}"
-    ):
-        to_graph.add_member(to_id, node_id)
-    for edge_id, source_to, target_to, packed in database.query(
-        f"SELECT edge_id, source_to, target_to, node_path FROM {EDGE_TABLE}"
-    ):
-        to_graph.add_instance(
-            EdgeInstance(edge_id, source_to, target_to, tuple(packed.split("\x1f")))
+        return None if packed is None else tuple(packed.split(_PATH_SEPARATOR))
+
+    def tss_counts(self) -> dict[str, int]:
+        """Target objects per TSS (TSSs without any are absent)."""
+        return dict(self.database.query(f"SELECT tss, COUNT(*) FROM {TO_TABLE} GROUP BY tss"))
+
+    def edge_counts(self) -> dict[str, int]:
+        """Instances per TSS edge (edges without any are absent)."""
+        return dict(
+            self.database.query(f"SELECT edge_id, COUNT(*) FROM {EDGE_TABLE} GROUP BY edge_id")
         )
-    return to_graph
+
+    @property
+    def target_object_count(self) -> int:
+        return self.database.row_count(TO_TABLE)
+
+    @property
+    def instance_count(self) -> int:
+        return self.database.row_count(EDGE_TABLE)
+
+    def _scalar(self, sql: str, *params: str):
+        row = self.database.query_one(sql, params)
+        return None if row is None else row[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .target_objects import TargetObjectGraph
+from .persistence import TargetObjectTables
 
 
 @dataclass
@@ -23,24 +23,20 @@ class Statistics:
     avg_fanin: dict[str, float] = field(default_factory=dict)
 
     @classmethod
-    def from_target_object_graph(cls, to_graph: TargetObjectGraph) -> "Statistics":
-        stats = cls()
-        for to_id, tss_name in to_graph.tss_of_to.items():
-            stats.tss_counts[tss_name] = stats.tss_counts.get(tss_name, 0) + 1
+    def from_target_object_graph(cls, to_graph: TargetObjectTables) -> "Statistics":
+        """Two ``GROUP BY`` counts over the TO graph's tables."""
+        stats = cls(tss_counts=to_graph.tss_counts())
+        instances_of = to_graph.edge_counts()
         for tss_edge in to_graph.tss_graph.edges():
-            instances = to_graph.instances.get(tss_edge.edge_id, [])
-            stats.edge_counts[tss_edge.edge_id] = len(instances)
+            instances = instances_of.get(tss_edge.edge_id, 0)
+            stats.edge_counts[tss_edge.edge_id] = instances
             sources = stats.tss_counts.get(tss_edge.source, 0)
             targets = stats.tss_counts.get(tss_edge.target, 0)
-            stats.avg_fanout[tss_edge.edge_id] = (
-                len(instances) / sources if sources else 0.0
-            )
-            stats.avg_fanin[tss_edge.edge_id] = (
-                len(instances) / targets if targets else 0.0
-            )
+            stats.avg_fanout[tss_edge.edge_id] = instances / sources if sources else 0.0
+            stats.avg_fanin[tss_edge.edge_id] = instances / targets if targets else 0.0
         return stats
 
-    def refresh_from(self, to_graph: TargetObjectGraph) -> None:
+    def refresh_from(self, to_graph: TargetObjectTables) -> None:
         """Recompute all statistics in place after an incremental mutation.
 
         In place so the optimizer's live reference stays valid — the

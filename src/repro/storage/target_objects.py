@@ -36,26 +36,21 @@ class EdgeInstance:
 
 @dataclass
 class TargetObjectGraph:
-    """Target objects of an XML graph plus their TSS-edge instances."""
+    """A target-object graph as the load builds it, in memory.
 
-    tss_graph: TSSGraph
+    :func:`build_target_object_graph` returns one; the load writes it
+    into the tables of :mod:`.persistence` and drops it, so those tables
+    are the only live copy (:class:`~.persistence.TargetObjectTables`).
+    Both answer :meth:`tss_of` and :meth:`members`, what BLOB
+    serialization reads, and the two counts.
+    """
+
     to_of_node: dict[str, str] = field(default_factory=dict)
     tss_of_to: dict[str, str] = field(default_factory=dict)
     members_of_to: dict[str, list[str]] = field(default_factory=dict)
-    instances: dict[str, list[EdgeInstance]] = field(default_factory=dict)
-    _forward: dict[tuple[str, str], list[str]] = field(default_factory=dict)
-    _backward: dict[tuple[str, str], list[str]] = field(default_factory=dict)
-    _paths: dict[tuple[str, str, str], tuple[str, ...]] = field(default_factory=dict)
-    _touching: dict[str, set[tuple[str, str, str]]] = field(default_factory=dict)
-    """Reverse index: XML node id -> keys of instances whose realizing
-    path contains it.  Keeps :meth:`instances_touching` proportional to
-    the delta instead of the whole instance set."""
-    _bucket_pos: dict[tuple[str, str, str], int] = field(default_factory=dict)
-    """Position of each instance inside its ``instances`` bucket, so
-    :meth:`remove_instance` swap-pops in O(1) instead of rebuilding the
-    bucket (bucket order is not meaningful)."""
+    paths: dict[tuple[str, str, str], tuple[str, ...]] = field(default_factory=dict)
+    """TO-level edge key -> the first node path found realizing it."""
 
-    # ------------------------------------------------------------------
     def add_target_object(self, to_id: str, tss_name: str) -> None:
         """Register a target object of one TSS (its members come later)."""
         self.tss_of_to[to_id] = tss_name
@@ -67,113 +62,18 @@ class TargetObjectGraph:
         self.members_of_to.setdefault(to_id, []).append(node_id)
 
     def add_instance(self, instance: EdgeInstance) -> None:
-        """Record one TSS-edge instance; a known TO-level key is ignored."""
-        bucket = self.instances.setdefault(instance.edge_id, [])
-        key = instance.key
-        if key in self._paths:
-            return  # parallel node-level paths collapse to one TO edge
-        self._paths[key] = instance.node_path
-        for node_id in instance.node_path:
-            self._touching.setdefault(node_id, set()).add(key)
-        self._bucket_pos[key] = len(bucket)
-        bucket.append(instance)
-        self._forward.setdefault((instance.edge_id, instance.source_to), []).append(
-            instance.target_to
-        )
-        self._backward.setdefault((instance.edge_id, instance.target_to), []).append(
-            instance.source_to
-        )
+        """Record one TSS-edge instance; a known TO-level key is ignored
+        (parallel node-level paths collapse to one TO edge)."""
+        self.paths.setdefault(instance.key, instance.node_path)
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (the update subsystem's delta surface)
-    # ------------------------------------------------------------------
-    def has_instance(self, edge_id: str, source_to: str, target_to: str) -> bool:
-        """Whether the TO-level edge is present."""
-        return (edge_id, source_to, target_to) in self._paths
+    def tss_of(self, to_id: str) -> str | None:
+        """The TSS of one target object."""
+        return self.tss_of_to.get(to_id)
 
-    def remove_instance(self, edge_id: str, source_to: str, target_to: str) -> None:
-        """Forget one TSS-edge instance (no-op when absent)."""
-        key = (edge_id, source_to, target_to)
-        if key not in self._paths:
-            return
-        for node_id in self._paths[key]:
-            keys = self._touching.get(node_id)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._touching[node_id]
-        del self._paths[key]
-        bucket = self.instances[edge_id]
-        position = self._bucket_pos.pop(key)
-        moved = bucket.pop()
-        if position < len(bucket):
-            bucket[position] = moved
-            self._bucket_pos[moved.key] = position
-        forward = self._forward.get((edge_id, source_to))
-        if forward is not None:
-            forward.remove(target_to)
-            if not forward:
-                del self._forward[(edge_id, source_to)]
-        backward = self._backward.get((edge_id, target_to))
-        if backward is not None:
-            backward.remove(source_to)
-            if not backward:
-                del self._backward[(edge_id, target_to)]
-
-    def remove_member(self, node_id: str) -> None:
-        """Detach one XML node from its target object (no-op when unmapped)."""
-        to_id = self.to_of_node.pop(node_id, None)
-        if to_id is None:
-            return
-        members = self.members_of_to.get(to_id)
-        if members is not None and node_id in members:
-            members.remove(node_id)
-
-    def remove_target_object(self, to_id: str) -> None:
-        """Forget a target object and its remaining member mappings.
-
-        Edge instances touching the target object must be removed first
-        (via :meth:`remove_instance`); this method only clears the
-        membership tables.
-        """
-        self.tss_of_to.pop(to_id, None)
-        for node_id in self.members_of_to.pop(to_id, ()):  # pragma: no branch
-            self.to_of_node.pop(node_id, None)
-
-    def instances_touching(self, node_ids: set[str]) -> list[EdgeInstance]:
-        """Edge instances whose realizing node path meets ``node_ids``."""
-        keys: set[tuple[str, str, str]] = set()
-        for node_id in node_ids:
-            keys.update(self._touching.get(node_id, ()))
-        return [
-            EdgeInstance(*key, self._paths[key]) for key in sorted(keys)
-        ]
-
-    # ------------------------------------------------------------------
-    def targets(self, edge_id: str, source_to: str) -> list[str]:
-        """Target objects reachable forward over one TSS edge."""
-        return list(self._forward.get((edge_id, source_to), ()))
-
-    def sources(self, edge_id: str, target_to: str) -> list[str]:
-        """Target objects reaching ``target_to`` over one TSS edge."""
-        return list(self._backward.get((edge_id, target_to), ()))
-
-    def path_of(self, edge_id: str, source_to: str, target_to: str) -> tuple[str, ...]:
-        """The XML node path realizing one TO-level edge."""
-        return self._paths[(edge_id, source_to, target_to)]
-
-    def pairs(self, edge_id: str) -> list[tuple[str, str]]:
-        """``(source_to, target_to)`` of every instance of one TSS edge."""
-        return [
-            (instance.source_to, instance.target_to)
-            for instance in self.instances.get(edge_id, ())
-        ]
-
-    def target_objects(self, tss_name: str | None = None) -> list[str]:
-        """Target objects of one TSS, or all of them."""
-        if tss_name is None:
-            return list(self.tss_of_to)
-        return [to for to, tss in self.tss_of_to.items() if tss == tss_name]
+    def members(self, to_id: str) -> list[str]:
+        """The XML nodes of one target object."""
+        return list(self.members_of_to.get(to_id, ()))
 
     @property
     def target_object_count(self) -> int:
@@ -181,7 +81,7 @@ class TargetObjectGraph:
 
     @property
     def instance_count(self) -> int:
-        return sum(len(bucket) for bucket in self.instances.values())
+        return len(self.paths)
 
 
 def build_target_object_graph(graph: XMLGraph, tss_graph: TSSGraph) -> TargetObjectGraph:
@@ -193,7 +93,7 @@ def build_target_object_graph(graph: XMLGraph, tss_graph: TSSGraph) -> TargetObj
     found by matching each TSS edge's schema path from every possible
     origin node.
     """
-    result = TargetObjectGraph(tss_graph)
+    result = TargetObjectGraph()
     # Pass 1: target objects and membership.
     for node in graph.nodes():
         tss_name = tss_graph.tss_of(node.label)

@@ -11,21 +11,23 @@ orders of magnitude less work than a full reload.
 Every verb runs one pipeline, plan → apply → commit (DESIGN.md §11):
 planning writes nothing and decides every rejection on the
 post-mutation :class:`_MergedView`, with :func:`repro.schema.validate`
-as the conformance check; apply makes the deltas; commit runs once.
+as the conformance check; apply writes the SQL deltas; commit runs
+once.  Nothing in memory changes before the commit returns, and any
+failure after planning rolls the transaction back, so a failed mutation
+leaves no trace.
 
-Soundness rests on two locality arguments:
-
-* **Insert** — every new TSS-edge instance must traverse at least one
-  added edge (fragment-internal, the attach edge, or a boundary
-  reference), and every added edge touches a fragment node.  So matching
-  schema paths from the fragment nodes plus the nodes within
-  ``max schema-path length − 1`` backward hops of the boundary finds all
-  new instances.
-* **Delete** — every lost instance has a realizing node path meeting the
-  deleted subtree, so :meth:`TargetObjectGraph.instances_touching` over
-  the subtree's node ids finds all of them.  A removed instance whose
-  endpoints both survive may still be realized by a *parallel* surviving
-  node path; those are re-matched after the removal.
+The target-object graph lives only in its tables
+(:class:`~repro.storage.persistence.TargetObjectTables`); a mutation
+reads it inside its own transaction.  Soundness rests on one locality
+argument, :meth:`UpdateManager._instances_meeting`: every TSS-edge
+instance an insert adds or a delete loses has a realizing node path
+that meets the fragment or the removed subtree, and such a path starts
+within ``max schema-path length`` backward hops of it.  An insert keeps
+the instances found on the post-mutation view; a delete keeps those
+found on the live graph whose *stored* path meets the subtree.  A
+removed instance whose endpoints both survive may still be realized by
+a *parallel* surviving node path; those are re-matched on a view
+without the subtree.
 
 Connection relations change only in rows binding a *touched* target
 object (new, removed, or an endpoint of an added/removed edge instance),
@@ -44,6 +46,7 @@ see a torn index.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -122,9 +125,10 @@ class _MergedView:
     """Read-only post-mutation graph: live graph − hidden + fragment.
 
     Duck-types the :class:`~repro.xmlgraph.model.XMLGraph` surface that
-    schema validation, target-object assignment and schema-path matching
-    need, so a mutation is checked and its index delta discovered
-    *before* any shared structure is written.  ``hidden`` is the subtree
+    schema validation, target-object assignment, schema-path matching
+    and BLOB serialization need, so a mutation is checked, its index
+    delta discovered and its BLOBs written *before* the live graph
+    changes.  Edge order matches the graph the commit patches in.  ``hidden`` is the subtree
     a replace removes: its nodes and every edge into them are invisible,
     and the fragment may re-create their ids.
     """
@@ -175,14 +179,21 @@ class _MergedView:
             return self._fragment.containment_parent(node_id)
         return self._graph.containment_parent(node_id)
 
+    def containment_children(self, node_id: str):
+        return [self.node(e.target) for e in self.out_edges(node_id) if e.is_containment]
+
 
 @dataclass
 class _DeletePlan:
     """A subtree to remove and the index state it takes along."""
 
     document_id: str
+    view: _MergedView
+    """The live graph without the subtree."""
     removed_ids: set[str]
     removed_instances: list[EdgeInstance]
+    readded: list[EdgeInstance]
+    """Removed instances a parallel surviving path still realizes."""
     removed_tos: dict[str, str]
     """Removed target object -> its TSS name."""
     member_changed: set[str]
@@ -196,6 +207,8 @@ class _InsertPlan:
     """A checked fragment and the index state it adds."""
 
     document_id: str
+    view: _MergedView
+    """The post-mutation graph."""
     parent_id: str | None
     fragment: XMLGraph
     boundary: list[Edge]
@@ -327,10 +340,12 @@ class UpdateManager:
         return self._mutate("update", plan)
 
     def _mutate(self, op: str, plan) -> MutationReport:
-        """Plan (every rejection happens here), apply, then commit once.
+        """Plan (every rejection happens here), apply, commit once, publish.
 
         ``plan`` returns the steps to apply in order: one insert or one
-        delete, or a replace's delete followed by its insert.
+        delete, or a replace's delete followed by its insert.  Apply and
+        commit write only SQL; a failure there rolls the transaction
+        back, and the in-memory state changes only once it committed.
         """
         trace = self.tracer.begin(f"mutation:{op}", kind="mutation", op=op)
         try:
@@ -339,25 +354,30 @@ class UpdateManager:
                 span = trace.span("plan", op=op)
                 steps = plan()
                 span.finish()
-                span = trace.span("apply", op=op)
-                delta = _Delta()
                 report = MutationReport(op, steps[-1].document_id)
-                for step in steps:
-                    if isinstance(step, _DeletePlan):
-                        # analysis: blocking-ok[apply writes the step's
-                        # TO-graph rows, which the relation builder reads
-                        # back; all of it commits once, below]
-                        report += self._apply_delete(step, delta)
-                    else:
-                        # analysis: blocking-ok[as the delete step above]
-                        report += self._apply_insert(step, delta)
-                span.finish()
-                span = trace.span("commit", op=op)
-                # analysis: blocking-ok[mutations persist durably (sqlite
-                # delta + commit) before the write lock is released, so
-                # readers never see an index ahead of its database]
-                self._commit(delta, report)
-                span.finish()
+                try:
+                    span = trace.span("apply", op=op)
+                    delta = _Delta()
+                    for step in steps:
+                        if isinstance(step, _DeletePlan):
+                            # analysis: blocking-ok[apply writes the step's
+                            # TO-graph rows, which the relation builder reads
+                            # back; all of it commits once, below]
+                            report += self._apply_delete(step, delta)
+                        else:
+                            # analysis: blocking-ok[as the delete step above]
+                            report += self._apply_insert(step, delta)
+                    span.finish()
+                    span = trace.span("commit", op=op)
+                    # analysis: blocking-ok[mutations persist durably (sqlite
+                    # delta + commit) before the write lock is released, so
+                    # readers never see an index ahead of its database]
+                    self._commit(steps[-1].view, delta)
+                    span.finish()
+                except BaseException:
+                    self.loaded.database.rollback()
+                    raise
+                self._publish(steps, report)
                 report.epoch = self.loaded.epoch
                 report.seconds = time.perf_counter() - started
             trace.root.annotate(**report.to_dict())
@@ -434,58 +454,41 @@ class UpdateManager:
             if fragment.has_node(to_root):
                 new_tos[to_root] = tss_name
 
+        live_to_of = functools.cache(loaded.to_graph.to_of)
+
         def to_of(node_id: str) -> str | None:
             if node_id in frag_ids:
                 return member_of.get(node_id)
-            return loaded.to_graph.to_of_node.get(node_id)
+            return live_to_of(node_id)
 
-        # Every new edge instance traverses an added edge, and every
-        # added edge touches a fragment node, so origins within
-        # max-path-length − 1 backward hops of the added-edge sources
-        # cover all schema paths that could realize a new instance.
-        origins = frag_ids | {edge.source for edge in boundary}
-        frontier = set(origins)
-        for _ in range(self._max_path_len - 1):
-            frontier = {
-                edge.source
-                for node_id in frontier
-                for edge in view.in_edges(node_id)
-                if edge.source not in origins
-            }
-            origins |= frontier
-        instances: dict[tuple[str, str, str], EdgeInstance] = {}
-        for instance in edge_instances(view, tss_graph, map(view.node, origins), to_of):
-            if frag_ids.intersection(instance.node_path):
-                instances.setdefault(instance.key, instance)
+        instances = self._instances_meeting(view, frag_ids, to_of)
         return _InsertPlan(
-            root_id, parent_id, fragment, boundary, restore_refs,
+            root_id, view, parent_id, fragment, boundary, restore_refs,
             member_of, new_tos, list(instances.values()),
         )
 
     def _plan_delete(self, document_id: str) -> _DeletePlan:
-        graph = self.loaded.graph
-        to_graph = self.loaded.to_graph
+        loaded = self.loaded
+        graph = loaded.graph
+        to_graph = loaded.to_graph
         if not graph.has_node(document_id):
             raise LookupError(f"unknown document {document_id!r}")
         removed_ids = {node.node_id for node in graph.containment_subtree(document_id)}
+        to_of = functools.cache(to_graph.to_of)
         removed_tos = {
-            to_id: to_graph.tss_of_to[to_id] for to_id in removed_ids if to_id in to_graph.tss_of_to
+            to_id: tss for to_id in removed_ids if (tss := to_graph.tss_of(to_id)) is not None
         }
-        member_changed = {
-            to_graph.to_of_node[node_id]
-            for node_id in removed_ids
-            if node_id in to_graph.to_of_node
-        } - set(removed_tos)
+        member_changed = {to_of(node_id) for node_id in removed_ids} - {None} - set(removed_tos)
         # TOs owning a node adjacent to the subtree lose edges (e.g. a
         # ref attribute naming a removed id) and need fresh BLOBs even
         # when their membership and instances are untouched.
         incident = [edge for node_id in removed_ids for edge in graph.incident_edges(node_id)]
         boundary_tos = {
-            to_graph.to_of_node[other]
+            to_of(other)
             for edge in incident
             for other in (edge.source, edge.target)
-            if other not in removed_ids and other in to_graph.to_of_node
-        } - set(removed_tos)
+            if other not in removed_ids
+        } - {None} - set(removed_tos)
         incoming_refs = sorted(
             {
                 (edge.source, edge.target)
@@ -493,34 +496,78 @@ class UpdateManager:
                 if edge.is_reference and edge.source not in removed_ids
             }
         )
+        # The instances lost are those whose *stored* path meets the
+        # subtree; every such path is found on the live graph.
+        removed_instances = []
+        for key in sorted(self._instances_meeting(graph, removed_ids, to_of)):
+            stored = to_graph.path_of(*key)
+            if stored is not None and removed_ids.intersection(stored):
+                removed_instances.append(EdgeInstance(*key, stored))
+
+        # A removed instance whose endpoints both survive may have a
+        # parallel surviving node path the loader collapsed away;
+        # re-match it so the edge is not lost.
+        view = _MergedView(graph, XMLGraph(), (), frozenset(removed_ids))
+        readded: list[EdgeInstance] = []
+        for instance in removed_instances:
+            if instance.source_to in removed_tos or instance.target_to in removed_tos:
+                continue
+            tss_edge = loaded.catalog.tss.edge(instance.edge_id)
+            found = next(
+                (
+                    node_path
+                    for member in to_graph.members(instance.source_to)
+                    if member not in removed_ids
+                    and view.node(member).label == tss_edge.path[0].source
+                    for node_path in match_schema_path(view, member, tss_edge.path)
+                    if to_of(node_path[-1]) == instance.target_to
+                ),
+                None,
+            )
+            if found is not None:
+                readded.append(EdgeInstance(*instance.key, found))
         return _DeletePlan(
-            document_id, removed_ids, to_graph.instances_touching(removed_ids),
+            document_id, view, removed_ids, removed_instances, readded,
             removed_tos, member_changed, boundary_tos, incoming_refs,
         )
 
+    def _instances_meeting(self, view, nodes: set[str], to_of) -> dict:
+        """TSS-edge instances on ``view`` with a node path meeting ``nodes``.
+
+        Such a path either starts in ``nodes`` or enters them over an
+        edge whose source lies at most ``max schema-path length − 1``
+        hops after the path's origin, so origins within ``max
+        schema-path length`` backward hops of ``nodes`` find every one.
+        Returns the first path found per TO-level key.
+        """
+        origins = set(nodes)
+        frontier = set(origins)
+        for _ in range(self._max_path_len):
+            frontier = {
+                edge.source
+                for node_id in frontier
+                for edge in view.in_edges(node_id)
+                if edge.source not in origins
+            }
+            origins |= frontier
+        found: dict[tuple[str, str, str], EdgeInstance] = {}
+        tss_graph = self.loaded.catalog.tss
+        for instance in edge_instances(view, tss_graph, map(view.node, origins), to_of):
+            if nodes.intersection(instance.node_path):
+                found.setdefault(instance.key, instance)
+        return found
+
     # ------------------------------------------------------------------
-    # Apply: in-memory and SQL deltas, no commit
+    # Apply: SQL deltas only, no commit
     # ------------------------------------------------------------------
     def _apply_insert(self, plan: _InsertPlan, delta: _Delta) -> MutationReport:
         loaded = self.loaded
-        graph = loaded.graph
         to_graph = loaded.to_graph
-        fragment = plan.fragment
-        for node in fragment.nodes():
-            graph.add_node(node.node_id, node.label, node.value)
-        for edge in (*fragment.edges(), *plan.boundary):
-            graph.add_edge(edge.source, edge.target, edge.kind)
-        for to_id, tss_name in plan.new_tos.items():
-            to_graph.add_target_object(to_id, tss_name)
-        for node_id, to_id in plan.member_of.items():
-            to_graph.add_member(to_id, node_id)
+        # A replace's delete step may have kept an instance this insert
+        # also realizes.
         added = [
-            instance
-            for instance in plan.instances
-            if not to_graph.has_instance(*instance.key)
+            instance for instance in plan.instances if to_graph.path_of(*instance.key) is None
         ]
-        for instance in added:
-            to_graph.add_instance(instance)
         apply_metadata_delta(
             loaded.database,
             new_target_objects=plan.new_tos.items(),
@@ -529,7 +576,7 @@ class UpdateManager:
         )
 
         entries_added, keywords = loaded.master_index.add_entries(
-            fragment.nodes(),
+            plan.fragment.nodes(),
             plan.member_of,
             loaded.catalog.text_nodes,
             index_tags=loaded.index_tags,
@@ -544,16 +591,12 @@ class UpdateManager:
         # Restored references change the *source* main-graph node's
         # serialized ref attribute, so its TO needs a fresh BLOB too.
         delta.refresh_tos |= set(plan.member_of.values()) | {
-            to_graph.to_of_node[source]
-            for source, _ in plan.restore_refs
-            if source in to_graph.to_of_node
-        }
-        if plan.parent_id is None:
-            self._documents.add(plan.document_id)
+            to_graph.to_of(source) for source, _ in plan.restore_refs
+        } - {None}
         return MutationReport(
             op="insert",
             document_id=plan.document_id,
-            nodes_added=fragment.node_count,
+            nodes_added=plan.fragment.node_count,
             index_entries_added=entries_added,
             target_objects_added=len(plan.new_tos),
             relation_rows_added=rows_added,
@@ -564,51 +607,13 @@ class UpdateManager:
 
     def _apply_delete(self, plan: _DeletePlan, delta: _Delta) -> MutationReport:
         loaded = self.loaded
-        graph = loaded.graph
-        to_graph = loaded.to_graph
-        tss_graph = loaded.catalog.tss
         entries_removed, keywords = loaded.master_index.remove_entries(plan.removed_ids)
-        for node_id in plan.removed_ids:
-            graph.remove_node(node_id)
-        for instance in plan.removed_instances:
-            to_graph.remove_instance(*instance.key)
-        for node_id in plan.removed_ids:
-            to_graph.remove_member(node_id)
-        for to_id in plan.removed_tos:
-            to_graph.remove_target_object(to_id)
-
-        # A removed instance whose endpoints both survive may have a
-        # parallel surviving node path the loader collapsed away;
-        # re-match it so the edge is not lost.
-        readded: list[EdgeInstance] = []
-        for instance in plan.removed_instances:
-            if (
-                instance.source_to in plan.removed_tos
-                or instance.target_to in plan.removed_tos
-                or to_graph.has_instance(*instance.key)
-            ):
-                continue
-            tss_edge = tss_graph.edge(instance.edge_id)
-            found = next(
-                (
-                    node_path
-                    for member in to_graph.members_of_to.get(instance.source_to, ())
-                    if graph.node(member).label == tss_edge.path[0].source
-                    for node_path in match_schema_path(graph, member, tss_edge.path)
-                    if to_graph.to_of_node.get(node_path[-1]) == instance.target_to
-                ),
-                None,
-            )
-            if found is not None:
-                survivor = EdgeInstance(*instance.key, found)
-                to_graph.add_instance(survivor)
-                readded.append(survivor)
         apply_metadata_delta(
             loaded.database,
             removed_node_ids=plan.removed_ids,
             removed_to_ids=plan.removed_tos,
             removed_edge_keys=[instance.key for instance in plan.removed_instances],
-            new_instances=readded,
+            new_instances=plan.readded,
         )
 
         surviving_touched = plan.member_changed | {
@@ -623,7 +628,6 @@ class UpdateManager:
 
         delta.refresh_tos |= plan.member_changed | plan.boundary_tos
         delta.removed_tos += plan.removed_tos
-        self._documents.discard(plan.document_id)
         return MutationReport(
             op="delete",
             document_id=plan.document_id,
@@ -653,7 +657,7 @@ class UpdateManager:
         removed_tos = removed_tos or {}
         surviving_by_tss: dict[str, set[str]] = {}
         for to_id in surviving:
-            surviving_by_tss.setdefault(loaded.to_graph.tss_of_to[to_id], set()).add(to_id)
+            surviving_by_tss.setdefault(loaded.to_graph.tss_of(to_id), set()).add(to_id)
         delete_ids = surviving | set(removed_tos)
         touched_tss = set(surviving_by_tss) | set(removed_tos.values())
         relations_touched: set[str] = set()
@@ -686,18 +690,36 @@ class UpdateManager:
         return relations_touched, rows_added, rows_removed
 
     # ------------------------------------------------------------------
-    # Commit: once per mutation
+    # Commit once, then publish
     # ------------------------------------------------------------------
-    def _commit(self, delta: _Delta, report: MutationReport) -> None:
+    def _commit(self, view: _MergedView, delta: _Delta) -> None:
+        """BLOBs from the post-mutation ``view``, the next epoch, ``commit``."""
         loaded = self.loaded
         loaded.blobs.remove(delta.removed_tos)
-        loaded.blobs.store_for(loaded.graph, loaded.to_graph, delta.refresh_tos)
-        loaded.statistics.refresh_from(loaded.to_graph)
+        loaded.blobs.store_for(view, loaded.to_graph, delta.refresh_tos)
         # The epoch advances inside the mutation's transaction so a
         # restarted process resumes from a monotonic counter.
-        loaded.epoch += 1
-        store_index_epoch(loaded.database, loaded.epoch)
+        store_index_epoch(loaded.database, loaded.epoch + 1)
         loaded.database.commit()
+
+    def _publish(self, steps, report: MutationReport) -> None:
+        """Bring the in-memory state up to the committed database."""
+        loaded = self.loaded
+        graph = loaded.graph
+        for step in steps:
+            if isinstance(step, _DeletePlan):
+                for node_id in step.removed_ids:
+                    graph.remove_node(node_id)
+                self._documents.discard(step.document_id)
+                continue
+            for node in step.fragment.nodes():
+                graph.add_node(node.node_id, node.label, node.value)
+            for edge in (*step.fragment.edges(), *step.boundary):
+                graph.add_edge(edge.source, edge.target, edge.kind)
+            if step.parent_id is None:
+                self._documents.add(step.document_id)
+        loaded.epoch += 1
+        loaded.statistics.refresh_from(loaded.to_graph)
         self.versions.bump(report.keywords_touched, report.relations_touched)
         self._last_mutation_at = self._clock()
         with self._snapshot_lock:

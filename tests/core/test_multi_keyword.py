@@ -52,7 +52,7 @@ class TestThreeKeywordAgreement:
         reference = ExhaustiveSearcher(figure1_graph, tpch.text_nodes)
         expected = reference.project_to_target_objects(
             reference.search(query.keywords, query.max_size),
-            figure1_db.to_graph.to_of_node,
+            figure1_db.to_graph.to_of,
         )
         actual = {
             (frozenset(m.target_objects()), m.score)

@@ -30,11 +30,13 @@ class TestMTTON:
         assert labels & {"line", "supplied by", "sub"}
 
     def test_node_paths_include_dummies(self, searched):
-        _, result, _ = searched
+        db, result, _ = searched
         best = result.mttons[0]
         supplier_edges = [e for e in best.edges if e.edge_id == "Lineitem=>Person"]
         assert supplier_edges
-        assert any("su_" in node for node in supplier_edges[0].node_path)
+        edge = supplier_edges[0]
+        path = db.to_graph.path_of(edge.edge_id, edge.source_to, edge.target_to)
+        assert any("su_" in node for node in path)
 
     def test_role_of_and_contains(self, searched):
         _, result, _ = searched

@@ -1,8 +1,9 @@
 """Python enumeration of fragment embeddings: the relation builder's oracle.
 
-:func:`fragment_instances` walks the in-memory target-object graph and
-yields every embedding of a fragment, the definition the SQL builder in
-:mod:`repro.storage.relations` must reproduce row for row.
+:func:`fragment_instances` builds its own adjacency from the
+target-object graph's tables and yields every embedding of a fragment,
+the definition the SQL builder in :mod:`repro.storage.relations` must
+reproduce row for row.
 """
 
 from __future__ import annotations
@@ -10,15 +11,31 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.decomposition.fragments import Fragment
-from repro.storage.target_objects import TargetObjectGraph
+from repro.storage.persistence import EDGE_TABLE, TO_TABLE, TargetObjectTables
+
+
+def _adjacency(to_graph: TargetObjectTables):
+    """``(TOs per TSS, forward, backward)``, read from the TO tables."""
+    database = to_graph.database
+    by_tss: dict[str, list[str]] = {}
+    for to_id, tss in database.query(f"SELECT to_id, tss FROM {TO_TABLE}"):
+        by_tss.setdefault(tss, []).append(to_id)
+    forward: dict[tuple[str, str], list[str]] = {}
+    backward: dict[tuple[str, str], list[str]] = {}
+    for edge_id, source_to, target_to in database.query(
+        f"SELECT edge_id, source_to, target_to FROM {EDGE_TABLE}"
+    ):
+        forward.setdefault((edge_id, source_to), []).append(target_to)
+        backward.setdefault((edge_id, target_to), []).append(source_to)
+    return by_tss, forward, backward
 
 
 def fragment_instances(
     fragment: Fragment,
-    to_graph: TargetObjectGraph,
+    to_graph: TargetObjectTables,
     anchor: tuple[int, str] | None = None,
 ) -> Iterator[tuple[str, ...]]:
-    """All embeddings of a fragment into the target-object graph.
+    """All embeddings of a fragment into a loaded target-object graph.
 
     Rows are tuples of target-object ids in role order; roles must bind
     distinct target objects (a fragment instance is a *subgraph* of the
@@ -31,6 +48,7 @@ def fragment_instances(
             target object in that role — the update subsystem's way to
             recompute only rows touched by a delta.
     """
+    by_tss, forward, backward = _adjacency(to_graph)
     start = anchor[0] if anchor is not None else 0
     order: list[tuple[int, object]] = [(start, None)]
     seen = {start}
@@ -55,13 +73,11 @@ def fragment_instances(
             if anchor is not None:
                 candidates = [anchor[1]]
             else:
-                candidates = to_graph.target_objects(fragment.labels[role])
+                candidates = by_tss.get(fragment.labels[role], [])
         else:
             bound = assignment[via.other(role)]  # type: ignore[union-attr]
-            if via.oriented_from(via.other(role)):  # type: ignore[union-attr]
-                candidates = to_graph.targets(via.edge_id, bound)  # type: ignore[union-attr]
-            else:
-                candidates = to_graph.sources(via.edge_id, bound)  # type: ignore[union-attr]
+            adjacent = forward if via.oriented_from(via.other(role)) else backward  # type: ignore[union-attr]
+            candidates = adjacent.get((via.edge_id, bound), [])  # type: ignore[union-attr]
         taken = set(assignment.values())
         for candidate in candidates:
             if candidate in taken:

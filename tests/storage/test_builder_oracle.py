@@ -31,7 +31,7 @@ from repro.schema import (
     tpch_catalog,
     xmark_catalog,
 )
-from repro.storage import load_database
+from repro.storage import build_target_object_graph, load_database
 from repro.storage.persistence import EDGE_TABLE, MEMBER_TABLE, TO_TABLE
 from repro.updates import UpdateManager
 from repro.workloads import (
@@ -74,6 +74,12 @@ def load_corpus(name: str, decompositions=every_decomposition):
     catalog_factory, graph_factory = CORPORA[name]
     catalog = catalog_factory()
     return load_database(graph_factory(), catalog, decompositions(catalog.tss))
+
+
+def target_objects(loaded, tss: str | None = None) -> list[str]:
+    """Sorted target-object ids, of one TSS or of all, from the TO table."""
+    rows = loaded.database.query(f"SELECT to_id, tss FROM {TO_TABLE} ORDER BY to_id")
+    return [to_id for to_id, label in rows if tss in (None, label)]
 
 
 def assert_relations_match_oracle(loaded, heap_order: bool) -> None:
@@ -127,7 +133,7 @@ class TestAnchored:
         for store in loaded.stores.values():
             for fragment in store.decomposition.fragments:
                 for role, label in enumerate(fragment.labels):
-                    candidates = sorted(loaded.to_graph.target_objects(label))
+                    candidates = target_objects(loaded, label)
                     sample = rng.sample(candidates, min(3, len(candidates)))
                     union = set()
                     for to_id in sample:
@@ -176,7 +182,7 @@ def test_relations_equal_oracle_after_mutations(corpus, sequence):
     graph = loaded.graph
     deleted: list[tuple[str, str | None]] = []
     for op, pick in sequence:
-        live = sorted(loaded.to_graph.tss_of_to)
+        live = target_objects(loaded)
         if op == "insert" and deleted:
             xml, parent_id = deleted.pop(pick % len(deleted))
             try:
@@ -194,14 +200,15 @@ def test_relations_equal_oracle_after_mutations(corpus, sequence):
                 manager.delete_document(to_id)
 
     assert_relations_match_oracle(loaded, heap_order=False)
-    database, to_graph = loaded.database, loaded.to_graph
-    assert dict(database.query(f"SELECT to_id, tss FROM {TO_TABLE}")) == to_graph.tss_of_to
+    database = loaded.database
+    rebuilt = build_target_object_graph(graph, loaded.catalog.tss)
+    assert dict(database.query(f"SELECT to_id, tss FROM {TO_TABLE}")) == rebuilt.tss_of_to
     assert dict(database.query(f"SELECT node_id, to_id FROM {MEMBER_TABLE}")) == (
-        to_graph.to_of_node
+        rebuilt.to_of_node
     )
     assert set(
         database.query(f"SELECT edge_id, source_to, target_to FROM {EDGE_TABLE}")
-    ) == set(to_graph._paths)
+    ) == set(rebuilt.paths)
 
 
 def test_edge_with_a_parallel_path_survives_a_delete():
@@ -229,7 +236,7 @@ def test_edge_with_a_parallel_path_survives_a_delete():
 
     UpdateManager(loaded).delete_document(section)
 
-    assert loaded.to_graph.has_instance(edge.edge_id, "d1", "t1")
+    assert loaded.to_graph.path_of(edge.edge_id, "d1", "t1") is not None
     assert loaded.database.query(
         f"SELECT source_to, target_to FROM {EDGE_TABLE}"
     ) == [("d1", "t1")]

@@ -4,13 +4,7 @@ import pytest
 
 from repro.core import KeywordQuery, XKeyword
 from repro.decomposition import minimal_decomposition
-from repro.storage import (
-    Database,
-    has_metadata,
-    load_database,
-    load_metadata,
-    reopen_database,
-)
+from repro.storage import Database, has_metadata, load_database, reopen_database
 
 
 @pytest.fixture()
@@ -29,21 +23,28 @@ class TestPersistReopen:
         assert has_metadata(Database(path))
         assert not has_metadata(Database())
 
-    def test_target_object_graph_roundtrip(self, persisted, tpch):
+    def test_target_object_graph_roundtrip(self, persisted, tpch, figure1_graph):
         path, loaded = persisted
-        reopened_graph = load_metadata(Database(path), tpch)
-        assert reopened_graph.tss_of_to == loaded.to_graph.tss_of_to
-        assert reopened_graph.to_of_node == loaded.to_graph.to_of_node
-        assert set(reopened_graph.pairs("Part=>Part")) == set(
-            loaded.to_graph.pairs("Part=>Part")
-        )
+        reopened_graph = reopen_database(
+            Database(path), tpch, [minimal_decomposition(tpch.tss)]
+        ).to_graph
+        for node in figure1_graph.nodes():
+            assert reopened_graph.to_of(node.node_id) == loaded.to_graph.to_of(node.node_id)
+            assert reopened_graph.tss_of(node.node_id) == loaded.to_graph.tss_of(node.node_id)
+        assert reopened_graph.tss_counts() == loaded.to_graph.tss_counts()
+        assert reopened_graph.edge_counts() == loaded.to_graph.edge_counts()
+        for source, target in (("pa3", "pa1"), ("pa3", "pa2")):
+            assert reopened_graph.path_of("Part=>Part", source, target) is not None
+        assert reopened_graph.edge_counts()["Part=>Part"] == 2
 
     def test_node_paths_survive(self, persisted, tpch):
         path, loaded = persisted
-        reopened_graph = load_metadata(Database(path), tpch)
+        reopened_graph = reopen_database(
+            Database(path), tpch, [minimal_decomposition(tpch.tss)]
+        ).to_graph
         assert reopened_graph.path_of(
             "Lineitem=>Person", "l1", "p1"
-        ) == loaded.to_graph.path_of("Lineitem=>Person", "l1", "p1")
+        ) == loaded.to_graph.path_of("Lineitem=>Person", "l1", "p1") == ("l1", "su_l1", "p1")
 
     def test_reopened_database_searches(self, persisted, tpch):
         path, loaded = persisted
@@ -75,7 +76,7 @@ class TestPersistReopen:
 
     def test_missing_metadata_raises(self, tpch):
         with pytest.raises(LookupError, match="no persisted metadata"):
-            load_metadata(Database(), tpch)
+            reopen_database(Database(), tpch, [minimal_decomposition(tpch.tss)])
 
     def test_missing_relations_raise(self, persisted, tpch):
         from repro.decomposition import xkeyword_decomposition

@@ -28,21 +28,21 @@ def olpa(tpch):
 
 
 class TestFragmentInstances:
-    def test_single_edge_instances(self, tpch, to_graph):
+    def test_single_edge_instances(self, tpch, figure1_db):
         fragment = single_edge_fragment(tpch.tss, "Part=>Part")
-        rows = set(fragment_instances(fragment, to_graph))
+        rows = set(fragment_instances(fragment, figure1_db.to_graph))
         assert rows == {("pa3", "pa1"), ("pa3", "pa2")}
 
-    def test_path_instances(self, tpch, to_graph):
-        rows = set(fragment_instances(olpa(tpch), to_graph))
+    def test_path_instances(self, tpch, figure1_db):
+        rows = set(fragment_instances(olpa(tpch), figure1_db.to_graph))
         assert rows == {("o1", "l1", "pa3"), ("o1", "l2", "pa3")}
 
-    def test_injective_roles(self, tpch, to_graph):
+    def test_injective_roles(self, tpch, figure1_db):
         papa = Fragment(
             ["Part", "Part", "Part"],
             [NetEdge(0, 1, "Part=>Part"), NetEdge(0, 2, "Part=>Part")],
         )
-        rows = set(fragment_instances(papa, to_graph))
+        rows = set(fragment_instances(papa, figure1_db.to_graph))
         assert rows == {("pa3", "pa1", "pa2"), ("pa3", "pa2", "pa1")}
         for row in rows:
             assert len(set(row)) == len(row)

@@ -63,9 +63,9 @@ class TestFullPipelineProperties:
         result = engine.search_all(query, parallel=False)
         for mtton in result.mttons:
             for edge in mtton.edges:
-                assert edge.target_to in small_dblp_db.to_graph.targets(
-                    edge.edge_id, edge.source_to
-                )
+                assert small_dblp_db.to_graph.path_of(
+                    edge.edge_id, edge.source_to, edge.target_to
+                ) is not None
 
 
 class RandomTreeMachinery:

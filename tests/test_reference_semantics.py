@@ -35,7 +35,7 @@ class TestFigure1Agreement:
         reference = ExhaustiveSearcher(figure1_graph, tpch.text_nodes)
         expected = reference.project_to_target_objects(
             reference.search(query.keywords, query.max_size),
-            figure1_db.to_graph.to_of_node,
+            figure1_db.to_graph.to_of,
         )
         actual = engine_projection(engine, query)
         assert actual == expected, (
@@ -49,7 +49,7 @@ class TestFigure1Agreement:
         reference = ExhaustiveSearcher(figure1_graph, tpch.text_nodes)
         expected = reference.project_to_target_objects(
             reference.search(query.keywords, query.max_size),
-            figure1_db.to_graph.to_of_node,
+            figure1_db.to_graph.to_of,
         )
         assert engine_projection(engine, query) == expected
 
@@ -81,7 +81,7 @@ class TestTinyDBLPAgreement:
         query = KeywordQuery((names[0], names[-1]), max_size=6)
         expected = reference.project_to_target_objects(
             reference.search(query.keywords, query.max_size),
-            loaded.to_graph.to_of_node,
+            loaded.to_graph.to_of,
         )
         actual = engine_projection(engine, query)
         assert actual == expected, f"seed {seed}, query {query}"

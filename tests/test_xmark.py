@@ -75,7 +75,7 @@ class TestSearch:
         query = KeywordQuery((names[0], names[-1]), max_size=6)
         expected = reference.project_to_target_objects(
             reference.search(query.keywords, query.max_size),
-            loaded.to_graph.to_of_node,
+            loaded.to_graph.to_of,
         )
         actual = {
             (frozenset(m.target_objects()), m.score)

@@ -7,6 +7,7 @@ fixtures, which other test modules assume immutable.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
@@ -51,11 +52,6 @@ def assert_equivalent(catalog, decompositions, loaded) -> None:
         ours = set(loaded.database.query(f"SELECT {columns} FROM {table}"))
         theirs = set(fresh.database.query(f"SELECT {columns} FROM {table}"))
         assert ours == theirs, (table, sorted(ours ^ theirs)[:5])
-    assert loaded.to_graph.tss_of_to == fresh.to_graph.tss_of_to
-    assert loaded.to_graph.to_of_node == fresh.to_graph.to_of_node
-    ours = set(loaded.to_graph._paths)
-    theirs = set(fresh.to_graph._paths)
-    assert ours == theirs, ("instances", sorted(ours ^ theirs)[:5])
     for name, store in loaded.stores.items():
         fresh_store = fresh.stores[name]
         for fragment in store.decomposition.fragments:
@@ -66,16 +62,16 @@ def assert_equivalent(catalog, decompositions, loaded) -> None:
                 f"SELECT * FROM {fresh_store.base_table(fragment)}"
             ))
             assert ours == theirs, (fragment.relation_name, sorted(ours ^ theirs)[:5])
-    assert loaded.statistics.tss_counts == fresh.statistics.tss_counts
-    assert loaded.statistics.edge_counts == fresh.statistics.edge_counts
+    for name in ("tss_counts", "edge_counts", "avg_fanout", "avg_fanin"):
+        assert getattr(loaded.statistics, name) == getattr(fresh.statistics, name), name
 
 
 def frozen_state(manager: UpdateManager) -> dict:
-    """Everything a rejected mutation must leave exactly as it was.
+    """Everything a rejected or failed mutation must leave as it was.
 
-    The graph, the TO graph, every SQL table (master index, relations,
-    BLOBs, persisted metadata), the epoch in memory and on disk, the
-    version vector, and the published snapshot.
+    The graph, every SQL table (master index, relations, BLOBs, the TO
+    graph's tables), the statistics, the epoch in memory and on disk,
+    the version vector, the document count and the published snapshot.
     """
     loaded = manager.loaded
     database = loaded.database
@@ -83,18 +79,25 @@ def frozen_state(manager: UpdateManager) -> dict:
     return {
         "nodes": set(loaded.graph.nodes()),
         "edges": set(loaded.graph.edges()),
-        "to_graph": (
-            dict(loaded.to_graph.tss_of_to),
-            dict(loaded.to_graph.to_of_node),
-            set(loaded.to_graph._paths),
-        ),
         "tables": {
             name: Counter(database.query(f"SELECT * FROM {name}")) for (name,) in tables
         },
+        "statistics": copy.deepcopy(loaded.statistics),
         "epoch": (loaded.epoch, load_index_epoch(database)),
         "versions": manager.versions.epoch,
+        "documents": set(manager._documents),
         "snapshot": manager.snapshot(),
     }
+
+
+def target_objects(loaded, tss: str) -> list[str]:
+    """The ids of one TSS's target objects, read from the TO table."""
+    return [
+        to_id
+        for (to_id,) in loaded.database.query(
+            f"SELECT to_id FROM {TO_TABLE} WHERE tss = ? ORDER BY to_id", (tss,)
+        )
+    ]
 
 
 @pytest.fixture()

@@ -22,7 +22,7 @@ from repro.core import ExecutorConfig, KeywordQuery, XKeyword
 from repro.service import QueryService
 from repro.updates import UpdateManager
 
-from .conftest import build_dblp
+from .conftest import build_dblp, target_objects
 from .test_property_equivalence import paper_xml
 
 ops = st.lists(
@@ -57,16 +57,8 @@ def test_sql_backend_matches_oracle_across_mutations(sequence):
     catalog, decomps, loaded = build_dblp(papers=12, authors=8)
     manager = UpdateManager(loaded)
     engine = XKeyword(loaded)
-    papers = sorted(
-        to_id
-        for to_id, tss in loaded.to_graph.tss_of_to.items()
-        if tss == "Paper"
-    )
-    parents = sorted(
-        to_id
-        for to_id, tss in loaded.to_graph.tss_of_to.items()
-        if tss == "Year"
-    )
+    papers = target_objects(loaded, "Paper")
+    parents = target_objects(loaded, "Year")
 
     def check(context):
         for keywords in QUERIES:
@@ -121,9 +113,7 @@ def same_size_swap(insert, delete, check):
 
 
 def first_year(loaded) -> str:
-    return min(
-        to_id for to_id, tss in loaded.to_graph.tss_of_to.items() if tss == "Year"
-    )
+    return target_objects(loaded, "Year")[0]
 
 
 SWAP_QUERY = ("zebra", "quokka")

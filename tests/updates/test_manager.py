@@ -131,6 +131,26 @@ class TestUpdate:
         assert_equivalent(catalog, decomps, loaded)
 
 
+class TestStatistics:
+    def test_all_four_maps_follow_a_mutation_sequence(self, dblp_setup, manager):
+        """Fan-out and fan-in too, not only the counts they derive from,
+        and in place: the optimizer keeps the object it was built with."""
+        catalog, decomps, loaded = dblp_setup
+        statistics = loaded.statistics
+        before = (dict(statistics.avg_fanout), dict(statistics.avg_fanin))
+        manager.insert_document(NEW_PAPER, parent_id="c0y1")
+        manager.delete_document("p5")
+        manager.update_document(
+            "p7", '<paper id="p7" ref="a1 a2 a3"><title id="p7t">fan out</title></paper>'
+        )
+        manager.insert_document(NEW_AUTHOR)
+        assert loaded.statistics is statistics
+        assert (statistics.avg_fanout, statistics.avg_fanin) != before
+        fresh = load_database(loaded.graph, catalog, decomps, database=Database())
+        for name in ("tss_counts", "edge_counts", "avg_fanout", "avg_fanin"):
+            assert getattr(statistics, name) == getattr(fresh.statistics, name), name
+
+
 class TestTopKEquivalenceAndSpeed:
     def test_topk_identical_and_10x_faster_than_reload(self):
         """The ISSUE's acceptance bar: a single-document update followed

@@ -18,7 +18,7 @@ from repro.core import KeywordQuery, XKeyword
 from repro.storage import Database, load_database
 from repro.updates import UpdateManager
 
-from .conftest import assert_equivalent, build_dblp
+from .conftest import assert_equivalent, build_dblp, target_objects
 
 WORDS = ("alpha", "beta", "gamma", "delta", "epsilon")
 
@@ -51,16 +51,8 @@ def paper_xml(node_id: str, word_index: int, refs: list[str]) -> str:
 def test_any_interleaving_matches_full_reload(sequence):
     catalog, decomps, loaded = build_dblp(papers=12, authors=8)
     manager = UpdateManager(loaded)
-    papers = sorted(
-        to_id
-        for to_id, tss in loaded.to_graph.tss_of_to.items()
-        if tss == "Paper"
-    )
-    parents = sorted(
-        to_id
-        for to_id, tss in loaded.to_graph.tss_of_to.items()
-        if tss == "Year"
-    )
+    papers = target_objects(loaded, "Paper")
+    parents = target_objects(loaded, "Year")
     fresh_counter = 0
     for op, pick in sequence:
         if op == "insert":

@@ -82,7 +82,7 @@ class TestTPCHGenerator:
         graph = generate_tpch(TPCHConfig(persons=5, seed=3))
         to_graph = build_target_object_graph(graph, tpch.tss)
         assert to_graph.target_object_count > 0
-        assert to_graph.instances.get("Lineitem=>Person")
+        assert any(key[0] == "Lineitem=>Person" for key in to_graph.paths)
 
     def test_deterministic(self):
         a = generate_tpch(TPCHConfig(seed=6))
