@@ -8,7 +8,7 @@ from .ctssn import (
     max_ctssn_size,
     reduce_to_ctssn,
 )
-from .engine import SearchHooks, SearchResult, XKeyword
+from .engine import SearchResult, XKeyword
 from .execution import (
     BACKEND_PYTHON,
     BACKEND_SQL,
@@ -17,7 +17,6 @@ from .execution import (
     STRATEGIES,
     CTSSNExecutor,
     ExecutionMetrics,
-    ExecutionObserver,
     ExecutorConfig,
     PrefixSpec,
     ResultCache,
@@ -53,7 +52,6 @@ __all__ = [
     "CandidateNetwork",
     "ContainingLists",
     "ExecutionMetrics",
-    "ExecutionObserver",
     "ExecutionPlan",
     "ExecutorConfig",
     "KeywordQuery",
@@ -76,7 +74,6 @@ __all__ = [
     "StreamCursor",
     "STRATEGIES",
     "SQLCTSSNExecutor",
-    "SearchHooks",
     "SearchResult",
     "SharedPrefixTable",
     "TopKBound",

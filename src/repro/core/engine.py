@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
 
 from ..schema.tss import TSSGraph
 from ..storage.decomposer import LoadedDatabase
@@ -30,7 +30,6 @@ from .execution import (
     PIPELINE_STAGES,
     CTSSNExecutor,
     ExecutionMetrics,
-    ExecutionObserver,
     ExecutorConfig,
     PlannedCN,
     PrefixSpec,
@@ -97,23 +96,6 @@ class SearchResult:
         return groups
 
 
-@dataclass
-class SearchHooks:
-    """Lightweight engine instrumentation (the service layer's probe).
-
-    Every field is optional; unset hooks cost one ``None`` check.  The
-    engine never depends on what the callbacks do — they must not raise
-    and must be thread-safe (``observer`` is shared by the per-CN
-    thread pool of a ``parallel=True`` search).
-    """
-
-    on_search_complete: Callable[[KeywordQuery, "SearchResult", float], None] | None = None
-    """Called with the finished result and wall-clock seconds elapsed."""
-
-    observer: ExecutionObserver | None = None
-    """Passed to every executor; sees every per-relation lookup."""
-
-
 class NetworkVerifier(Protocol):
     """Checks pipeline objects before execution (the ``debug_verify`` seam).
 
@@ -175,7 +157,6 @@ class XKeyword:
         store_priority: list[str] | None = None,
         executor_config: ExecutorConfig | None = None,
         threads: int = 4,
-        hooks: SearchHooks | None = None,
         verifier: NetworkVerifier | None = None,
         tracer=None,
     ) -> None:
@@ -187,7 +168,6 @@ class XKeyword:
                 relations from earlier stores.
             executor_config: Default execution switches.
             threads: Thread-pool width of a ``parallel=True`` search.
-            hooks: Optional instrumentation callbacks.
             verifier: Optional invariant checker run on every CN, CTSSN
                 and plan before execution (``debug_verify`` mode); adds
                 per-query overhead, so serving defaults to ``None``.
@@ -201,7 +181,6 @@ class XKeyword:
         self.stores = {name: loaded.store(name) for name in names}
         self.executor_config = executor_config or ExecutorConfig()
         self.threads = max(1, threads)
-        self.hooks = hooks or SearchHooks()
         self.verifier = verifier
         self.tracer = tracer or NULL_TRACER
         self.optimizer = Optimizer(self.stores, loaded.statistics)
@@ -315,9 +294,10 @@ class XKeyword:
             stream: Optional :class:`~repro.core.streaming.ResultStream`
                 the scheduler publishes each ranked result to the moment
                 its score band is final (the streamed sequence is
-                byte-identical to the returned ``result.mttons``); the
-                stream is completed — or its unstreamed tail published —
-                when the search returns.
+                byte-identical to the returned ``result.mttons``).  The
+                search only publishes: the caller owns the stream and
+                terminates it (``complete(result)`` publishes any tail
+                left unstreamed).
         """
         return self._run(query, k, config, parallel, stream=stream)
 
@@ -359,11 +339,13 @@ class XKeyword:
 
         def run() -> None:
             try:
-                self._run(
+                result = self._run(
                     query, None if all_results else k, config, parallel, stream=stream
                 )
             except BaseException as exc:  # noqa: BLE001 - delivered to consumers
                 stream.fail(exc)
+            else:
+                stream.complete(result)
 
         threading.Thread(target=run, name="xkeyword-stream", daemon=True).start()
         return stream
@@ -402,7 +384,6 @@ class XKeyword:
         trace = self.tracer.begin(
             " ".join(query.keywords), k=limit, max_size=query.max_size
         )
-        started = time.perf_counter()
         metrics = ExecutionMetrics()
         result = SearchResult(query, [], metrics)
         result.epoch = getattr(self.loaded, "epoch", 0)
@@ -433,7 +414,7 @@ class XKeyword:
                 key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment)
             )
             result.mttons = run.collected if limit is None else run.collected[:limit]
-        return self._finish(result, started, trace, stream)
+        return self._finish(result, trace)
 
     def _plan_networks(
         self,
@@ -561,7 +542,6 @@ class XKeyword:
                 run.config,
                 metrics=metrics,
                 lookup_cache=run.lookup_cache,
-                observer=self.hooks.observer,
                 span=span if run.trace.enabled else None,
                 prefix=cn.prefix,
                 prefix_table=run.prefix_table,
@@ -596,19 +576,11 @@ class XKeyword:
             if emitter is not None:
                 emitter.cn_done(ctssn.score)
 
-    def _finish(
-        self, result: SearchResult, started: float, trace, stream: ResultStream | None
-    ) -> SearchResult:
+    def _finish(self, result: SearchResult, trace) -> SearchResult:
         trace.root.annotate(
             results=len(result.mttons),
             candidate_networks=len(result.candidate_networks),
             epoch=result.epoch,
         )
         self.tracer.finish(trace)
-        if self.hooks.on_search_complete is not None:
-            self.hooks.on_search_complete(
-                result.query, result, time.perf_counter() - started
-            )
-        if stream is not None:
-            stream.complete(result)
         return result

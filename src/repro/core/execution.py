@@ -381,18 +381,6 @@ class TopKBound:
         return current is None or score <= current
 
 
-class ExecutionObserver:
-    """No-op hook points the service layer's instrumentation overrides.
-
-    The executor calls these from its hot path, so implementations must
-    be cheap and must not raise; every method defaults to a no-op so
-    subclasses override only what they meter.
-    """
-
-    def on_query(self, relation_name: str, rows: int, cached: bool) -> None:
-        """One focused lookup: served from the shared cache or the DBMS."""
-
-
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Execution-mode switches (Section 6 variants).
@@ -473,7 +461,6 @@ class CTSSNExecutor:
         config: ExecutorConfig | None = None,
         metrics: ExecutionMetrics | None = None,
         lookup_cache: ResultCache | None = None,
-        observer: ExecutionObserver | None = None,
         span: Span | None = None,
         prefix: PrefixSpec | None = None,
         prefix_table: SharedPrefixTable | None = None,
@@ -486,7 +473,6 @@ class CTSSNExecutor:
             config: Execution-mode switches; optimized+shared by default.
             metrics: Counter sink; a fresh one is created when omitted.
             lookup_cache: Cross-CN shared relation-lookup cache.
-            observer: Service-layer instrumentation hooks.
             span: Trace span receiving per-relation lookup provenance
                 (``None`` when tracing is disabled).
             prefix: This plan's shared join prefix, when the scheduler
@@ -499,7 +485,6 @@ class CTSSNExecutor:
         self.config = config or ExecutorConfig()
         self.metrics = metrics or ExecutionMetrics()
         self.containing = containing
-        self.observer = observer
         self.cache = ResultCache(RESULT_CACHE_CAPACITY)
         self._lookup_cache = lookup_cache if self.config.memoize else None
         self._prefix = prefix
@@ -773,8 +758,6 @@ class CTSSNExecutor:
             cached = self._lookup_cache.get(key)
             if cached is not None:
                 self.metrics.cache_hits += 1
-                if self.observer is not None:
-                    self.observer.on_query(relation_name, len(cached), True)
                 if self._span is not None:
                     self._span.record_lookup(relation_name, len(cached), True)
                 return cached  # type: ignore[return-value]
@@ -783,8 +766,6 @@ class CTSSNExecutor:
         self.metrics.rows_fetched += len(rows)
         if key is not None:
             self._lookup_cache.put(key, rows)  # type: ignore[arg-type]
-        if self.observer is not None:
-            self.observer.on_query(relation_name, len(rows), False)
         if self._span is not None:
             self._span.record_lookup(relation_name, len(rows), False)
         return rows

@@ -275,8 +275,6 @@ class SQLCTSSNExecutor(CTSSNExecutor):
         if self._span is not None:
             self._span.record_lookup("compiled-sql", len(rows), False)
             self._span.annotate(sql=_one_line(compiled.sql))
-        if self.observer is not None:
-            self.observer.on_query("compiled-sql", len(rows), False)
         for row in rows:
             self.metrics.results += 1
             yield dict(zip(compiled.roles, row))

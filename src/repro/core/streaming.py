@@ -87,14 +87,14 @@ _DONE = object()
 class ResultStream:
     """Thread-safe ordered channel of ranked results for one execution.
 
-    The producer (the engine, via :class:`_StreamEmitter`) calls
-    :meth:`publish` for each admitted result in final ranked order and
-    exactly one of :meth:`complete` / :meth:`fail` at the end.
-    :meth:`complete` also publishes any ranked tail the producer never
-    streamed incrementally (e.g. the service's cached replay, which
-    completes a fresh stream from a stored result), so consumers always
-    see the full buffered top-k regardless of how incremental the
-    producer was.
+    The engine (via :class:`_StreamEmitter`) calls :meth:`publish` for
+    each admitted result in final ranked order; the stream's owner —
+    whoever created it and ran the search — calls exactly one of
+    :meth:`complete` / :meth:`fail` at the end.  :meth:`complete` also
+    publishes any ranked tail that was never streamed incrementally
+    (e.g. the service's cached replay, which completes a fresh stream
+    from a stored result), so consumers always see the full buffered
+    top-k regardless of how incremental the producer was.
 
     Consumers either iterate a :meth:`subscribe` cursor for incremental
     delivery or block on :meth:`result` for the buffered

@@ -9,9 +9,9 @@ across queries, so a repeated query (the common case behind a web search box) sk
 entire pipeline: no containing-list retrieval, no CN generation, no
 planning, no execution.
 
-Keys are ``(frozen keyword bag, k, max_size, mode)`` — one service
-serves one database for the life of the process, so the database is not
-part of the key.  The keyword *bag* is order-insensitive (keyword order
+Keys are ``(frozen keyword bag, k, max_size)``, where ``k=None`` means
+every result — one service serves one database for the life of the
+process, so the database is not part of the key.  The keyword *bag* is order-insensitive (keyword order
 is irrelevant to query semantics), so ``"smith chen"`` and
 ``"chen smith"`` share an entry.
 
@@ -43,19 +43,15 @@ from typing import Callable
 from ..core.query import KeywordQuery
 from ..storage.fingerprint import VersionVector
 
-CacheKey = tuple[tuple[str, ...], object, int, str]
+CacheKey = tuple[tuple[str, ...], int | None, int]
 
 _FRESH = ((), ())
 """Version snapshot used when no version vector is installed."""
 
 
-def query_cache_key(
-    query: KeywordQuery,
-    k: int | None,
-    mode: str = "topk",
-) -> CacheKey:
-    """The canonical cache key for one search."""
-    return (tuple(sorted(query.keywords)), k, query.max_size, mode)
+def query_cache_key(query: KeywordQuery, k: int | None) -> CacheKey:
+    """The canonical cache key for one search (``k=None``: all results)."""
+    return (tuple(sorted(query.keywords)), k, query.max_size)
 
 
 @dataclass

@@ -82,6 +82,12 @@ class Counter:
         with self._lock:
             self._value += amount
 
+    def advance_to(self, total: float) -> None:
+        """Raise the value to ``total``, a count kept elsewhere (the cache's
+        hits, admission's sheds); a lower ``total`` leaves it unchanged."""
+        with self._lock:
+            self._value = max(self._value, total)
+
     @property
     def value(self) -> float:
         with self._lock:

@@ -34,14 +34,15 @@ bounds concurrency and sheds overload with 503 + ``Retry-After``,
 :class:`~repro.service.singleflight.SingleFlight` coalesces concurrent
 identical requests onto one execution whose
 :class:`~repro.core.ResultStream` feeds every waiter, and
-:class:`~repro.service.metrics.MetricsRegistry` meters everything via the
-engine's :class:`~repro.core.SearchHooks`.
+:class:`~repro.service.metrics.MetricsRegistry` meters everything: each
+finished search from the :class:`~repro.core.ExecutionMetrics` its result
+carries, and the cache and admission counts at scrape time from their
+own ``stats()``.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -49,10 +50,8 @@ from dataclasses import dataclass
 from ..analysis.plans import DebugVerifier
 from ..core import (
     ExecutionMetrics,
-    ExecutionObserver,
     KeywordQuery,
     ResultStream,
-    SearchHooks,
     SearchResult,
     XKeyword,
     open_navigator,
@@ -113,8 +112,8 @@ class ServiceConfig:
     ``None`` disables the slow-query log."""
 
 
-class _EngineInstrumentation(ExecutionObserver):
-    """Feeds engine hook events into the metrics registry."""
+class _EngineInstrumentation:
+    """Meters each finished search from the metrics its result carries."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
         """
@@ -131,7 +130,7 @@ class _EngineInstrumentation(ExecutionObserver):
         self._results = registry.counter(
             "repro_engine_results_total", "MTTONs returned by the engine"
         )
-        self._queries = {
+        self._lookups = {
             cached: registry.counter(
                 "repro_engine_lookups_total",
                 "Focused relation lookups, by partial-result cache outcome",
@@ -150,23 +149,18 @@ class _EngineInstrumentation(ExecutionObserver):
             "Candidate networks skipped by the global top-k bound",
         )
 
-    # SearchHooks callbacks ------------------------------------------------
-    def search_complete(self, query, result: SearchResult, seconds: float) -> None:
-        """Record one finished search, including its per-stage timings."""
+    def record(self, result: SearchResult, seconds: float) -> None:
+        """Record one finished search: its lookups (the counts the reply's
+        ``engine_metrics`` reports), results, pruning and stage timings."""
+        metrics = result.metrics
         self._searches.inc()
         self._latency.observe(seconds)
         self._results.inc(len(result.mttons))
-        if result.metrics.cns_pruned:
-            self._cns_pruned.inc(result.metrics.cns_pruned)
-        for stage, stage_seconds in result.metrics.stage_seconds.items():
+        self._lookups[False].inc(metrics.queries_sent)
+        self._lookups[True].inc(metrics.cache_hits)
+        self._cns_pruned.inc(metrics.cns_pruned)
+        for stage, stage_seconds in metrics.stage_seconds.items():
             self._stage_seconds(stage).observe(stage_seconds)
-
-    # ExecutionObserver ----------------------------------------------------
-    def on_query(self, relation_name: str, rows: int, cached: bool) -> None:
-        self._queries[cached].inc()
-
-    def hooks(self) -> SearchHooks:
-        return SearchHooks(on_search_complete=self.search_complete, observer=self)
 
 
 @dataclass(frozen=True)
@@ -211,7 +205,7 @@ class _PreparedSearch:
 
     query: KeywordQuery
     k: int | None
-    all_results: bool
+    """Ranked-result cutoff; ``None`` means every result."""
     key: tuple
     snapshot: tuple
     """Per-keyword VersionVector snapshot taken at admission, compared
@@ -233,15 +227,17 @@ class QueryService:
         loaded: LoadedDatabase,
         config: ServiceConfig | None = None,
         registry: MetricsRegistry | None = None,
-        engine_factory=None,
+        engine=None,
     ) -> None:
         """
         Args:
             loaded: The database to serve.
             config: Service knobs; defaults are laptop-friendly.
             registry: Metrics registry; a private one by default.
-            engine_factory: ``(LoadedDatabase, SearchHooks) -> engine``
-                override, used by tests to inject slow or fake engines.
+            engine: The engine to serve instead of an :class:`XKeyword`
+                over ``loaded``; tests pass slow or fake engines.  It
+                needs ``search(query, k=..., stream=...)``, which may
+                publish to ``stream`` but must not terminate it.
         """
         self.config = config or ServiceConfig()
         self.registry = registry or MetricsRegistry()
@@ -250,14 +246,6 @@ class QueryService:
             Tracer(TraceStore(TRACE_BUFFER))
             if self.config.tracing
             else NULL_TRACER
-        )
-        build_engine = engine_factory or (
-            lambda db, hooks: XKeyword(
-                db,
-                hooks=hooks,
-                verifier=DebugVerifier() if self.config.debug_verify else None,
-                tracer=self.tracer,
-            )
         )
         self.versions = VersionVector()
         self.loaded = loaded
@@ -271,7 +259,11 @@ class QueryService:
         )
         """Live-update manager; ``None`` when the database is read-only
         (reopened without its XML graph)."""
-        self.engine = build_engine(loaded, self._instrumentation.hooks())
+        self.engine = engine or XKeyword(
+            loaded,
+            verifier=DebugVerifier() if self.config.debug_verify else None,
+            tracer=self.tracer,
+        )
         self.cache = QueryCache(
             capacity=self.config.cache_capacity,
             ttl=self.config.cache_ttl,
@@ -291,15 +283,6 @@ class QueryService:
         )
         self._request_seconds = lambda endpoint: self.registry.histogram(
             "repro_request_seconds", "End-to-end request latency", endpoint=endpoint
-        )
-        self._cache_hits = self.registry.counter(
-            "repro_query_cache_hits_total", "Cross-query cache hits"
-        )
-        self._cache_misses = self.registry.counter(
-            "repro_query_cache_misses_total", "Cross-query cache misses"
-        )
-        self._shed = self.registry.counter(
-            "repro_shed_total", "Requests shed because the queue was full"
         )
         self._deadline_exceeded = self.registry.counter(
             "repro_deadline_exceeded_total", "Requests that missed their deadline"
@@ -327,13 +310,6 @@ class QueryService:
         self._mutation_seconds = lambda op: self.registry.histogram(
             "repro_mutation_seconds", "Mutation latency by operation", op=op
         )
-        self._cache_invalidations = lambda reason: self.registry.counter(
-            "repro_cache_invalidations_total",
-            "Cross-query cache entries invalidated, by reason",
-            reason=reason,
-        )
-        self._invalidation_lock = threading.Lock()
-        self._invalidation_mirrored: dict[str, int] = {}  # guarded by: self._invalidation_lock
 
     def _read(self):
         """The read side of the update lock: a concurrent mutation waits
@@ -368,13 +344,11 @@ class QueryService:
     ) -> "_PreparedSearch":
         """Validate a request and compute its cache/single-flight key."""
         query = KeywordQuery(tuple(keywords), max_size=max_size)
-        mode = "all" if all_results else "topk"
         k = None if all_results else (k if k is not None else DEFAULT_K)
         return _PreparedSearch(
             query=query,
             k=k,
-            all_results=all_results,
-            key=query_cache_key(query, k, mode),
+            key=query_cache_key(query, k),
             # The snapshot anchors mid-flight invalidation detection: a
             # VersionVector bump between here and execution means the
             # flight computed from (and is marked as) a stale snapshot.
@@ -396,11 +370,9 @@ class QueryService:
         started = time.perf_counter()
         cached = self.cache.get(prep.key)
         if cached is not None:
-            self._cache_hits.inc()
             stream = ResultStream()
             stream.complete(cached)
             return _SearchSession(self, prep, stream, None, started, deadline)
-        self._cache_misses.inc()
         flight, joined = self.singleflight.join(prep.key)
         session = _SearchSession(
             self, prep, flight.stream, flight, started, deadline, shared=joined
@@ -430,12 +402,13 @@ class QueryService:
     def _flight_runner(self, flight: Flight, prep: "_PreparedSearch"):
         """The worker-side execution of one flight.
 
-        Returns a zero-argument callable that runs the engine with the
-        flight's stream (real engines publish incrementally; injected
-        test engines without a ``stream`` kwarg fall back to bulk
-        publication at completion), detects mid-flight VersionVector
-        invalidation, caches fresh completed results, and always
-        terminates the stream and retires the flight.
+        Returns a zero-argument callable that runs the engine, which
+        publishes to the flight's stream as results become final.  The
+        runner owns the stream: it marks mid-flight VersionVector
+        invalidation, meters the result, caches it when fresh, and only
+        then completes the stream — so no waiter wakes before the cache
+        and ``/metrics`` hold the answer.  Every exit terminates the
+        stream and retires the flight.
         """
         engine, query = self.engine, prep.query
 
@@ -445,21 +418,18 @@ class QueryService:
 
         def runner() -> SearchResult:
             try:
-                overrides = {}
-                if isinstance(engine, XKeyword):
-                    overrides["stream"] = flight.stream
                 with self._read():
                     # Under the read lock no bump can interleave with the
                     # execution, so staleness is decided *before* results
                     # flow: waiters always observe a settled flag.
                     mark_if_stale()
-                    if prep.all_results:
-                        result = engine.search_all(query, **overrides)
-                    else:
-                        result = engine.search(query, k=prep.k, **overrides)
+                    started = time.perf_counter()
+                    result = engine.search(query, k=prep.k, stream=flight.stream)
+                    seconds = time.perf_counter() - started
                 # Engines without the update lock (injected fakes) can
                 # race mutations; re-check so stale results stay uncached.
                 mark_if_stale()
+                self._instrumentation.record(result, seconds)
                 if not flight.stream.cancelled and not flight.stale:
                     self.cache.put(
                         prep.key,
@@ -651,26 +621,10 @@ class QueryService:
         self._mutations(op).inc()
         self._mutation_seconds(op).observe(time.perf_counter() - started)
         dropped = self.cache.invalidate_stale()
-        self._sync_invalidation_metrics()
         payload = report.to_dict()
         payload["cache_entries_dropped"] = sum(dropped.values())
         payload["cache_invalidation_reasons"] = dropped
         return payload
-
-    def _sync_invalidation_metrics(self) -> None:
-        """Mirror the cache's per-reason invalidation totals as counters.
-
-        The cache counts invalidations internally (both lazy ``get``
-        drops and eager sweeps); this reconciles the Prometheus counters
-        to those totals without double counting.
-        """
-        reasons = self.cache.stats().invalidation_reasons
-        with self._invalidation_lock:
-            for reason, total in reasons.items():
-                seen = self._invalidation_mirrored.get(reason, 0)
-                if total > seen:
-                    self._cache_invalidations(reason).inc(total - seen)
-                    self._invalidation_mirrored[reason] = total
 
     # ------------------------------------------------------------------
     def trace_payload(self, trace_id: str) -> dict:
@@ -715,9 +669,28 @@ class QueryService:
         }
 
     def metrics_text(self) -> str:
-        """Render the registry, refreshing scrape-time gauges first."""
+        """Render the registry, first refreshing what the cache and the
+        admission controller count themselves."""
         admission = self.admission.stats()
         cache = self.cache.stats()
+        self.registry.counter(
+            "repro_query_cache_hits_total", "Cross-query cache hits"
+        ).advance_to(cache.hits)
+        self.registry.counter(
+            "repro_query_cache_misses_total", "Cross-query cache misses"
+        ).advance_to(cache.misses)
+        for reason, total in cache.invalidation_reasons.items():
+            self.registry.counter(
+                "repro_cache_invalidations_total",
+                "Cross-query cache entries invalidated, by reason",
+                reason=reason,
+            ).advance_to(total)
+        self.registry.counter(
+            "repro_shed_total", "Requests shed because the queue was full"
+        ).advance_to(admission.shed)
+        self.registry.counter(
+            "repro_admission_expired_total", "Requests expired while queued"
+        ).advance_to(admission.expired)
         self.registry.gauge(
             "repro_queue_depth", "Admitted requests waiting or executing"
         ).set(self.admission.queue_depth())
@@ -730,14 +703,10 @@ class QueryService:
         self.registry.gauge(
             "repro_query_cache_hit_rate", "Cross-query cache hit rate"
         ).set(round(cache.hit_rate, 6))
-        self.registry.gauge(
-            "repro_admission_expired_total", "Requests expired while queued"
-        ).set(admission.expired)
         snapshot = self.updates.snapshot() if self.updates is not None else None
         self.registry.gauge(
             "repro_index_epoch", "Mutation epoch of the served index"
         ).set(snapshot.epoch if snapshot else self.loaded.epoch)
-        self._sync_invalidation_metrics()
         return self.registry.render()
 
     def close(self) -> None:
@@ -749,10 +718,6 @@ class QueryService:
         """Record one finished HTTP request into the metrics registry."""
         self._requests(endpoint, status).inc()
         self._request_seconds(endpoint).observe(seconds)
-
-    def count_shed(self) -> None:
-        """Count one request shed by admission control (503)."""
-        self._shed.inc()
 
     def count_deadline_exceeded(self) -> None:
         """Count one request that exceeded its deadline (504)."""

@@ -172,7 +172,6 @@ class _Handler(BaseHTTPRequestHandler):
             payload = {"error": str(exc) if status != 500 else f"{type(exc).__name__}: {exc}"}
             headers = {}
             if status == 503:
-                self.service.count_shed()
                 payload["retry_after"] = exc.retry_after
                 headers["Retry-After"] = f"{exc.retry_after:.1f}"
             elif status == 504:

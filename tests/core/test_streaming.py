@@ -55,6 +55,14 @@ class TestStreamedEquivalence:
         assert list(stream) == list(buffered.mttons)
         assert list(stream.result().mttons) == list(buffered.mttons)
 
+    def test_search_publishes_and_leaves_termination_to_the_owner(self, engine):
+        stream = ResultStream()
+        result = engine.search(QUERY, k=10, stream=stream)
+        assert not stream.done
+        assert stream.emitted == len(result.mttons)
+        stream.complete(result)
+        assert list(stream) == list(result.mttons)
+
     @settings(max_examples=12, deadline=None)
     @given(k=st.integers(min_value=1, max_value=30))
     def test_stream_matches_buffered_any_k(self, engine, k):

@@ -33,7 +33,7 @@ class TestKeying:
         query = KeywordQuery.of("smith", "chen")
         base = query_cache_key(query, 10)
         assert query_cache_key(query, 20) != base
-        assert query_cache_key(query, None, "all") != base
+        assert query_cache_key(query, None) != base
         bigger = KeywordQuery.of("smith", "chen", max_size=4)
         assert query_cache_key(bigger, 10) != base
 

@@ -6,7 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import MetricsRegistry
+from repro.service import MetricsRegistry, QueryService, ServiceConfig
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def registered_metric_names() -> set[str]:
+    """Every ``"repro_…"`` metric-name literal under ``src/repro/service/``."""
+    registered = set()
+    for source in (ROOT / "src" / "repro" / "service").glob("*.py"):
+        registered |= set(re.findall(r'"(repro_\w+)"', source.read_text()))
+    assert registered, "no metric literals found; did the sources move?"
+    return registered
 
 
 class TestCounter:
@@ -21,6 +32,15 @@ class TestCounter:
         counter = MetricsRegistry().counter("c_total")
         with pytest.raises(ValueError):
             counter.inc(-1)
+
+    def test_advance_to_only_moves_up(self):
+        counter = MetricsRegistry().counter("c_total")
+        counter.advance_to(4)
+        counter.advance_to(2)
+        assert counter.value == 4
+        counter.inc()
+        counter.advance_to(5)
+        assert counter.value == 5
 
     def test_same_name_same_instrument(self):
         registry = MetricsRegistry()
@@ -96,23 +116,53 @@ class TestExposition:
         registry.counter("weird_total", label='say "hi"\n').inc()
         assert 'label="say \\"hi\\"\\n"' in registry.render()
 
+    def test_total_suffix_marks_exactly_the_counters(self, small_dblp_db):
+        """Over one rendered service ``/metrics``: every ``*_total`` family
+        is a counter, and every counter's name ends in ``_total``."""
+        service = QueryService(small_dblp_db, ServiceConfig(workers=1, queue_size=2))
+        try:
+            service.search(["smith", "balmin"], k=3, max_size=6)
+            service.observe_request("search", 200, 0.01)
+            text = service.metrics_text()
+        finally:
+            service.close()
+        types = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.M))
+        assert "repro_admission_expired_total" in types
+        mismatched = {
+            name: kind
+            for name, kind in types.items()
+            if name.endswith("_total") != (kind == "counter")
+        }
+        assert mismatched == {}
+
 
 class TestCatalogue:
     def test_operations_lists_exactly_the_registered_metric_names(self):
         """Static diff: every ``"repro_…"`` metric-name literal under
         ``src/repro/service/`` against the OPERATIONS.md §5 tables."""
-        root = Path(__file__).resolve().parents[2]
-        registered = set()
-        for source in (root / "src" / "repro" / "service").glob("*.py"):
-            registered |= set(re.findall(r'"(repro_\w+)"', source.read_text()))
-        runbook = (root / "docs" / "OPERATIONS.md").read_text()
+        runbook = (ROOT / "docs" / "OPERATIONS.md").read_text()
         section = runbook[runbook.index("## 5."):runbook.index("## 6.")]
         documented = set()
         for line in section.splitlines():
             if line.startswith("| `repro_"):
                 documented |= set(re.findall(r"`(repro_\w+)", line.split("|")[1]))
-        assert registered, "no metric literals found; did the sources move?"
-        assert documented == registered
+        assert documented == registered_metric_names()
+
+    def test_prose_docs_name_only_registered_metrics(self):
+        """Every backticked ``repro_*`` name in README, DESIGN, EXPERIMENTS
+        and ARCHITECTURE is registered; one ending in ``_`` (say
+        ``repro_query_cache_{hits,misses}_total``) names a family prefix."""
+        registered = registered_metric_names()
+        unknown = []
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md"):
+            for name in re.findall(r"`(repro_\w+)", (ROOT / doc).read_text()):
+                if name.endswith("_"):
+                    known = any(metric.startswith(name) for metric in registered)
+                else:
+                    known = name in registered
+                if not known:
+                    unknown.append(f"{doc}: {name}")
+        assert unknown == []
 
 
 @pytest.mark.stress

@@ -72,13 +72,10 @@ class SlowEngine:
         self.delay = delay
         self.calls = 0
 
-    def search(self, query, k=10):
+    def search(self, query, k=10, stream=None):
         self.calls += 1
         time.sleep(self.delay)
         return SearchResult(query, [], ExecutionMetrics())
-
-    def search_all(self, query):
-        return self.search(query, None)
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +371,7 @@ class TestConcurrency:
         service = QueryService(
             small_dblp_db,
             ServiceConfig(workers=2, queue_size=4),
-            engine_factory=lambda db, hooks: SlowEngine(delay=0.4),
+            engine=SlowEngine(delay=0.4),
         )
         server, base = start_server(service)
         try:
@@ -398,7 +395,7 @@ class TestConcurrency:
             # Still responsive: health and metrics answer immediately.
             assert get_json(base, "/healthz")["status"] == "ok"
             text = service.metrics_text()
-            assert "repro_shed_total" in text
+            assert f"\nrepro_shed_total {statuses.count(503)}\n" in text
         finally:
             server.shutdown()
             server.server_close()
@@ -407,7 +404,7 @@ class TestConcurrency:
         service = QueryService(
             small_dblp_db,
             ServiceConfig(workers=1, queue_size=2),
-            engine_factory=lambda db, hooks: SlowEngine(delay=1.0),
+            engine=SlowEngine(delay=1.0),
         )
         server, base = start_server(service)
         try:
@@ -552,7 +549,7 @@ class TestOneErrorTable:
         service = QueryService(
             small_dblp_db,
             ServiceConfig(workers=1, queue_size=2),
-            engine_factory=lambda db, hooks: SlowEngine(delay=1.0),
+            engine=SlowEngine(delay=1.0),
         )
         server, base = start_server(service)
         try:

@@ -76,8 +76,8 @@ class TestSingleFlightRegistry:
 class GatedXKeyword(XKeyword):
     """Engine whose searches block on a gate, counting entries.
 
-    Still an :class:`XKeyword`, so the service's streaming override
-    applies; the gate holds the flight in the registry until the test
+    Still an :class:`XKeyword`, so it publishes to the flight's stream;
+    the gate holds the flight in the registry until the test
     has attached every concurrent request.
     """
 
@@ -87,31 +87,23 @@ class GatedXKeyword(XKeyword):
         self.calls = 0
         self._calls_lock = threading.Lock()
 
-    def search(self, query, k=10, **kwargs):
+    def search(self, query, k=10, stream=None):
         with self._calls_lock:
             self.calls += 1
         assert self.gate.wait(30.0), "test forgot to release the gate"
-        return super().search(query, k=k, **kwargs)
+        return super().search(query, k=k, stream=stream)
 
 
 @pytest.fixture
 def gated_service(small_dblp_db):
-    engines = []
-
-    def factory(db, hooks):
-        engine = GatedXKeyword(db, hooks=hooks)
-        engines.append(engine)
-        return engine
-
+    engine = GatedXKeyword(small_dblp_db)
     service = QueryService(
-        small_dblp_db,
-        ServiceConfig(workers=4, queue_size=32),
-        engine_factory=factory,
+        small_dblp_db, ServiceConfig(workers=4, queue_size=32), engine=engine
     )
     try:
-        yield service, engines[0]
+        yield service, engine
     finally:
-        engines[0].gate.set()
+        engine.gate.set()
         service.close()
 
 

@@ -148,23 +148,16 @@ class TestSlowQueryLog:
 
 
 class StageEngine:
-    """Fake engine reporting hand-picked stage timings through the hooks."""
+    """Fake engine whose results carry hand-picked stage timings."""
 
-    def __init__(self, hooks, stage_seconds: dict[str, float]) -> None:
-        self._hooks = hooks
+    def __init__(self, stage_seconds: dict[str, float]) -> None:
         self._stage_seconds = stage_seconds
 
-    def search(self, query, k=10):
+    def search(self, query, k=10, stream=None):
         metrics = ExecutionMetrics()
         for stage, seconds in self._stage_seconds.items():
             metrics.record_stage(stage, seconds)
-        result = SearchResult(query, [], metrics)
-        if self._hooks.on_search_complete is not None:
-            self._hooks.on_search_complete(query, result, 0.001)
-        return result
-
-    def search_all(self, query):
-        return self.search(query, None)
+        return SearchResult(query, [], metrics)
 
 
 class TestStageHistograms:
@@ -179,7 +172,7 @@ class TestStageHistograms:
         service = QueryService(
             small_dblp_db,
             ServiceConfig(workers=1, queue_size=4, slow_query_seconds=None),
-            engine_factory=lambda db, hooks: StageEngine(hooks, stage_seconds),
+            engine=StageEngine(stage_seconds),
         )
         try:
             # Distinct queries so the cross-query cache never short-circuits.
