@@ -60,7 +60,7 @@ def test_tpch_topk(benchmark, decomposition):
     def run() -> int:
         total = 0
         for query in tpch_queries():
-            total += len(engine.search(query, k=10, parallel=False).mttons)
+            total += len(engine.search(query, k=10).mttons)
         return total
 
     produced = benchmark(run)
@@ -73,7 +73,7 @@ def test_tpch_choice_exclusivity():
     loaded = tpch_database()
     engine = XKeyword(loaded)
     for query in tpch_queries():
-        for mtton in engine.search_all(query, parallel=False).mttons:
+        for mtton in engine.search(query, k=None).mttons:
             lineitem_targets: dict[str, set[str]] = {}
             for edge in mtton.edges:
                 if edge.edge_id in ("Lineitem=>Part", "Lineitem=>Product"):

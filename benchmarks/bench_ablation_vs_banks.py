@@ -74,7 +74,7 @@ def test_result_quality_parity(banks):
 
     engine = common.engine_for("MinClust")
     for query in common.bench_queries(max_size=8):
-        xk = engine.search(query, k=1, parallel=False)
+        xk = engine.search(query, k=1)
         bk = banks.search(list(query.keywords), k=1, max_size=8)
         assert xk.mttons and bk
         assert xk.mttons[0].score == bk[0].score, str(query)

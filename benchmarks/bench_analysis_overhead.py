@@ -42,7 +42,7 @@ def run_pipeline(engine: XKeyword) -> int:
     """The whole query path: this is where the verifier hooks live."""
     produced = 0
     for query in common.bench_queries(max_size=8):
-        result = engine.search(query, k=K, parallel=False)
+        result = engine.search(query, k=K)
         produced += len(result.mttons)
     return produced
 

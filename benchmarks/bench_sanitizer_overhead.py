@@ -95,7 +95,7 @@ def run_mixed(manager, engine, queries) -> int:
     produced = 0
     for query in queries:
         with manager.read():
-            produced += len(engine.search(query, k=K, parallel=False).mttons)
+            produced += len(engine.search(query, k=K).mttons)
     node_id = f"sb{next(_counter)}"
     manager.insert_document(
         f'<paper id="{node_id}" ref="a1 a2">'

@@ -260,7 +260,7 @@ def baselines_report(repeats: int) -> None:
     )
     engine = common.engine_for("MinClust")
     agreement = all(
-        engine.search(q, k=1, parallel=False).mttons[0].score
+        engine.search(q, k=1).mttons[0].score
         == banks.search(list(q.keywords), k=1, max_size=8)[0].score
         for q in queries
     )

@@ -49,7 +49,7 @@ def main() -> None:
     )
 
     print("query: us, vcr (Z=8) — the Figure 2 multivalued redundancy")
-    result = engine.search_all(KeywordQuery.of("us", "vcr", max_size=8))
+    result = engine.search(KeywordQuery.of("us", "vcr", max_size=8), k=None)
     figure2 = [
         m
         for m in result.mttons

@@ -333,19 +333,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     streamed = False
     engine = _make_engine(args, loaded)
+    k = None if args.all else args.k
     if args.stream:
-        stream = engine.search_streaming(
-            query, k=args.k, all_results=args.all
-        )
+        stream = engine.search_streaming(query, k=k)
         streamed = True
         for rank, mtton in enumerate(stream, start=1):
             arrived = (time.perf_counter() - started) * 1000
             _print_mtton(rank, mtton, prefix=f"[{arrived:8.1f} ms] ")
         result = stream.result()
-    elif args.all:
-        result = engine.search_all(query)
     else:
-        result = engine.search(query, k=args.k)
+        result = engine.search(query, k=k)
     elapsed = time.perf_counter() - started
     print(
         f"{len(result.mttons)} result(s) from "

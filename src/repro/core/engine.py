@@ -5,16 +5,15 @@
 and materializes MTTONs.  Candidate networks are evaluated smaller
 first (they are cheaper *and* produce higher-ranked results) against a
 global result budget of K, in rank order on the calling thread.  The
-paper's strategy — a thread per candidate network, to overlap DBMS
-round trips — is the explicit ``parallel=True`` opt-in; with an
-in-process store it buys no overlap (EXPERIMENTS.md).
+paper ran a thread per candidate network to overlap JDBC round trips;
+an in-process store has no round trip to overlap, so there is no pool
+(EXPERIMENTS.md "Shard scaling").
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Protocol, Sequence
@@ -96,6 +95,21 @@ class SearchResult:
         return groups
 
 
+def _no_pool(parallel: bool) -> None:
+    """Reject ``parallel=True``: every search runs its candidate
+    networks in rank order on the calling thread.
+
+    The keyword survives only because ``benchmarks/e2e`` (``replay.py``,
+    ``run.py``) passes ``parallel=False``; ROADMAP item 3c deletes it
+    together with those call sites.
+    """
+    if parallel is not False:
+        raise ValueError(
+            "parallel=True is not supported: candidate networks run in "
+            "rank order on the calling thread"
+        )
+
+
 class NetworkVerifier(Protocol):
     """Checks pipeline objects before execution (the ``debug_verify`` seam).
 
@@ -147,8 +161,7 @@ class XKeyword:
     half (:meth:`_plan_networks`) and execution, each stage behind the
     one :func:`_stage` wrapper.  A work unit is one candidate network
     and :meth:`_evaluate` is the only code that runs one.  Units run in
-    rank order on the calling thread; ``parallel=True`` fans the same
-    units over a pool of ``threads``.
+    rank order on the calling thread.
     """
 
     def __init__(
@@ -156,7 +169,6 @@ class XKeyword:
         loaded: LoadedDatabase,
         store_priority: list[str] | None = None,
         executor_config: ExecutorConfig | None = None,
-        threads: int = 4,
         verifier: NetworkVerifier | None = None,
         tracer=None,
     ) -> None:
@@ -167,7 +179,6 @@ class XKeyword:
                 defaults to the load order.  The optimizer prefers
                 relations from earlier stores.
             executor_config: Default execution switches.
-            threads: Thread-pool width of a ``parallel=True`` search.
             verifier: Optional invariant checker run on every CN, CTSSN
                 and plan before execution (``debug_verify`` mode); adds
                 per-query overhead, so serving defaults to ``None``.
@@ -180,7 +191,6 @@ class XKeyword:
         names = store_priority or list(loaded.stores)
         self.stores = {name: loaded.store(name) for name in names}
         self.executor_config = executor_config or ExecutorConfig()
-        self.threads = max(1, threads)
         self.verifier = verifier
         self.tracer = tracer or NULL_TRACER
         self.optimizer = Optimizer(self.stores, loaded.statistics)
@@ -276,21 +286,17 @@ class XKeyword:
         query: KeywordQuery | str,
         k: int | None = 10,
         config: ExecutorConfig | None = None,
-        parallel: bool = False,
         *,
         stream: ResultStream | None = None,
+        parallel: bool = False,
     ) -> SearchResult:
         """Top-k search: the web-search-engine-like presentation mode.
 
         Args:
             query: Keywords (a :class:`KeywordQuery` or a plain string).
-            k: Ranked-result cutoff; ``None`` produces every result
-                (what :meth:`search_all` passes).
+            k: Ranked-result cutoff; ``None`` produces every result.
             config: Per-call execution switches (defaults to the
                 engine's).
-            parallel: Evaluate candidate networks on a thread pool (the
-                paper's Section 6 strategy) instead of in rank order on
-                the calling thread; the ranked results are identical.
             stream: Optional :class:`~repro.core.streaming.ResultStream`
                 the scheduler publishes each ranked result to the moment
                 its score band is final (the streamed sequence is
@@ -298,30 +304,18 @@ class XKeyword:
                 search only publishes: the caller owns the stream and
                 terminates it (``complete(result)`` publishes any tail
                 left unstreamed).
+            parallel: Accepts only ``False`` (see :func:`_no_pool`).
         """
-        return self._run(query, k, config, parallel, stream=stream)
-
-    def search_all(
-        self,
-        query: KeywordQuery | str,
-        config: ExecutorConfig | None = None,
-        parallel: bool = False,
-        stream: ResultStream | None = None,
-    ) -> SearchResult:
-        """Produce the full list of results (no K cutoff).
-
-        ``stream`` works as in :meth:`search`, with no emission budget.
-        """
-        return self._run(query, None, config, parallel, stream=stream)
+        _no_pool(parallel)
+        return self._run(query, k, config, stream=stream)
 
     def search_streaming(
         self,
         query: KeywordQuery | str,
-        k: int = 10,
+        k: int | None = 10,
         config: ExecutorConfig | None = None,
-        parallel: bool = False,
         *,
-        all_results: bool = False,
+        parallel: bool = False,
     ) -> ResultStream:
         """Run :meth:`search` on a background thread, returning its stream.
 
@@ -333,15 +327,15 @@ class XKeyword:
         :meth:`~repro.core.streaming.ResultStream.result` once the
         execution finishes.  Call
         :meth:`~repro.core.streaming.ResultStream.cancel` to wind the
-        execution down early.
+        execution down early.  ``k=None`` streams every result;
+        ``parallel`` accepts only ``False`` (see :func:`_no_pool`).
         """
+        _no_pool(parallel)
         stream = ResultStream()
 
         def run() -> None:
             try:
-                result = self._run(
-                    query, None if all_results else k, config, parallel, stream=stream
-                )
+                result = self._run(query, k, config, stream=stream)
             except BaseException as exc:  # noqa: BLE001 - delivered to consumers
                 stream.fail(exc)
             else:
@@ -358,12 +352,12 @@ class XKeyword:
         """Stream MTTONs as they are produced (Section 3.2: XKeyword
         "outputs MTTONs as they come", filling result pages on the fly).
 
-        A generator over :meth:`search_streaming` in all-results mode:
+        A generator over :meth:`search_streaming` with ``k=None``:
         results arrive in ranking order, one finished score band at a
         time; stop consuming whenever enough arrived — closing the
         generator cancels the background execution.
         """
-        results = self.search_streaming(query, config=config, all_results=True)
+        results = self.search_streaming(query, k=None, config=config)
         try:
             yield from results
         finally:
@@ -375,7 +369,6 @@ class XKeyword:
         query: KeywordQuery | str,
         limit: int | None,
         config: ExecutorConfig | None,
-        parallel: bool,
         stream: ResultStream | None = None,
     ) -> SearchResult:
         if isinstance(query, str):
@@ -405,11 +398,9 @@ class XKeyword:
                 run.bound = TopKBound(limit)
             if stream is not None:
                 run.emitter = self._open_emitter(stream, run, metrics)
-            self._execute(run, parallel)
+            for cn in run.planned:
+                self._evaluate(run, cn)
             metrics.merge(run.metrics)
-            # The collected multiset is the same however the units were
-            # dispatched, so this one sort+truncate keeps the pool
-            # byte-identical to the loop.
             run.collected.sort(
                 key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment)
             )
@@ -500,25 +491,15 @@ class XKeyword:
         )
 
     # ------------------------------------------------------------------
-    # Execution: the one work-unit evaluator and its dispatcher
+    # Execution: the one work-unit evaluator
     # ------------------------------------------------------------------
-    def _execute(self, run: QueryExecution, parallel: bool) -> None:
-        """Evaluate every CN of ``run``, smallest first: in rank order on
-        the calling thread, or fanned over the thread pool."""
-        if parallel and len(run.planned) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                list(pool.map(lambda cn: self._evaluate(run, cn), run.planned))
-        else:
-            for cn in run.planned:
-                self._evaluate(run, cn)
-
     def _evaluate(self, run: QueryExecution, cn: PlannedCN) -> None:
         """Evaluate one work unit — one CN — the only place a plan is
         executed.
 
-        Owns the unit's whole life: cancel check, top-k bound admission
-        and mid-run abandonment, the executor and its row loop, MTTON
-        materialization, stream offers, the ``execute`` span and metrics.
+        Owns the unit's whole life: cancel checks, top-k bound admission,
+        the executor and its row loop, MTTON materialization, stream
+        offers, the ``execute`` span and metrics.
         *Every* exit — ran, pruned, cancelled, raised — reports to the
         run and the emitter, or the score-band frontier would stall.
         """
@@ -555,12 +536,10 @@ class XKeyword:
                         emitter.offer(mtton)
                     if bound is not None:
                         bound.add(mtton.score)
-                    # Stop when the consumer left, or another unit
-                    # lowered the bound below this CN's score mid-run:
-                    # nothing more from this plan can place in the top k.
-                    abandoned = (emitter is not None and emitter.cancelled) or (
-                        bound is not None and not bound.admits(lower)
-                    )
+                    # Units run smallest score first, so only the
+                    # consumer leaving can stop one mid-run: every score
+                    # the bound holds is at most this unit's own.
+                    abandoned = emitter is not None and emitter.cancelled
                     if abandoned:
                         break
                 span.annotate(

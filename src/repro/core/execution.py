@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import threading
 from collections import Counter, OrderedDict
 from dataclasses import KW_ONLY, dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -133,38 +132,32 @@ class ResultCache:
     past results and if the cache gets full, the queries are re-sent to
     the DBMS" — eviction here plays that role.
 
-    One instance lives for one query (its CNs share the lookup cache);
-    it is shared only by the opt-in per-CN thread pool (``parallel=``),
-    so every operation holds a lock — ``OrderedDict`` reordering is not
-    atomic under free threading.
+    One instance lives for one query (its CNs share the lookup cache)
+    and is touched only by the thread running that query.
     """
 
     def __init__(self, capacity: int = RESULT_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, list[ResultRow]] = OrderedDict()  # guarded by: self._lock
-        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, list[ResultRow]] = OrderedDict()
 
     def get(self, key: tuple) -> list[ResultRow] | None:
         """Return the cached rows for ``key``, or ``None`` on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
 
     def put(self, key: tuple, value: list[ResultRow]) -> None:
         """Cache ``value`` under ``key``, evicting LRU entries past capacity."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 @dataclass(frozen=True)
@@ -278,20 +271,13 @@ class SharedPrefixTable:
     """Per-query store of materialized shared prefixes.
 
     Maps a :class:`PrefixSpec` key to the canonical rows (one tuple of
-    target-object ids per row, indexed by slot) its prefix enumerates.
-    ``get_or_materialize`` guarantees each prefix is evaluated **exactly
-    once per query** even when the engine's per-CN thread pool races:
-    the first caller becomes the owner and computes, later callers block
-    on an event and then read the finished rows.
-
-    Shared across the engine's opt-in per-CN thread pool
-    (``parallel=``), so all state is lock-guarded.
+    target-object ids per row, indexed by slot) its prefix enumerates,
+    each computed **once per query**.  Touched only by the thread
+    running that query.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._rows: dict[tuple, list[tuple[str, ...]]] = {}  # guarded by: self._lock
-        self._pending: dict[tuple, threading.Event] = {}  # guarded by: self._lock
+        self._rows: dict[tuple, list[tuple[str, ...]]] = {}
 
     def get_or_materialize(
         self,
@@ -300,44 +286,18 @@ class SharedPrefixTable:
     ) -> tuple[list[tuple[str, ...]], bool]:
         """Return ``(rows, reused)`` for ``key``, computing at most once.
 
-        The first caller for a key runs ``producer`` (outside the lock)
-        and returns ``(rows, False)``; concurrent and later callers wait
-        for it and return ``(rows, True)``.  If the producer raises, the
-        error propagates to the owner and the key is released so a later
-        caller can retry.
+        The first call for a key runs ``producer`` and returns
+        ``(rows, False)``; later calls return ``(rows, True)``.  A
+        producer that raises stores nothing, so a later call retries.
         """
-        while True:
-            with self._lock:
-                rows = self._rows.get(key)
-                if rows is not None:
-                    return rows, True
-                event = self._pending.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._pending[key] = event
-                    owner = True
-                else:
-                    owner = False
-            if owner:
-                try:
-                    rows = list(producer())
-                except BaseException:
-                    with self._lock:
-                        self._pending.pop(key, None)
-                    event.set()
-                    raise
-                with self._lock:
-                    self._rows[key] = rows
-                    self._pending.pop(key, None)
-                event.set()
-                return rows, False
-            event.wait()
-            # Loop: either the owner stored rows, or it failed and the
-            # key was released — in which case this caller takes over.
+        rows = self._rows.get(key)
+        if rows is not None:
+            return rows, True
+        rows = self._rows[key] = list(producer())
+        return rows, False
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._rows)
+        return len(self._rows)
 
 
 class TopKBound:
@@ -349,31 +309,26 @@ class TopKBound:
     generalization of the paper's per-CN stop condition for Fig 15(a).
     Ties are *not* prunable: the final ranking breaks equal scores by
     canonical key and assignment, so an equal-score CN must still run.
-
-    Shared by the per-CN thread pool; the score heap is lock-guarded.
     """
 
     def __init__(self, k: int) -> None:
         if k < 1:
             raise ValueError("the top-k bound needs k >= 1")
         self._k = k
-        self._worst: list[int] = []  # max-heap via negation; guarded by: self._lock
-        self._lock = threading.Lock()
+        self._worst: list[int] = []  # max-heap via negation
 
     def add(self, score: int) -> None:
         """Record one collected result's score."""
-        with self._lock:
-            if len(self._worst) < self._k:
-                heapq.heappush(self._worst, -score)
-            elif score < -self._worst[0]:
-                heapq.heapreplace(self._worst, -score)
+        if len(self._worst) < self._k:
+            heapq.heappush(self._worst, -score)
+        elif score < -self._worst[0]:
+            heapq.heapreplace(self._worst, -score)
 
     def bound(self) -> int | None:
         """The k-th best score, or ``None`` until k results exist."""
-        with self._lock:
-            if len(self._worst) < self._k:
-                return None
-            return -self._worst[0]
+        if len(self._worst) < self._k:
+            return None
+        return -self._worst[0]
 
     def admits(self, score: int) -> bool:
         """Whether a CN with minimum achievable ``score`` can still place."""
@@ -410,7 +365,7 @@ class ExecutorConfig:
     ``serial`` evaluates every CN independently, ``shared-prefix`` adds
     once-per-query materialization of canonicalized common join
     prefixes (``python`` backend only — see :attr:`share_prefixes`),
-    ``shared-prefix+pruning`` (default) also skips or abandons CNs whose
+    ``shared-prefix+pruning`` (default) also skips CNs whose
     minimum achievable MTNN size exceeds the global k-th best.  All three
     return identical top-k results — the knob exists for the
     EXPERIMENTS.md ablation."""
@@ -782,7 +737,7 @@ class CTSSNExecutor:
 
 
 # ----------------------------------------------------------------------
-# Scheduling: one work unit per CN (dispatched by ``core/engine.py``)
+# Scheduling: one work unit per CN (run in rank order by ``core/engine.py``)
 # ----------------------------------------------------------------------
 @dataclass
 class PlannedCN:
@@ -819,7 +774,6 @@ class QueryExecution:
         self.lookup_cache = ResultCache(RESULT_CACHE_CAPACITY)
         shares = any(cn.prefix is not None for cn in self.planned)
         self.prefix_table = SharedPrefixTable() if shares else None
-        self._lock = threading.Lock()
 
     def unit_done(
         self,
@@ -834,8 +788,7 @@ class QueryExecution:
         ``skipped`` holds the ``cn``-span attributes of a unit that never
         ran (pruned / cancelled).
         """
-        with self._lock:
-            self.collected.extend(mttons)
-            self.metrics.merge(metrics)
+        self.collected.extend(mttons)
+        self.metrics.merge(metrics)
         cn.span.annotate(**(skipped or {}), actual_results=len(mttons))
         cn.span.finish()

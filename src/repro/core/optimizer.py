@@ -136,9 +136,7 @@ class Optimizer:
         Under the paper's ranking every result of a CTSSN scores exactly
         the source CN's size, so the bound is tight: ``ctssn.score``.
         The cross-CN scheduler compares it against the global k-th best
-        collected score to skip (or abandon) non-contributing CNs; a
-        future weighted ranking would tighten this seam instead of
-        touching the scheduler.
+        collected score to skip non-contributing CNs before they run.
         """
         return ctssn.score
 

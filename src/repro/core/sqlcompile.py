@@ -20,8 +20,8 @@ renders directly as one parameterized ``SELECT``:
   assignment dedup becomes ``SELECT DISTINCT``;
 * the global top-k bound is pushed down as ``LIMIT ?``: every result of
   one CTSSN scores exactly ``ctssn.score``, so score order is constant
-  within a plan and the cutoff is monotone — the scheduler's skip/abandon
-  logic handles cross-CN pruning.
+  within a plan and the cutoff is monotone — the scheduler's skip logic
+  handles cross-CN pruning.
 
 Each candidate network is exactly one statement, and every data value
 (admission ids, the ``LIMIT``) is a bound parameter.  Cross-CN shared

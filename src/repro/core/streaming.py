@@ -153,8 +153,8 @@ class ResultStream:
     def cancel(self) -> None:
         """Ask the producer to stop early.
 
-        The engine checks :attr:`cancelled` between results and winds
-        down like a bound-abandoned run; the stream then terminates via
+        The engine checks :attr:`cancelled` between results, stops the
+        running CN and skips the rest; the stream then terminates via
         :meth:`complete` (with whatever was already final) or
         :meth:`fail`.  Cancelling an already-terminated stream is a
         no-op signal-wise (the flag is still set for the producer).
@@ -236,13 +236,13 @@ class ResultStream:
 class _StreamEmitter:
     """Score-band frontier that publishes results in final ranked order.
 
-    Planned CNs execute concurrently, but every result of a CTSSN
-    scores exactly ``ctssn.score``.  The emitter groups results by
-    score and releases a band only once *all* CNs of that score — and
-    of every cheaper score — have finished (executed, bound-pruned, or
-    abandoned), sorting the band by the engine's full ranking key
-    first.  The released prefix is therefore identical to the buffered
-    ``sort + [:limit]``; see the module docstring for the argument.
+    Every result of a CTSSN scores exactly ``ctssn.score``.  The
+    emitter groups results by score and releases a band only once *all*
+    CNs of that score — and of every cheaper score — have finished
+    (executed, bound-pruned, or abandoned), sorting the band by the
+    engine's full ranking key first.  The released prefix is therefore
+    identical to the buffered ``sort + [:limit]``; see the module
+    docstring for the argument.
     """
 
     def __init__(
@@ -263,13 +263,12 @@ class _StreamEmitter:
         1-based rank (used for per-event trace spans).
         """
         self._stream = stream
-        self._lock = threading.Lock()
-        self._remaining = Counter(scores)  # guarded by: self._lock
-        self._bands: dict[int, list[MTTON]] = {}  # guarded by: self._lock
+        self._remaining = Counter(scores)
+        self._bands: dict[int, list[MTTON]] = {}
         self._order = sorted(self._remaining)  # ascending score bands
-        self._next_band = 0  # guarded by: self._lock
-        self._budget = limit  # guarded by: self._lock
-        self._rank = 0  # guarded by: self._lock
+        self._next_band = 0
+        self._budget = limit
+        self._rank = 0
         self._started = time.perf_counter()
         self._on_first = on_first
         self._on_emit = on_emit
@@ -281,33 +280,29 @@ class _StreamEmitter:
 
     def offer(self, mtton: MTTON) -> None:
         """Buffer one produced result in its score band."""
-        with self._lock:
-            self._bands.setdefault(mtton.score, []).append(mtton)
+        self._bands.setdefault(mtton.score, []).append(mtton)
 
     def cn_done(self, score: int) -> None:
         """Record one CN completion signal and flush finished bands."""
         ready: list[MTTON] = []
-        with self._lock:
-            self._remaining[score] -= 1
-            while self._next_band < len(self._order):
-                band = self._order[self._next_band]
-                if self._remaining[band] > 0:
-                    break
-                self._next_band += 1
-                if self._budget is not None and self._budget <= 0:
-                    continue
-                results = self._bands.pop(band, [])
-                results.sort(key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment))
-                if self._budget is not None:
-                    results = results[: self._budget]
-                    self._budget -= len(results)
-                ready.extend(results)
-            first = self._rank == 0 and bool(ready)
-            rank_base = self._rank
-            self._rank += len(ready)
-        if first and self._on_first is not None:
+        self._remaining[score] -= 1
+        while self._next_band < len(self._order):
+            band = self._order[self._next_band]
+            if self._remaining[band] > 0:
+                break
+            self._next_band += 1
+            if self._budget is not None and self._budget <= 0:
+                continue
+            results = self._bands.pop(band, [])
+            results.sort(key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment))
+            if self._budget is not None:
+                results = results[: self._budget]
+                self._budget -= len(results)
+            ready.extend(results)
+        if self._rank == 0 and ready and self._on_first is not None:
             self._on_first(time.perf_counter() - self._started)
-        for offset, mtton in enumerate(ready):
+        for mtton in ready:
+            self._rank += 1
             self._stream.publish(mtton)
             if self._on_emit is not None:
-                self._on_emit(rank_base + offset + 1, mtton)
+                self._on_emit(self._rank, mtton)

@@ -679,6 +679,14 @@ class QueryService:
         self.registry.counter(
             "repro_query_cache_misses_total", "Cross-query cache misses"
         ).advance_to(cache.misses)
+        self.registry.counter(
+            "repro_query_cache_expirations_total",
+            "Cross-query cache entries dropped on a get past their TTL",
+        ).advance_to(cache.expirations)
+        self.registry.counter(
+            "repro_query_cache_evictions_total",
+            "Cross-query cache entries evicted past capacity",
+        ).advance_to(cache.evictions)
         for reason, total in cache.invalidation_reasons.items():
             self.registry.counter(
                 "repro_cache_invalidations_total",

@@ -200,7 +200,8 @@ class RelationStore:
         chosen, turning the lookup into an index-organized range scan —
         the paper's clustered access path.
         """
-        table, table_columns = self._pick_table(fragment, bindings)
+        leading = next((c for c in fragment.columns if c in bindings), None)
+        table = self.clustered_table(fragment, leading)
         select = ", ".join(quote_identifier(c) for c in fragment.columns)
         if bindings:
             where = " AND ".join(f"{quote_identifier(c)} = ?" for c in sorted(bindings))
@@ -309,16 +310,6 @@ class RelationStore:
                 if candidate == column:
                     return self._rotation_table(fragment, leading)
         return self.base_table(fragment)
-
-    def _pick_table(
-        self, fragment: Fragment, bindings: dict[str, str]
-    ) -> tuple[str, tuple[str, ...]]:
-        if self.policy is IndexPolicy.ALL_ROTATIONS and bindings:
-            for leading, column in enumerate(fragment.columns):
-                if column in bindings:
-                    table = self._rotation_table(fragment, leading)
-                    return table, fragment.columns
-        return self.base_table(fragment), fragment.columns
 
     def storage_bytes(self) -> int:
         """Rough footprint: total rows across all physical tables."""

@@ -18,16 +18,13 @@ nothing and allocate nothing, so the disabled path costs a handful of
 no-op calls per query (``benchmarks/e2e``'s ``trace.overhead_pct``
 measures a traced over an untraced ``QueryService`` miss).
 
-Spans are single-writer: the thread that opens a span is the only one
-that annotates, records lookups on, or finishes it.  Attaching children
-is the one cross-thread operation (the engine's per-CN thread pool opens
-sibling subtrees concurrently), so the child list is guarded by a
-per-trace lock.
+A trace has one writer, the thread running its search, and holds no
+lock: readers (``--explain``, ``GET /debug/trace``) see it only after
+:meth:`repro.trace.Tracer.finish` has closed it.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import uuid
 from typing import Iterator
@@ -45,14 +42,13 @@ class Span:
             DBMS-fetched rows only; cached probes re-serve stored rows).
     """
 
-    __slots__ = ("name", "attributes", "lookups", "start", "end", "children", "_lock")
+    __slots__ = ("name", "attributes", "lookups", "start", "end", "children")
 
     enabled = True
 
-    def __init__(self, lock: threading.Lock, name: str, **attributes) -> None:
+    def __init__(self, name: str, **attributes) -> None:
         """
         Args:
-            lock: The owning trace's child-list lock (shared tree-wide).
             name: Stage name shown in renders.
             **attributes: Initial annotations.
         """
@@ -61,8 +57,7 @@ class Span:
         self.lookups: dict[str, dict[str, int]] = {}
         self.start = time.perf_counter()
         self.end: float | None = None
-        self.children: list[Span] = []  # guarded by: self._lock
-        self._lock = lock
+        self.children: list[Span] = []
 
     def annotate(self, **attributes) -> None:
         """Attach or overwrite attributes on this span."""
@@ -89,9 +84,8 @@ class Span:
 
     def child(self, name: str, **attributes) -> "Span":
         """Open a child span (started immediately)."""
-        span = Span(self._lock, name, **attributes)
-        with self._lock:
-            self.children.append(span)
+        span = Span(name, **attributes)
+        self.children.append(span)
         return span
 
     def finish(self) -> None:
@@ -115,10 +109,8 @@ class Span:
             payload["attributes"] = dict(self.attributes)
         if self.lookups:
             payload["lookups"] = {k: dict(v) for k, v in self.lookups.items()}
-        with self._lock:
-            children = list(self.children)
-        if children:
-            payload["children"] = [c.to_dict(origin) for c in children]
+        if self.children:
+            payload["children"] = [c.to_dict(origin) for c in self.children]
         return payload
 
 
@@ -167,8 +159,7 @@ class QueryTrace:
         self.trace_id = trace_id or uuid.uuid4().hex
         self.query_text = query_text
         self.started_at = time.time()
-        self._lock = threading.Lock()
-        self.root = Span(self._lock, "search", **attributes)
+        self.root = Span("search", **attributes)
 
     def span(self, name: str, parent: Span | None = None, **attributes) -> Span:
         """Open a span under ``parent`` (the root by default)."""
@@ -209,7 +200,7 @@ class QueryTrace:
             f"trace {self.trace_id}  query={self.query_text!r}  "
             f"({self.duration_seconds * 1000.0:.1f} ms)"
         ]
-        children = list(self.root.children)
+        children = self.root.children
         for index, child in enumerate(children):
             lines.extend(_render_span(child, "", index == len(children) - 1))
         return "\n".join(lines)
@@ -249,7 +240,7 @@ def _render_span(span: Span, prefix: str, last: bool) -> Iterator[str]:
             f"{child_prefix}   lookup {relation}: dbms={stats['dbms']} "
             f"cached={stats['cached']} rows={stats['rows']}"
         )
-    children = list(span.children)
+    children = span.children
     for index, child in enumerate(children):
         yield from _render_span(child, child_prefix, index == len(children) - 1)
 

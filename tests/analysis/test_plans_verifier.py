@@ -99,7 +99,7 @@ class TestRealPipelineIsSilent:
 
     def test_debug_verify_engine_searches(self, small_dblp_db):
         verified = XKeyword(small_dblp_db, verifier=DebugVerifier())
-        result = verified.search(QUERY, k=5, parallel=False)
+        result = verified.search(QUERY, k=5)
         assert result.mttons is not None
 
 

@@ -62,7 +62,7 @@ class TestAgreementWithXKeyword:
         """
         engine = XKeyword(figure1_db)
         xkeyword_best = engine.search(
-            KeywordQuery.of("john", "vcr", max_size=8), k=1, parallel=False
+            KeywordQuery.of("john", "vcr", max_size=8), k=1
         ).mttons[0].score
         banks_best = BanksSearcher(figure1_graph).search(
             ["john", "vcr"], k=1, max_size=8

@@ -13,7 +13,7 @@ def graph_and_rows(small_dblp_db):
     ctssn = next(
         c for c in engine.candidate_tss_networks(query, containing) if c.size == 2
     )
-    result = engine.search_all(query, parallel=False)
+    result = engine.search(query, k=None)
     rows = [
         m.row for m in result.mttons if m.ctssn.canonical_key == ctssn.canonical_key
     ]
@@ -70,7 +70,7 @@ class TestDot:
     def test_mtton_dot(self, small_dblp_db):
         engine = XKeyword(small_dblp_db)
         result = engine.search(
-            KeywordQuery.of("smith", "balmin", max_size=6), k=1, parallel=False
+            KeywordQuery.of("smith", "balmin", max_size=6), k=1
         )
         dot = result.mttons[0].to_dot()
         assert dot.startswith("digraph mtton {")

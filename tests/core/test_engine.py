@@ -22,7 +22,7 @@ class TestPaperJohnVCR:
 
     def test_best_result_is_the_product_route(self, tpch_engine):
         result = tpch_engine.search(
-            KeywordQuery.of("john", "vcr", max_size=8), k=10, parallel=False
+            KeywordQuery.of("john", "vcr", max_size=8), k=10
         )
         assert result.mttons
         best = result.mttons[0]
@@ -33,7 +33,7 @@ class TestPaperJohnVCR:
 
     def test_second_route_via_subpart_scores_8(self, tpch_engine):
         result = tpch_engine.search(
-            KeywordQuery.of("john", "vcr", max_size=8), k=20, parallel=False
+            KeywordQuery.of("john", "vcr", max_size=8), k=20
         )
         scores = result.scores()
         assert 8 in scores
@@ -44,7 +44,7 @@ class TestPaperJohnVCR:
 
     def test_ranking_is_by_score(self, tpch_engine):
         result = tpch_engine.search(
-            KeywordQuery.of("john", "vcr", max_size=8), k=20, parallel=False
+            KeywordQuery.of("john", "vcr", max_size=8), k=20
         )
         assert result.scores() == sorted(result.scores())
 
@@ -55,42 +55,34 @@ class TestSearchModes:
         assert result.mttons == []
 
     def test_string_query_coerced(self, tpch_engine):
-        result = tpch_engine.search("john vcr", k=3, parallel=False)
+        result = tpch_engine.search("john vcr", k=3)
         assert result.mttons
 
     def test_k_respected(self, tpch_engine):
         result = tpch_engine.search(
-            KeywordQuery.of("us", "vcr", max_size=8), k=2, parallel=False
+            KeywordQuery.of("us", "vcr", max_size=8), k=2
         )
         assert len(result.mttons) == 2
 
     def test_search_all_superset_of_topk(self, tpch_engine):
         query = KeywordQuery.of("us", "vcr", max_size=8)
-        top = tpch_engine.search(query, k=3, parallel=False)
-        everything = tpch_engine.search_all(query, parallel=False)
+        top = tpch_engine.search(query, k=3)
+        everything = tpch_engine.search(query, k=None)
         assert len(everything.mttons) >= len(top.mttons)
         top_keys = {m.assignment for m in top.mttons}
         all_keys = {m.assignment for m in everything.mttons}
         assert top_keys <= all_keys
 
-    def test_parallel_matches_sequential(self, dblp_engine):
-        query = KeywordQuery.of("smith", "balmin", max_size=6)
-        sequential = dblp_engine.search_all(query, parallel=False)
-        parallel = dblp_engine.search_all(query, parallel=True)
-        assert {m.assignment for m in sequential.mttons} == {
-            m.assignment for m in parallel.mttons
-        }
-
     def test_results_unique(self, dblp_engine):
-        result = dblp_engine.search_all(
-            KeywordQuery.of("smith", "balmin", max_size=6), parallel=False
+        result = dblp_engine.search(
+            KeywordQuery.of("smith", "balmin", max_size=6), k=None
         )
         keys = [(m.ctssn.canonical_key, m.assignment) for m in result.mttons]
         assert len(keys) == len(set(keys))
 
     def test_metrics_populated(self, dblp_engine):
-        result = dblp_engine.search_all(
-            KeywordQuery.of("smith", "balmin", max_size=5), parallel=False
+        result = dblp_engine.search(
+            KeywordQuery.of("smith", "balmin", max_size=5), k=None
         )
         assert result.metrics.queries_sent > 0
 
@@ -105,8 +97,8 @@ class TestDecompositionAgreement:
         )
         xk = xkeyword_decomposition(dblp.tss, 4, 1)
         loaded_xk = load_database(small_dblp_graph, dblp, [xk])
-        results_min = XKeyword(loaded_min).search_all(query, parallel=False)
-        results_xk = XKeyword(loaded_xk).search_all(query, parallel=False)
+        results_min = XKeyword(loaded_min).search(query, k=None)
+        results_xk = XKeyword(loaded_xk).search(query, k=None)
         assert {(m.ctssn.canonical_key, m.assignment) for m in results_min.mttons} == {
             (m.ctssn.canonical_key, m.assignment) for m in results_xk.mttons
         }
@@ -123,11 +115,11 @@ class TestDecompositionAgreement:
         )
         expected = {
             (m.ctssn.canonical_key, m.assignment)
-            for m in reference.search_all(query, parallel=False).mttons
+            for m in reference.search(query, k=None).mttons
         }
         for backend in BACKENDS:
             engine = XKeyword(loaded, executor_config=ExecutorConfig(backend=backend))
-            found = engine.search_all(query, parallel=False)
+            found = engine.search(query, k=None)
             assert {
                 (m.ctssn.canonical_key, m.assignment) for m in found.mttons
             } == expected, backend

@@ -82,8 +82,8 @@ class TestExpand:
         nav.expand(role)
         on_demand = {to for (r, to) in nav.graph.displayed if r == role}
 
-        result = engine.search_all(
-            KeywordQuery.of("smith", "balmin", max_size=6), parallel=False
+        result = engine.search(
+            KeywordQuery.of("smith", "balmin", max_size=6), k=None
         )
         expected = {
             m.row[role]

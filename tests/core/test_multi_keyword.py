@@ -23,13 +23,13 @@ class TestThreeKeywordCNs:
     def test_multi_keyword_single_node(self, engine):
         """'set of VCR and DVD' witnesses {set, vcr, dvd} in one node."""
         query = KeywordQuery.of("set", "vcr", "dvd", max_size=4)
-        result = engine.search_all(query, parallel=False)
+        result = engine.search(query, k=None)
         assert any(m.score == 0 for m in result.mttons)
 
     def test_mixed_split_two_one(self, engine):
         """Two keywords in one node, the third elsewhere."""
         query = KeywordQuery.of("set", "vcr", "john", max_size=8)
-        result = engine.search_all(query, parallel=False)
+        result = engine.search(query, k=None)
         assert result.mttons
         best = result.mttons[0]
         assert "pr1" in best.target_objects()
@@ -56,6 +56,6 @@ class TestThreeKeywordAgreement:
         )
         actual = {
             (frozenset(m.target_objects()), m.score)
-            for m in engine.search_all(query, parallel=False).mttons
+            for m in engine.search(query, k=None).mttons
         }
         assert actual == expected, keywords

@@ -12,7 +12,7 @@ def setup(small_dblp_db, dblp):
     containing = engine.containing_lists(query)
     ctssns = engine.candidate_tss_networks(query, containing)
     ctssn = next(c for c in ctssns if c.size == 2)
-    result = engine.search_all(query, parallel=False)
+    result = engine.search(query, k=None)
     rows = [m.row for m in result.mttons if m.ctssn.canonical_key == ctssn.canonical_key]
     assert len(rows) >= 2, "fixture needs a CN with multiple results"
     return ctssn, rows

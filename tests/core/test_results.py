@@ -10,7 +10,7 @@ def searched(figure1_db):
     engine = XKeyword(figure1_db)
     query = KeywordQuery.of("john", "vcr", max_size=8)
     containing = engine.containing_lists(query)
-    result = engine.search_all(query, parallel=False)
+    result = engine.search(query, k=None)
     return figure1_db, result, containing
 
 

@@ -3,8 +3,6 @@ table, the global top-k bound, and the engine wiring of all three."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.core import (
@@ -112,31 +110,6 @@ class TestSharedPrefixTable:
         assert len(calls) == 1
         assert len(table) == 1
 
-    def test_exactly_once_under_contention(self):
-        table = SharedPrefixTable()
-        barrier = threading.Barrier(8)
-        calls = []
-        results = []
-        lock = threading.Lock()
-
-        def producer():
-            with lock:
-                calls.append(1)
-            return [("row",)]
-
-        def worker():
-            barrier.wait()
-            results.append(table.get_or_materialize(("k",), producer))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(calls) == 1
-        assert sum(1 for _, reused in results if not reused) == 1
-        assert all(rows == [("row",)] for rows, _ in results)
-
     def test_failed_producer_releases_the_key(self):
         table = SharedPrefixTable()
 
@@ -210,7 +183,7 @@ class TestEngineScheduling:
     def test_prefix_metrics_and_trace_attributes(self, small_dblp_db):
         engine = XKeyword(small_dblp_db, tracer=Tracer(TraceStore()))
         config = ExecutorConfig(backend="python", strategy="shared-prefix")
-        result = engine.search(DBLP_QUERY, k=10, config=config, parallel=False)
+        result = engine.search(DBLP_QUERY, k=10, config=config)
         assert result.metrics.prefix_materializations > 0
         assert result.metrics.prefix_hits > 0
         assert result.metrics.cns_pruned == 0
@@ -226,7 +199,7 @@ class TestEngineScheduling:
 
     def test_pruned_cns_are_counted_and_annotated(self, small_dblp_db):
         engine = XKeyword(small_dblp_db, tracer=Tracer(TraceStore()))
-        result = engine.search(DBLP_QUERY, k=1, parallel=False)
+        result = engine.search(DBLP_QUERY, k=1)
         assert result.metrics.cns_pruned > 0
         pruned_spans = [
             span
@@ -239,16 +212,14 @@ class TestEngineScheduling:
             assert span.attributes["prune_bound"] is not None
             assert [child.name for child in span.children] == ["plan"]
 
-    @pytest.mark.parametrize("parallel", [False, True])
     @pytest.mark.parametrize("k", [1, 5, 20])
-    def test_strategies_agree_on_the_topk(self, small_dblp_db, parallel, k):
+    def test_strategies_agree_on_the_topk(self, small_dblp_db, k):
         engine = XKeyword(small_dblp_db)
         baseline = ranked(
             engine.search(
                 DBLP_QUERY,
                 k=k,
                 config=ExecutorConfig(strategy="serial"),
-                parallel=False,
             )
         )
         for strategy in ("shared-prefix", "shared-prefix+pruning"):
@@ -257,20 +228,19 @@ class TestEngineScheduling:
                     DBLP_QUERY,
                     k=k,
                     config=ExecutorConfig(strategy=strategy),
-                    parallel=parallel,
                 )
             )
-            assert got == baseline, (strategy, parallel, k)
+            assert got == baseline, (strategy, k)
 
     def test_search_all_ignores_the_bound(self, small_dblp_db):
         """With no K there is no bound; pruning must never drop results."""
         engine = XKeyword(small_dblp_db)
         serial = ranked(
-            engine.search_all(DBLP_QUERY, config=ExecutorConfig(strategy="serial"))
+            engine.search(DBLP_QUERY, k=None, config=ExecutorConfig(strategy="serial"))
         )
         pruned = ranked(
-            engine.search_all(
-                DBLP_QUERY, config=ExecutorConfig(strategy="shared-prefix+pruning")
+            engine.search(
+                DBLP_QUERY, k=None, config=ExecutorConfig(strategy="shared-prefix+pruning")
             )
         )
         assert pruned == serial

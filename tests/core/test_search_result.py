@@ -8,8 +8,8 @@ from repro.core import KeywordQuery, XKeyword
 @pytest.fixture(scope="module")
 def result(small_dblp_db):
     engine = XKeyword(small_dblp_db)
-    return engine.search_all(
-        KeywordQuery.of("smith", "balmin", max_size=6), parallel=False
+    return engine.search(
+        KeywordQuery.of("smith", "balmin", max_size=6), k=None
     )
 
 

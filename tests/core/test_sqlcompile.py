@@ -185,10 +185,10 @@ class TestEngineIntegration:
             ]
 
         oracle = engine.search(
-            query, k=10, config=ExecutorConfig(backend="python"), parallel=False
+            query, k=10, config=ExecutorConfig(backend="python")
         )
         compiled = engine.search(
-            query, k=10, config=ExecutorConfig(backend="sql"), parallel=False
+            query, k=10, config=ExecutorConfig(backend="sql")
         )
         assert ranked(compiled) == ranked(oracle)
         assert compiled.metrics.queries_sent < oracle.metrics.queries_sent
@@ -201,7 +201,6 @@ class TestEngineIntegration:
             KeywordQuery.of("john", "vcr", max_size=8),
             k=5,
             config=ExecutorConfig(backend="sql"),
-            parallel=False,
         )
         assert result.trace is not None
         backends = set()

@@ -20,7 +20,7 @@ class TestStream:
         }
         collected = {
             (m.ctssn.canonical_key, m.assignment)
-            for m in engine.search_all(query, parallel=False).mttons
+            for m in engine.search(query, k=None).mttons
         }
         assert streamed == collected
 

@@ -71,8 +71,8 @@ class TestStreamedEquivalence:
         assert streamed == list(buffered.mttons)
 
     def test_stream_matches_buffered_all_results(self, engine):
-        buffered = engine.search_all(QUERY)
-        streamed = list(engine.search_streaming(QUERY, all_results=True))
+        buffered = engine.search(QUERY, k=None)
+        streamed = list(engine.search_streaming(QUERY, k=None))
         assert streamed == list(buffered.mttons)
 
     @pytest.mark.parametrize("backend", ["python", "sql"])

@@ -18,7 +18,7 @@ def traced_engine(db) -> XKeyword:
 class TestSpanTreeContents:
     def test_search_records_the_stage_spans(self, small_dblp_db):
         engine = traced_engine(small_dblp_db)
-        result = engine.search(DBLP_QUERY, k=5, parallel=False)
+        result = engine.search(DBLP_QUERY, k=5)
         trace = result.trace
         assert trace is not None
         assert trace.root.end is not None
@@ -32,7 +32,7 @@ class TestSpanTreeContents:
 
     def test_cn_spans_pair_estimates_with_actuals(self, figure1_db):
         engine = traced_engine(figure1_db)
-        result = engine.search("john vcr", k=50, parallel=False)
+        result = engine.search("john vcr", k=50)
         cn_spans = [s for s in result.trace.root.children if s.name == "cn"]
         assert cn_spans
         for span in cn_spans:
@@ -48,7 +48,7 @@ class TestSpanTreeContents:
 
     def test_lookup_provenance_matches_metrics(self, figure1_db):
         engine = traced_engine(figure1_db)
-        result = engine.search("john vcr", k=50, parallel=False)
+        result = engine.search("john vcr", k=50)
         dbms_probes = 0
         for cn_span in result.trace.root.children:
             if cn_span.name != "cn":
@@ -61,7 +61,7 @@ class TestSpanTreeContents:
 
     def test_tracer_store_retains_the_trace(self, small_dblp_db):
         engine = traced_engine(small_dblp_db)
-        result = engine.search(KeywordQuery.of("smith", max_size=6), k=3, parallel=False)
+        result = engine.search(KeywordQuery.of("smith", max_size=6), k=3)
         store = engine.tracer.store
         assert store.get(result.trace.trace_id) is result.trace
         assert engine.tracer.last is result.trace
@@ -82,7 +82,7 @@ class TestDisabledPath:
 
     def test_stage_seconds_are_always_recorded(self, small_dblp_db):
         engine = XKeyword(small_dblp_db)
-        result = engine.search(DBLP_QUERY, k=5, parallel=False)
+        result = engine.search(DBLP_QUERY, k=5)
         for stage in STAGES:
             assert result.metrics.stage_seconds.get(stage, 0.0) > 0.0
         if result.candidate_networks:
@@ -90,9 +90,9 @@ class TestDisabledPath:
             assert "execution" in result.metrics.stage_seconds
 
     def test_tracing_does_not_change_results(self, small_dblp_db):
-        baseline = XKeyword(small_dblp_db).search(DBLP_QUERY, k=8, parallel=False)
+        baseline = XKeyword(small_dblp_db).search(DBLP_QUERY, k=8)
         traced = traced_engine(small_dblp_db).search(
-            DBLP_QUERY, k=8, parallel=False
+            DBLP_QUERY, k=8
         )
         assert traced.scores() == baseline.scores()
         assert [m.target_objects() for m in traced.mttons] == [
@@ -115,16 +115,3 @@ class TestStageMetrics:
         second.record_stage("execution", 1.0)
         first.merge(second)
         assert first.stage_seconds == {"matching": 0.75, "execution": 1.0}
-
-
-class TestParallelSearch:
-    def test_parallel_evaluation_builds_one_subtree_per_evaluated_cn(
-        self, figure1_db
-    ):
-        engine = traced_engine(figure1_db)
-        result = engine.search_all("us vcr", parallel=True)
-        cn_spans = [s for s in result.trace.root.children if s.name == "cn"]
-        # all-results mode evaluates every candidate network.
-        assert len(cn_spans) == len(result.ctssns)
-        networks = {span.attributes["network"] for span in cn_spans}
-        assert networks == {ctssn.canonical_key for ctssn in result.ctssns}

@@ -30,16 +30,6 @@ from repro.trace import Tracer
 QUERY = KeywordQuery.of("smith", "balmin", max_size=6)
 
 
-def ranked(result):
-    return [(m.ctssn.canonical_key, m.assignment, m.score) for m in result.mttons]
-
-
-class TestAllResultsEntryPoint:
-    def test_search_all_is_search_without_a_cutoff(self, small_dblp_db):
-        engine = XKeyword(small_dblp_db)
-        assert ranked(engine.search_all(QUERY)) == ranked(engine.search(QUERY, k=None))
-
-
 class TestStreamGenerator:
     def test_closing_the_generator_cancels_the_execution(
         self, small_dblp_db, monkeypatch
@@ -56,7 +46,7 @@ class TestStreamGenerator:
         before = {t for t in threading.enumerate() if t.name == "xkeyword-stream"}
         generator = engine.stream(QUERY)
         first = next(generator)
-        assert first.score == min(m.score for m in engine.search_all(QUERY).mttons)
+        assert first.score == min(m.score for m in engine.search(QUERY, k=None).mttons)
         (stream,) = streams
         assert not stream.cancelled
         generator.close()
@@ -99,7 +89,7 @@ class _FailingFactory(XKeyword):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.builds = itertools.count(1)  # next() is atomic across unit threads
+        self.builds = itertools.count(1)
 
     def _make_executor(self, plan, containing, config, **kwargs):
         if next(self.builds) == self.fail_at:
@@ -110,12 +100,11 @@ class _FailingFactory(XKeyword):
 class TestUnitFailure:
     """Every unit signals completion or the stream fails — never a hang."""
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_stream_fails_promptly(self, small_dblp_db, parallel):
+    def test_stream_fails_promptly(self, small_dblp_db):
         engine = _FailingFactory(
             small_dblp_db, executor_config=ExecutorConfig(strategy="serial")
         )
-        stream = engine.search_streaming(QUERY, all_results=True, parallel=parallel)
+        stream = engine.search_streaming(QUERY, k=None)
         with pytest.raises(RuntimeError, match="exploded"):
             stream.result(timeout=60.0)
         with pytest.raises(RuntimeError, match="exploded"):
@@ -124,7 +113,7 @@ class TestUnitFailure:
     def test_buffered_search_raises(self, small_dblp_db):
         engine = _FailingFactory(small_dblp_db)
         with pytest.raises(RuntimeError, match="exploded"):
-            engine.search_all(QUERY)
+            engine.search(QUERY, k=None)
 
 
 class TestStageVocabulary:

@@ -101,3 +101,27 @@ class TestMetricsStateTheReplies:
         stats = service.cache.stats()
         assert samples["repro_query_cache_hits_total"] == stats.hits == 2
         assert samples["repro_query_cache_misses_total"] == stats.misses == 3
+        assert samples["repro_query_cache_expirations_total"] == stats.expirations
+        assert samples["repro_query_cache_evictions_total"] == stats.evictions
+
+    def test_expiration_and_eviction_counters_equal_the_cache(
+        self, small_dblp_db, monkeypatch
+    ):
+        service = QueryService(
+            small_dblp_db,
+            ServiceConfig(workers=1, queue_size=4, cache_capacity=1, cache_ttl=10.0),
+        )
+        now = [0.0]
+        monkeypatch.setattr(service.cache, "_clock", lambda: now[0])
+        try:
+            service.search(["smith", "balmin"], k=5, max_size=6)
+            service.search(["hristidis", "smith"], k=3, max_size=6)  # evicts the first
+            now[0] = 20.0
+            replay = service.search(["hristidis", "smith"], k=3, max_size=6)
+            assert replay["cached"] is False  # expired
+            samples = scrape(service)
+            stats = service.cache.stats()
+            assert samples["repro_query_cache_expirations_total"] == stats.expirations == 1
+            assert samples["repro_query_cache_evictions_total"] == stats.evictions == 1
+        finally:
+            service.close()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import gc
 import http.client
-import inspect
 import json
 import socket
 import statistics
@@ -115,8 +114,8 @@ class TestSearchEndpoint:
         # Every served result's score exists in the full result set (the
         # paper's thread-pool top-k returns *some* K results in ranking
         # order, not a unique set, so exact identity is not guaranteed).
-        full = XKeyword(small_dblp_db).search_all(
-            KeywordQuery.of("smith", "balmin", max_size=6), parallel=False
+        full = XKeyword(small_dblp_db).search(
+            KeywordQuery.of("smith", "balmin", max_size=6), k=None
         )
         assert set(scores) <= set(full.scores())
 
@@ -260,29 +259,53 @@ class TestExpandEndpoint:
 
 
 # ----------------------------------------------------------------------
-# One dispatcher: a served search runs on the worker thread that took it
+# One thread per query: a search runs on the thread that called it
 # ----------------------------------------------------------------------
 class TestRankOrderDispatch:
     def test_served_searches_open_no_thread_pool(self, small_dblp_db, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a served search opened a per-query thread pool")
-
-        monkeypatch.setattr("repro.core.engine.ThreadPoolExecutor", no_pool)
         service = QueryService(small_dblp_db, ServiceConfig(workers=1, queue_size=2))
+
+        def no_thread(thread):
+            raise AssertionError(f"a served search started thread {thread.name!r}")
+
         try:
-            buffered = service.search(["smith", "balmin"], k=5, max_size=6)
+            with monkeypatch.context() as patch:
+                patch.setattr(threading.Thread, "start", no_thread)
+                buffered = service.search(["smith", "balmin"], k=5, max_size=6)
+                events = list(
+                    service.search_stream(["smith", "balmin"], k=4, max_size=6).events()
+                )
             assert buffered["count"] == 5
-            events = list(
-                service.search_stream(["smith", "balmin"], k=4, max_size=6).events()
-            )
             assert [kind for kind, _ in events] == ["result"] * 4 + ["done"]
         finally:
             service.close()
 
-    @pytest.mark.parametrize("method", ["search", "search_all", "search_streaming"])
-    def test_parallel_is_opt_in(self, method):
-        signature = inspect.signature(getattr(XKeyword, method))
-        assert signature.parameters["parallel"].default is False
+    @pytest.mark.parametrize("backend", ["sql", "python"])
+    def test_searches_start_no_thread(self, small_dblp_db, monkeypatch, backend):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        engine = XKeyword(small_dblp_db)
+        assert engine.executor_config.backend == backend
+        query = KeywordQuery.of("smith", "balmin", max_size=6)
+
+        def no_thread(thread):
+            raise AssertionError(f"a search started thread {thread.name!r}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", no_thread)
+            top = engine.search(query, k=5)
+            everything = engine.search(query, k=None)
+        assert len(top.mttons) == 5
+        assert everything.mttons[:5] == top.mttons
+
+    @pytest.mark.parametrize("method", ["search", "search_streaming"])
+    def test_parallel_true_is_rejected(self, small_dblp_db, method):
+        engine = XKeyword(small_dblp_db)
+        with pytest.raises(ValueError, match="parallel"):
+            getattr(engine, method)("smith balmin", k=5, parallel=True)
+
+    def test_threads_knob_is_gone(self, small_dblp_db):
+        with pytest.raises(TypeError, match="threads"):
+            XKeyword(small_dblp_db, threads=4)
 
 
 # ----------------------------------------------------------------------

@@ -53,8 +53,8 @@ class TestPersistReopen:
         )
         assert reopened.graph is None
         query = KeywordQuery.of("john", "vcr", max_size=8)
-        original = XKeyword(loaded).search_all(query, parallel=False)
-        again = XKeyword(reopened).search_all(query, parallel=False)
+        original = XKeyword(loaded).search(query, k=None)
+        again = XKeyword(reopened).search(query, k=None)
         assert {(m.ctssn.canonical_key, m.assignment) for m in original.mttons} == {
             (m.ctssn.canonical_key, m.assignment) for m in again.mttons
         }

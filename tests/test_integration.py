@@ -29,12 +29,12 @@ from .storage.oracle import fragment_instances
 class TestQuickEngine:
     def test_dblp_quickstart(self):
         engine = quick_engine("dblp", seed=7)
-        result = engine.search("smith", k=3, parallel=False)
+        result = engine.search("smith", k=3)
         assert result.mttons
 
     def test_tpch_quickstart(self):
         engine = quick_engine("tpch", seed=7)
-        result = engine.search("tv", k=3, parallel=False)
+        result = engine.search("tv", k=3)
         assert result.candidate_networks
 
 
@@ -46,7 +46,7 @@ class TestFullPipelineProperties:
     def test_every_result_satisfies_every_keyword(self, engine, small_dblp_db):
         query = KeywordQuery.of("smith", "balmin", max_size=6)
         containing = engine.containing_lists(query)
-        result = engine.search_all(query, parallel=False)
+        result = engine.search(query, k=None)
         assert result.mttons
         for mtton in result.mttons:
             tos = set(mtton.target_objects())
@@ -55,12 +55,12 @@ class TestFullPipelineProperties:
 
     def test_results_scores_within_z(self, engine):
         query = KeywordQuery.of("smith", "balmin", max_size=6)
-        result = engine.search_all(query, parallel=False)
+        result = engine.search(query, k=None)
         assert all(m.score <= 6 for m in result.mttons)
 
     def test_every_result_edge_instance_exists(self, engine, small_dblp_db):
         query = KeywordQuery.of("smith", "balmin", max_size=6)
-        result = engine.search_all(query, parallel=False)
+        result = engine.search(query, k=None)
         for mtton in result.mttons:
             for edge in mtton.edges:
                 assert small_dblp_db.to_graph.path_of(
@@ -181,15 +181,15 @@ class TestCachedVsNaiveRandomQueries:
         keywords = author_keywords(small_dblp_graph, rng, 2)
         query = KeywordQuery(tuple(keywords), max_size=5)
         engine = XKeyword(small_dblp_db)
-        cached = engine.search_all(
+        cached = engine.search(
             query,
+            k=None,
             config=ExecutorConfig(backend="python", memoize=True),
-            parallel=False,
         )
-        naive = engine.search_all(
+        naive = engine.search(
             query,
+            k=None,
             config=ExecutorConfig(backend="python", memoize=False),
-            parallel=False,
         )
         assert {(m.ctssn.canonical_key, m.assignment) for m in cached.mttons} == {
             (m.ctssn.canonical_key, m.assignment) for m in naive.mttons
@@ -221,8 +221,8 @@ class TestDebugVerifyMode:
         query = KeywordQuery(tuple(keywords), max_size=5)
         verified = XKeyword(small_dblp_db, verifier=DebugVerifier())
         plain = XKeyword(small_dblp_db)
-        checked = verified.search_all(query, parallel=False)
-        baseline = plain.search_all(query, parallel=False)
+        checked = verified.search(query, k=None)
+        baseline = plain.search(query, k=None)
         assert {(m.ctssn.canonical_key, m.assignment) for m in checked.mttons} == {
             (m.ctssn.canonical_key, m.assignment) for m in baseline.mttons
         }
@@ -231,8 +231,8 @@ class TestDebugVerifyMode:
         from repro.analysis.plans import DebugVerifier
 
         engine = XKeyword(figure1_db, verifier=DebugVerifier())
-        result = engine.search_all(
-            KeywordQuery.of("us", "vcr", max_size=4), parallel=False
+        result = engine.search(
+            KeywordQuery.of("us", "vcr", max_size=4), k=None
         )
         assert result.mttons
 

@@ -16,7 +16,7 @@ from repro.workloads import DBLPConfig, generate_dblp
 
 
 def engine_projection(engine, query):
-    result = engine.search_all(query, parallel=False)
+    result = engine.search(query, k=None)
     return {
         (frozenset(m.target_objects()), m.score)
         for m in result.mttons

@@ -54,7 +54,7 @@ class TestSearch:
         )
         engine = XKeyword(xmark_db)
         query = KeywordQuery((names[0], items[0]), max_size=6)
-        result = engine.search_all(query, parallel=False)
+        result = engine.search(query, k=None)
         # There may be no connection for an arbitrary pair; the pipeline
         # must at least produce candidate networks linking them.
         assert result.candidate_networks
@@ -79,7 +79,7 @@ class TestSearch:
         )
         actual = {
             (frozenset(m.target_objects()), m.score)
-            for m in engine.search_all(query, parallel=False).mttons
+            for m in engine.search(query, k=None).mttons
         }
         assert actual == expected
 
@@ -89,5 +89,5 @@ class TestQuickEngine:
         from repro import quick_engine
 
         engine = quick_engine("xmark")
-        result = engine.search("tv", k=2, parallel=False)
+        result = engine.search("tv", k=2)
         assert result.candidate_networks
