@@ -1,7 +1,7 @@
 """Overhead of ``debug_verify`` mode on the Figure 15(a) workload.
 
 The :class:`repro.analysis.plans.DebugVerifier` re-checks every
-candidate network, CTSSN and execution plan (rules RV301-RV310) before
+candidate network, CTSSN and execution plan (rules RV301-RV311) before
 execution.  These checks are pure structural walks — no relation
 lookups — so their cost scales with the number and size of candidate
 networks, not with the data.  This benchmark quantifies that cost on the

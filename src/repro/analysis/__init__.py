@@ -1,9 +1,9 @@
 """Two-level static analysis for the XKeyword reproduction.
 
 Level 1 lints the codebase itself with stdlib :mod:`ast` — import
-layering, lock discipline, concurrency hygiene and general correctness
-rules — and is run as ``python -m repro.analysis`` (non-zero exit on
-findings; gated in CI).  Level 2 (:mod:`repro.analysis.plans`) verifies
+layering, the interprocedural lock graph (guard discipline, lock order,
+blocking under a lock) and general correctness rules — and is run as
+``python -m repro.analysis`` (non-zero exit on findings; gated in CI).  Level 2 (:mod:`repro.analysis.plans`) verifies
 the *paper's* structural invariants over candidate networks, CTSSNs and
 join plans before execution, enabled at runtime via ``debug_verify``.
 
@@ -21,7 +21,6 @@ from .findings import RULES, Finding
 from .general import GeneralChecker
 from .layering import LayeringChecker
 from .lockgraph import LockGraphChecker
-from .locks import LockChecker
 from .source import Module, load_modules, parse_module
 
 
@@ -41,7 +40,7 @@ class Checker(Protocol):
 
 
 def all_checkers() -> list[Checker]:
-    return [LayeringChecker(), LockChecker(), LockGraphChecker(), GeneralChecker()]
+    return [LayeringChecker(), LockGraphChecker(), GeneralChecker()]
 
 
 def run_analysis(

@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import RULES, all_checkers, run_analysis
-from .lockgraph import LockGraphChecker
+from . import RULES, LockGraphChecker, all_checkers, run_analysis
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static analysis for the XKeyword reproduction "
-        "(import layering, lock discipline, lock graph, concurrency hygiene).",
+        "(import layering, lock graph, general correctness).",
     )
     parser.add_argument(
         "root",
@@ -28,36 +26,9 @@ def main(argv: list[str] | None = None) -> int:
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
     parser.add_argument(
-        "--checker",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="run only the named checker(s): layering, locks, lockgraph, general",
-    )
-    parser.add_argument(
         "--lock-graph",
         action="store_true",
         help="print the interprocedural lock-acquisition graph after linting",
-    )
-    parser.add_argument(
-        "--dot",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the lock graph as GraphViz DOT to FILE (implies --lock-graph)",
-    )
-    parser.add_argument(
-        "--output",
-        choices=("text", "json"),
-        default="text",
-        help="findings format: human-readable text (default) or a JSON array "
-        "of {path, line, rule, message} objects",
-    )
-    parser.add_argument(
-        "--sanitize-report",
-        action="store_true",
-        help="also report findings recorded by the runtime lockset sanitizer "
-        "(repro.analysis.sanitizer) in this process",
     )
     args = parser.parse_args(argv)
 
@@ -74,47 +45,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     checkers = all_checkers()
-    if args.checker:
-        wanted = set(args.checker)
-        known = {checker.name for checker in checkers}
-        unknown = wanted - known
-        if unknown:
-            print(
-                f"error: unknown checker(s): {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})",
-                file=sys.stderr,
-            )
-            return 2
-        checkers = [checker for checker in checkers if checker.name in wanted]
-
     findings = run_analysis(root, checkers)
-
-    if args.sanitize_report:
-        from . import sanitizer
-
-        findings = sorted(
-            findings + sanitizer.report(), key=lambda finding: finding.sort_key()
-        )
-
-    if args.lock_graph or args.dot:
-        graph_checker = next(
-            (checker for checker in checkers if isinstance(checker, LockGraphChecker)),
-            None,
-        )
-        if graph_checker is None:
-            print("error: --lock-graph needs the lockgraph checker", file=sys.stderr)
-            return 2
-        if args.output != "json":
-            print(graph_checker.graph.render())
-        if args.dot is not None:
-            args.dot.write_text(graph_checker.graph.to_dot())
-            print(f"lock graph written to {args.dot}", file=sys.stderr)
-
-    if args.output == "json":
-        print(json.dumps([finding.to_dict() for finding in findings], indent=2))
-    else:
-        for finding in findings:
-            print(finding.render())
+    if args.lock_graph:
+        graph_checker = next(c for c in checkers if isinstance(c, LockGraphChecker))
+        print(graph_checker.graph.render())
+    for finding in findings:
+        print(finding.render())
     if findings:
         print(f"\n{len(findings)} finding(s).", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ comments can target them precisely.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,10 +26,6 @@ class Finding:
     def sort_key(self) -> tuple[str, int, str]:
         return (self.path, self.line, self.rule)
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready form for ``--output json`` and CI tooling."""
-        return asdict(self)
-
 
 # The rule catalogue.  Level 1 (RA...) is the AST lint run by
 # ``python -m repro.analysis``; Level 2 (RV...) is the domain verifier
@@ -40,25 +36,18 @@ RULES: dict[str, str] = {
              "(xmlgraph/schema -> decomposition -> storage -> core -> "
              "analysis -> service)",
     "RA002": "subpackage imports the repro package root (hides layering)",
-    # --- lock discipline / concurrency hygiene ------------------------
-    "RA101": "attribute declared '# guarded by: self.<lock>' accessed "
-             "outside a 'with self.<lock>' block",
-    "RA102": "callback/hook invocation or I/O while holding a lock",
-    "RA103": "time.sleep while holding a lock",
-    "RA104": "thread created without daemon=True",
-    # --- interprocedural lock graph (analysis/lockgraph.py) ------------
+    # --- lock graph (analysis/lockgraph.py) ----------------------------
+    "RA101": "attribute declared '# guarded by: self.<lock>' (plain, "
+             "[writes] or [rw]) accessed outside its lock, where held "
+             "means held locally or by every intra-class caller",
     "RA105": "lock-order inversion: the project-wide acquisition graph "
              "contains a cycle (potential deadlock)",
-    "RA106": "write lock acquired while a read lock on the same "
-             "ReadWriteLock may be held (self-deadlock under writer "
-             "preference)",
-    "RA107": "blocking call (sqlite commit/execute, socket I/O, "
-             "Event.wait, submit().result()) reachable while holding a "
-             "lock; allowlist with '# analysis: blocking-ok[reason]'",
-    "RA108": "attribute declared '# guarded by: self.<rwlock> [rw]' "
-             "accessed outside a read/write-lock region (checked "
-             "across intra-class call sites)",
+    "RA107": "blocking call (sqlite commit/execute, socket I/O, sleep, "
+             "print/open/input, Event.wait, submit().result()) reachable "
+             "while holding a lock; allowlist with "
+             "'# analysis: blocking-ok[reason]'",
     # --- general correctness ------------------------------------------
+    "RA104": "thread created without daemon=True",
     "RA201": "mutable default argument",
     "RA202": "container mutated while being iterated",
     "RA203": "value-type dataclass in xmlgraph.model missing "
@@ -84,11 +73,9 @@ RULES: dict[str, str] = {
     "RV309": "plan step's role map is not a valid fragment embedding",
     "RV310": "plan anchor role is invalid or not bound by the first step",
     "RV311": "shared-prefix spec does not canonicalize to its plan prefix",
-    # --- runtime lockset sanitizer (analysis/sanitizer.py) -------------
+    # --- runtime lock sanitizer (analysis/sanitizer.py) ----------------
     "RS401": "dynamic lock-order inversion: observed acquisition order "
              "conflicts with the merged static+dynamic lock graph",
     "RS402": "read->write upgrade observed on a ReadWriteLock at "
              "runtime (self-deadlock under writer preference)",
-    "RS403": "guarded attribute accessed at runtime with an empty "
-             "lockset (Eraser-style lockset violation)",
 }

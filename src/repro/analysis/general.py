@@ -1,5 +1,8 @@
-"""General correctness rules (RA201-RA204).
+"""General correctness rules (RA104, RA201-RA204).
 
+* RA104 — ``threading.Thread(...)`` without ``daemon=True``: a forgotten
+  non-daemon thread blocks interpreter shutdown (anything that must
+  outlive the main thread should say so with a suppression comment).
 * RA201 — mutable default arguments (``def f(x=[])``): the default is
   shared across calls, a classic aliasing bug.
 * RA202 — mutating a container inside a ``for`` loop that iterates it
@@ -118,6 +121,28 @@ def _check_iteration_mutation(module: Module, loop: ast.For) -> list[Finding]:
     return findings
 
 
+def _check_thread(module: Module, node: ast.Call) -> list[Finding]:
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != "Thread":
+        return []
+    for keyword in node.keywords:
+        if keyword.arg == "daemon":
+            if isinstance(keyword.value, ast.Constant) and keyword.value.value:
+                return []
+            break
+    if module.suppressed(node.lineno, "RA104"):
+        return []
+    return [
+        module.finding(
+            node.lineno,
+            "RA104",
+            "thread created without daemon=True (would block interpreter "
+            "shutdown)",
+        )
+    ]
+
+
 def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
@@ -216,11 +241,11 @@ def _check_or_default(module: Module, node: ast.BoolOp, falsy: set[str]) -> list
 
 
 class GeneralChecker:
-    """RA201 and RA202 everywhere; RA203 on ``xmlgraph.model`` only;
-    RA204 project-wide (it resolves class names across modules)."""
+    """RA104, RA201 and RA202 everywhere; RA203 on ``xmlgraph.model``
+    only; RA204 project-wide (it resolves class names across modules)."""
 
     name = "general"
-    rules = ("RA201", "RA202", "RA203", "RA204")
+    rules = ("RA104", "RA201", "RA202", "RA203", "RA204")
 
     def check(self, module: Module) -> list[Finding]:
         findings: list[Finding] = []
@@ -230,6 +255,8 @@ class GeneralChecker:
                 findings.extend(_check_defaults(module, node))
             elif isinstance(node, ast.For):
                 findings.extend(_check_iteration_mutation(module, node))
+            elif isinstance(node, ast.Call):
+                findings.extend(_check_thread(module, node))
             elif isinstance(node, ast.ClassDef) and model_module:
                 findings.extend(_check_model_dataclass(module, node))
         return findings

@@ -1,9 +1,8 @@
-"""Interprocedural lock-graph analysis (RA105-RA108).
+"""Interprocedural lock-graph analysis (RA101, RA105, RA107).
 
-Where :mod:`repro.analysis.locks` checks *single-lock* guard discipline
-one method at a time, this checker reasons about how locks **compose**
-across method and module boundaries.  It builds a project-wide
-lock-acquisition graph from stdlib :mod:`ast` alone:
+This checker reasons about how locks **compose** across method and
+module boundaries.  It builds a project-wide lock-acquisition graph
+from stdlib :mod:`ast` alone:
 
 1. **Lock registry** — every ``self.<attr> = threading.Lock() /
    RLock() / Condition() / ReadWriteLock()`` assignment declares a lock
@@ -20,40 +19,43 @@ lock-acquisition graph from stdlib :mod:`ast` alone:
    memoized over the call graph (cycles fall back to the empty
    summary).
 
-Over that graph four rules fire:
+Over that graph three rules fire:
 
+* **RA101** — guard discipline.  State shared across threads is
+  *declared* on the line that initializes it::
+
+      self._value = 0.0      # guarded by: self._lock
+      self._closed = False   # guarded by: self._lock [writes]
+      self._documents = {}   # guarded by: self._rwlock [rw]
+
+  A plain guard demands the lock for every read and write; ``[writes]``
+  (atomic publication: one reference assigned under the lock, read
+  lock-free) only for writes; ``[rw]`` (a ``ReadWriteLock``) either side
+  for reads and the write side for writes.  A lock counts as held when
+  the method holds it or when *every* intra-class caller holds it at
+  the call site, so private helpers of a locked entry point need no
+  annotation.  ``__init__``/``__post_init__`` are exempt: construction
+  happens before the object is published to other threads.
 * **RA105** — lock-order inversion: the union of all observed
   "A held while acquiring B" edges contains a cycle.  Every edge site
   in the cycle is reported.  Self-cycles on non-reentrant locks (a
   plain ``Lock`` re-acquired while held) are reported too; RLocks and
   Conditions are reentrant and exempt.
-* **RA106** — write-lock acquisition (direct or through calls) while a
-  read lock on the *same* ``ReadWriteLock`` may be held.  Under writer
-  preference this is a guaranteed self-deadlock: the writer waits for
-  readers to drain, and the thread's own read hold never drains.
 * **RA107** — blocking operation reachable while holding a lock:
   sqlite ``commit``/``execute``/``executemany``/``executescript``,
-  socket I/O (``recv``/``send``/``sendall``/``accept``/``connect``),
-  ``Event.wait`` (a ``wait`` on the held condition itself is exempt —
-  that *releases* the lock), and ``pool.submit(...).result()``.
+  socket I/O (``recv``/``sendall``/``accept``/``connect``), ``sleep``,
+  ``print``/``open``/``input``, ``Event.wait`` (a ``wait`` on the held
+  condition itself is exempt — that *releases* the lock), and
+  ``pool.submit(...).result()``.
   By-design blocking (e.g. persisting an index delta under the write
   lock) is allowlisted per line::
 
       loaded.database.commit()  # analysis: blocking-ok[mutations must
                                 # publish durably before releasing]
 
-* **RA108** — interprocedural artifact guard: an attribute annotated
-  ``# guarded by: self.<rwlock> [rw]`` must be *read* while the read or
-  write side is held and *written* while the write side is held — where
-  "held" includes locks every intra-class caller provably holds at the
-  call site, not just ``with`` blocks in the same method.  This extends
-  RA101 to the update subsystem's pattern of public locked entry points
-  delegating to lock-free internals.
-
-The same edge set powers ``python -m repro.analysis --lock-graph``
-(textual dump + DOT export) and is what the runtime sanitizer
-(:mod:`repro.analysis.sanitizer`) merges its observed acquisition
-order into.
+The same edge set powers ``python -m repro.analysis --lock-graph`` and
+is what the runtime sanitizer (:mod:`repro.analysis.sanitizer`) merges
+its observed acquisition order into.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .findings import Finding
 from .source import Module
 
 _BLOCKING_OK = re.compile(r"#\s*analysis:\s*blocking-ok\[")
-_RW_GUARD = re.compile(r"#\s*guarded by:\s*self\.(\w+)\s*\[rw\]")
+_GUARD = re.compile(r"#\s*guarded by:\s*self\.(\w+)(?:\s*\[(writes|rw)\])?")
 
 #: Constructor names that declare a lock attribute, with the lock kind.
 _LOCK_CONSTRUCTORS = {
@@ -78,9 +80,8 @@ _LOCK_CONSTRUCTORS = {
 _REENTRANT_KINDS = frozenset({"rlock", "condition"})
 
 #: Method names that block the calling thread (RA107).  Deliberately
-#: excludes ``print``/``open``/``input`` (RA102 already flags those at
-#: the direct level) and anything generic enough to collide with domain
-#: methods (``read``/``write``/``join``/``get``).
+#: excludes anything generic enough to collide with domain methods
+#: (``read``/``write``/``join``/``get``).
 _BLOCKING_METHODS = frozenset(
     {
         "commit",
@@ -93,8 +94,12 @@ _BLOCKING_METHODS = frozenset(
         "accept",
         "connect",
         "urlopen",
+        "sleep",
     }
 )
+#: Builtins (and ``from time import sleep``) that block when called directly.
+_BLOCKING_FUNCTIONS = frozenset({"print", "open", "input", "sleep"})
+_INIT_METHODS = frozenset({"__init__", "__post_init__"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,10 +117,18 @@ class Acquisition:
     """A lock acquisition a callable may (transitively) perform."""
 
     key: str
-    mode: str  # "exclusive" | "read" | "write"
     path: str
     line: int
     chain: tuple[str, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class GuardSpec:
+    """One ``# guarded by:`` declaration: the lock and its qualifier."""
+
+    lock: str
+    qualifier: str | None  # None | "writes" | "rw"
+    line: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,8 +170,7 @@ class ClassInfo:
     methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
     locks: dict[str, LockDecl] = field(default_factory=dict)
     attr_classes: dict[str, str] = field(default_factory=dict)
-    rw_guards: dict[str, tuple[str, int]] = field(default_factory=dict)
-    """attr -> (rwlock attr, declaration line) for ``[rw]`` guards."""
+    guards: dict[str, GuardSpec] = field(default_factory=dict)
 
 
 @dataclass
@@ -222,21 +234,6 @@ class LockGraph:
             lines.append("acquisition order: (no nested acquisitions)")
         return "\n".join(lines)
 
-    def to_dot(self) -> str:
-        """GraphViz DOT export of the acquisition-order graph."""
-        lines = ["digraph lock_order {", "  rankdir=LR;"]
-        for key in sorted(self.locks):
-            decl = self.locks[key]
-            shape = "box" if decl.kind == "rwlock" else "ellipse"
-            lines.append(f'  "{key}" [shape={shape}, label="{key}\\n({decl.kind})"];')
-        for (held, acquired), edge in sorted(self.edge_set().items()):
-            lines.append(
-                f'  "{held}" -> "{acquired}" '
-                f'[label="{edge.path.rsplit("/", 1)[-1]}:{edge.line}"];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def _call_name(node: ast.expr) -> str | None:
     """``Name`` or dotted-attribute head for import resolution."""
@@ -299,11 +296,13 @@ class _Project:
         for line_number in range(node.lineno, (node.end_lineno or node.lineno) + 1):
             if line_number > len(module.lines):
                 break
-            match = _RW_GUARD.search(module.lines[line_number - 1])
+            match = _GUARD.search(module.lines[line_number - 1])
             if match:
                 attr = _attr_assigned_on_line(node, line_number)
                 if attr is not None:
-                    info.rw_guards[attr] = (match.group(1), line_number)
+                    info.guards[attr] = GuardSpec(
+                        match.group(1), match.group(2), line_number
+                    )
         # First definition wins on a (rare) cross-module name collision.
         self.classes.setdefault(node.name, info)
 
@@ -434,10 +433,14 @@ class _MethodWalker:
         self.held: list[tuple[str, str]] = []  # (lock key, mode)
         self.summary = Summary()
         self.aliases: dict[str, str] = {}  # local name -> self attr
-        #: (callee, held (key, mode) pairs) for RA108 entry analysis
+        #: >0 inside a nested def/lambda: it adds no calls or acquisitions
+        #: to this summary, but its guarded accesses are checked against
+        #: the locks held where it is written
+        self.nested = 0
+        #: (callee, held (key, mode) pairs) for RA101 entry-lock analysis
         self.intra_calls: list[tuple[str, frozenset[tuple[str, str]]]] = []
         #: guarded-attr accesses: (attr, is_write, line, held keys+modes)
-        self.rw_accesses: list[tuple[str, bool, int, frozenset[tuple[str, str]]]] = []
+        self.accesses: list[tuple[str, bool, int, frozenset[tuple[str, str]]]] = []
 
     # -- lock identification -------------------------------------------
     def _lock_of(self, expr: ast.expr) -> tuple[str, str, str] | None:
@@ -475,11 +478,12 @@ class _MethodWalker:
         if isinstance(node, ast.Call):
             self._handle_call(node)
         if isinstance(node, ast.Attribute):
-            self._note_rw_access(node)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            return  # nested callables run later, under unknown locks
+            self._note_access(node)
+        nested = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        self.nested += nested
         for child in ast.iter_child_nodes(node):
             self.walk(child)
+        self.nested -= nested
 
     def _walk_with(self, node: ast.With) -> None:
         acquired: list[tuple[str, str]] = []
@@ -489,7 +493,8 @@ class _MethodWalker:
                 self.walk(item.context_expr)
                 continue
             key, mode, kind = lock
-            self._record_acquisition(key, mode, kind, item.context_expr.lineno)
+            if not self.nested:
+                self._record_acquisition(key, kind, item.context_expr.lineno)
             acquired.append((key, mode))
         self.held.extend(acquired)
         for statement in node.body:
@@ -504,27 +509,13 @@ class _MethodWalker:
                 self.aliases[node.targets[0].id] = attr
 
     # -- effects --------------------------------------------------------
-    def _record_acquisition(self, key: str, mode: str, kind: str, line: int) -> None:
+    def _record_acquisition(self, key: str, kind: str, line: int) -> None:
         path = str(self.module.path)
-        self.summary.acquires.append(Acquisition(key, mode, path, line, self.chain))
-        for held_key, held_mode in self.held:
-            if held_key == key:
-                if kind == "rwlock":
-                    if held_mode == "read" and mode == "write":
-                        self.checker.emit(
-                            self.module,
-                            line,
-                            "RA106",
-                            f"write lock on {key} acquired while its read "
-                            "lock is held (writer preference makes this a "
-                            "self-deadlock)",
-                        )
-                    continue  # RA106 owns rwlock self-edges
-                if kind in _REENTRANT_KINDS:
-                    continue
-                self.checker.graph.edges.append(
-                    OrderEdge(held_key, key, path, line, f"in {'>'.join(self.chain)}")
-                )
+        self.summary.acquires.append(Acquisition(key, path, line, self.chain))
+        for held_key, _ in self.held:
+            # A reentrant lock may be retaken; a ReadWriteLock's two sides
+            # share one node, and a read->write upgrade is RS402's.
+            if held_key == key and kind in _REENTRANT_KINDS | {"rwlock"}:
                 continue
             self.checker.graph.edges.append(
                 OrderEdge(held_key, key, path, line, f"in {'>'.join(self.chain)}")
@@ -534,19 +525,8 @@ class _MethodWalker:
         """Fold a resolved callee's effects into the current context."""
         for acquisition in summary.acquires:
             self.summary.acquires.append(acquisition)
-            for held_key, held_mode in self.held:
+            for held_key, _ in self.held:
                 if held_key == acquisition.key:
-                    if held_mode == "read" and acquisition.mode == "write":
-                        self.checker.emit(
-                            self.module,
-                            line,
-                            "RA106",
-                            f"call to {label}() acquires the write lock on "
-                            f"{acquisition.key} while its read lock is held "
-                            f"(via {' -> '.join(acquisition.chain)}; "
-                            "guaranteed self-deadlock under writer "
-                            "preference)",
-                        )
                     continue
                 self.checker.graph.edges.append(
                     OrderEdge(
@@ -571,6 +551,8 @@ class _MethodWalker:
             self.summary.blocking.extend(summary.blocking)
 
     def _handle_call(self, node: ast.Call) -> None:
+        if self.nested:
+            return
         func = node.func
         # self.method() — intra-class call.
         if isinstance(func, ast.Attribute):
@@ -627,6 +609,8 @@ class _MethodWalker:
             return
         resolved = self.checker.project.resolve_symbol(self.module, name)
         if resolved is None:
+            if name in _BLOCKING_FUNCTIONS:
+                self._blocking(node, f"{name}()")
             return
         kind, target = resolved
         if kind == "func":
@@ -658,8 +642,10 @@ class _MethodWalker:
             inner = func.value.func
             if isinstance(inner, ast.Attribute) and inner.attr == "submit":
                 description = f"{ast.unparse(func)}() (waits on a pool future)"
-        if description is None:
-            return
+        if description is not None:
+            self._blocking(node, description)
+
+    def _blocking(self, node: ast.Call, description: str) -> None:
         op = BlockingOp(description, str(self.module.path), node.lineno, self.chain)
         self.summary.blocking.append(op)
         if self.held:
@@ -667,7 +653,7 @@ class _MethodWalker:
                 self.module, node.lineno, op, self._held_keys(), via=None
             )
 
-    # -- RA108 access recording ----------------------------------------
+    # -- RA101 access recording ----------------------------------------
     def _note_item_mutations(self, node: ast.stmt) -> None:
         """``self.attr[key] = ...`` mutates the artifact: a write access.
 
@@ -687,25 +673,21 @@ class _MethodWalker:
             if not isinstance(target, ast.Subscript):
                 continue
             attr = _self_attr(target.value)
-            if attr is not None and attr in self.info.rw_guards:
-                self.rw_accesses.append(
-                    (attr, True, target.lineno, frozenset(self.held))
-                )
+            if attr is not None and attr in self.info.guards:
+                self.accesses.append((attr, True, target.lineno, frozenset(self.held)))
 
-    def _note_rw_access(self, node: ast.Attribute) -> None:
+    def _note_access(self, node: ast.Attribute) -> None:
         if self.info is None:
             return
         attr = _self_attr(node)
-        if attr is None or attr not in self.info.rw_guards:
+        if attr is None or attr not in self.info.guards:
             return
         is_write = isinstance(node.ctx, (ast.Store, ast.Del))
-        self.rw_accesses.append(
-            (attr, is_write, node.lineno, frozenset(self.held))
-        )
+        self.accesses.append((attr, is_write, node.lineno, frozenset(self.held)))
 
 
 class LockGraphChecker:
-    """RA105-RA108 over the whole project at once.
+    """RA101, RA105 and RA107 over the whole project at once.
 
     Unlike the per-module checkers this one implements
     ``check_project(modules)``: lock-order inversions only exist
@@ -713,7 +695,7 @@ class LockGraphChecker:
     """
 
     name = "lockgraph"
-    rules = ("RA105", "RA106", "RA107", "RA108")
+    rules = ("RA101", "RA105", "RA107")
 
     def __init__(self) -> None:
         self.graph = LockGraph()
@@ -743,7 +725,7 @@ class LockGraphChecker:
         for module_name, function_name in sorted(self.project.functions):
             self.summarize_function((module_name, function_name))
         self._check_cycles()
-        self._check_rw_guards()
+        self._check_guards()
         # Transitive summaries reach the same origin through several
         # call paths; one finding per distinct (location, message).
         return list(dict.fromkeys(self._findings))
@@ -861,52 +843,53 @@ class LockGraphChecker:
                 f"lock-order inversion cycle: {description}",
             )
 
-    # -- RA108 ----------------------------------------------------------
-    def _check_rw_guards(self) -> None:
+    # -- RA101 ----------------------------------------------------------
+    def _check_guards(self) -> None:
         for info in sorted(self.project.classes.values(), key=lambda i: i.name):
-            if not info.rw_guards:
+            if not info.guards:
                 continue
             entry_held = self._entry_locks(info)
-            for method_name in sorted(info.methods):
+            for method_name in sorted(set(info.methods) - _INIT_METHODS):
                 walker = self._walkers.get((info.name, method_name))
-                if walker is None or method_name in ("__init__", "__post_init__"):
+                if walker is None:
                     continue
-                held_at_entry = entry_held.get(method_name, frozenset())
                 entry_modes: dict[str, set[str]] = {}
-                for key, mode in held_at_entry:
+                for key, mode in entry_held.get(method_name, frozenset()):
                     entry_modes.setdefault(key, set()).add(mode)
-                for attr, is_write, line, local_held in walker.rw_accesses:
-                    rwlock_attr, declared = info.rw_guards[attr]
-                    lock_key = f"{info.name}.{rwlock_attr}"
-                    local_modes = {
-                        mode for key, mode in local_held if key == lock_key
-                    }
+                # One finding per (line, attribute); a write outranks the
+                # read that an item assignment also performs.
+                violations: dict[tuple[int, str], bool] = {}
+                for attr, is_write, line, local_held in walker.accesses:
+                    spec = info.guards[attr]
+                    if spec.qualifier == "writes" and not is_write:
+                        continue
+                    lock_key = f"{info.name}.{spec.lock}"
+                    local = {mode for key, mode in local_held if key == lock_key}
                     possible = entry_modes.get(lock_key)
-                    if is_write:
+                    if spec.qualifier == "rw" and is_write:
                         # Writes need the write side on *every* path: a
                         # caller entering under the read side makes the
                         # access unsafe even if another holds write.
-                        ok = bool(
-                            local_modes & {"write", "exclusive"}
-                        ) or (
-                            possible is not None
-                            and possible <= {"write", "exclusive"}
+                        ok = bool(local - {"read"}) or (
+                            possible is not None and "read" not in possible
                         )
                     else:
-                        # Any held mode permits reads.
-                        ok = bool(local_modes) or possible is not None
-                    if ok:
-                        continue
+                        ok = bool(local) or possible is not None
+                    if not ok:
+                        violations[line, attr] = violations.get((line, attr), False) or is_write
+                for (line, attr), is_write in sorted(violations.items()):
+                    spec = info.guards[attr]
+                    qualifier = f" [{spec.qualifier}]" if spec.qualifier else ""
+                    side = "the write side of " if spec.qualifier == "rw" and is_write else ""
                     self.emit(
                         info.module,
                         line,
-                        "RA108",
-                        f"self.{attr} (guarded by self.{rwlock_attr} [rw], "
-                        f"declared line {declared}) is "
+                        "RA101",
+                        f"self.{attr} (guarded by self.{spec.lock}{qualifier}, "
+                        f"declared line {spec.line}) is "
                         f"{'written' if is_write else 'read'} in "
-                        f"{method_name}() outside a "
-                        f"{'write' if is_write else 'read'}-lock region "
-                        "(checked across intra-class call sites)",
+                        f"{method_name}() without holding {side}self.{spec.lock} "
+                        "(here or at every intra-class call site)",
                     )
 
     def _entry_locks(self, info: ClassInfo) -> dict[str, frozenset[tuple[str, str]]]:

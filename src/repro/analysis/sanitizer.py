@@ -1,21 +1,20 @@
-"""Runtime lockset sanitizer (RS401-RS403), enabled by ``REPRO_SANITIZE=1``.
+"""Runtime lock sanitizer (RS401, RS402), enabled by ``REPRO_SANITIZE=1``.
 
 The static half (:mod:`repro.analysis.lockgraph`) proves what *can*
 happen; this module watches what *does*.  When enabled it wraps
 ``threading.Lock`` allocations made by project modules and instruments
 :class:`repro.updates.rwlock.ReadWriteLock` at the class level, so every
-acquisition records
+acquisition
 
-* the per-thread held-lock set (for Eraser-style lockset checks), and
-* the acquisition event itself — ``(thread, op, lock, mode, site)`` —
-  into a pre-allocated ring buffer whose only write primitive is an
-  ``itertools.count`` slot claim (atomic under the GIL, so recording
-  never takes a lock and cannot deadlock the code under test).
+* pushes the lock onto the thread's held stack, and
+* records one ``held -> acquired`` edge per lock already on that stack,
+  keyed by the pair.  ``dict.setdefault`` is atomic under the GIL, so
+  recording never takes a lock and cannot deadlock the code under
+  test; an edge seen once is kept for the whole run.
 
-:func:`report` replays the buffer into per-thread acquisition-order
-edges, merges them with the static lock graph, and emits findings
-through the same :class:`~repro.analysis.findings.Finding` pipeline as
-the lint:
+:func:`report` merges the observed edges with the static lock graph and
+emits findings through the same
+:class:`~repro.analysis.findings.Finding` pipeline as the lint:
 
 * **RS401** — the merged static+dynamic order graph has a cycle with at
   least one dynamically observed edge (pure-static cycles are RA105's).
@@ -23,9 +22,6 @@ the lint:
   ``ReadWriteLock`` while holding its read side.  Detected *online* and
   raised immediately: letting the acquisition proceed would deadlock
   the test run under writer preference.
-* **RS403** — an attribute with a ``# guarded by:`` annotation (on a
-  class opted in via :func:`instrument_class`) was accessed while the
-  accessing thread's lockset did not contain the declared lock.
 
 Suppression mirrors the static side: a ``# analysis: ignore[RS401]``
 comment on the source line of the recorded site silences that finding.
@@ -42,14 +38,14 @@ or programmatically::
     findings = sanitizer.report()
 
 When never enabled the module is inert: ``threading.Lock`` and the
-``ReadWriteLock`` methods are the pristine originals (the overhead
-benchmark asserts this by identity), so production pays nothing.
+``ReadWriteLock`` methods are the pristine originals (asserted by
+identity in ``tests/analysis/test_sanitizer.py``), so production pays
+nothing.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
 import linecache
 import os
 import re
@@ -61,23 +57,29 @@ from pathlib import Path
 from ..updates.rwlock import ReadWriteLock
 from .findings import Finding
 
-_RING_SIZE = 1 << 16
 _SUPPRESS = re.compile(r"#\s*analysis:\s*ignore\[([A-Z0-9, ]+)\]")
-_GUARD_LINE = re.compile(
-    r"self\.(\w+)\s*(?::[^=]+)?=.*#\s*guarded by:\s*self\.(\w+)(?:\s*\[(\w+)\])?"
-)
 
 _original_lock = threading.Lock
 _original_rwlock_methods: dict[str, object] = {}
 
 _enabled = False
 _prefixes: tuple[str, ...] = ("repro",)
-_ring: list[tuple | None] = [None] * _RING_SIZE
-_slot = itertools.count()
 _held = threading.local()
 _online_findings: list[Finding] = []
 _online_lock = _original_lock()  # protects _online_findings only
-_instrumented: list[tuple[type, object, object]] = []
+
+
+@dataclass(frozen=True, slots=True)
+class ObservedEdge:
+    """One dynamically observed 'held -> acquired' edge."""
+
+    held: str
+    acquired: str
+    path: str
+    line: int
+
+
+_edges: dict[tuple[str, str], ObservedEdge] = {}
 
 
 class SanitizerDeadlockError(RuntimeError):
@@ -96,24 +98,31 @@ def _held_stack() -> list:
     return stack
 
 
-def _record(op: str, name: str, mode: str, path: str, line: int) -> None:
-    # Lock-free: claiming a slot is one atomic next(); worst case a
-    # concurrent writer overwrites a *different* slot.
-    _ring[next(_slot) % _RING_SIZE] = (
-        threading.get_ident(), op, name, mode, path, line
-    )
+def _acquired(lock_id: int, name: str, mode: str) -> None:
+    """Record ``held -> name`` for every lock this thread already holds,
+    then push ``name`` onto its held stack."""
+    stack = _held_stack()
+    if stack:
+        path, line = _caller_site()
+        for _, held_name, _ in stack:
+            if held_name != name and (held_name, name) not in _edges:
+                # Lock-free: setdefault is one atomic dict operation.
+                _edges.setdefault(
+                    (held_name, name), ObservedEdge(held_name, name, path, line)
+                )
+    stack.append((lock_id, name, mode))
+
+
+def _released(lock_id: int, mode: str | None = None) -> None:
+    stack = _held_stack()
+    for index in range(len(stack) - 1, -1, -1):
+        if stack[index][0] == lock_id and mode in (None, stack[index][2]):
+            del stack[index]
+            return
 
 
 def _caller_site() -> tuple[str, int]:
-    frame = sys._getframe(2)
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
-        frame = frame.f_back
-    if frame is None:
-        return ("<unknown>", 0)
-    return (frame.f_code.co_filename, frame.f_lineno)
-
-
-def _creation_site() -> tuple[str, int]:
+    """The first frame outside this module: who acquired or created."""
     frame = sys._getframe(2)
     while frame is not None and frame.f_globals.get("__name__") == __name__:
         frame = frame.f_back
@@ -145,29 +154,21 @@ def _emit_online(finding: Finding) -> None:
 class TrackedLock:
     """Drop-in ``threading.Lock`` recording acquisitions per thread."""
 
-    __slots__ = ("_lock", "name", "creation_site")
+    __slots__ = ("_lock", "name")
 
-    def __init__(self, name: str, creation_site: tuple[str, int]) -> None:
+    def __init__(self, name: str) -> None:
         self._lock = _original_lock()
         self.name = name
-        self.creation_site = creation_site
 
     def acquire(self, *args, **kwargs) -> bool:
         acquired = self._lock.acquire(*args, **kwargs)
         if acquired:
-            path, line = _caller_site()
-            _held_stack().append((id(self), self.name, "exclusive"))
-            _record("acquire", self.name, "exclusive", path, line)
+            _acquired(id(self), self.name, "exclusive")
         return acquired
 
     def release(self) -> None:
         self._lock.release()
-        stack = _held_stack()
-        for index in range(len(stack) - 1, -1, -1):
-            if stack[index][0] == id(self):
-                del stack[index]
-                break
-        _record("release", self.name, "exclusive", "", 0)
+        _released(id(self))
 
     def locked(self) -> bool:
         return self._lock.locked()
@@ -187,7 +188,7 @@ def _lock_factory():
         return _original_lock()
     path, line = frame.f_code.co_filename, frame.f_lineno
     name = _static_name(path, line) or f"{Path(path).name}:{line}"
-    return TrackedLock(name, (path, line))
+    return TrackedLock(name)
 
 
 def _instrument_rwlock() -> None:
@@ -205,7 +206,7 @@ def _instrument_rwlock() -> None:
 
     def __init__(self) -> None:
         original["__init__"](self)
-        path, line = _creation_site()
+        path, line = _caller_site()
         self._sanitizer_name = _static_name(path, line) or (
             f"{Path(path).name}:{line}"
         )
@@ -215,25 +216,18 @@ def _instrument_rwlock() -> None:
 
     def acquire_read(self) -> None:
         original["acquire_read"](self)
-        path, line = _caller_site()
-        _held_stack().append((id(self), _name(self), "read"))
-        _record("acquire", _name(self), "read", path, line)
+        _acquired(id(self), _name(self), "read")
 
     def release_read(self) -> None:
         original["release_read"](self)
-        stack = _held_stack()
-        for index in range(len(stack) - 1, -1, -1):
-            if stack[index][0] == id(self) and stack[index][2] == "read":
-                del stack[index]
-                break
-        _record("release", _name(self), "read", "", 0)
+        _released(id(self), "read")
 
     def acquire_write(self) -> None:
-        path, line = _caller_site()
         holds_read = any(
             entry[0] == id(self) and entry[2] == "read" for entry in _held_stack()
         )
         if holds_read:
+            path, line = _caller_site()
             # RS402 — record, then refuse: blocking here would hang the
             # whole run (the writer waits for this very thread's read).
             finding = Finding(
@@ -247,17 +241,11 @@ def _instrument_rwlock() -> None:
             _emit_online(finding)
             raise SanitizerDeadlockError(finding.render())
         original["acquire_write"](self)
-        _held_stack().append((id(self), _name(self), "write"))
-        _record("acquire", _name(self), "write", path, line)
+        _acquired(id(self), _name(self), "write")
 
     def release_write(self) -> None:
         original["release_write"](self)
-        stack = _held_stack()
-        for index in range(len(stack) - 1, -1, -1):
-            if stack[index][0] == id(self) and stack[index][2] == "write":
-                del stack[index]
-                break
-        _record("release", _name(self), "write", "", 0)
+        _released(id(self), "write")
 
     ReadWriteLock.__init__ = __init__
     ReadWriteLock.acquire_read = acquire_read
@@ -273,7 +261,8 @@ _static_decls: dict[tuple[str, int], str] | None = None
 
 
 def _static_graph():
-    """The static lock graph over the installed package (memoized)."""
+    """A fresh static lock graph over the installed package (callers add
+    observed edges to it)."""
     from .lockgraph import LockGraphChecker
     from .source import load_modules
 
@@ -296,89 +285,6 @@ def _static_name(path: str, line: int) -> str | None:
                 (decl.path, decl.line): key for key, decl in graph.locks.items()
             }
     return _static_decls.get((path, line))
-
-
-# ---------------------------------------------------------------------------
-# RS403: guarded-attribute instrumentation
-# ---------------------------------------------------------------------------
-def instrument_class(cls: type) -> None:
-    """Enforce a class's ``# guarded by:`` annotations at runtime.
-
-    Parses the class source for guard annotations (same syntax as the
-    static lint, including ``[writes]`` and ``[rw]`` qualifiers) and
-    installs ``__getattribute__``/``__setattr__`` hooks that flag RS403
-    when a guarded attribute is touched by a thread whose lockset does
-    not contain the declared lock.  Construction (``__init__`` /
-    ``__post_init__``) is exempt, as in RA101.
-    """
-    import inspect
-
-    try:
-        source_lines, _ = inspect.getsourcelines(cls)
-    except (OSError, TypeError):
-        return
-    guards: dict[str, tuple[str, str | None]] = {}
-    for text in source_lines:
-        match = _GUARD_LINE.search(text)
-        if match:
-            guards[match.group(1)] = (match.group(2), match.group(3))
-    if not guards:
-        return
-
-    original_getattribute = cls.__getattribute__
-    original_setattr = cls.__setattr__
-
-    def _check(self, name: str, is_write: bool) -> None:
-        spec = guards.get(name)
-        if spec is None:
-            return
-        lock_attr, qualifier = spec
-        if qualifier == "writes" and not is_write:
-            return
-        caller = sys._getframe(2).f_code.co_name
-        if caller in ("__init__", "__post_init__"):
-            return
-        try:
-            lock = object.__getattribute__(self, lock_attr)
-        except AttributeError:
-            return  # not constructed yet
-        lock_id = id(lock)
-        held = _held_stack()
-        if qualifier == "rw":
-            required = ("write",) if is_write else ("read", "write")
-            ok = any(
-                entry[0] == lock_id and entry[2] in required for entry in held
-            )
-        else:
-            ok = any(entry[0] == lock_id for entry in held)
-        if ok:
-            return
-        path, line = _caller_site()
-        _emit_online(
-            Finding(
-                path,
-                line,
-                "RS403",
-                f"{cls.__name__}.{name} (guarded by self.{lock_attr}"
-                f"{f' [{qualifier}]' if qualifier else ''}) "
-                f"{'written' if is_write else 'read'} with the declared "
-                "lock absent from the thread's lockset",
-            )
-        )
-
-    def __getattribute__(self, name):
-        if name in guards:
-            _check(self, name, is_write=False)
-        return original_getattribute(self, name)
-
-    def __setattr__(self, name, value):
-        if name in guards:
-            _check(self, name, is_write=True)
-        original_setattr(self, name, value)
-
-    cls.__getattribute__ = __getattribute__
-    cls.__setattr__ = __setattr__
-    _instrumented.append((cls, original_getattribute, original_setattr))
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +315,6 @@ def disable() -> None:
     for name, method in _original_rwlock_methods.items():
         setattr(ReadWriteLock, name, method)
     _original_rwlock_methods.clear()
-    for cls, getter, setter in _instrumented:
-        cls.__getattribute__ = getter
-        cls.__setattr__ = setter
-    _instrumented.clear()
     _enabled = False
     try:
         atexit.unregister(_exit_hook)
@@ -421,49 +323,20 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Drop recorded events and findings (tests call this between cases)."""
-    global _slot
+    """Drop recorded edges and findings (tests call this between cases)."""
     with _online_lock:
         _online_findings.clear()
-    for index in range(_RING_SIZE):
-        _ring[index] = None
-    _slot = itertools.count()
-
-
-@dataclass(frozen=True, slots=True)
-class ObservedEdge:
-    """One dynamically observed 'held -> acquired' edge."""
-
-    held: str
-    acquired: str
-    path: str
-    line: int
+    _edges.clear()
 
 
 def observed_edges() -> list[ObservedEdge]:
-    """Replay the ring buffer into per-thread acquisition-order edges."""
-    events = [event for event in _ring if event is not None]
-    stacks: dict[int, list[tuple[str, str]]] = {}
-    edges: dict[tuple[str, str], ObservedEdge] = {}
-    for thread_id, op, name, mode, path, line in events:
-        stack = stacks.setdefault(thread_id, [])
-        if op == "acquire":
-            for held_name, held_mode in stack:
-                if held_name != name:
-                    edges.setdefault(
-                        (held_name, name), ObservedEdge(held_name, name, path, line)
-                    )
-            stack.append((name, mode))
-        else:
-            for index in range(len(stack) - 1, -1, -1):
-                if stack[index][0] == name and stack[index][1] == mode:
-                    del stack[index]
-                    break
+    """Every acquisition-order edge observed since the last reset."""
+    edges = _edges.copy()  # one atomic copy: other threads may be adding
     return [edges[key] for key in sorted(edges)]
 
 
 def report() -> list[Finding]:
-    """All sanitizer findings so far: online RS402/RS403 plus RS401 from
+    """All sanitizer findings so far: online RS402 plus RS401 from
     merging observed acquisition order into the static lock graph."""
     with _online_lock:
         findings = list(_online_findings)
@@ -481,7 +354,6 @@ def report() -> list[Finding]:
                 OrderEdge(edge.held, edge.acquired, edge.path, edge.line, "observed")
             )
         for cycle in graph.cycles():
-            cycle_pairs = {(edge.held, edge.acquired) for edge in cycle}
             dynamic_in_cycle = [
                 edge for edge in cycle if (edge.held, edge.acquired) not in static_pairs
             ]
@@ -503,8 +375,8 @@ def report() -> list[Finding]:
                 )
             )
     findings.sort(key=Finding.sort_key)
-    # One finding per (site, rule): an augmented assignment on a guarded
-    # attribute trips both the read and the write check at one line.
+    # One finding per (site, rule): an upgrade retried at one site
+    # records RS402 once per attempt.
     unique: dict[tuple[str, int, str], Finding] = {}
     for finding in findings:
         unique.setdefault((finding.path, finding.line, finding.rule), finding)

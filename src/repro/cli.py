@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("keywords", help="space-separated keywords, quoted")
         _add_engine_arguments(
             sub,
-            verify_help="verify CN/CTSSN/plan invariants (RV301-RV310) "
+            verify_help="verify CN/CTSSN/plan invariants (RV301-RV311) "
             "before executing",
         )
         sub.add_argument("-z", "--max-size", type=int, default=8, dest="max_size")

@@ -94,7 +94,7 @@ class ServiceConfig:
     cache_capacity: int = 256
     cache_ttl: float | None = 300.0
     debug_verify: bool = False
-    """Verify CN/CTSSN/plan invariants on every query (RV301-RV310).
+    """Verify CN/CTSSN/plan invariants on every query (RV301-RV311).
 
     Diagnostic mode: it adds per-query overhead (see
     ``benchmarks/bench_analysis_overhead.py``), so serving defaults off.

@@ -1,6 +1,7 @@
 """Seeded RA107: blocking operations reachable while a lock is held."""
 
 import threading
+import time
 
 
 class Journal:
@@ -23,6 +24,14 @@ class Journal:
 
     def _persist(self, row) -> None:
         self.connection.execute("INSERT ...", row)
+
+    def debug(self) -> None:
+        with self._lock:
+            print("still holding the lock")  # RA107: blocking I/O
+
+    def pause(self) -> None:
+        with self._lock:
+            time.sleep(0.5)  # RA107: every other thread stalls too
 
     def append_durable(self, row) -> None:
         with self._lock:

@@ -19,6 +19,22 @@ def inversion() -> None:
             pass
 
 
+def inversion_after(churn: int) -> None:
+    """The a->b half, then ``churn`` unrelated acquisitions, then b->a."""
+    first = threading.Lock()
+    second = threading.Lock()
+    unrelated = threading.Lock()
+    with first:
+        with second:
+            pass
+    for _ in range(churn):
+        with unrelated:
+            pass
+    with second:
+        with first:  # RS401: the a->b edge must still be on record
+            pass
+
+
 def inversion_suppressed() -> None:
     first = threading.Lock()
     second = threading.Lock()

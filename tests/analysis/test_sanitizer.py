@@ -1,4 +1,4 @@
-"""The runtime lockset sanitizer: RS401-RS403 over the seeded scenarios."""
+"""The runtime lock sanitizer: RS401 and RS402 over the seeded scenarios."""
 
 from __future__ import annotations
 
@@ -87,6 +87,16 @@ class TestRS401:
         assert sanitize.observed_edges() == []
 
 
+def test_inversion_found_after_a_long_run(sanitize):
+    """An edge observed early still closes a cycle observed much later:
+    more acquire/release pairs in between than any bounded event log
+    of 65 536 entries could hold."""
+    scenario = _load_scenario("rs401")
+    scenario.inversion_after(churn=70_000)
+    findings = sanitize.report()
+    assert [f.rule for f in findings] == ["RS401"]
+
+
 class TestRS402:
     def test_upgrade_raises_and_reports(self, sanitize):
         scenario = _load_scenario("rs402")
@@ -107,37 +117,6 @@ class TestRS402:
     def test_sequential_read_then_write_is_fine(self, sanitize):
         scenario = _load_scenario("rs402")
         scenario.disciplined()
-        assert sanitize.report() == []
-
-
-class TestRS403:
-    def test_guarded_access_with_empty_lockset(self, sanitize):
-        scenario = _load_scenario("rs403")
-        sanitize.instrument_class(scenario.Tally)
-        tally = scenario.Tally()
-        tally.racy_increment()
-        findings = sanitize.report()
-        assert [f.rule for f in findings] == ["RS403"]
-        assert "Tally._count" in findings[0].message
-
-    def test_locked_access_is_clean(self, sanitize):
-        scenario = _load_scenario("rs403")
-        sanitize.instrument_class(scenario.Tally)
-        tally = scenario.Tally()
-        tally.locked_increment()
-        assert sanitize.report() == []
-
-    def test_suppression_comment_silences(self, sanitize):
-        scenario = _load_scenario("rs403")
-        sanitize.instrument_class(scenario.Tally)
-        tally = scenario.Tally()
-        tally.suppressed_increment()
-        assert sanitize.report() == []
-
-    def test_construction_is_exempt(self, sanitize):
-        scenario = _load_scenario("rs403")
-        sanitize.instrument_class(scenario.Tally)
-        scenario.Tally()  # __init__ writes _count with no lock held
         assert sanitize.report() == []
 
 

@@ -12,7 +12,7 @@ from repro.storage import load_database
 from repro.workloads import DBLPConfig, TPCHConfig, generate_dblp, generate_tpch
 from repro.xmlgraph import EdgeKind, XMLGraph
 
-# REPRO_SANITIZE=1 runs the whole session under the runtime lockset
+# REPRO_SANITIZE=1 runs the whole session under the runtime lock
 # sanitizer (see repro.analysis.sanitizer): project lock allocations are
 # wrapped, ReadWriteLock is instrumented, and any RS4xx finding fails
 # the run at session end.

@@ -200,7 +200,7 @@ class TestDebugVerifyMode:
     """The ``debug_verify`` engine mode passes on every real query.
 
     The DebugVerifier raises on any CN/CTSSN/plan invariant violation
-    (rules RV301-RV310), so identical results with and without it proves
+    (rules RV301-RV311), so identical results with and without it proves
     both that the pipeline maintains the paper's invariants and that
     verification is observation-only.
     """
