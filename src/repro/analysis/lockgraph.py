@@ -11,7 +11,8 @@ from stdlib :mod:`ast` alone:
 2. **Call resolution** — ``self.method()`` within a class,
    ``self.<attr>.method()`` where the attribute's class is known from
    its ``__init__`` assignment or a parameter annotation, local
-   ``name = self.<attr>`` aliases, and module-level project functions
+   ``name = self.<attr>`` aliases, ``name = Class(...)`` locals of a
+   project class, and module-level project functions
    reached through imports.  Unresolvable calls are skipped (the
    checker under-approximates; it never guesses).
 3. **Summaries** — for each method/function, the set of locks it may
@@ -433,6 +434,8 @@ class _MethodWalker:
         self.held: list[tuple[str, str]] = []  # (lock key, mode)
         self.summary = Summary()
         self.aliases: dict[str, str] = {}  # local name -> self attr
+        #: local name -> project class, for ``name = Class(...)``
+        self.local_classes: dict[str, str] = {}
         #: >0 inside a nested def/lambda: it adds no calls or acquisitions
         #: to this summary, but its guarded accesses are checked against
         #: the locks held where it is written
@@ -504,9 +507,20 @@ class _MethodWalker:
 
     def _note_alias(self, node: ast.Assign) -> None:
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            name = node.targets[0].id
             attr = _self_attr(node.value)
             if attr is not None:
-                self.aliases[node.targets[0].id] = attr
+                self.aliases[name] = attr
+            self.local_classes.pop(name, None)
+            if isinstance(node.value, ast.Call):
+                constructor = _call_name(node.value.func)
+                resolved = (
+                    self.checker.project.resolve_symbol(self.module, constructor)
+                    if constructor is not None
+                    else None
+                )
+                if resolved is not None and resolved[0] == "class":
+                    self.local_classes[name] = resolved[1]  # type: ignore[assignment]
 
     # -- effects --------------------------------------------------------
     def _record_acquisition(self, key: str, kind: str, line: int) -> None:
@@ -587,9 +601,12 @@ class _MethodWalker:
                         summary, node.lineno, f"self.{owner_attr}.{func.attr}"
                     )
                     return
-            # param.method() with an annotated project class.
+            # local.method() on a constructed local, or param.method()
+            # with an annotated project class.
             if isinstance(func.value, ast.Name):
-                target_class = self.checker.current_param_types.get(func.value.id)
+                target_class = self.local_classes.get(
+                    func.value.id
+                ) or self.checker.current_param_types.get(func.value.id)
                 target_info = (
                     self.checker.project.classes.get(target_class)
                     if target_class

@@ -2,12 +2,14 @@
 
 ``XKeyword.search`` runs the five stages end to end: keyword discoverer
 (containing lists), CN generator, CTSSN reduction, optimizer, execution —
-and materializes MTTONs.  Candidate networks are evaluated smaller
-first (they are cheaper *and* produce higher-ranked results) against a
-global result budget of K, in rank order on the calling thread.  The
-paper ran a thread per candidate network to overlap JDBC round trips;
-an in-process store has no round trip to overlap, so there is no pool
-(EXPERIMENTS.md "Shard scaling").
+and materializes MTTONs.  Generation and reduction are eager; then the
+candidate networks are planned per size class and executed, smallest
+class first (smaller CNs are cheaper *and* rank higher), against a
+global result budget of K, in rank order on the calling thread.
+Excluded classes are never planned: once K results score at most b, no
+class above b is costed or planned.  The paper ran a thread per candidate network to overlap
+JDBC round trips; an in-process store has no round trip to overlap, so
+there is no pool (EXPERIMENTS.md "Shard scaling").
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterator, Mapping, Protocol, Sequence
 
 from ..schema.tss import TSSGraph
@@ -58,8 +61,12 @@ class SearchResult:
     """The span tree recorded for this search, when a tracer was
     installed on the engine (see :mod:`repro.trace`); ``None`` otherwise."""
     relations_used: frozenset[str] = frozenset()
-    """Connection relations the planned CNs read — the service cache
-    keys staleness off these under live updates."""
+    """Connection relations the *planned* CNs read — the service cache
+    keys staleness off these (and the query's keywords) under live
+    updates.  A size class the top-k bound excluded was never planned
+    and is not named: it cannot place while the planned classes'
+    relations and the keywords are unchanged, and any write that
+    changes those bumps their versions."""
     epoch: int = 0
     """The loaded database's mutation epoch when this search ran."""
 
@@ -157,11 +164,12 @@ def _stage(name: str, metrics: ExecutionMetrics, span) -> Iterator:
 class XKeyword:
     """Keyword proximity search over a loaded XML database.
 
-    Every entry point funnels into :meth:`_run`: matching, the front
-    half (:meth:`_plan_networks`) and execution, each stage behind the
-    one :func:`_stage` wrapper.  A work unit is one candidate network
-    and :meth:`_evaluate` is the only code that runs one.  Units run in
-    rank order on the calling thread.
+    Every entry point funnels into :meth:`_run`: matching, generation
+    and reduction (:meth:`_generate`), then per size class the planning
+    (:meth:`_plan_networks`) and execution, each stage behind the one
+    :func:`_stage` wrapper.  A work unit is one candidate network and
+    :meth:`_evaluate` is the only code that runs one.  Units run in rank
+    order on the calling thread.
     """
 
     def __init__(
@@ -392,14 +400,18 @@ class XKeyword:
                 }
             )
         if all(containing.keyword_tos[keyword] for keyword in query.keywords):
-            planned = self._plan_networks(query, containing, config, result, trace)
-            run = QueryExecution(query, planned, containing, config, limit, trace)
+            self._generate(query, containing, result, trace)
+            run = QueryExecution(query, containing, config, limit, trace)
             if config.prune_by_bound and limit is not None:
                 run.bound = TopKBound(limit)
             if stream is not None:
-                run.emitter = self._open_emitter(stream, run, metrics)
-            for cn in run.planned:
-                self._evaluate(run, cn)
+                run.emitter = self._open_emitter(stream, run, result.ctssns, metrics)
+            relations: set[str] = set()
+            for size_class in self._size_classes(result.ctssns):
+                for cn in self._plan_networks(run, size_class, metrics):
+                    relations.update(cn.plan.relations_used())
+                    self._evaluate(run, cn)
+            result.relations_used = frozenset(relations)
             metrics.merge(run.metrics)
             run.collected.sort(
                 key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment)
@@ -407,23 +419,16 @@ class XKeyword:
             result.mttons = run.collected if limit is None else run.collected[:limit]
         return self._finish(result, trace)
 
-    def _plan_networks(
+    def _generate(
         self,
         query: KeywordQuery,
         containing: ContainingLists,
-        config: ExecutorConfig,
         result: SearchResult,
         trace,
-    ) -> list[PlannedCN]:
-        """The front half: CN generation → CTSSN reduction → costing →
-        ordering → planning → shared-prefix assignment (Python backends
-        only: ``config.share_prefixes`` is off on ``sql``).
-
-        Every CN is planned upfront (the prefix canonicalization needs
-        all plans before any executes), smallest first; each ``cn`` span
-        stays open until its execution finishes, so the
-        ``plan``/``execute`` children pair up.
-        """
+    ) -> None:
+        """CN generation and CTSSN reduction, eager: every CN's score is
+        known before the first one is costed (the stream emitter needs
+        them all upfront)."""
         metrics = result.metrics
         with _stage("cn_generation", metrics, trace.span("cn_generation")) as span:
             result.candidate_networks = self.candidate_networks(query, containing, span)
@@ -432,34 +437,70 @@ class XKeyword:
             result.ctssns = self._reduce(result.candidate_networks, query)
             span.annotate(ctssns=len(result.ctssns))
 
-        # Smaller CNs first (cheaper and higher ranked, per the paper);
-        # ties broken by the statistics-estimated result count.  The
-        # estimates are kept so EXPLAIN can show estimated vs. actual
-        # cardinality per candidate network.
+    def _size_classes(self, ctssns: list[CTSSN]) -> Iterator[list[CTSSN]]:
+        """CTSSNs grouped by :meth:`Optimizer.score_lower_bound` (the
+        source CN's size), smallest class first, each in canonical-key
+        order."""
+        ordered = sorted(
+            ctssns, key=lambda c: (self.optimizer.score_lower_bound(c), c.canonical_key)
+        )
+        for _, size_class in groupby(ordered, key=self.optimizer.score_lower_bound):
+            yield list(size_class)
+
+    def _plan_networks(
+        self,
+        run: QueryExecution,
+        size_class: list[CTSSN],
+        metrics: ExecutionMetrics,
+    ) -> list[PlannedCN]:
+        """The front half of one size class: costing → ordering →
+        planning → shared-prefix assignment (Python backend only:
+        ``config.share_prefixes`` is off on ``sql``).
+
+        A class the top-k bound excludes, or reached after the consumer
+        cancelled, is never costed or planned: each of its CNs reports
+        to the run at once.  Within one class the bound cannot drop below
+        the class's score (every earlier result scores lower, every
+        result of the class scores the same), so an admitted class runs
+        whole.  Each ``cn`` span stays open until its execution
+        finishes, so the ``plan``/``execute`` children pair up.
+        """
+        skipped = self._class_skipped(run, size_class[0])
+        if skipped is not None:
+            for ctssn in size_class:
+                span = run.trace.span("cn", network=ctssn.canonical_key, score=ctssn.score)
+                run.unit_done(
+                    ctssn, span, [], skipped,
+                    ExecutionMetrics(cns_pruned=int("pruned" in skipped)),
+                )
+            return []
+        # Within a class, ties are broken by the statistics-estimated
+        # result count.  The estimates are kept so EXPLAIN can show
+        # estimated vs. actual cardinality per candidate network.
         with _stage("planning", metrics, NULL_SPAN):
             costed = []
-            for ctssn in result.ctssns:
-                role_costs = self._role_costs(ctssn, containing)
+            for ctssn in size_class:
+                role_costs = self._role_costs(ctssn, run.containing)
                 estimate = self.optimizer.estimate_results(ctssn, role_costs)
                 costed.append((ctssn, role_costs, estimate))
-            costed.sort(key=lambda c: (c[0].score, c[2], c[0].canonical_key))
+            costed.sort(key=lambda c: (c[2], c[0].canonical_key))
         planned: list[PlannedCN] = []
         for ctssn, role_costs, estimate in costed:
-            cn_span = trace.span(
+            cn_span = run.trace.span(
                 "cn",
                 network=ctssn.canonical_key,
                 score=ctssn.score,
                 estimated_results=round(estimate, 2),
             )
+            if run.cancelled:
+                run.unit_done(ctssn, cn_span, [], {"cancelled": True}, ExecutionMetrics())
+                continue
             with _stage("planning", metrics, cn_span.child("plan")) as plan_span:
                 plan = self._verified_plan(
                     self.optimizer.plan(ctssn, role_costs, span=plan_span)
                 )
             planned.append(PlannedCN(ctssn, plan, cn_span))
-        result.relations_used = frozenset(
-            name for cn in planned for name in cn.plan.relations_used()
-        )
-        if config.share_prefixes:
+        if run.config.share_prefixes:
             prefixes = assign_shared_prefixes([cn.plan for cn in planned])
             for index, spec in prefixes.items():
                 if self.verifier is not None:
@@ -467,11 +508,30 @@ class XKeyword:
                 planned[index].prefix = spec
         return planned
 
+    def _class_skipped(self, run: QueryExecution, first: CTSSN) -> dict | None:
+        """The ``cn``-span attributes of a class that must not be planned
+        (the consumer cancelled, or the bound excludes its score), else
+        ``None``."""
+        if run.cancelled:
+            return {"cancelled": True}
+        bound = run.bound
+        if bound is None or bound.admits(self.optimizer.score_lower_bound(first)):
+            return None
+        return {
+            "pruned": True,
+            "prune_bound": bound.bound(),
+            "detail": f"pruned at bound {bound.bound()}, not planned",
+        }
+
     def _open_emitter(
-        self, stream: ResultStream, run: QueryExecution, metrics: ExecutionMetrics
+        self,
+        stream: ResultStream,
+        run: QueryExecution,
+        ctssns: list[CTSSN],
+        metrics: ExecutionMetrics,
     ) -> _StreamEmitter:
         """The score-band frontier of a streamed run (it expects one
-        completion signal per work unit)."""
+        completion signal per CN, planned or not)."""
         trace = run.trace  # not ``run``: the emitter must not cycle back to it
 
         def on_emit(rank: int, mtton: MTTON) -> None:
@@ -484,7 +544,7 @@ class XKeyword:
 
         return _StreamEmitter(
             stream,
-            [cn.ctssn.score for cn in run.planned],
+            [ctssn.score for ctssn in ctssns],
             run.limit,
             on_first=lambda seconds: metrics.record_stage("first_result", seconds),
             on_emit=on_emit,
@@ -494,27 +554,21 @@ class XKeyword:
     # Execution: the one work-unit evaluator
     # ------------------------------------------------------------------
     def _evaluate(self, run: QueryExecution, cn: PlannedCN) -> None:
-        """Evaluate one work unit — one CN — the only place a plan is
-        executed.
+        """Evaluate one planned CN — the only place a plan is executed.
 
-        Owns the unit's whole life: cancel checks, top-k bound admission,
-        the executor and its row loop, MTTON materialization, stream
-        offers, the ``execute`` span and metrics.
-        *Every* exit — ran, pruned, cancelled, raised — reports to the
-        run and the emitter, or the score-band frontier would stall.
+        Owns the unit's whole life: the cancel check, the executor and
+        its row loop, MTTON materialization, stream offers, the
+        ``execute`` span and metrics.  *Every* exit — ran, cancelled,
+        raised — reports to the run, or the score-band frontier would
+        stall.
         """
         ctssn, bound, emitter = cn.ctssn, run.bound, run.emitter
-        lower = self.optimizer.score_lower_bound(ctssn)
         metrics = ExecutionMetrics()
         mttons: list[MTTON] = []
         skipped: dict | None = None
         try:
-            if emitter is not None and emitter.cancelled:
+            if run.cancelled:
                 skipped = {"cancelled": True}
-                return
-            if bound is not None and not bound.admits(lower):
-                metrics.cns_pruned += 1
-                skipped = {"pruned": True, "prune_bound": bound.bound()}
                 return
             span = cn.span.child("execute", backend=run.config.backend)
             executor = self._make_executor(
@@ -539,7 +593,7 @@ class XKeyword:
                     # Units run smallest score first, so only the
                     # consumer leaving can stop one mid-run: every score
                     # the bound holds is at most this unit's own.
-                    abandoned = emitter is not None and emitter.cancelled
+                    abandoned = run.cancelled
                     if abandoned:
                         break
                 span.annotate(
@@ -551,9 +605,7 @@ class XKeyword:
                 if abandoned:
                     span.annotate(pruned="abandoned")
         finally:
-            run.unit_done(cn, mttons, skipped, metrics)
-            if emitter is not None:
-                emitter.cn_done(ctssn.score)
+            run.unit_done(ctssn, cn.span, mttons, skipped, metrics)
 
     def _finish(self, result: SearchResult, trace) -> SearchResult:
         trace.root.annotate(

@@ -757,10 +757,10 @@ class PlannedCN:
 class QueryExecution:
     """What the work units of one query share: one :class:`TopKBound`
     (a result collected from any CN prunes every other), one
-    relation-lookup cache, one :class:`SharedPrefixTable`."""
+    relation-lookup cache, one :class:`SharedPrefixTable` (every size
+    class borrows from it)."""
 
     query: KeywordQuery
-    planned: list[PlannedCN]
     containing: ContainingLists
     config: ExecutorConfig
     limit: int | None
@@ -772,23 +772,32 @@ class QueryExecution:
 
     def __post_init__(self) -> None:
         self.lookup_cache = ResultCache(RESULT_CACHE_CAPACITY)
-        shares = any(cn.prefix is not None for cn in self.planned)
-        self.prefix_table = SharedPrefixTable() if shares else None
+        self.prefix_table = (
+            SharedPrefixTable() if self.config.share_prefixes else None
+        )
+
+    @property
+    def cancelled(self) -> bool:
+        """True once the stream's consumer asked the run to stop."""
+        return self.emitter is not None and self.emitter.cancelled
 
     def unit_done(
         self,
-        cn: PlannedCN,
+        ctssn: CTSSN,
+        span: Span,
         mttons: list[MTTON],
         skipped: dict | None,
         metrics: ExecutionMetrics,
     ) -> None:
-        """Fold one finished CN into the shared results and metrics and
-        close its span.
+        """Fold one finished CN into the shared results and metrics,
+        close its ``cn`` span and signal the emitter.
 
         ``skipped`` holds the ``cn``-span attributes of a unit that never
         ran (pruned / cancelled).
         """
         self.collected.extend(mttons)
         self.metrics.merge(metrics)
-        cn.span.annotate(**(skipped or {}), actual_results=len(mttons))
-        cn.span.finish()
+        span.annotate(**(skipped or {}), actual_results=len(mttons))
+        span.finish()
+        if self.emitter is not None:
+            self.emitter.cn_done(ctssn.score)

@@ -135,8 +135,9 @@ class Optimizer:
 
         Under the paper's ranking every result of a CTSSN scores exactly
         the source CN's size, so the bound is tight: ``ctssn.score``.
-        The cross-CN scheduler compares it against the global k-th best
-        collected score to skip non-contributing CNs before they run.
+        The engine groups CTSSNs into size classes by it and compares
+        it against the global k-th best collected score, so a class that
+        cannot contribute is skipped before it is costed or planned.
         """
         return ctssn.score
 

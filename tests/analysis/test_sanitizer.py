@@ -97,6 +97,42 @@ def test_inversion_found_after_a_long_run(sanitize):
     assert [f.rule for f in findings] == ["RS401"]
 
 
+def test_served_edges_are_static_or_named(sanitize):
+    """Every edge a served workload observes — searches, a single-flight
+    join, cache replays, a traced search under the read lock, a
+    mutation — is in the static lock graph or on the short named list,
+    and every named edge is still one the static graph misses."""
+    from repro.decomposition import minimal_decomposition
+    from repro.schema import dblp_catalog
+    from repro.service import QueryService, ServiceConfig
+    from repro.storage import load_database
+    from repro.workloads import DBLPConfig, generate_dblp
+
+    from ..conftest import DYNAMIC_ONLY_EDGES, unexplained_edges
+
+    catalog = dblp_catalog()
+    graph = generate_dblp(DBLPConfig(papers=24, authors=12, avg_citations=2.0, seed=3))
+    loaded = load_database(graph, catalog, [minimal_decomposition(catalog.tss)])
+    service = QueryService(loaded, ServiceConfig(workers=2, tracing=True))
+    try:
+        for _ in range(2):  # a miss, then a cache replay
+            service.search(["smith", "balmin"], k=5, max_size=6)
+        service.insert_document(
+            '<author id="san0"><aname id="san0n">sanitizer probe</aname></author>'
+        )
+        service.search(["smith", "balmin"], k=5, max_size=6)
+    finally:
+        service.close()
+
+    observed = {(edge.held, edge.acquired) for edge in sanitize.observed_edges()}
+    assert ("SingleFlight._lock", "Flight._lock") in observed
+    assert unexplained_edges(sanitize) == []
+    static = set(sanitizer._static_graph().edge_set())
+    assert ("SingleFlight._lock", "Flight._lock") in static
+    assert not set(DYNAMIC_ONLY_EDGES) & static
+    assert set(DYNAMIC_ONLY_EDGES) <= observed
+
+
 class TestRS402:
     def test_upgrade_raises_and_reports(self, sanitize):
         scenario = _load_scenario("rs402")

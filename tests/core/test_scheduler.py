@@ -210,7 +210,11 @@ class TestEngineScheduling:
         for span in pruned_spans:
             assert span.attributes["actual_results"] == 0
             assert span.attributes["prune_bound"] is not None
-            assert [child.name for child in span.children] == ["plan"]
+            # A class the bound excludes is never costed or planned.
+            assert [child.name for child in span.children] == []
+            assert "estimated_results" not in span.attributes
+        bound = pruned_spans[0].attributes["prune_bound"]
+        assert f"pruned at bound {bound}, not planned" in result.trace.render()
 
     @pytest.mark.parametrize("k", [1, 5, 20])
     def test_strategies_agree_on_the_topk(self, small_dblp_db, k):

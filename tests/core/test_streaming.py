@@ -28,6 +28,7 @@ from repro.core import (
 )
 from repro.core.results import MTTON
 from repro.core.streaming import _StreamEmitter
+from repro.trace import Tracer, TraceStore
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,34 @@ class TestCancellation:
         # terminates via complete()/fail(), so result() keeps blocking.
         with pytest.raises(TimeoutError):
             stream.result(timeout=0.05)
+
+    def test_cancel_stops_planning_and_execution(self, small_dblp_db):
+        """A consumer that cancels at its first result stops the run at
+        once on ``sql``: no CN is planned, and none executes, after it."""
+
+        class CancelAtFirst(ResultStream):
+            cancelled_at: float | None = None
+
+            def publish(self, mtton):
+                super().publish(mtton)
+                if self.cancelled_at is None:
+                    self.cancelled_at = time.perf_counter()
+                    self.cancel()
+
+        engine = XKeyword(small_dblp_db, tracer=Tracer(TraceStore()))
+        stream = CancelAtFirst()
+        result = engine.search(QUERY, k=None, config=ExecutorConfig("sql"), stream=stream)
+        assert stream.cancelled_at is not None
+        cn_spans = [s for s in result.trace.root.children if s.name == "cn"]
+        cancelled = [s for s in cn_spans if s.attributes.get("cancelled")]
+        assert cancelled
+        assert all(span.children == [] for span in cancelled)
+        children = [child for span in cn_spans for child in span.children]
+        assert not [
+            c.name for c in children
+            if c.name in ("plan", "execute") and c.start > stream.cancelled_at
+        ]
+        assert stream.emitted < len(engine.search(QUERY, k=None).mttons)
 
     def test_engine_reusable_after_cancel(self, engine):
         stream = engine.search_streaming(QUERY, k=20)

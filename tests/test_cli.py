@@ -55,6 +55,18 @@ class TestSearch:
 
 
 class TestExplain:
+    def test_search_explain_marks_pruned_classes_unplanned(self, capsys):
+        code = main(["search", "smith balmin", "--catalog", "dblp", "--demo",
+                     "-k", "2", "--explain"])
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = out.splitlines() + [""]
+        pruned = [i for i, line in enumerate(lines) if "pruned=True" in line]
+        assert pruned
+        for i in pruned:  # the reason, then the next CN: never a plan child
+            assert "pruned at bound 4, not planned" in lines[i + 1]
+            assert "- plan (" not in lines[i + 2]
+
     def test_explain_prints_plans(self, capsys):
         code = main(["explain", "smith", "--catalog", "dblp", "--demo",
                      "-z", "4"])
