@@ -60,15 +60,9 @@ class SearchResult:
     trace: QueryTrace | None = None
     """The span tree recorded for this search, when a tracer was
     installed on the engine (see :mod:`repro.trace`); ``None`` otherwise."""
-    relations_used: frozenset[str] = frozenset()
-    """Connection relations the *planned* CNs read — the service cache
-    keys staleness off these (and the query's keywords) under live
-    updates.  A size class the top-k bound excluded was never planned
-    and is not named: it cannot place while the planned classes'
-    relations and the keywords are unchanged, and any write that
-    changes those bumps their versions."""
     epoch: int = 0
-    """The loaded database's mutation epoch when this search ran."""
+    """The loaded database's mutation epoch when this search ran — the
+    one number the service's cross-query cache validates against."""
 
     def top(self, count: int) -> list[MTTON]:
         """First ``count`` ranked results."""
@@ -201,7 +195,9 @@ class XKeyword:
         self.executor_config = executor_config or ExecutorConfig()
         self.verifier = verifier
         self.tracer = tracer or NULL_TRACER
-        self.optimizer = Optimizer(self.stores, loaded.statistics)
+        self.optimizer = Optimizer(
+            self.stores, loaded.statistics, epoch=lambda: loaded.epoch
+        )
 
     # ------------------------------------------------------------------
     # Pipeline stages, individually exposed for tests and examples
@@ -387,7 +383,7 @@ class XKeyword:
         )
         metrics = ExecutionMetrics()
         result = SearchResult(query, [], metrics)
-        result.epoch = getattr(self.loaded, "epoch", 0)
+        result.epoch = self.loaded.epoch
         if trace.enabled:
             result.trace = trace  # type: ignore[assignment]
 
@@ -406,12 +402,9 @@ class XKeyword:
                 run.bound = TopKBound(limit)
             if stream is not None:
                 run.emitter = self._open_emitter(stream, run, result.ctssns, metrics)
-            relations: set[str] = set()
             for size_class in self._size_classes(result.ctssns):
                 for cn in self._plan_networks(run, size_class, metrics):
-                    relations.update(cn.plan.relations_used())
                     self._evaluate(run, cn)
-            result.relations_used = frozenset(relations)
             metrics.merge(run.metrics)
             run.collected.sort(
                 key=lambda m: (m.score, m.ctssn.canonical_key, m.assignment)

@@ -18,6 +18,7 @@ two CNs probing the same relation with the same junction ids reuse work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..decomposition.cover import CoverPiece, min_cover
 from ..decomposition.fragments import Fragment
@@ -41,11 +42,17 @@ class Optimizer:
             when two decompositions materialize the same fragment, the
             earlier store wins (e.g. prefer the clustered one).
         statistics: Load-time statistics for fan-out estimation.
+        epoch: Reads the database's mutation epoch (``None``: a
+            database no write reaches).  Relation row counts are
+            memoized per epoch: a live write changes them, so the memo
+            is dropped when the epoch moves.
     """
 
     stores: dict[str, RelationStore]
     statistics: Statistics
+    epoch: Callable[[], int] | None = None
     _row_counts: dict[str, int] = field(default_factory=dict)
+    _rows_epoch: int = 0
 
     def _fragment_universe(self) -> list[tuple[Fragment, str]]:
         universe: list[tuple[Fragment, str]] = []
@@ -58,6 +65,10 @@ class Optimizer:
         return universe
 
     def _rows(self, fragment: Fragment, store_name: str) -> int:
+        epoch = self.epoch() if self.epoch is not None else 0
+        if epoch != self._rows_epoch:
+            self._row_counts = {}
+            self._rows_epoch = epoch
         count = self._row_counts.get(fragment.relation_name)
         if count is None:
             count = self.stores[store_name].row_count(fragment)

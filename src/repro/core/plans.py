@@ -55,10 +55,6 @@ class ExecutionPlan:
         """Number of joins the plan performs (pieces - 1)."""
         return max(0, len(self.steps) - 1)
 
-    def relations_used(self) -> list[str]:
-        """Connection-relation names of the steps, in join order."""
-        return [step.relation_name for step in self.steps]
-
     def describe(
         self,
         stores=None,

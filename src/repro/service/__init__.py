@@ -8,8 +8,8 @@ transport (route table, response writer, error map) in
 :mod:`repro.service.server`.  One service serves one database for the
 life of the process, on the engine's default ``sql`` backend (neither a
 deployment nor a request can pick another); the only state that outlives
-a query is the :class:`QueryCache`, whose entries the mutation
-``VersionVector`` guards.
+a query is the :class:`QueryCache`, whose entries are valid only under
+the mutation epoch they were computed at.
 """
 
 from .admission import (

@@ -16,17 +16,15 @@ is irrelevant to query semantics), so ``"smith chen"`` and
 ``"chen smith"`` share an entry.
 
 The served data changes one way, through live mutations
-(:mod:`repro.updates`), and one rule decides staleness: the cache is
-constructed over the service's
-:class:`~repro.storage.fingerprint.VersionVector`, and each entry records a
-version snapshot of its query's keywords and the connection relations
-its plans scanned.  An entry is stale exactly when a later mutation
-bumped one of those counters — i.e. the delta's keyword set intersects
-the query's keyword bag, or a relation the plan read was rewritten.
-Everything else survives, which is the whole point of fine-grained
-invalidation: a steady query mix keeps its hit rate across unrelated
-updates.  Staleness is checked lazily on :meth:`get` and swept eagerly
-by :meth:`invalidate_stale` after each mutation.
+(:mod:`repro.updates`), and each one advances the database's mutation
+epoch (``LoadedDatabase.epoch``) under the write lock.  That epoch is the
+one validity rule: an entry records the
+:attr:`~repro.core.SearchResult.epoch` its answer was computed under, and
+:meth:`QueryCache.get` serves it only while the caller's current epoch
+still equals it.  An answer computed before a write finished is never
+served after it, however late its :meth:`~QueryCache.put` lands.  The
+service also empties the cache (:meth:`~QueryCache.clear`) after every
+write, so memory is freed at once.
 
 Entries expire after a TTL and are evicted LRU beyond a capacity, both
 tunable.  All operations are thread-safe.
@@ -37,16 +35,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..core.query import KeywordQuery
-from ..storage.fingerprint import VersionVector
 
 CacheKey = tuple[tuple[str, ...], int | None, int]
-
-_FRESH = ((), ())
-"""Version snapshot used when no version vector is installed."""
 
 
 def query_cache_key(query: KeywordQuery, k: int | None) -> CacheKey:
@@ -64,7 +58,6 @@ class CacheStats:
     evictions: int = 0
     invalidations: int = 0
     entries: int = 0
-    invalidation_reasons: dict[str, int] = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -76,8 +69,7 @@ class CacheStats:
 class _Entry:
     result: object
     expires_at: float
-    snapshot: tuple = _FRESH
-    stored_at: float = field(default_factory=time.monotonic)
+    epoch: int
 
 
 class QueryCache:
@@ -88,9 +80,6 @@ class QueryCache:
             evicted on insert.
         ttl: Seconds an entry stays fresh; ``None`` disables expiry.
         clock: Monotonic time source, injectable for tests.
-        versions: The mutation version vector entries validate against;
-            ``None`` (no live updates) keeps every entry valid until
-            TTL/eviction.
     """
 
     def __init__(
@@ -98,7 +87,6 @@ class QueryCache:
         capacity: int = 256,
         ttl: float | None = 300.0,
         clock: Callable[[], float] = time.monotonic,
-        versions: VersionVector | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
@@ -106,7 +94,6 @@ class QueryCache:
             raise ValueError("ttl must be positive (or None to disable)")
         self.capacity = capacity
         self.ttl = ttl
-        self.versions = versions
         self._clock = clock
         self._lock = threading.Lock()
         self._entries: OrderedDict[CacheKey, _Entry] = OrderedDict()  # guarded by: self._lock
@@ -115,12 +102,11 @@ class QueryCache:
         self._expirations = 0  # guarded by: self._lock
         self._evictions = 0  # guarded by: self._lock
         self._invalidations = 0  # guarded by: self._lock
-        self._invalidation_reasons: dict[str, int] = {}  # guarded by: self._lock
 
     # ------------------------------------------------------------------
-    def get(self, key: CacheKey) -> object | None:
-        """Return the cached entry for ``key`` if present, fresh, and
-        untouched by any mutation since it was stored."""
+    def get(self, key: CacheKey, epoch: int = 0) -> object | None:
+        """Return the entry for ``key`` if present, unexpired, and
+        computed under ``epoch`` (the database's current mutation epoch)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -131,79 +117,34 @@ class QueryCache:
                 self._expirations += 1
                 self._misses += 1
                 return None
-            if self.versions is not None:
-                reason = self.versions.stale_reason(entry.snapshot)
-                if reason is not None:
-                    del self._entries[key]
-                    self._invalidations += 1
-                    self._invalidation_reasons[reason] = (
-                        self._invalidation_reasons.get(reason, 0) + 1
-                    )
-                    self._misses += 1
-                    return None
+            if entry.epoch != epoch:
+                del self._entries[key]
+                self._invalidations += 1
+                self._misses += 1
+                return None
             self._entries.move_to_end(key)
             self._hits += 1
             return entry.result
 
-    def put(
-        self,
-        key: CacheKey,
-        result: object,
-        keywords=(),
-        relations=(),
-    ) -> None:
-        """Store ``result`` under ``key``, evicting LRU entries past capacity.
-
-        ``keywords``/``relations`` name what the result depends on; the
-        entry snapshots their current mutation versions so later deltas
-        touching them (and only them) invalidate it.
-        """
-        now = self._clock()
-        expires = now + self.ttl if self.ttl is not None else float("inf")
-        snapshot = (
-            self.versions.snapshot(keywords, relations)
-            if self.versions is not None
-            else _FRESH
-        )
+    def put(self, key: CacheKey, result: object, epoch: int = 0) -> None:
+        """Store ``result``, computed under ``epoch``, under ``key``;
+        evicts LRU entries past capacity."""
+        expires = self._clock() + self.ttl if self.ttl is not None else float("inf")
         with self._lock:
-            self._entries[key] = _Entry(result, expires, snapshot, now)
+            self._entries[key] = _Entry(result, expires, epoch)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def invalidate(self) -> int:
-        """Drop every entry; returns the count dropped."""
+    def clear(self) -> int:
+        """Drop every entry (the service's sweep after a write); returns
+        the count dropped, which ``invalidations`` also counts."""
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
             self._invalidations += dropped
             return dropped
-
-    def invalidate_stale(self) -> dict[str, int]:
-        """Eagerly sweep entries a mutation made stale.
-
-        Returns dropped counts per reason (``keyword``/``relation``).
-        The service calls this after every mutation so memory is freed
-        immediately instead of waiting for a lazy ``get``.
-        """
-        if self.versions is None:
-            return {}
-        dropped: dict[str, int] = {}
-        with self._lock:
-            stale = [
-                (key, reason)
-                for key, entry in self._entries.items()
-                if (reason := self.versions.stale_reason(entry.snapshot)) is not None
-            ]
-            for key, reason in stale:
-                del self._entries[key]
-                self._invalidations += 1
-                self._invalidation_reasons[reason] = (
-                    self._invalidation_reasons.get(reason, 0) + 1
-                )
-                dropped[reason] = dropped.get(reason, 0) + 1
-        return dropped
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -220,5 +161,4 @@ class QueryCache:
                 evictions=self._evictions,
                 invalidations=self._invalidations,
                 entries=len(self._entries),
-                invalidation_reasons=dict(self._invalidation_reasons),
             )

@@ -16,8 +16,9 @@ is :meth:`_SearchSession.result` and the incremental one
 Mutations go through the :class:`~repro.updates.UpdateManager`:
 incremental maintenance of every storage artifact under single-writer /
 multi-reader discipline (searches hold the read side, so they never see
-a torn index), followed by a fine-grained cache sweep that drops only
-entries whose keyword bag or executed relations the delta touched.
+a torn index).  Each mutation advances the database's epoch, and a cached
+answer is served only under the epoch it was computed at, so the cache
+is emptied after every write.
 Databases reopened from persisted metadata (no XML graph) serve
 read-only and answer mutations with 409.
 
@@ -56,7 +57,7 @@ from ..core import (
     XKeyword,
     open_navigator,
 )
-from ..storage import LoadedDatabase, VersionVector
+from ..storage import LoadedDatabase
 from ..trace import NULL_TRACER, TraceStore, Tracer
 from ..updates import UpdateManager
 from .admission import AdmissionController, DeadlineExceededError, RejectedError
@@ -179,6 +180,7 @@ class _Answer:
     page_count: int
     candidate_networks: int
     trace_id: str | None
+    epoch: int
 
     @classmethod
     def of(cls, result: "SearchResult | _Answer") -> "_Answer":
@@ -192,6 +194,7 @@ class _Answer:
             result.page_count(),
             len(result.candidate_networks),
             result.trace.trace_id if result.trace is not None else None,
+            result.epoch,
         )
 
 
@@ -207,9 +210,10 @@ class _PreparedSearch:
     k: int | None
     """Ranked-result cutoff; ``None`` means every result."""
     key: tuple
-    snapshot: tuple
-    """Per-keyword VersionVector snapshot taken at admission, compared
-    around execution to detect mid-flight invalidation."""
+    epoch: int
+    """The database's mutation epoch at admission.  The cache serves
+    only an answer computed under it, and the request joins only a
+    flight admitted under it."""
 
 
 class QueryService:
@@ -218,8 +222,8 @@ class QueryService:
     The service owns the engine for the life of the process.  The served
     data changes one way — through the :class:`~repro.updates.UpdateManager`
     — and the only state that outlives a query is the cross-query cache,
-    whose entries the mutation :class:`~repro.storage.VersionVector`
-    invalidates.
+    whose entries are valid only under the mutation epoch they were
+    computed at.
     """
 
     def __init__(
@@ -247,13 +251,12 @@ class QueryService:
             if self.config.tracing
             else NULL_TRACER
         )
-        self.versions = VersionVector()
         self.loaded = loaded
         self.fingerprint = loaded.fingerprint()
         """Load-time identity of the served database (``/healthz``, the
         ``serve`` banner); live mutations do not change it."""
         self.updates = (
-            UpdateManager(loaded, versions=self.versions, tracer=self.tracer)
+            UpdateManager(loaded, tracer=self.tracer)
             if loaded.graph is not None
             else None
         )
@@ -267,7 +270,6 @@ class QueryService:
         self.cache = QueryCache(
             capacity=self.config.cache_capacity,
             ttl=self.config.cache_ttl,
-            versions=self.versions,
         )
         self.admission = AdmissionController(
             workers=self.config.workers,
@@ -342,17 +344,15 @@ class QueryService:
         max_size: int,
         all_results: bool,
     ) -> "_PreparedSearch":
-        """Validate a request and compute its cache/single-flight key."""
+        """Validate a request, compute its cache key and read the epoch
+        it is admitted at."""
         query = KeywordQuery(tuple(keywords), max_size=max_size)
         k = None if all_results else (k if k is not None else DEFAULT_K)
         return _PreparedSearch(
             query=query,
             k=k,
             key=query_cache_key(query, k),
-            # The snapshot anchors mid-flight invalidation detection: a
-            # VersionVector bump between here and execution means the
-            # flight computed from (and is marked as) a stale snapshot.
-            snapshot=self.versions.snapshot(query.keywords, ()),
+            epoch=self.loaded.epoch,
         )
 
     def _open(self, prep: "_PreparedSearch", deadline: float | None) -> "_SearchSession":
@@ -360,7 +360,10 @@ class QueryService:
 
         Cache probe, then single-flight join, then — for a leader only —
         the single admission submit.  A cache hit is a session over an
-        already-completed stream: no admission, no thread hand-off.
+        already-completed stream: no admission, no thread hand-off.  Both
+        the probe and the join are by admission epoch: a request admitted
+        after a write finished never gets an answer, cached or in flight,
+        that was computed or admitted before the write.
 
         Raises:
             RejectedError: Admission shed the execution (queue full or
@@ -368,12 +371,12 @@ class QueryService:
                 session, so HTTP can still answer 503.
         """
         started = time.perf_counter()
-        cached = self.cache.get(prep.key)
+        cached = self.cache.get(prep.key, prep.epoch)
         if cached is not None:
             stream = ResultStream()
             stream.complete(cached)
             return _SearchSession(self, prep, stream, None, started, deadline)
-        flight, joined = self.singleflight.join(prep.key)
+        flight, joined = self.singleflight.join((prep.key, prep.epoch))
         session = _SearchSession(
             self, prep, flight.stream, flight, started, deadline, shared=joined
         )
@@ -404,39 +407,22 @@ class QueryService:
 
         Returns a zero-argument callable that runs the engine, which
         publishes to the flight's stream as results become final.  The
-        runner owns the stream: it marks mid-flight VersionVector
-        invalidation, meters the result, caches it when fresh, and only
-        then completes the stream — so no waiter wakes before the cache
-        and ``/metrics`` hold the answer.  Every exit terminates the
-        stream and retires the flight.
+        runner owns the stream: it meters the result, caches it under the
+        epoch it was computed at, and only then completes the stream — so
+        no waiter wakes before the cache and ``/metrics`` hold the
+        answer.  Every exit terminates the stream and retires the flight.
         """
         engine, query = self.engine, prep.query
-
-        def mark_if_stale() -> None:
-            if self.versions.stale_reason(prep.snapshot) is not None:
-                flight.stale = True
 
         def runner() -> SearchResult:
             try:
                 with self._read():
-                    # Under the read lock no bump can interleave with the
-                    # execution, so staleness is decided *before* results
-                    # flow: waiters always observe a settled flag.
-                    mark_if_stale()
                     started = time.perf_counter()
                     result = engine.search(query, k=prep.k, stream=flight.stream)
                     seconds = time.perf_counter() - started
-                # Engines without the update lock (injected fakes) can
-                # race mutations; re-check so stale results stay uncached.
-                mark_if_stale()
                 self._instrumentation.record(result, seconds)
-                if not flight.stream.cancelled and not flight.stale:
-                    self.cache.put(
-                        prep.key,
-                        _Answer.of(result),
-                        keywords=query.keywords,
-                        relations=result.relations_used,
-                    )
+                if not flight.stream.cancelled:
+                    self.cache.put(prep.key, _Answer.of(result), result.epoch)
                 flight.stream.complete(result)
                 return result
             except BaseException as exc:
@@ -606,7 +592,8 @@ class QueryService:
         )
 
     def _mutate(self, op: str, action) -> dict:
-        """Run one mutation, meter it, and sweep the newly stale cache.
+        """Run one mutation, meter it, and empty the cache its new epoch
+        made unservable.
 
         Mutations bypass the admission pool: the update manager's
         writer-preferring lock already serializes them against each
@@ -620,10 +607,8 @@ class QueryService:
         report = action(self.updates)
         self._mutations(op).inc()
         self._mutation_seconds(op).observe(time.perf_counter() - started)
-        dropped = self.cache.invalidate_stale()
         payload = report.to_dict()
-        payload["cache_entries_dropped"] = sum(dropped.values())
-        payload["cache_invalidation_reasons"] = dropped
+        payload["cache_entries_dropped"] = self.cache.clear()
         return payload
 
     # ------------------------------------------------------------------
@@ -687,12 +672,10 @@ class QueryService:
             "repro_query_cache_evictions_total",
             "Cross-query cache entries evicted past capacity",
         ).advance_to(cache.evictions)
-        for reason, total in cache.invalidation_reasons.items():
-            self.registry.counter(
-                "repro_cache_invalidations_total",
-                "Cross-query cache entries invalidated, by reason",
-                reason=reason,
-            ).advance_to(total)
+        self.registry.counter(
+            "repro_cache_invalidations_total",
+            "Cross-query cache entries dropped because a write moved the epoch",
+        ).advance_to(cache.invalidations)
         self.registry.counter(
             "repro_shed_total", "Requests shed because the queue was full"
         ).advance_to(admission.shed)
@@ -806,9 +789,9 @@ class _SearchSession:
         the entry — the spans describe the work actually done, not the
         dictionary probe that served it.  ``shared`` marks answers that
         attached to another request's in-flight execution
-        (single-flight); ``stale`` marks results computed from a
-        snapshot a live update invalidated mid-flight (served, but not
-        cached).
+        (single-flight); ``stale`` marks answers computed under a later
+        epoch than the request was admitted at (a write landed before
+        the flight took the read lock).
         """
         seconds = time.perf_counter() - self._started
         if self._flight is not None:
@@ -822,7 +805,7 @@ class _SearchSession:
             "k": self._prep.k,
             "cached": self._flight is None,
             "shared": self._shared,
-            "stale": self._flight.stale if self._flight is not None else False,
+            "stale": answer.epoch != self._prep.epoch,
             "trace_id": answer.trace_id,
             "elapsed_ms": round(seconds * 1000.0, 3),
             "count": len(self._ranked(answer)),

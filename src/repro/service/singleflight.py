@@ -12,9 +12,10 @@ replay from the start, so late joiners lose nothing).
 Cancellation is reference-counted: a departing waiter merely detaches —
 only when the *last* consumer leaves is the shared execution asked to
 wind down (:meth:`~repro.core.streaming.ResultStream.cancel`).  The
-key is the service's existing cross-query cache key
-(:func:`repro.service.cache.query_cache_key`), so a flight's completed
-result lands in the cache exactly once.
+service keys a flight on its cross-query cache key
+(:func:`repro.service.cache.query_cache_key`) plus the mutation epoch
+the request was admitted at, so a request admitted after a write
+finished never joins a flight admitted before it.
 """
 
 from __future__ import annotations
@@ -29,21 +30,17 @@ class Flight:
     """One in-flight execution shared by identical concurrent requests.
 
     Attributes:
-        key: The cache key this flight coalesces on.
+        key: The key this flight coalesces on.
         stream: The shared :class:`~repro.core.streaming.ResultStream`
             every attached request consumes.
-        stale: Set by the leader when a live update invalidated the
-            snapshot mid-flight (the stream still completed from the
-            stale snapshot; the result was not cached).
     """
 
-    __slots__ = ("key", "stream", "stale", "_lock", "_waiters")
+    __slots__ = ("key", "stream", "_lock", "_waiters")
 
     def __init__(self, key: Hashable) -> None:
         """Create a flight for ``key`` with a fresh stream."""
         self.key = key
         self.stream = ResultStream()
-        self.stale = False
         self._lock = threading.Lock()
         self._waiters = 0  # guarded by: self._lock
 

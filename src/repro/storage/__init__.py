@@ -3,7 +3,7 @@
 from .blobs import BlobStore
 from .database import Database, quote_identifier
 from .decomposer import LoadReport, LoadedDatabase, load_database, reopen_database
-from .fingerprint import VersionVector, database_fingerprint
+from .fingerprint import database_fingerprint
 from .master_index import IndexEntry, MasterIndex, tokenize
 from .persistence import (
     TargetObjectTables,
@@ -28,7 +28,6 @@ __all__ = [
     "Statistics",
     "TargetObjectGraph",
     "TargetObjectTables",
-    "VersionVector",
     "apply_metadata_delta",
     "build_target_object_graph",
     "database_fingerprint",

@@ -54,7 +54,6 @@ from dataclasses import asdict, dataclass, field, fields
 from ..schema.graph import SchemaError
 from ..schema.validate import check_conformance
 from ..storage.decomposer import LoadedDatabase
-from ..storage.fingerprint import VersionVector
 from ..storage.persistence import (
     apply_metadata_delta,
     load_index_epoch,
@@ -241,7 +240,6 @@ class UpdateManager:
     def __init__(
         self,
         loaded: LoadedDatabase,
-        versions: VersionVector | None = None,
         tracer=NULL_TRACER,
         clock=time.time,
     ) -> None:
@@ -251,7 +249,6 @@ class UpdateManager:
                 "mutations need the full graph, reload from source to enable them"
             )
         self.loaded = loaded
-        self.versions = versions if versions is not None else VersionVector()
         self.tracer = tracer
         self._clock = clock
         self._rwlock = ReadWriteLock()
@@ -377,7 +374,7 @@ class UpdateManager:
                 except BaseException:
                     self.loaded.database.rollback()
                     raise
-                self._publish(steps, report)
+                self._publish(steps)
                 report.epoch = self.loaded.epoch
                 report.seconds = time.perf_counter() - started
             trace.root.annotate(**report.to_dict())
@@ -650,8 +647,8 @@ class UpdateManager:
         graph's tables must already reflect the step.  Physical tables
         shared across decompositions are rewritten once
         (keyed by base-table name); relations whose recomputed rows equal
-        the stored rows are left untouched, so the cache's per-relation
-        versions only advance for real changes.
+        the stored rows are left untouched, so ``relations_touched``
+        names only real changes.
         """
         loaded = self.loaded
         removed_tos = removed_tos or {}
@@ -702,7 +699,7 @@ class UpdateManager:
         store_index_epoch(loaded.database, loaded.epoch + 1)
         loaded.database.commit()
 
-    def _publish(self, steps, report: MutationReport) -> None:
+    def _publish(self, steps) -> None:
         """Bring the in-memory state up to the committed database."""
         loaded = self.loaded
         graph = loaded.graph
@@ -720,7 +717,6 @@ class UpdateManager:
                 self._documents.add(step.document_id)
         loaded.epoch += 1
         loaded.statistics.refresh_from(loaded.to_graph)
-        self.versions.bump(report.keywords_touched, report.relations_touched)
         self._last_mutation_at = self._clock()
         with self._snapshot_lock:
             self._snapshot = IndexSnapshot(

@@ -105,7 +105,7 @@ class TestInvalidation:
                 query_cache_key(KeywordQuery.of(keyword), 10),
                 make_result(keyword),
             )
-        assert cache.invalidate() == 3
+        assert cache.clear() == 3
         assert len(cache) == 0
         assert cache.stats().invalidations == 3
 
@@ -125,7 +125,7 @@ class TestThreadSafety:
                     cache.put(key, make_result(f"k{worker}", f"i{i % 40}"))
                     cache.get(key)
                     if i % 50 == 0:
-                        cache.invalidate()
+                        cache.clear()
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 

@@ -1,19 +1,23 @@
 """The query cache stays sound under live writes.
 
-A search records only the relations of the candidate networks it
-planned (``SearchResult.relations_used``); a size class the top-k bound
-excluded is never planned, so its relations are not named.  That is
-sound: the excluded class cannot place while the planned classes'
-relations and the query's keywords are unchanged, and a write that
-changes those bumps their versions.  This test drives a random
-insert/replace/delete sequence and, after every write, checks each
-served answer — cached or not — against a fresh, uncached engine.
+A cached answer is served only under the mutation epoch it was computed
+at, so no answer computed before a write is served after it.  The
+hypothesis test drives a random insert/replace/delete sequence and,
+after every write, checks each served answer — cached or not — against
+a fresh, uncached engine.  The window tests pin the two ways a pre-write
+answer could still reach a request that starts after the write
+returned: through the cache, when the flight caches it after the write
+landed, and through single-flight, when the request joins the pre-write
+flight.
 
 Results that tie at the k-th score are left out: which of them make the
 cut depends on the plan (ROADMAP item 14), not on cache validity.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -135,18 +139,76 @@ def test_served_answers_match_a_fresh_engine_after_every_write(writes):
         service.close()
 
 
-def test_a_write_to_an_unplanned_class_keeps_the_entry():
-    """``john smith`` names one author, so its size-0 class fills k = 1
-    and no larger class is planned: a paper naming neither keyword
-    changes only relations the search never read, and the cached answer
-    is served — and is still the fresh answer."""
-    service = build_service()
-    try:
-        keywords, k = ("john", "smith"), 1
-        assert served(service, keywords, k)[0] is False
-        service.insert_document(paper_xml("n0", ["a4"], ["graphs"]), parent_id="c0y1")
-        cached, answer = served(service, keywords, k)
-        assert cached is True
-        assert answer == fresh(service, keywords, k)
-    finally:
-        service.close()
+WINDOW_QUERY, WINDOW_K = ("smith", "balmin"), 10
+# Co-authored by matching authors, titled with neither keyword: it adds
+# score-4 answers without touching the query's keywords.
+WINDOW_WRITE = paper_xml("n0", ["a0", "a4", "a10", "a11"], ["graphs"])
+
+
+def in_the_window(service: QueryService, action) -> None:
+    """Run ``action`` once, from the first search's runner, after it left
+    the read lock and before it caches the answer and completes."""
+    record = service._instrumentation.record
+    ran: list[bool] = []
+
+    def record_then_act(result, seconds):
+        if not ran:
+            ran.append(True)
+            action()
+        record(result, seconds)
+
+    service._instrumentation.record = record_then_act
+
+
+class TestWriteWindows:
+    def test_an_answer_computed_before_a_write_is_not_served_after_it(self):
+        service = build_service()
+        try:
+            before = fresh(service, WINDOW_QUERY, WINDOW_K)
+            in_the_window(
+                service,
+                lambda: service.insert_document(WINDOW_WRITE, parent_id="c0y1"),
+            )
+            _, computed = served(service, WINDOW_QUERY, WINDOW_K)
+            assert decided(computed, WINDOW_K) == decided(before, WINDOW_K)
+            after = fresh(service, WINDOW_QUERY, WINDOW_K)
+            assert decided(after, WINDOW_K) != decided(before, WINDOW_K)
+            cached, answer = served(service, WINDOW_QUERY, WINDOW_K)
+            assert cached is False
+            assert decided(answer, WINDOW_K) == decided(after, WINDOW_K)
+        finally:
+            service.close()
+
+    def test_a_search_after_a_write_does_not_join_a_flight_from_before_it(self):
+        service = build_service()
+        joins: list[bool] = []
+        join = service.singleflight.join
+
+        def counting_join(key):
+            flight, joined = join(key)
+            joins.append(joined)
+            return flight, joined
+
+        service.singleflight.join = counting_join
+        late: list[tuple[bool, list[tuple]]] = []
+        searcher = threading.Thread(
+            target=lambda: late.append(served(service, WINDOW_QUERY, WINDOW_K))
+        )
+
+        def write_then_search():
+            service.insert_document(WINDOW_WRITE, parent_id="c0y1")
+            searcher.start()  # the late search starts after the write returned
+            deadline = time.monotonic() + 10.0
+            while len(joins) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+
+        try:
+            in_the_window(service, write_then_search)
+            served(service, WINDOW_QUERY, WINDOW_K)
+            searcher.join(30.0)
+            assert joins == [False, False], "the late search joined the pre-write flight"
+            assert decided(late[0][1], WINDOW_K) == decided(
+                fresh(service, WINDOW_QUERY, WINDOW_K), WINDOW_K
+            )
+        finally:
+            service.close()

@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.decomposition import minimal_decomposition
+from repro.schema import dblp_catalog
 from repro.service import MetricsRegistry, QueryService, ServiceConfig
+from repro.storage import load_database
+from repro.workloads import DBLPConfig, generate_dblp
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -147,6 +151,40 @@ class TestCatalogue:
             if line.startswith("| `repro_"):
                 documented |= set(re.findall(r"`(repro_\w+)", line.split("|")[1]))
         assert documented == registered_metric_names()
+
+    def test_documented_labels_are_the_rendered_labels(self):
+        """Each OPERATIONS.md §5 row's ``{labels}`` are exactly the label
+        names its series render with, over a service that has served a
+        search, a request and a write (``repro_cache_invalidations_total``
+        renders with no label: every write drops every entry)."""
+        runbook = (ROOT / "docs" / "OPERATIONS.md").read_text()
+        section = runbook[runbook.index("## 5."):runbook.index("## 6.")]
+        documented = {}
+        for line in section.splitlines():
+            if line.startswith("| `repro_"):
+                for name, labels in re.findall(
+                    r"`(repro_\w+)(?:\{([\w,]+)\})?`", line.split("|")[1]
+                ):
+                    documented[name] = set(labels.split(",")) - {""}
+        catalog = dblp_catalog()
+        graph = generate_dblp(DBLPConfig(papers=12, authors=8, avg_citations=1.0, seed=3))
+        loaded = load_database(graph, catalog, [minimal_decomposition(catalog.tss)])
+        service = QueryService(loaded, ServiceConfig(workers=1, queue_size=2))
+        try:
+            service.search(["smith"], k=3, max_size=4)
+            service.observe_request("search", 200, 0.01)
+            service.insert_document('<author id="m0"><aname id="m0n">label probe</aname></author>')
+            text = service.metrics_text()
+        finally:
+            service.close()
+        rendered: dict[str, set[str]] = {}
+        for family, labels in re.findall(r"^(repro_\w+?)(?:_bucket|_sum|_count)?(?:\{(.*)\})? \S+$", text, re.M):
+            names = set(re.findall(r'(\w+)="', labels)) - {"le"}
+            rendered.setdefault(family, set()).update(names)
+        assert "repro_cache_invalidations_total" in rendered
+        assert {name: rendered[name] for name in documented if name in rendered} == {
+            name: labels for name, labels in documented.items() if name in rendered
+        }
 
     def test_prose_docs_name_only_registered_metrics(self):
         """Every backticked ``repro_*`` name in README, DESIGN, EXPERIMENTS

@@ -132,13 +132,15 @@ class TestDocumentEndpoints:
         assert "repro_index_epoch 1" in text
         assert 'repro_mutation_seconds_count{op="insert"} 1' in text
 
-    def test_cache_retention_over_http(self, served):
+    def test_a_write_drops_the_cache_over_http(self, served):
         _, base = served
         first = post_search(base, {"keywords": ["smith"], "k": 5})[1]
         assert first["cached"] is False
-        request_json(base, "POST", "/documents", {"xml": NEW_AUTHOR})
+        assert post_search(base, {"keywords": ["smith"], "k": 5})[1]["cached"] is True
+        _, report = request_json(base, "POST", "/documents", {"xml": NEW_AUTHOR})
+        assert report["cache_entries_dropped"] == 1
         replay = post_search(base, {"keywords": ["smith"], "k": 5})[1]
-        assert replay["cached"] is True
+        assert replay["cached"] is False
 
 
 class TestReadOnlyDatabase:

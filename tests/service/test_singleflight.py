@@ -203,7 +203,7 @@ class TestServiceCoalescing:
         service, engine = gated_service
         engine.gate.set()
         service.search(["smith", "balmin"], k=5, max_size=6)
-        service.cache.invalidate()
+        service.cache.clear()
         service.search(["smith", "balmin"], k=7, max_size=6)
         assert service._singleflight_flights.value == 2
         assert service._singleflight_hits.value == 0
@@ -322,7 +322,7 @@ def test_singleflight_stress(small_dblp_db):
         rounds = 5
         per_round = 8
         for _ in range(rounds):
-            service.cache.invalidate()
+            service.cache.clear()
             replies: dict[int, list] = {0: [None] * per_round, 1: [None] * per_round}
             errors = []
 

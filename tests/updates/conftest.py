@@ -71,7 +71,7 @@ def frozen_state(manager: UpdateManager) -> dict:
 
     The graph, every SQL table (master index, relations, BLOBs, the TO
     graph's tables), the statistics, the epoch in memory and on disk,
-    the version vector, the document count and the published snapshot.
+    the document count and the published snapshot.
     """
     loaded = manager.loaded
     database = loaded.database
@@ -84,7 +84,6 @@ def frozen_state(manager: UpdateManager) -> dict:
         },
         "statistics": copy.deepcopy(loaded.statistics),
         "epoch": (loaded.epoch, load_index_epoch(database)),
-        "versions": manager.versions.epoch,
         "documents": set(manager._documents),
         "snapshot": manager.snapshot(),
     }

@@ -1,118 +1,72 @@
-"""Fine-grained cache invalidation: version vectors and retention.
+"""Cache validity is one number: the mutation epoch.
 
-The contract under test: a mutation invalidates exactly the cached
-queries whose keyword bag or scanned relations the delta touched —
-everything else keeps serving hits.
+The contract under test: a cached answer is served only under the epoch
+it was computed at, so any write makes every entry unservable, and an
+answer computed before a write is never served after it.  What else a
+search remembers across queries — the optimizer's relation row counts —
+follows the same epoch.
 """
 
 from __future__ import annotations
 
 from repro.service import QueryService, ServiceConfig
 from repro.service.cache import QueryCache
-from repro.storage import VersionVector
 
 from .conftest import build_dblp
 
 
-class TestVersionVector:
-    def test_fresh_snapshot_is_not_stale(self):
-        versions = VersionVector()
-        snapshot = versions.snapshot(["smith"], ["rel_a"])
-        assert versions.stale_reason(snapshot) is None
+def paper_xml(doc: str, authors: list[str], title: str) -> str:
+    return (
+        f'<paper id="{doc}" ref="{" ".join(authors)}">'
+        f'<title id="{doc}t">{title}</title>'
+        f'<pages id="{doc}g">1-2</pages></paper>'
+    )
 
-    def test_keyword_bump_staleness(self):
-        versions = VersionVector()
-        snapshot = versions.snapshot(["smith", "chen"], [])
-        versions.bump(keywords=["chen"])
-        assert versions.stale_reason(snapshot) == "keyword"
 
-    def test_relation_bump_staleness(self):
-        versions = VersionVector()
-        snapshot = versions.snapshot(["smith"], ["rel_a", "rel_b"])
-        versions.bump(relations=["rel_b"])
-        assert versions.stale_reason(snapshot) == "relation"
+class TestEpochValidity:
+    def make(self) -> QueryCache:
+        return QueryCache(capacity=8, ttl=None)
 
-    def test_unrelated_bump_keeps_snapshot_fresh(self):
-        versions = VersionVector()
-        snapshot = versions.snapshot(["smith"], ["rel_a"])
-        versions.bump(keywords=["zhang"], relations=["rel_z"])
-        assert versions.stale_reason(snapshot) is None
+    def test_hit_at_the_same_epoch(self):
+        cache = self.make()
+        cache.put("key", "result", epoch=3)
+        assert cache.get("key", 3) == "result"
+        assert cache.stats().hits == 1
 
-    def test_keywords_are_case_insensitive(self):
-        versions = VersionVector()
-        snapshot = versions.snapshot(["Smith"], [])
-        versions.bump(keywords=["SMITH"])
-        assert versions.stale_reason(snapshot) == "keyword"
+    def test_miss_after_any_write(self):
+        cache = self.make()
+        cache.put("key", "result", epoch=3)
+        assert cache.get("key", 4) is None
+        stats = cache.stats()
+        assert (stats.misses, stats.invalidations, stats.entries) == (1, 1, 0)
 
-    def test_epoch_counts_bumps(self):
-        versions = VersionVector()
-        assert versions.epoch == 0
-        versions.bump(keywords=["a"])
-        versions.bump(relations=["r"])
-        assert versions.epoch == 2
+    def test_an_older_put_is_never_served(self):
+        """A search computed before a write whose ``put`` lands after it."""
+        cache = self.make()
+        cache.put("key", "computed before the write", epoch=3)
+        assert cache.get("key", 4) is None
+        cache.put("key", "after the write", epoch=4)
+        cache.put("key", "before the write", epoch=3)  # a slow flight lands last
+        assert cache.get("key", 4) is None
 
 
 class TestQueryCacheVersioning:
-    def make(self):
-        versions = VersionVector()
-        cache = QueryCache(capacity=8, ttl=None, versions=versions)
-        return versions, cache
-
-    def test_untouched_entry_survives(self):
-        versions, cache = self.make()
-        cache.put("key", "result", keywords=["smith"], relations=["rel_a"])
-        versions.bump(keywords=["zhang"], relations=["rel_z"])
-        assert cache.get("key") == "result"
-
     def test_touched_entry_is_dropped_lazily(self):
-        versions, cache = self.make()
-        cache.put("key", "result", keywords=["smith"], relations=["rel_a"])
-        versions.bump(keywords=["smith"])
-        assert cache.get("key") is None
-        assert cache.stats().invalidation_reasons == {"keyword": 1}
-
-    def test_invalidate_stale_sweeps_eagerly(self):
-        versions, cache = self.make()
-        cache.put("kw", "r1", keywords=["smith"], relations=[])
-        cache.put("rel", "r2", keywords=["other"], relations=["rel_a"])
-        cache.put("safe", "r3", keywords=["other"], relations=["rel_b"])
-        versions.bump(keywords=["smith"], relations=["rel_a"])
-        dropped = cache.invalidate_stale()
-        assert dropped == {"keyword": 1, "relation": 1}
+        cache = QueryCache(capacity=8, ttl=None)
+        cache.put("key", "result", epoch=0)
         assert len(cache) == 1
-        assert cache.get("safe") == "r3"
+        assert cache.get("key", 1) is None
+        assert len(cache) == 0
+        assert cache.stats().invalidations == 1
 
     def test_flush_is_counted_without_a_reason(self):
-        versions, cache = self.make()
-        cache.put("x", "r", keywords=[], relations=[])
-        assert cache.invalidate() == 1
-        stats = cache.stats()
-        assert stats.invalidations == 1
-        assert stats.invalidation_reasons == {}
+        cache = QueryCache(capacity=8, ttl=None)
+        cache.put("x", "r")
+        assert cache.clear() == 1
+        assert cache.stats().invalidations == 1
 
 
 class TestServiceRetention:
-    def test_unrelated_queries_keep_their_cache_entries(self):
-        """The acceptance bar: cache entries untouched by the delta
-        survive the mutation and keep answering as hits."""
-        _, _, loaded = build_dblp()
-        service = QueryService(loaded, ServiceConfig(workers=2))
-        # Two disjoint queries: the insert touches neither's keywords,
-        # but one of them scans the paper relations the delta rewrites.
-        untouched = service.search(["smith"], k=5)
-        assert untouched["cached"] is False
-
-        report = service.insert_document(
-            '<author id="ca0"><aname id="ca0n">retention probe</aname></author>'
-        )
-        assert report["op"] == "insert"
-
-        replay = service.search(["smith"], k=5)
-        assert replay["cached"] is True, (
-            "an author insert must not evict a query whose keywords and "
-            "relations the delta never touched"
-        )
-
     def test_touched_query_is_refreshed(self):
         _, _, loaded = build_dblp()
         service = QueryService(loaded, ServiceConfig(workers=2))
@@ -126,21 +80,54 @@ class TestServiceRetention:
         assert after["cached"] is False
         assert after["count"] == 1
 
-    def test_hit_rate_retention_across_update_mix(self):
-        """Steady query mix + unrelated mutations: the hit rate stays
-        high because only delta-touched entries fall out."""
+
+class TestServiceEpoch:
+    def test_any_write_drops_every_entry(self):
+        """A lone author naming no cached keyword still moves the epoch:
+        the reply counts every entry dropped, ``/metrics`` renders the
+        same count, and each query is computed again."""
         _, _, loaded = build_dblp()
         service = QueryService(loaded, ServiceConfig(workers=2))
-        queries = [["smith"], ["jones", "smith"], ["relational"], ["miller"]]
-        for keywords in queries:
-            service.search(keywords, k=5)
-        for round_number in range(3):
-            service.insert_document(
-                f'<author id="hr{round_number}">'
-                f'<aname id="hr{round_number}n">unrelated name</aname></author>'
-            )
+        try:
+            queries = [["smith"], ["balmin", "smith"]]
             for keywords in queries:
-                assert service.search(keywords, k=5)["cached"] is True
-        stats = service.cache.stats()
-        assert stats.hits >= 12
-        assert stats.invalidations == 0
+                service.search(keywords, k=5)
+            assert service.search(queries[0], k=5)["cached"] is True
+            report = service.insert_document(
+                '<author id="ca0"><aname id="ca0n">unrelated name</aname></author>'
+            )
+            assert report["cache_entries_dropped"] == 2
+            assert "cache_invalidation_reasons" not in report
+            for keywords in queries:
+                replay = service.search(keywords, k=5)
+                assert (replay["cached"], replay["stale"]) == (False, False)
+            assert "repro_cache_invalidations_total 2\n" in service.metrics_text()
+        finally:
+            service.close()
+
+    def test_memoised_row_counts_follow_writes(self):
+        """The optimizer memoizes relation row counts; after paper inserts
+        through the service, every count it holds is the store's."""
+        _, _, loaded = build_dblp()
+        service = QueryService(loaded, ServiceConfig(workers=2))
+        try:
+            service.search(["smith", "balmin"], k=10, max_size=6)
+            for n in range(5):
+                service.insert_document(
+                    paper_xml(f"rc{n}", ["a0", "a1"], "graphs"), parent_id="c0y1"
+                )
+            service.search(["smith", "balmin"], k=10, max_size=6)
+            optimizer = service.engine.optimizer
+            fragments = {
+                fragment.relation_name: (store, fragment)
+                for store in optimizer.stores.values()
+                for fragment in store.decomposition.fragments
+            }
+            assert optimizer._row_counts
+            stored = {
+                name: fragments[name][0].row_count(fragments[name][1])
+                for name in optimizer._row_counts
+            }
+            assert optimizer._row_counts == stored
+        finally:
+            service.close()
