@@ -25,7 +25,7 @@ from functools import lru_cache
 import common
 from repro.decomposition import minimal_decomposition
 from repro.schema import dblp_catalog
-from repro.storage import Database, load_database
+from repro.storage import load_database
 from repro.updates import UpdateManager
 from repro.workloads import DBLPConfig, generate_dblp
 
@@ -80,7 +80,5 @@ def test_full_reload(benchmark):
     """The rebuild the incremental path replaces, same mutated graph."""
     catalog, decomps, loaded, _ = mutable_database()
     benchmark(
-        lambda: load_database(
-            loaded.graph, catalog, decomps, database=Database()
-        )
+        lambda: load_database(loaded.graph, catalog, decomps)
     )

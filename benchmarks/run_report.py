@@ -308,9 +308,7 @@ def updates_report(repeats: int) -> None:
     one_update()  # warm the sqlite page cache before timing
     update_seconds = timed(one_update, max(repeats, 3))
     reload_seconds = timed(
-        lambda: load_database(
-            loaded.graph, catalog, decompositions, database=Database()
-        ),
+        lambda: load_database(loaded.graph, catalog, decompositions),
         repeats,
     )
     speedup = reload_seconds / update_seconds

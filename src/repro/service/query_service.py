@@ -18,9 +18,8 @@ incremental maintenance of every storage artifact under single-writer /
 multi-reader discipline (searches hold the read side, so they never see
 a torn index).  Each mutation advances the database's epoch, and a cached
 answer is served only under the epoch it was computed at, so the cache
-is emptied after every write.
-Databases reopened from persisted metadata (no XML graph) serve
-read-only and answer mutations with 409.
+is emptied after every write.  The served database is built in memory
+when the service starts, so mutations last for the process's lifetime.
 
 Every computed (non-cached) search answer carries the trace id of the
 span tree that produced it; cached answers return the id of the trace
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..analysis.plans import DebugVerifier
@@ -71,10 +69,6 @@ DEFAULT_K = 10
 
 TRACE_BUFFER = 128
 """Traces retained in the in-memory ring buffer (oldest evicted)."""
-
-
-class MutationsDisabledError(Exception):
-    """Raised when a mutation hits a read-only (graph-less) database."""
 
 
 @dataclass
@@ -255,13 +249,8 @@ class QueryService:
         self.fingerprint = loaded.fingerprint()
         """Load-time identity of the served database (``/healthz``, the
         ``serve`` banner); live mutations do not change it."""
-        self.updates = (
-            UpdateManager(loaded, tracer=self.tracer)
-            if loaded.graph is not None
-            else None
-        )
-        """Live-update manager; ``None`` when the database is read-only
-        (reopened without its XML graph)."""
+        self.updates = UpdateManager(loaded, tracer=self.tracer)
+        """Live-update manager: the one way the served data changes."""
         self.engine = engine or XKeyword(
             loaded,
             verifier=DebugVerifier() if self.config.debug_verify else None,
@@ -316,8 +305,8 @@ class QueryService:
     def _read(self):
         """The read side of the update lock: a concurrent mutation waits
         for in-flight readers, and readers queued behind a waiting writer
-        see the fully published next epoch.  A no-op when read-only."""
-        return self.updates.read() if self.updates is not None else nullcontext()
+        see the fully published next epoch."""
+        return self.updates.read()
 
     # ------------------------------------------------------------------
     def search(
@@ -599,10 +588,6 @@ class QueryService:
         writer-preferring lock already serializes them against each
         other and against in-flight searches.
         """
-        if self.updates is None:
-            raise MutationsDisabledError(
-                "database was reopened without its XML graph; serving read-only"
-            )
         started = time.perf_counter()
         report = action(self.updates)
         self._mutations(op).inc()
@@ -637,7 +622,7 @@ class QueryService:
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
         """Liveness payload: database identity, index epoch, queue stats."""
-        snapshot = self.updates.snapshot() if self.updates is not None else None
+        snapshot = self.updates.snapshot()
         return {
             "status": "ok",
             "uptime_seconds": round(time.time() - self.started_at, 3),
@@ -647,10 +632,9 @@ class QueryService:
             "queue_depth": self.admission.queue_depth(),
             "in_flight": self.admission.in_flight,
             "cache_entries": len(self.cache),
-            "mutations_enabled": self.updates is not None,
-            "index_epoch": snapshot.epoch if snapshot else self.loaded.epoch,
-            "document_count": snapshot.document_count if snapshot else None,
-            "last_mutation_at": snapshot.last_mutation_at if snapshot else None,
+            "index_epoch": snapshot.epoch,
+            "document_count": snapshot.document_count,
+            "last_mutation_at": snapshot.last_mutation_at,
         }
 
     def metrics_text(self) -> str:
@@ -694,10 +678,9 @@ class QueryService:
         self.registry.gauge(
             "repro_query_cache_hit_rate", "Cross-query cache hit rate"
         ).set(round(cache.hit_rate, 6))
-        snapshot = self.updates.snapshot() if self.updates is not None else None
         self.registry.gauge(
             "repro_index_epoch", "Mutation epoch of the served index"
-        ).set(snapshot.epoch if snapshot else self.loaded.epoch)
+        ).set(self.updates.snapshot().epoch)
         return self.registry.render()
 
     def close(self) -> None:

@@ -46,7 +46,7 @@ from urllib.parse import parse_qs, urlparse
 from ..storage import LoadedDatabase
 from .admission import DeadlineExceededError, RejectedError
 from .metrics import MetricsRegistry
-from .query_service import MutationsDisabledError, QueryService, ServiceConfig
+from .query_service import QueryService, ServiceConfig
 
 MAX_BODY_BYTES = 64 * 1024
 """Largest request body accepted; a longer ``Content-Length`` answers 400."""
@@ -56,7 +56,6 @@ MAX_BODY_BYTES = 64 * 1024
 _STATUS_OF = (
     (RejectedError, 503),
     (DeadlineExceededError, 504),
-    (MutationsDisabledError, 409),
     (ValueError, 400),
     (LookupError, 404),
 )

@@ -2,15 +2,10 @@
 
 from .blobs import BlobStore
 from .database import Database, quote_identifier
-from .decomposer import LoadReport, LoadedDatabase, load_database, reopen_database
+from .decomposer import LoadReport, LoadedDatabase, load_database
 from .fingerprint import database_fingerprint
 from .master_index import IndexEntry, MasterIndex, tokenize
-from .persistence import (
-    TargetObjectTables,
-    apply_metadata_delta,
-    has_metadata,
-    store_metadata,
-)
+from .persistence import TargetObjectTables, apply_metadata_delta, store_metadata
 from .relations import PhysicalTable, RelationStore
 from .statistics import Statistics
 from .target_objects import EdgeInstance, TargetObjectGraph, build_target_object_graph
@@ -31,10 +26,8 @@ __all__ = [
     "apply_metadata_delta",
     "build_target_object_graph",
     "database_fingerprint",
-    "has_metadata",
     "load_database",
     "quote_identifier",
-    "reopen_database",
     "store_metadata",
     "tokenize",
 ]

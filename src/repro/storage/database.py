@@ -1,9 +1,9 @@
 """SQLite-backed relational substrate (the paper used Oracle 9i + JDBC).
 
-One :class:`Database` owns a SQLite database — on disk or in memory — and
-hands out **per-thread connections**, mirroring the paper's thread pool of
-JDBC connections.  In-memory databases use SQLite's shared-cache URI so
-every thread sees the same data.
+One :class:`Database` owns a private in-memory SQLite database and hands
+out **per-thread connections**, mirroring the paper's thread pool of
+JDBC connections.  It uses SQLite's shared-cache URI so every thread sees
+the same data; the data lasts as long as the :class:`Database`.
 """
 
 from __future__ import annotations
@@ -19,29 +19,18 @@ _MEMORY_COUNTER = itertools.count(1)
 class Database:
     """Thread-aware wrapper over one SQLite database."""
 
-    def __init__(self, path: str | None = None) -> None:
-        """Create or open a database.
-
-        Args:
-            path: Filesystem path, or ``None`` for a private in-memory
-                database shared across this object's per-thread
-                connections.
-        """
-        if path is None:
-            name = f"xkeyword_mem_{next(_MEMORY_COUNTER)}"
-            self._uri = f"file:{name}?mode=memory&cache=shared"
-        else:
-            self._uri = f"file:{path}"
+    def __init__(self) -> None:
+        """Create a private in-memory database, shared across this
+        object's per-thread connections."""
+        name = f"xkeyword_mem_{next(_MEMORY_COUNTER)}"
+        self._uri = f"file:{name}?mode=memory&cache=shared"
         self._local = threading.local()
-        # Keep one anchor connection alive so a memory database survives
-        # even when worker threads close theirs.
+        # Keep one anchor connection alive so the database survives even
+        # when worker threads close theirs.
         self._anchor = self._open()
 
     def _open(self) -> sqlite3.Connection:
-        connection = sqlite3.connect(self._uri, uri=True, check_same_thread=False)
-        connection.execute("PRAGMA synchronous = OFF")
-        connection.execute("PRAGMA journal_mode = MEMORY")
-        return connection
+        return sqlite3.connect(self._uri, uri=True, check_same_thread=False)
 
     @property
     def connection(self) -> sqlite3.Connection:
@@ -76,14 +65,6 @@ class Database:
     def rollback(self) -> None:
         """Discard this thread's open transaction."""
         self.connection.rollback()
-
-    def table_exists(self, name: str) -> bool:
-        """Whether a table or view of that name exists."""
-        row = self.query_one(
-            "SELECT 1 FROM sqlite_master WHERE type IN ('table','view') AND name = ?",
-            (name,),
-        )
-        return row is not None
 
     def table_names(self) -> list[str]:
         """Names of every table, in catalog order."""

@@ -4,8 +4,9 @@ The decomposer inputs the schema graph, the TSS graph and the XML graph
 and creates: the master index, the statistics, the target-object BLOBs,
 the target-object graph's tables and, from those tables, the connection
 relations of one or more decompositions.  The result, a
-:class:`LoadedDatabase`, is everything the query-processing stage needs;
-:func:`reopen_database` returns one for a database file loaded earlier.
+:class:`LoadedDatabase`, is everything the query-processing stage needs.
+It lives in a private in-memory database for as long as the process
+that loaded it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ..xmlgraph.model import XMLGraph
 from .blobs import BlobStore
 from .database import Database
 from .master_index import MasterIndex
-from .persistence import TargetObjectTables, has_metadata, load_index_epoch, store_metadata
+from .persistence import TargetObjectTables, store_metadata
 from .relations import RelationStore
 from .statistics import Statistics
 from .target_objects import build_target_object_graph
@@ -48,14 +49,13 @@ class LoadedDatabase:
 
     ``to_graph`` is a read-only view of the target-object graph's
     tables, its only live copy: no Python object holds TO membership or
-    edge instances.  ``graph`` is ``None`` when the database was
-    reopened from persisted metadata (:func:`reopen_database`);
-    everything except node-level MTNN expansion works without it.
+    edge instances.  ``graph`` is the XML graph it was loaded from; the
+    update subsystem mutates it in step with the tables.
     """
 
     catalog: Catalog
     database: Database
-    graph: XMLGraph | None
+    graph: XMLGraph
     to_graph: TargetObjectTables
     master_index: MasterIndex
     blobs: BlobStore
@@ -105,7 +105,6 @@ def load_database(
     graph: XMLGraph,
     catalog: Catalog,
     decompositions: list[Decomposition],
-    database: Database | None = None,
     validate: bool = True,
     index_tags: bool = False,
 ) -> LoadedDatabase:
@@ -117,12 +116,11 @@ def load_database(
         decompositions: Decompositions whose connection relations to
             materialize (several may share one database, as Section 6's
             combined execution requires).
-        database: Existing database, or ``None`` for a fresh in-memory one.
         validate: Check schema conformance first.
         index_tags: Also index element tags as keywords.
     """
     report = LoadReport()
-    database = database or Database()
+    database = Database()
     if validate:
         check_conformance(graph, catalog.schema)
 
@@ -168,59 +166,3 @@ def load_database(
         loaded.add_decomposition(decomposition)
     return loaded
 
-
-def reopen_database(
-    database: Database,
-    catalog: Catalog,
-    decompositions: list[Decomposition],
-) -> LoadedDatabase:
-    """Reopen a database file written by :func:`load_database` for querying.
-
-    Nothing is rebuilt in Python: the target-object graph stays in its
-    tables, the statistics are two counts over them, and each
-    decomposition's relations must already be in the file.  The
-    result's ``graph`` is ``None``.
-
-    Raises:
-        LookupError: The file holds no target-object graph, or one of
-            the decompositions was not loaded into it.
-    """
-    if not has_metadata(database):
-        raise LookupError(
-            "database holds no persisted metadata; it was not written by load_database"
-        )
-    to_graph = TargetObjectTables(database, catalog.tss)
-    report = LoadReport(
-        target_objects=to_graph.target_object_count,
-        edge_instances=to_graph.instance_count,
-    )
-    stores = {}
-    for decomposition in decompositions:
-        store = RelationStore(database, decomposition)
-        missing = [
-            fragment.relation_name
-            for fragment in decomposition.fragments
-            if not database.table_exists(store.base_table(fragment))
-        ]
-        if missing:
-            raise LookupError(
-                f"decomposition {decomposition.name!r} was not loaded into "
-                f"this database (missing {missing[:3]}...)"
-            )
-        stores[decomposition.name] = store
-        report.relation_rows[decomposition.name] = {
-            fragment.relation_name: store.row_count(fragment)
-            for fragment in decomposition.fragments
-        }
-    return LoadedDatabase(
-        catalog=catalog,
-        database=database,
-        graph=None,
-        to_graph=to_graph,
-        master_index=MasterIndex(database),
-        blobs=BlobStore(database),
-        statistics=Statistics.from_target_object_graph(to_graph),
-        stores=stores,
-        report=report,
-        epoch=load_index_epoch(database),
-    )

@@ -9,10 +9,9 @@ cross-query cache validates against.
 
 The fingerprint digests what the load stage materialized — catalog
 identity, the loaded decompositions, and the row population of every
-table — rather than object identity, so a database reopened from disk
-fingerprints the same as the load that produced it, while loading a
-different XML graph (or the same graph re-generated with a new seed)
-changes the digest.
+table — rather than object identity, so two loads of the same XML
+graph fingerprint the same, while loading a different XML graph (or the
+same graph re-generated with a new seed) changes the digest.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The target-object graph in SQL, and the durable index epoch.
+"""The target-object graph in SQL.
 
 ``load_database`` writes the target-object (TO) graph into three tables
 of the database it loads: ``meta_target_objects`` (each TO and its TSS),
@@ -7,14 +7,7 @@ TSS-edge instance and its realizing node path).  They are the only live
 copy of the TO graph: :class:`TargetObjectTables` reads it, the
 connection-relation builder (:mod:`.relations`) joins ``meta_to_edges``
 once per fragment edge, and the update subsystem writes each mutation's
-delta there ahead of the relation delta.  Because every load writes
-them, a database file can be reopened for querying without re-parsing
-the XML:
-
-    loaded = load_database(graph, catalog, decompositions,
-                           database=Database("dblp.db"))
-    ...
-    reopened = reopen_database(Database("dblp.db"), catalog, decompositions)
+delta there ahead of the relation delta.
 """
 
 from __future__ import annotations
@@ -26,7 +19,6 @@ from .target_objects import EdgeInstance, TargetObjectGraph
 TO_TABLE = "meta_target_objects"
 MEMBER_TABLE = "meta_to_members"
 EDGE_TABLE = "meta_to_edges"
-_STATE_TABLE = "meta_index_state"
 _PATH_SEPARATOR = "\x1f"
 
 _METADATA_DDL = (
@@ -44,28 +36,6 @@ _METADATA_DDL = (
 )
 
 
-def store_index_epoch(database: Database, epoch: int) -> None:
-    """Record the index epoch durably (caller commits with the mutation)."""
-    database.execute(
-        f"""CREATE TABLE IF NOT EXISTS {_STATE_TABLE} (
-            key TEXT PRIMARY KEY, value INTEGER NOT NULL) WITHOUT ROWID"""
-    )
-    database.execute(
-        f"INSERT OR REPLACE INTO {_STATE_TABLE} VALUES ('index_epoch', ?)",
-        (epoch,),
-    )
-
-
-def load_index_epoch(database: Database) -> int:
-    """The last persisted index epoch; 0 when none was ever stored."""
-    if not database.table_exists(_STATE_TABLE):
-        return 0
-    row = database.query_one(
-        f"SELECT value FROM {_STATE_TABLE} WHERE key = 'index_epoch'"
-    )
-    return int(row[0]) if row is not None else 0
-
-
 def store_metadata(database: Database, to_graph: TargetObjectGraph) -> None:
     """Create the TO-graph tables and write the whole graph into them."""
     for statement in _METADATA_DDL:
@@ -77,11 +47,6 @@ def store_metadata(database: Database, to_graph: TargetObjectGraph) -> None:
         new_instances=[EdgeInstance(*key, path) for key, path in to_graph.paths.items()],
     )
     database.commit()
-
-
-def has_metadata(database: Database) -> bool:
-    """Whether the database holds a TO graph written by a load."""
-    return database.table_exists(TO_TABLE)
 
 
 def apply_metadata_delta(

@@ -54,11 +54,7 @@ from dataclasses import asdict, dataclass, field, fields
 from ..schema.graph import SchemaError
 from ..schema.validate import check_conformance
 from ..storage.decomposer import LoadedDatabase
-from ..storage.persistence import (
-    apply_metadata_delta,
-    load_index_epoch,
-    store_index_epoch,
-)
+from ..storage.persistence import apply_metadata_delta
 from ..storage.target_objects import (
     EdgeInstance,
     edge_instances,
@@ -229,13 +225,7 @@ class _Delta:
 
 
 class UpdateManager:
-    """Single-writer live mutations over one :class:`LoadedDatabase`.
-
-    Raises:
-        ValueError: When the database was reopened from persisted
-            metadata (``loaded.graph is None``) — such databases lack
-            the node-level graph mutations need and stay read-only.
-    """
+    """Single-writer live mutations over one :class:`LoadedDatabase`."""
 
     def __init__(
         self,
@@ -243,20 +233,11 @@ class UpdateManager:
         tracer=NULL_TRACER,
         clock=time.time,
     ) -> None:
-        if loaded.graph is None:
-            raise ValueError(
-                "database was reopened without its XML graph; "
-                "mutations need the full graph, reload from source to enable them"
-            )
         self.loaded = loaded
         self.tracer = tracer
         self._clock = clock
         self._rwlock = ReadWriteLock()
         self._snapshot_lock = threading.Lock()
-        # A fresh load starts at epoch 0; a database that saw mutations
-        # in an earlier process resumes from its persisted epoch so the
-        # counter stays monotonic across restarts.
-        loaded.epoch = max(loaded.epoch, load_index_epoch(loaded.database))
         self._documents = {  # guarded by: self._rwlock [rw]
             node.node_id for node in loaded.graph.roots()
         }
@@ -366,9 +347,9 @@ class UpdateManager:
                             report += self._apply_insert(step, delta)
                     span.finish()
                     span = trace.span("commit", op=op)
-                    # analysis: blocking-ok[mutations persist durably (sqlite
-                    # delta + commit) before the write lock is released, so
-                    # readers never see an index ahead of its database]
+                    # analysis: blocking-ok[mutations commit (sqlite delta +
+                    # commit) before the write lock is released, so readers
+                    # never see an index ahead of its database]
                     self._commit(steps[-1].view, delta)
                     span.finish()
                 except BaseException:
@@ -690,13 +671,10 @@ class UpdateManager:
     # Commit once, then publish
     # ------------------------------------------------------------------
     def _commit(self, view: _MergedView, delta: _Delta) -> None:
-        """BLOBs from the post-mutation ``view``, the next epoch, ``commit``."""
+        """BLOBs from the post-mutation ``view``, then ``commit``."""
         loaded = self.loaded
         loaded.blobs.remove(delta.removed_tos)
         loaded.blobs.store_for(view, loaded.to_graph, delta.refresh_tos)
-        # The epoch advances inside the mutation's transaction so a
-        # restarted process resumes from a monotonic counter.
-        store_index_epoch(loaded.database, loaded.epoch + 1)
         loaded.database.commit()
 
     def _publish(self, steps) -> None:

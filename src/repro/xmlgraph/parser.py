@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import EdgeKind, XMLGraph, XMLGraphError
 
@@ -53,8 +53,7 @@ class XMLParser:
         self.options = options or ParseOptions()
         self.graph = XMLGraph()
         self._counter = itertools.count(1)
-        self._pending: list[_PendingRef] = field(default_factory=list)  # type: ignore[assignment]
-        self._pending = []
+        self._pending: list[_PendingRef] = []
 
     def parse_document(self, text: str) -> None:
         """Parse one XML document and merge it into the graph."""

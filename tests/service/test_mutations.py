@@ -9,6 +9,7 @@ session-scoped fixtures.
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -18,12 +19,22 @@ from repro.cli import main as cli_main
 from repro.decomposition import minimal_decomposition
 from repro.schema import dblp_catalog
 from repro.service import QueryService, ServiceConfig
-from repro.storage import Database, load_database, reopen_database
+from repro.storage import load_database
 from repro.workloads import DBLPConfig, generate_dblp
 
+from ..updates.conftest import frozen_state
 from .test_server import get_json, post_search, start_server
 
 NEW_AUTHOR = '<author id="web0"><aname id="web0n">endpoint probe</aname></author>'
+
+BILLION_LAUGHS = (
+    '<!DOCTYPE author [<!ENTITY lol0 "lol">'
+    + "".join(
+        f'<!ENTITY lol{level} "{f"&lol{level - 1};" * 10}">' for level in range(1, 10)
+    )
+    + ']><author id="bl0"><aname id="bl0n">&lol9;</aname></author>'
+)
+"""Nine levels of tenfold entity expansion: 3 * 10**9 characters if expanded."""
 
 
 def build_service(**config) -> QueryService:
@@ -64,7 +75,6 @@ class TestDocumentEndpoints:
         service, base = served
         health = get_json(base, "/healthz")
         documents = health["document_count"]
-        assert health["mutations_enabled"] is True
         assert health["index_epoch"] == 0
 
         status, report = request_json(
@@ -123,6 +133,38 @@ class TestDocumentEndpoints:
         assert after["index_epoch"] == before["index_epoch"] == 0
         assert after["document_count"] == before["document_count"]
 
+    @pytest.mark.parametrize(
+        ("xml", "error"),
+        [
+            pytest.param(BILLION_LAUGHS, "amplification factor", id="entity-expansion"),
+            pytest.param(
+                '<!DOCTYPE author [<!ENTITY xxe SYSTEM "file:///etc/hostname">]>'
+                '<author id="xxe0"><aname id="xxe0n">&xxe;</aname></author>',
+                "undefined entity",
+                id="external-entity",
+            ),
+            pytest.param(
+                '<paper id="dr0" ref="nosuch"><title id="dr0t">dangling</title></paper>',
+                "dangling reference",
+                id="dangling-idref",
+            ),
+            pytest.param(
+                '<author id="a1"><aname id="a1dup">collision</aname></author>',
+                "already exists",
+                id="id-collision",
+            ),
+        ],
+    )
+    def test_hostile_bodies_answer_400_and_change_nothing(self, served, xml, error):
+        service, base = served
+        before = frozen_state(service.updates)
+        started = time.perf_counter()
+        status, payload = request_json(base, "POST", "/documents", {"xml": xml})
+        elapsed = time.perf_counter() - started
+        assert status == 400 and error in payload["error"]
+        assert elapsed < 1.0
+        assert frozen_state(service.updates) == before
+
     def test_metrics_expose_mutations_and_epoch(self, served):
         _, base = served
         request_json(base, "POST", "/documents", {"xml": NEW_AUTHOR})
@@ -141,31 +183,6 @@ class TestDocumentEndpoints:
         assert report["cache_entries_dropped"] == 1
         replay = post_search(base, {"keywords": ["smith"], "k": 5})[1]
         assert replay["cached"] is False
-
-
-class TestReadOnlyDatabase:
-    def test_mutations_conflict_with_graphless_reopen(self, tmp_path):
-        catalog = dblp_catalog()
-        graph = generate_dblp(
-            DBLPConfig(papers=12, authors=8, avg_citations=1.0, seed=3)
-        )
-        decomps = [minimal_decomposition(catalog.tss)]
-        path = str(tmp_path / "persisted.db")
-        loaded = load_database(graph, catalog, decomps, database=Database(path))
-        reopened = reopen_database(Database(path), catalog, decomps)
-        service = QueryService(reopened, ServiceConfig(workers=1))
-        server, base = start_server(service)
-        try:
-            health = get_json(base, "/healthz")
-            assert health["mutations_enabled"] is False
-            status, payload = request_json(
-                base, "POST", "/documents", {"xml": NEW_AUTHOR}
-            )
-            assert status == 409
-            assert "read-only" in payload["error"]
-        finally:
-            server.shutdown()
-            service.close()
 
 
 class TestUpdateCLI:

@@ -68,7 +68,8 @@ class TestBlobs:
         assert "US" in xml
 
     def test_blob_excludes_children_outside_to(self, figure1_db):
-        _, xml = figure1_db.blobs.fetch("pa3")
+        tss, xml = figure1_db.blobs.fetch("pa3")
+        assert tss == "Part"
         assert "TV" in xml and "1005" in xml
         assert "VCR" not in xml  # subparts are separate target objects
         assert "sub" not in xml

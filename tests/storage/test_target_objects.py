@@ -92,11 +92,13 @@ class TestTables:
         tables = figure1_db.to_graph
         for node in figure1_graph.nodes():
             assert tables.to_of(node.node_id) == to_graph.to_of_node.get(node.node_id)
+            assert tables.tss_of(node.node_id) == to_graph.tss_of_to.get(node.node_id)
         for to_id, tss in to_graph.tss_of_to.items():
             assert tables.tss_of(to_id) == tss
             assert sorted(tables.members(to_id)) == sorted(to_graph.members(to_id))
         for key, path in to_graph.paths.items():
             assert tables.path_of(*key) == path
+        assert tables.path_of("Lineitem=>Person", "l1", "p1") == ("l1", "su_l1", "p1")
         assert tables.path_of("Part=>Part", "pa1", "pa3") is None
         assert tables.tss_of("su_l1") is None
 
@@ -106,3 +108,4 @@ class TestTables:
         assert tables.instance_count == to_graph.instance_count
         assert tables.tss_counts()["Part"] == 3
         assert tables.edge_counts()["Lineitem=>Person"] == 3
+        assert tables.edge_counts()["Part=>Part"] == 2

@@ -1,4 +1,5 @@
-"""The doc-link gate's ``Class.member`` rule (``tools/check_doc_links.py``)."""
+"""The doc-link gate's ``Class.member`` and ``path::name`` rules
+(``tools/check_doc_links.py``)."""
 
 from __future__ import annotations
 
@@ -53,3 +54,38 @@ def test_known_members_and_other_spans_pass(tool, classes, span):
 )
 def test_missing_members_fail(tool, classes, span):
     assert tool.missing_member(span, classes)
+
+
+ROADMAP = TOOL.parents[1] / "ROADMAP.md"
+
+
+@pytest.mark.parametrize(
+    "span",
+    [
+        "tests/service/test_mutations.py",
+        "tests/service/test_mutations.py::TestDocumentEndpoints",
+        "tests/service/test_mutations.py::TestDocumentEndpoints::test_validation_maps_to_http_statuses",
+        "core/engine.py::_no_pool",  # a top-level def
+        "core/engine.py::_run",  # a method of a top-level class
+        "core/engine.py::XKeyword._run",
+        "analysis/layering.py::ALLOWED_IMPORTS",  # a top-level assignment
+        "service/query_service.py::QueryService.updates",  # assigned in __init__
+    ],
+)
+def test_names_after_a_path_resolve(tool, span):
+    assert tool.resolve(ROADMAP, span)
+
+
+@pytest.mark.parametrize(
+    "span",
+    [
+        "tests/service/test_mutations.py::TestReadOnlyDatabase",
+        "tests/service/test_mutations.py::TestDocumentEndpoints::test_read_only",
+        "core/engine.py::XKeyword::_run::extra",
+        "core/engine.py::_no_pool::parallel",  # a member of a function
+        "storage/persistence.py::load_metadata",
+        "DESIGN.md::XKeyword",  # not a Python file
+    ],
+)
+def test_unknown_names_after_a_path_fail(tool, span):
+    assert not tool.resolve(ROADMAP, span)

@@ -14,8 +14,8 @@ import pytest
 
 from repro.decomposition import minimal_decomposition
 from repro.schema import dblp_catalog
-from repro.storage import Database, load_database
-from repro.storage.persistence import EDGE_TABLE, MEMBER_TABLE, TO_TABLE, load_index_epoch
+from repro.storage import load_database
+from repro.storage.persistence import EDGE_TABLE, MEMBER_TABLE, TO_TABLE
 from repro.updates import UpdateManager
 from repro.workloads import DBLPConfig, generate_dblp
 
@@ -39,9 +39,7 @@ def assert_equivalent(catalog, decompositions, loaded) -> None:
     where only the key set is canonical) to ``load_database`` run from
     scratch on the same in-memory graph.
     """
-    fresh = load_database(
-        loaded.graph, catalog, decompositions, database=Database(), validate=True
-    )
+    fresh = load_database(loaded.graph, catalog, decompositions, validate=True)
     for table, columns in (
         ("master_index", "*"),
         ("target_object_blobs", "*"),
@@ -70,8 +68,8 @@ def frozen_state(manager: UpdateManager) -> dict:
     """Everything a rejected or failed mutation must leave as it was.
 
     The graph, every SQL table (master index, relations, BLOBs, the TO
-    graph's tables), the statistics, the epoch in memory and on disk,
-    the document count and the published snapshot.
+    graph's tables), the statistics, the epoch, the document count and
+    the published snapshot.
     """
     loaded = manager.loaded
     database = loaded.database
@@ -83,7 +81,7 @@ def frozen_state(manager: UpdateManager) -> dict:
             name: Counter(database.query(f"SELECT * FROM {name}")) for (name,) in tables
         },
         "statistics": copy.deepcopy(loaded.statistics),
-        "epoch": (loaded.epoch, load_index_epoch(database)),
+        "epoch": loaded.epoch,
         "documents": set(manager._documents),
         "snapshot": manager.snapshot(),
     }

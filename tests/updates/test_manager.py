@@ -14,8 +14,7 @@ import pytest
 from repro.core import KeywordQuery, XKeyword
 from repro.decomposition import minimal_decomposition
 from repro.schema import Catalog, NodeType, SchemaGraph, derive_tss_graph, tpch_catalog
-from repro.storage import Database, load_database
-from repro.storage.persistence import load_index_epoch
+from repro.storage import load_database
 from repro.updates import ReadWriteLock, UpdateManager
 from repro.xmlgraph import XMLGraph
 
@@ -106,7 +105,7 @@ class TestUpdate:
         assert report.op == "update"
         assert report.document_id == "p7"
         # delete + insert planned together and committed once: one epoch
-        assert report.epoch == 1 and load_index_epoch(loaded.database) == 1
+        assert report.epoch == 1 and loaded.epoch == 1
         assert len(commits) == 1
         assert_equivalent(catalog, decomps, loaded)
         hits = ranked(loaded, ("revised", "sweep"))
@@ -146,7 +145,7 @@ class TestStatistics:
         manager.insert_document(NEW_AUTHOR)
         assert loaded.statistics is statistics
         assert (statistics.avg_fanout, statistics.avg_fanin) != before
-        fresh = load_database(loaded.graph, catalog, decomps, database=Database())
+        fresh = load_database(loaded.graph, catalog, decomps)
         for name in ("tss_counts", "edge_counts", "avg_fanout", "avg_fanin"):
             assert getattr(statistics, name) == getattr(fresh.statistics, name), name
 
@@ -174,9 +173,7 @@ class TestTopKEquivalenceAndSpeed:
             update_seconds = min(update_seconds, time.perf_counter() - started)
 
         started = time.perf_counter()
-        fresh = load_database(
-            loaded.graph, catalog, decomps, database=Database()
-        )
+        fresh = load_database(loaded.graph, catalog, decomps)
         reload_seconds = time.perf_counter() - started
 
         for keywords in (("adaptive", "proximity"), ("smith",), ("p3", "p9")):
@@ -221,15 +218,6 @@ class TestValidation:
     def test_unknown_delete_target_rejected(self, manager):
         with pytest.raises(LookupError):
             manager.delete_document("missing")
-
-    def test_graphless_database_rejected(self, dblp_setup):
-        _, _, loaded = dblp_setup
-        graph, loaded.graph = loaded.graph, None
-        try:
-            with pytest.raises(ValueError):
-                UpdateManager(loaded)
-        finally:
-            loaded.graph = graph
 
 
 def choice_database():
@@ -350,7 +338,7 @@ class TestRejectedReplace:
         assert {
             node.node_id for node in loaded.graph.containment_subtree(document_id)
         } == old_ids
-        assert loaded.epoch == 0 and load_index_epoch(loaded.database) == 0
+        assert loaded.epoch == 0
         assert ranked(loaded, keywords) == answer
         assert frozen_state(manager) == before
 

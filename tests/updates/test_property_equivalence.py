@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import KeywordQuery, XKeyword
-from repro.storage import Database, load_database
+from repro.storage import load_database
 from repro.updates import UpdateManager
 
 from .conftest import assert_equivalent, build_dblp, target_objects
@@ -75,9 +75,7 @@ def test_any_interleaving_matches_full_reload(sequence):
 
     assert_equivalent(catalog, decomps, loaded)
 
-    fresh = load_database(
-        loaded.graph, catalog, decomps, database=Database()
-    )
+    fresh = load_database(loaded.graph, catalog, decomps)
     for keywords in (("alpha", "proximity"), ("smith",), ("gamma",)):
         query = KeywordQuery(keywords)
         theirs = [

@@ -1,14 +1,17 @@
 #!/usr/bin/env python
 """CI doc-link gate: internal references in the markdown docs must resolve.
 
-Checks two kinds of references in the files listed in ``DOCS``:
+Checks three kinds of references in the files listed in ``DOCS``:
 
 1. Markdown links ``[text](target)`` whose target is not an URL or an
    in-page anchor — the target path must exist relative to the doc's
    directory (or the repo root as a fallback).
 2. Backtick spans that look like repo paths — contain a ``/`` or end in
    a known file suffix, no spaces or wildcard/placeholder characters.
-   A trailing ``::name`` (pytest node id) is stripped before checking.
+   A trailing ``::A`` or ``::A::B`` (``::A.B`` alike; a pytest node id
+   or a code reference) must name something in that Python file: ``A``
+   a top-level def, class or assignment, or a method of one of its
+   classes, and ``B`` a member of class ``A``.
 3. Backtick spans of the form ``Class.member`` (optionally called, and
    optionally after a ``path::``) whose ``Class`` is defined under
    ``src/repro`` — the class, or a project base class, must define
@@ -133,13 +136,41 @@ def looks_like_path(span: str) -> bool:
     return span.endswith(SUFFIXES) and not span.startswith("-")
 
 
+def defines(source: Path, names: list[str]) -> bool:
+    """Whether ``names`` (``[A]`` or ``[A, B]``) resolve in ``source``."""
+    if source.suffix != ".py" or not 1 <= len(names) <= 2:
+        return False
+    top: dict[str, ast.AST] = {}
+    methods: set[str] = set()
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            top[node.name] = node
+        for target in _targets(node):
+            if isinstance(target, ast.Name):
+                top[target.id] = node
+        if isinstance(node, ast.ClassDef):
+            methods.update(
+                member.name
+                for member in node.body
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    first, *member = names
+    if not member:
+        return first in top or first in methods
+    owner = top.get(first)
+    return isinstance(owner, ast.ClassDef) and member[0] in _defined_names(owner)
+
+
 def resolve(doc: Path, target: str) -> bool:
-    target = target.split("::", 1)[0].split("#", 1)[0].rstrip("/")
-    if not target:
+    path, _, qualname = target.split("#", 1)[0].partition("::")
+    names = re.split(r"::|\.", qualname) if qualname else []
+    path = path.rstrip("/")
+    if not path:
         return True
-    if (doc.parent / target).exists():
-        return True
-    return any((root / target).exists() for root in ROOTS)
+    for base in (doc.parent, *ROOTS):
+        if (base / path).exists():
+            return not names or defines(base / path, names)
+    return False
 
 
 def check(doc: Path, classes: dict[str, set[str] | None]) -> list[str]:
